@@ -24,8 +24,8 @@ import mpmath as mp
 import numpy as np
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       cubic_roots, ellint_E, ellint_K, ellint_Pi,
-                       ellint_Pi_from_p, heuman_lambda0)
+                       _discriminant, _gaps, cubic_roots, ellint_E, ellint_K,
+                       ellint_Pi, ellint_Pi_from_p, heuman_lambda0)
 from .quadrature import tanh_sinh
 from .series import TruncatedSeries2, binom_frac
 
@@ -75,11 +75,12 @@ class ComplexJ:
 
     @property
     def arg(self) -> float:
-        """Principal value in (-pi, pi]."""
-        a = math.atan2(self.j2, self.j1)
-        if a <= -math.pi:
-            a += TWO_PI
-        return a
+        """Principal value in (-pi, pi]: +pi on the negative j1 axis.
+
+        For tiny j2 < 0 the angle rounds to -pi, its limit from below the
+        axis, and stays there; only j2 == 0 (either sign of zero) gives +pi.
+        """
+        return math.atan2(self.j2 if self.j2 != 0 else 0.0, self.j1)
 
 
 # -- exact series for the imaginary action ----------------------------------
@@ -173,23 +174,20 @@ def A_series(order: int = 9) -> TruncatedSeries2:
 # -- numeric action over the real cycle --------------------------------------
 
 def _roots_mp(h, j2, prec: int):
-    """Polish the float roots to `prec` bits with Newton in mpmath."""
-    em = EnergyMomentum(float(h), float(j2))
-    data = cubic_roots(em)
+    """(zeta0, zeta1) to `prec` bits: the float gaps polished by the same solver.
+
+    Raises DomainError outside the image of the momentum map.
+    """
+    eps2 = cubic_roots(EnergyMomentum(float(h), float(j2))).eps2
     with mp.workprec(prec + 20):
-        hh = mp.mpf(h)
-        jj = mp.mpf(j2)
-        out = []
-        for seed in (data.zeta0, data.zeta1, data.zeta2):
-            z = mp.mpf(seed)
-            for _ in range(1 + int(math.log2(max(prec, 53) / 40) + 3)):
-                p = 2 * (1 - z * z) * (hh + 1 - z) - jj * jj
-                dp = 6 * z * z - 4 * (hh + 1) * z - 2
-                if dp == 0:
-                    break
-                z = z - p / dp
-            out.append(z)
-        return out, data
+        hh, jj = mp.mpf(h), mp.mpf(j2)
+        # the float eps2 is 0 only where j2^2 underflows (h <= 0); |j2|/2
+        # lies above the root there, where 0 is a flat start for h = 0
+        start = mp.mpf(eps2) or abs(jj) / 2
+        delta0, eps1, _, _ = _gaps(hh, jj, start, mp.sqrt(mp.eps),
+                                   _discriminant(hh, jj),
+                                   lambda n, d: mp.sqrt(mp.mpf(n) / d))
+        return delta0 - 1, 1 - eps1
 
 
 def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
@@ -200,7 +198,7 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
     and the near-axis pole just outside the interval are resolved by the
     double-exponential transform.  Returns (value, error_estimate) as mpf.
     """
-    (z0, z1, _), _data = _roots_mp(h, j2, prec)
+    z0, z1 = _roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):
         hh = mp.mpf(h)
         jj = mp.mpf(j2)
@@ -342,44 +340,6 @@ def action_J1_numeric(em: EnergyMomentum, panels_per_unit: int = 0,
 
 # -- rotation number and period ----------------------------------------------
 
-def _stable_gaps(h: float, j2: float) -> tuple[float, float, float]:
-    """Root gaps (1 + zeta0, 1 - zeta1, zeta2 - 1), accurate for tiny j2.
-
-    The gaps collapse like j2^2 near the axis, where forming them from the
-    rounded roots loses every digit; instead each gap solves its own scalar
-    equation by Newton from the quadratic seed.
-    """
-    data = cubic_roots(EnergyMomentum(h, j2))
-    jsq = j2 * j2
-    s = math.hypot(h, j2)
-
-    def refine(seed: float, f, fp, floor: float = 0.0) -> float:
-        x = max(seed, floor)
-        for _ in range(6):
-            d = fp(x)
-            if d == 0:
-                break
-            step = f(x) / d
-            x -= step
-            if abs(step) <= 1e-17 * max(abs(x), 1e-300):
-                break
-        return x
-
-    # P(-1 + d) = 0  <=>  2 d (2 - d)(h + 2 - d) = j2^2
-    delta0 = refine(max(1 + data.zeta0, jsq / (4 * (h + 2)) if h > -2 else 0.0),
-                    lambda d: 2 * d * (2 - d) * (h + 2 - d) - jsq,
-                    lambda d: 2 * ((2 - 2 * d) * (h + 2 - d) - d * (2 - d)))
-    # P(1 - e) = 0  <=>  2 e (2 - e)(h + e) = j2^2
-    eps1 = refine(max(1 - data.zeta1, (s - h) / 2),
-                  lambda e: 2 * e * (2 - e) * (h + e) - jsq,
-                  lambda e: 2 * ((2 - 2 * e) * (h + e) + e * (2 - e)))
-    # P(1 + e) = 0  <=>  2 e (2 + e)(e - h) = j2^2
-    eps2 = refine(max(data.zeta2 - 1, (s + h) / 2),
-                  lambda e: 2 * e * (2 + e) * (e - h) - jsq,
-                  lambda e: 2 * ((2 + 2 * e) * (e - h) + e * (2 + e)))
-    return delta0, eps1, eps2
-
-
 def rotation_W_numeric(em: EnergyMomentum) -> float:
     """Rotation number -dI1/dj2 from complete elliptic integrals.
 
@@ -389,30 +349,25 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
     (1 -+ zeta0) denominator; the pairing is pinned by the
     finite-difference oracle in the tests.
     """
+    data = cubic_roots(em)
     h, j2 = em.h, em.j2
     if j2 == 0.0:
         if h == 0.0:
             raise DomainError("rotation number undefined at the critical value")
         return 1.0 if h > 0 else 0.5
-    delta0, eps1, eps2 = _stable_gaps(h, j2)
-    span = 2.0 - delta0 + eps2            # zeta2 - zeta0
-    ksq = (2.0 - delta0 - eps1) / span
-    one_minus_z0 = 2.0 - delta0
-    p_plus = eps1 / one_minus_z0          # 1 - n_plus
-    n_minus = -(2.0 - delta0 - eps1) / delta0
-    pref = j2 / (math.pi * math.sqrt(2 * span))
-    return pref * (ellint_Pi_from_p(p_plus, ksq) / one_minus_z0
-                   + ellint_Pi(n_minus, ksq) / delta0)
+    one_minus_z0 = 2.0 - data.delta0
+    pref = j2 / (math.pi * math.sqrt(2 * data.c2))
+    # 1 - n_plus = eps1 / (1 - zeta0), passed directly to keep its digits
+    return pref * (ellint_Pi_from_p(data.eps1 / one_minus_z0, data.ksq) / one_minus_z0
+                   + ellint_Pi(data.n_minus, data.ksq) / data.delta0)
 
 
 def period_T_numeric(em: EnergyMomentum) -> float:
     """Reduced period 2 pi dI1/dh = 2 sqrt(2) K(k) / sqrt(zeta2 - zeta0)."""
-    delta0, eps1, eps2 = _stable_gaps(em.h, em.j2)
-    span = 2.0 - delta0 + eps2
-    ksq = (2.0 - delta0 - eps1) / span
-    if ksq >= 1:
+    data = cubic_roots(em)
+    if data.ksq >= 1:
         raise DomainError("period diverges on the separatrix")
-    return 2 * math.sqrt(2.0) * ellint_K(ksq) / math.sqrt(span)
+    return 2 * math.sqrt(2.0) * ellint_K(data.ksq) / math.sqrt(data.c2)
 
 
 def rotation_W_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
@@ -524,7 +479,11 @@ def energy_of_j(j1: float, j2: float, degree: int = 10) -> float:
 
 
 def j1_of_energy(h: float, j2: float, degree: int = 12) -> float:
-    """Local normal-form coordinate j1 = J1(h, j2) from the exact series."""
+    """Local normal-form coordinate j1 = J1(h, j2) from the exact series.
+
+    Raises DomainError outside the image of the momentum map.
+    """
+    cubic_roots(EnergyMomentum(h, j2))
     return float(J1_series(degree).evaluate(h, j2))
 
 

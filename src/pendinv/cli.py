@@ -1,9 +1,8 @@
 """Command-line surface: reproducible experiments, machine-readable output.
 
-Exit codes: 0 success, 1 verification failure, 2 domain error.  All
-randomness is seeded (--seed, default 0) and grid sweeps are assembled in
-deterministic order, so identical invocations produce identical bytes.
-The environment variable PENDINV_PRECISION overrides the fit precision.
+Exit codes: 0 success, 1 verification failure, 2 domain error.  Nothing
+is sampled at random and grid sweeps are assembled in deterministic
+order, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import actions, dynamics, elliptic, normalform, pendulum
@@ -49,8 +46,7 @@ def cmd_nf(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    precision = int(os.environ.get("PENDINV_PRECISION", args.precision))
-    res = actions.fit_invariant_S(order=args.order, precision=precision,
+    res = actions.fit_invariant_S(order=args.order, precision=args.precision,
                                   samples=args.samples)
     known = actions._known_invariant_terms(4)
     rows = []
@@ -206,23 +202,18 @@ def cmd_special(args) -> int:
     return 0
 
 
-def _suite_legendre(jobs: int) -> tuple[bool, list[str]]:
+def _suite_legendre() -> tuple[bool, list[str]]:
     hs = [(-1.9 + 6.9 * i / 49) for i in range(50)]
     hs = [h if abs(h) > 1e-9 else 0.05 for h in hs]
-
-    def one(h):
-        quad = pendulum.pendulum_quadruple(h)
-        return h, abs(quad.legendre_combination() - 8.0)
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as ex:
-        rows = list(ex.map(one, hs))
+    rows = [(h, abs(pendulum.pendulum_quadruple(h).legendre_combination() - 8.0))
+            for h in hs]
     worst = max(r[1] for r in rows)
     lines = [f"h = {h:+.4f}: |IU - JT - 8| = {err:.3e}" for h, err in rows]
     lines.append(f"worst residual: {worst:.3e}")
     return worst < 1e-12, lines
 
 
-def _suite_nf(jobs: int) -> tuple[bool, list[str]]:
+def _suite_nf() -> tuple[bool, list[str]]:
     try:
         actions.verify_birkhoff_equivalence(10)
         nf_data = normalform.verify_linear_nf()
@@ -233,7 +224,7 @@ def _suite_nf(jobs: int) -> tuple[bool, list[str]]:
                 "linear normalization identities hold exactly"]
 
 
-def _suite_nome(jobs: int) -> tuple[bool, list[str]]:
+def _suite_nome() -> tuple[bool, list[str]]:
     ok = pendulum.theta_inverse_matches_nome(7)
     ns = pendulum.nome_from_invariant(7)
     ints = ns.integer_coefficients()
@@ -241,14 +232,14 @@ def _suite_nome(jobs: int) -> tuple[bool, list[str]]:
                          f"integer coefficients: {ints}"]
 
 
-def _suite_rotation(jobs: int) -> tuple[bool, list[str]]:
+def _suite_rotation() -> tuple[bool, list[str]]:
     rep = actions.rotation_expansion_check()
     return rep.passed, [f"ln coefficient exact: {rep.ln_coefficient_ok}",
                         f"frequency-ratio series exact: {rep.a_series_ok}",
                         f"worst numeric deviation: {rep.worst_numeric:.3e}"]
 
 
-def _suite_averaging(jobs: int) -> tuple[bool, list[str]]:
+def _suite_averaging() -> tuple[bool, list[str]]:
     rep = normalform.canonical_pt_cross_check()
     return rep.passed, [f"average matches: {rep.average_ok}",
                         f"first order agreement: {rep.first_order_ok}",
@@ -269,7 +260,7 @@ def cmd_verify(args) -> int:
     output = []
     all_ok = True
     for name in names:
-        ok, lines = _SUITES[name](args.jobs)
+        ok, lines = _SUITES[name]()
         all_ok &= ok
         output.append(f"[{'PASS' if ok else 'FAIL'}] suite {name}")
         output.extend("    " + line for line in lines)
@@ -288,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("pretty", "json", "csv"),
                        default="pretty")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for any sampled sweep (default 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for grid sweeps")
 
     p = sub.add_parser("nf", help="Birkhoff normal form, both routes")
     p.add_argument("--order", type=int, default=10, help="maximum grade (default 10)")

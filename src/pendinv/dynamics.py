@@ -51,19 +51,8 @@ class PhaseState:
         return (abs(float(self.r @ self.r) - 1.0), abs(float(self.r @ self.p)))
 
 
-def vector_field(state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3."""
-    r, p = state.r, state.p
-    ll = np.cross(r, p)
-    norm = float(np.linalg.norm(r))
-    dr = np.cross(ll, r)
-    dp = (np.cross(ll, p)
-          - np.array([0.0, 0.0, 1.0]) / norm
-          + (r[2] / norm ** 3) * r)
-    return dr, dp
-
-
 def _rhs(_t: float, y: np.ndarray) -> np.ndarray:
+    """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3."""
     r = y[:3]
     p = y[3:]
     ll = np.cross(r, p)

@@ -245,7 +245,11 @@ def heuman_lambda0(phi: float, msq: float) -> float:
 
 @dataclass(frozen=True)
 class EnergyMomentum:
-    """Scaled energy (zero at the unstable equilibrium) and angular momentum."""
+    """Scaled energy (zero at the unstable equilibrium) and angular momentum.
+
+    Any pair is accepted here; `cubic_roots` decides whether it lies in
+    the image of the momentum map.
+    """
 
     h: float
     j2: float
@@ -253,11 +257,21 @@ class EnergyMomentum:
 
 @dataclass
 class EllipticData:
-    """Roots of the defining cubic and every derived Legendre-form coefficient."""
+    """Roots of the defining cubic, their gaps and every derived coefficient.
+
+    The solver computes the gaps delta0 = 1 + zeta0, eps1 = 1 - zeta1 and
+    eps2 = zeta2 - 1 and the width zeta1 - zeta0, which keep their
+    relative accuracy where roots merge with -1, with 1 or with each
+    other; the roots are formed from them.
+    """
 
     zeta0: float
     zeta1: float
     zeta2: float
+    delta0: float
+    eps1: float
+    eps2: float
+    width: float
     ksq: float
     n_plus: float
     n_minus: float
@@ -274,76 +288,118 @@ def cubic_value(zeta: float, h: float, j2: float) -> float:
     return 2 * (1 - zeta * zeta) * (h + 1 - zeta) - j2 * j2
 
 
-def _cubic_value_d(zeta: float, h: float) -> float:
-    # derivative of the cubic: d/dz [2 z^3 - 2(h+1) z^2 - 2 z + const]
-    return 6 * zeta * zeta - 4 * (h + 1) * zeta - 2
+def _dyadic(x) -> tuple[int, int]:
+    """A float or an mpmath mpf as an exact ratio of integers."""
+    if isinstance(x, (int, float)):
+        return x.as_integer_ratio()
+    man, exp = x.man_exp                              # mantissa without sign
+    man = -man if x < 0 else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _discriminant(h, j2) -> tuple[int, int]:
+    """Discriminant of P at (h, j2) as an exact ratio (num, den), den > 0.
+
+    (h, j2) lies in the image of the momentum map exactly when both are
+    finite, h >= -2 and the discriminant is non-negative: P(+-1) = -j2^2,
+    P < 0 below -1 once h >= -2 and P -> +inf, so three real roots always
+    lie as -1 <= zeta0 <= zeta1 <= 1 <= zeta2.  Floats and mpf values are
+    dyadic rationals, so the test is exact.  Raises DomainError outside.
+    """
+    if not (math.isfinite(h) and math.isfinite(j2)):
+        raise DomainError(f"non-finite input (h, j2) = ({h}, {j2})")
+    if h < -2:
+        raise DomainError(f"h = {h} below the potential minimum -2")
+    # P = 2 z^3 - 2u z^2 - 2z + d with u = h + 1 = U/A, j2 = J/B and
+    # d = 2u - j2^2; the discriminant times A^4 B^4 is an integer
+    hn, a = _dyadic(h)
+    jn, b = _dyadic(j2)
+    u, b2 = hn + a, b * b
+    d = 2 * u * b2 - jn * jn * a
+    num = (144 * u * d * a * a * b2 + 32 * u ** 3 * d * b2
+           + 16 * u * u * a * a * b2 * b2 + 64 * a ** 4 * b2 * b2
+           - 108 * d * d * a * a)
+    if num < 0:
+        raise DomainError(
+            f"no real motion at (h, j2) = ({h}, {j2}): P has complex roots "
+            "(h below the relative equilibrium energy)")
+    return num, a ** 4 * b2 * b2
+
+
+def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
+    """Gaps (delta0, eps1, eps2) and width zeta1 - zeta0 in the type of h.
+
+    The same code runs on floats and on mpf.  eps2 solves its own equation
+    2e(2 + e)(e - h) = j2^2 by Newton from the start `eps2`.  Above the
+    root that cubic is convex and increasing, so from a start above it, or
+    after the first step from just below, the iterates fall monotonically
+    onto the root with ever shorter steps.  A step below `tol` relative
+    leaves an error of order tol^2; a step that does not shrink is
+    rounding noise (j2^2 subnormal); either ends the loop.
+
+    The width follows from the exact discriminant `disc` = 4 width^2
+    P'(zeta2)^2, with `sqrt_ratio(n, d)` = sqrt(n / d) in the working
+    type.  delta0 and delta1 = 1 + zeta1 are the two small roots of
+    2d(2 - d)(h + 2 - d) = j2^2, with sum h + 2 - eps2 and product
+    j2^2 / (2 (2 + eps2)), so neither cancels; eps1 = 2 - delta1 is a sum
+    of non-negative terms for h <= 0 and the product form of its own
+    equation for h > 0.  Every gap is non-negative by construction.  Where
+    j2^2 is zero in the working precision the roots are those of the axis:
+    -1, 1 and 1 + h.
+    """
+    jsq = j2 * j2
+    if jsq == 0:
+        return 0.0, max(0.0, -h), max(0.0, h), 2 - max(0.0, -h)
+    last = math.inf
+    while True:
+        slope = 2 * ((2 + 2 * eps2) * (eps2 - h) + eps2 * (2 + eps2))
+        step = (2 * eps2 * (2 + eps2) * (eps2 - h) - jsq) / slope
+        eps2 -= step
+        if not tol * eps2 < abs(step) < last:   # converged, or rounding noise
+            break
+        last = abs(step)
+    slope = 2 * ((2 + 2 * eps2) * (eps2 - h) + eps2 * (2 + eps2))  # P'(zeta2)
+    sn, sd = _dyadic(slope)
+    width = sqrt_ratio(disc[0] * sd * sd, 4 * disc[1] * sn * sn)
+    delta1 = (h + 2 - eps2 + width) / 2
+    delta0 = jsq / (2 * (2 + eps2) * delta1)
+    eps1 = eps2 - h + delta0 if h <= 0 else jsq / (2 * eps2 * (2 - delta0))
+    return delta0, eps1, eps2, width
 
 
 def cubic_roots(em: EnergyMomentum) -> EllipticData:
-    """Ordered roots -1 <= zeta0 <= zeta1 <= 1 <= zeta2 plus derived data.
+    """Ordered roots -1 <= zeta0 <= zeta1 <= 1 <= zeta2, gaps and derived data.
 
-    Closed-form trigonometric solution polished by two Newton steps, which
-    keeps the ordering bit-stable near double roots.  Raises DomainError
-    when the requested (h, j2) admits no real motion.
+    This is the one place that solves P and the one place that decides,
+    exactly, whether (h, j2) lies in the image of the momentum map; it
+    raises DomainError outside (non-finite input, h < -2, or h below the
+    relative equilibrium energy).  eps2 starts from the root of the
+    quadratic approximation 4e(e - h) = j2^2, which lies above it.
     """
     h, j2 = em.h, em.j2
-    if j2 == 0.0:
-        if h < -2:
-            raise DomainError(f"h = {h} below the potential minimum -2 at j2 = 0")
-        roots = sorted([-1.0, min(1.0, 1.0 + h), max(1.0, 1.0 + h)])
-    else:
-        # monic form zeta^3 + a2 zeta^2 + a1 zeta + a0
-        a2 = -(h + 1)
-        a1 = -1.0
-        a0 = (h + 1) - j2 * j2 / 2
-        q = (3 * a1 - a2 * a2) / 9
-        r = (9 * a2 * a1 - 27 * a0 - 2 * a2 ** 3) / 54
-        disc = q ** 3 + r * r
-        if disc > 1e-13 * max(1.0, abs(q) ** 3):
-            raise DomainError(
-                f"no real motion at (h, j2) = ({h}, {j2}): P has complex roots "
-                "(h below the relative equilibrium energy)")
-        ratio = r / math.sqrt(max((-q) ** 3, 1e-300))
-        ratio = min(1.0, max(-1.0, ratio))
-        theta = math.acos(ratio)
-        m = 2 * math.sqrt(max(-q, 0.0))
-        roots = sorted(m * math.cos((theta + 2 * math.pi * k) / 3) - a2 / 3
-                       for k in range(3))
-        for _ in range(2):  # Newton polish at working precision
-            roots = [z - cubic_value(z, h, j2) / _cubic_value_d(z, h)
-                     if abs(_cubic_value_d(z, h)) > 1e-30 else z
-                     for z in roots]
-        roots = sorted(roots)
-    z0, z1, z2 = roots
-    tol = 4e-12 * max(1.0, abs(h), j2 * j2)
-    if z0 < -1 - tol or z1 > 1 + tol or z2 < 1 - tol:
-        raise DomainError(
-            f"root ordering -1 <= z0 <= z1 <= 1 <= z2 violated at (h, j2) = "
-            f"({h}, {j2}): roots {roots}")
-    z0 = max(z0, -1.0)
-    z1 = min(z1, 1.0)
-    z2 = max(z2, 1.0)
-
-    span = z2 - z0
-    ksq = (z1 - z0) / span if span > 0 else 0.0
-    one_minus_z0 = 1 - z0
-    one_plus_z0 = 1 + z0
-    n_plus = (z1 - z0) / one_minus_z0 if one_minus_z0 != 0 else math.inf
-    n_minus = (z1 - z0) / (-one_plus_z0) if one_plus_z0 != 0 else -math.inf
-    c0 = 4 / (math.pi * math.sqrt(2 * span)) if span > 0 else math.inf
-    c1 = 1 + h - z2
-    c2 = span
-    c3_plus = j2 * j2 / (4 * one_minus_z0) if one_minus_z0 != 0 else math.inf
-    c3_minus = j2 * j2 / (4 * one_plus_z0) if one_plus_z0 != 0 else 0.0
-
-    if z2 > z1:
-        arg = (j2 * j2 / 2 - z1 - z0) / (z2 - z1)
-        arg = min(1.0, max(0.0, arg))
-        phi = math.pi - math.asin(math.sqrt(arg))
-    else:
-        phi = math.pi / 2
-    rad = (z2 - 1) * (z2 - z1) / (2 * (z2 + 1))
-    c1_tilde = (h + 1 - z2 - j2 * j2 / (4 * (1 + z2))
-                - abs(j2) / 2 * math.sqrt(max(rad, 0.0)) * math.sin(phi))
-    return EllipticData(z0, z1, z2, ksq, n_plus, n_minus, c0, c1, c2,
-                        c3_plus, c3_minus, phi, c1_tilde)
+    disc = _discriminant(h, j2)
+    jsq = j2 * j2
+    s = math.hypot(h, j2)
+    start = (h + s) / 2 if h >= 0 else jsq / (2 * (s - h))
+    delta0, eps1, eps2, width = _gaps(h, j2, start, math.sqrt(_EPS), disc,
+                                      lambda n, d: math.sqrt(n / d))
+    span = 2 - delta0 + eps2                           # zeta2 - zeta0
+    zeta1 = 1 - eps1
+    # Lambda0 angle: by Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) / (zeta2 -
+    # zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 - zeta1), and
+    # cos phi has the sign of -zeta1 (phi = pi - arcsin for zeta1 > 0,
+    # arcsin for zeta1 < 0, continuous through zeta1 = 0)
+    inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
+    phi = math.atan2(math.sqrt(inner), -zeta1 * math.sqrt(delta0 + eps2))
+    c1 = h - eps2                                      # 1 + h - zeta2
+    c1_tilde = (c1 - jsq / (4 * (2 + eps2))
+                - abs(j2) / 2 * math.sqrt(eps2 * inner / (2 * (2 + eps2))))
+    return EllipticData(
+        zeta0=delta0 - 1, zeta1=zeta1, zeta2=1 + eps2,
+        delta0=delta0, eps1=eps1, eps2=eps2, width=width,
+        ksq=width / span, n_plus=width / (2 - delta0),
+        n_minus=-width / delta0 if delta0 else -math.inf,
+        c0=4 / (math.pi * math.sqrt(2 * span)), c1=c1, c2=span,
+        c3_plus=jsq / (4 * (2 - delta0)),
+        c3_minus=jsq / (4 * delta0) if delta0 else 0.0,
+        phi=phi, c1_tilde=c1_tilde)

@@ -357,22 +357,6 @@ class TruncatedSeries2:
         return cls(data["order"], tuple(data["vars"]), terms)
 
 
-def arith(a: TruncatedSeries2, b, op: str) -> TruncatedSeries2:
-    """Dispatch helper over the basic ring operations.
-
-    op is one of add, sub, mul, scale; scale expects b to be a rational.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 class TruncatedSeries1:
     """Univariate truncated power series with exact rational coefficients."""
 

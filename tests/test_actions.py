@@ -66,13 +66,24 @@ def test_action_critical_value():
 
 
 def test_action_forms_agree_with_quadrature():
+    # the last two: within 1e-8 of the critical value, and near h = -2
+    # where zeta0 and zeta1 both sit near -1
     for (h, j2) in [(0.2, 0.1), (0.3, 0.2), (-0.1, 0.05), (0.5, 0.0),
-                    (-0.9, 0.1), (0.05, 0.3)]:
+                    (-0.9, 0.1), (0.05, 0.3), (1e-9, 1e-9),
+                    (-1.9999999848921983, -7.096793468803744e-09)]:
         em = EnergyMomentum(h, j2)
         quad = float(two_pi_I1_quadrature(h, j2, prec=80)[0])
         assert action_I1(em).two_pi == pytest.approx(quad, abs=1e-10)
         if j2 != 0.0:
             assert action_I1(em, "legendre").two_pi == pytest.approx(quad, abs=1e-10)
+
+
+def test_lambda0_route_where_zeta1_is_negative():
+    # j2^2 > 2 (h + 1) puts zeta1 below 0, where the Lambda0 angle is
+    # arcsin, not pi - arcsin
+    for (h, j2) in [(-1.5, 0.3), (-1.2, 0.6), (-0.9, 0.5)]:
+        quad = float(two_pi_I1_quadrature(h, j2, prec=80)[0])
+        assert abs(action_I1(EnergyMomentum(h, j2)).two_pi - quad) <= 1e-12
 
 
 def test_action_even_in_j2():
@@ -186,6 +197,10 @@ def test_rotation_model_vs_numeric():
 def test_rotation_model_axis_values():
     assert rotation_W_model(-0.1, 0.0) == pytest.approx(0.5, abs=1e-12)
     assert rotation_W_model(0.1, 0.0) == pytest.approx(1.0, abs=1e-12)
+    # just below the negative j1 axis atan2 rounds to -pi; the value is the
+    # limit from below, not the axis value +1/2 shifted by one
+    assert rotation_W_model(-0.3, -1e-300) == -0.5
+    assert rotation_W_model(-0.3, 0.0) == 0.5
 
 
 def test_rotation_expansion_report():
