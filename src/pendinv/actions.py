@@ -24,10 +24,10 @@ import mpmath as mp
 import numpy as np
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, cubic_roots, ellint_E, ellint_K,
-                       ellint_Pi, ellint_Pi_from_p, heuman_lambda0)
+                       _discriminant, _gaps, carlson_rf, cubic_roots, ellint_E,
+                       ellint_K, ellint_Pi, ellint_Pi_from_p, heuman_lambda0)
 from .quadrature import tanh_sinh
-from .series import TruncatedSeries2, binom_frac
+from .series import Series, binom_frac
 
 LN32 = math.log(32.0)
 TWO_PI = 2 * math.pi
@@ -86,7 +86,7 @@ class ComplexJ:
 # -- exact series for the imaginary action ----------------------------------
 
 @lru_cache(maxsize=None)
-def J1_series(order: int = 10) -> TruncatedSeries2:
+def J1_series(order: int = 10) -> Series:
     """Imaginary action as an exact series in (h, j2), even in j2.
 
     Degree-n coefficients come from the residue at the double point of the
@@ -112,16 +112,16 @@ def J1_series(order: int = 10) -> TruncatedSeries2:
             c = Fraction(-2) * c
             if c != 0:
                 terms[(n - 2 * k, 2 * k)] = terms.get((n - 2 * k, 2 * k), Fraction(0)) + c
-    return TruncatedSeries2(order, ("h", "j2"), terms)
+    return Series(order, ("h", "j2"), terms)
 
 
 @lru_cache(maxsize=None)
-def birkhoff_series(degree: int = 5) -> TruncatedSeries2:
+def birkhoff_series(degree: int = 5) -> Series:
     """H(j1, j2) as the exact compositional inverse of the J1 series."""
-    return J1_series(degree).invert_first().relabel(("j1", "j2"))
+    return J1_series(degree).invert().relabel(("j1", "j2"))
 
 
-def birkhoff_by_inversion(order: int = 10) -> TruncatedSeries2:
+def birkhoff_by_inversion(order: int = 10) -> Series:
     """Normal form through grade `order` (total degree order/2) by inversion.
 
     Must agree coefficient-for-coefficient with the Lie-series route; the
@@ -132,7 +132,7 @@ def birkhoff_by_inversion(order: int = 10) -> TruncatedSeries2:
     return birkhoff_series(order // 2)
 
 
-def verify_birkhoff_equivalence(order: int = 10) -> TruncatedSeries2:
+def verify_birkhoff_equivalence(order: int = 10) -> Series:
     """Exact equality of the Lie route and the inversion route.
 
     Raises ConsistencyError on any coefficient mismatch; returns the
@@ -150,7 +150,7 @@ def verify_birkhoff_equivalence(order: int = 10) -> TruncatedSeries2:
 
 
 @lru_cache(maxsize=None)
-def A_series(order: int = 9) -> TruncatedSeries2:
+def A_series(order: int = 9) -> Series:
     """Frequency-ratio series A(j1, j2), two exact routes cross-checked.
 
     Route one is the ratio of partials of the normal form; route two
@@ -159,12 +159,12 @@ def A_series(order: int = 9) -> TruncatedSeries2:
     differentiation of J1(H(j1, j2), j2) = j1).  Exact disagreement raises.
     """
     h_series = birkhoff_series(order + 1)
-    num = h_series.partial("second")
-    den = h_series.partial("first")
+    num = h_series.partial(1)
+    den = h_series.partial(0)
     route_ratio = (num * den.reciprocal()).truncate(order)
 
-    dj1 = J1_series(order + 1).partial("second")
-    route_subst = (-dj1.compose_first(h_series.relabel(("j1", "j2")))
+    dj1 = J1_series(order + 1).partial(1)
+    route_subst = (-dj1.compose(h_series.relabel(("j1", "j2")))
                    ).truncate(order).relabel(("j1", "j2"))
     if route_ratio != route_subst:
         raise ConsistencyError("frequency-ratio routes disagree")
@@ -363,11 +363,17 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
 
 
 def period_T_numeric(em: EnergyMomentum) -> float:
-    """Reduced period 2 pi dI1/dh = 2 sqrt(2) K(k) / sqrt(zeta2 - zeta0)."""
+    """Reduced period 2 pi dI1/dh = 2 sqrt(2) K(k) / sqrt(zeta2 - zeta0).
+
+    K = R_F(0, k'^2, 1) takes the complementary parameter k'^2 =
+    (eps1 + eps2) / (zeta2 - zeta0) from the gaps, so it keeps its digits
+    next to the critical value, where k^2 itself rounds to 1.
+    """
     data = cubic_roots(em)
-    if data.ksq >= 1:
+    kcsq = (data.eps1 + data.eps2) / data.c2
+    if kcsq == 0:
         raise DomainError("period diverges on the separatrix")
-    return 2 * math.sqrt(2.0) * ellint_K(data.ksq) / math.sqrt(data.c2)
+    return 2 * math.sqrt(2.0) * carlson_rf(0.0, kcsq, 1.0) / math.sqrt(data.c2)
 
 
 def rotation_W_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
@@ -405,15 +411,21 @@ def _known_invariant_terms(order: int = 4) -> dict[tuple[int, int], Fraction]:
 
 
 @lru_cache(maxsize=None)
-def invariant_polynomial(order: int = 4) -> TruncatedSeries2:
+def invariant_polynomial(order: int = 4) -> Series:
     """Polynomial part of S (degrees >= 2), exact, in (j1, j2)."""
     if order > 4:
         raise ValueError("exact invariant coefficients available through degree 4")
-    return TruncatedSeries2(order, ("j1", "j2"), _known_invariant_terms(order))
+    return Series(order, ("j1", "j2"), _known_invariant_terms(order))
+
+
+def _require_finite(j1: float, j2: float) -> None:
+    if not (math.isfinite(j1) and math.isfinite(j2)):
+        raise DomainError(f"non-finite coordinate ({j1}, {j2})")
 
 
 def two_pi_I1_model(j1: float, j2: float, s_order: int = 4) -> float:
     """2 pi I1 from the normal-form model: singular terms plus invariant."""
+    _require_finite(j1, j2)
     jc = ComplexJ(j1, j2)
     if jc.modulus == 0.0:
         return 8.0
@@ -447,6 +459,7 @@ def rotation_W_model(j1: float, j2: float, s_order: int = 4,
     the axis values are the limits from above (+1 for j1 > 0, +1/2 for
     j1 < 0).
     """
+    _require_finite(j1, j2)
     jc = ComplexJ(j1, j2)
     if jc.modulus == 0.0:
         raise DomainError("rotation number undefined at the origin")
@@ -455,8 +468,8 @@ def rotation_W_model(j1: float, j2: float, s_order: int = 4,
     sgn = 1.0 if j2 >= 0 else -1.0
     a_val = float(A_series(a_order).evaluate(j1, j2))
     poly = invariant_polynomial(s_order)
-    s1 = LN32 + float(poly.partial("first").evaluate(j1, j2))
-    s2 = float(poly.partial("second").evaluate(j1, j2))
+    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
+    s2 = float(poly.partial(1).evaluate(j1, j2))
     two_pi_w = (TWO_PI * sgn - jc.arg - a_val * math.log(jc.modulus)
                 + a_val * s1 - s2)
     return two_pi_w / TWO_PI
@@ -464,17 +477,19 @@ def rotation_W_model(j1: float, j2: float, s_order: int = 4,
 
 def period_T_model(j1: float, j2: float, s_order: int = 4) -> float:
     """Model reduced period (-ln|j| + S1) / (dH/dj1)."""
+    _require_finite(j1, j2)
     rho = math.hypot(j1, j2)
     if rho == 0.0 or rho > 1.0:
         raise DomainError("model restricted to 0 < |j| <= 1")
     poly = invariant_polynomial(s_order)
-    s1 = LN32 + float(poly.partial("first").evaluate(j1, j2))
-    h1 = float(birkhoff_series(8).partial("first").evaluate(j1, j2))
+    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
+    h1 = float(birkhoff_series(8).partial(0).evaluate(j1, j2))
     return (-math.log(rho) + s1) / h1
 
 
 def energy_of_j(j1: float, j2: float, degree: int = 10) -> float:
     """Scaled energy h = H(j1, j2) from the normal form."""
+    _require_finite(j1, j2)
     return float(birkhoff_series(degree).evaluate(j1, j2))
 
 
@@ -501,7 +516,7 @@ class InvariantSeries:
     residual_rms: float
     ln32_error: float
     reference_errors: dict
-    snapped: TruncatedSeries2 = field(repr=False)
+    snapped: Series = field(repr=False)
     i10_two_pi: float = 8.0
 
 
@@ -607,13 +622,13 @@ def _model_pieces(j1: float, j2: float, s_order: int = 4, a_order: int = 9):
     poly = invariant_polynomial(s_order)
     a_ser = A_series(a_order)
     a = float(a_ser.evaluate(j1, j2))
-    a1 = float(a_ser.partial("first").evaluate(j1, j2))
-    a2 = float(a_ser.partial("second").evaluate(j1, j2))
-    s1 = LN32 + float(poly.partial("first").evaluate(j1, j2))
-    s2 = float(poly.partial("second").evaluate(j1, j2))
-    s11 = float(poly.partial("first").partial("first").evaluate(j1, j2))
-    s12 = float(poly.partial("first").partial("second").evaluate(j1, j2))
-    s22 = float(poly.partial("second").partial("second").evaluate(j1, j2))
+    a1 = float(a_ser.partial(0).evaluate(j1, j2))
+    a2 = float(a_ser.partial(1).evaluate(j1, j2))
+    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
+    s2 = float(poly.partial(1).evaluate(j1, j2))
+    s11 = float(poly.partial(0).partial(0).evaluate(j1, j2))
+    s12 = float(poly.partial(0).partial(1).evaluate(j1, j2))
+    s22 = float(poly.partial(1).partial(1).evaluate(j1, j2))
     return a, a1, a2, s1, s2, s11, s12, s22
 
 
@@ -624,6 +639,7 @@ def twist(j1: float, j2: float) -> float:
     singular pieces differentiate in closed form, the series pieces
     symbolically.
     """
+    _require_finite(j1, j2)
     rho_sq = j1 * j1 + j2 * j2
     if rho_sq == 0.0:
         raise DomainError("twist undefined at the origin")
@@ -774,20 +790,20 @@ def rotation_expansion_check(rho_values=(0.03, 0.05, 0.07), n_angles: int = 8,
     rotation number on a small grid.
     """
     # ln-coefficient: -(dJ1/dj2) == (3/8) j2 (1 - (5/16) h + (35/256) rho^2)
-    dj1 = J1_series(4).partial("second")
-    h_v = TruncatedSeries2.variable(0, 3, ("h", "j2"))
-    j2_v = TruncatedSeries2.variable(1, 3, ("h", "j2"))
+    dj1 = J1_series(4).partial(1)
+    h_v = Series.variable(0, 3, ("h", "j2"))
+    j2_v = Series.variable(1, 3, ("h", "j2"))
     rho2 = h_v * h_v + j2_v * j2_v
     displayed = (j2_v.scale(Fraction(3, 8))
-                 * (TruncatedSeries2.constant(1, 3, ("h", "j2"))
+                 * (Series.constant(1, 3, ("h", "j2"))
                     - h_v.scale(Fraction(5, 16)) + rho2.scale(Fraction(35, 256))))
     ln_ok = (-dj1).truncate(3) == displayed
 
     # substitution reproduces the frequency ratio
     a_direct = A_series(a_order)
     h_series = birkhoff_series(a_order + 1)
-    a_subst = (-J1_series(a_order + 1).partial("second")
-               .compose_first(h_series.relabel(("j1", "j2")))
+    a_subst = (-J1_series(a_order + 1).partial(1)
+               .compose(h_series.relabel(("j1", "j2")))
                ).truncate(a_order).relabel(("j1", "j2"))
     a_ok = a_subst == a_direct
 

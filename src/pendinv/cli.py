@@ -25,10 +25,6 @@ def _emit(text: str, path: str | None):
         print(text)
 
 
-def _series_pretty(series) -> str:
-    return series.pretty()
-
-
 def cmd_nf(args) -> int:
     lie = normalform.lie_normalize(args.order)
     inv = actions.birkhoff_by_inversion(args.order)
@@ -39,7 +35,7 @@ def cmd_nf(args) -> int:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
         lines = [f"normal form through grade {args.order}:",
-                 "  H = " + _series_pretty(lie),
+                 "  H = " + lie.pretty(),
                  f"lie route == inversion route: {agree}"]
         _emit("\n".join(lines), args.output)
     return 0 if agree else 1
@@ -147,7 +143,7 @@ def cmd_pendulum(args) -> int:
             raise ValueError(f"unknown series {args.series}")
         if args.format == "csv":
             lines = ["exponent,numerator,denominator"]
-            for a, c in sorted(ser.terms().items()):
+            for (a,), c in sorted(ser.terms().items()):
                 lines.append(f"{a},{c.numerator},{c.denominator}")
             _emit("\n".join(lines), args.output)
         else:

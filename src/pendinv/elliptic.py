@@ -343,13 +343,21 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     2d(2 - d)(h + 2 - d) = j2^2, with sum h + 2 - eps2 and product
     j2^2 / (2 (2 + eps2)), so neither cancels; eps1 = 2 - delta1 is a sum
     of non-negative terms for h <= 0 and the product form of its own
-    equation for h > 0.  Every gap is non-negative by construction.  Where
-    j2^2 is zero in the working precision the roots are those of the axis:
-    -1, 1 and 1 + h.
+    equation for h > 0.  Every gap is non-negative by construction.  On the
+    axis the roots are -1, 1 and 1 + h.  Where j2^2 underflows (floats
+    only) eps1 and eps2 are the roots of the quadratic approximation
+    4e(e - h) = j2^2, whose relative error O(e) is below the rounding once
+    they matter (|h| tiny); their product j2^2 / 4 is formed without
+    squaring j2, and delta0 ~ j2^2 / 8 is 0.
     """
+    if j2 == 0:
+        return 0.0, max(0.0, -h), max(0.0, h), 2 - max(0.0, -h)
     jsq = j2 * j2
     if jsq == 0:
-        return 0.0, max(0.0, -h), max(0.0, h), 2 - max(0.0, -h)
+        big = (abs(h) + math.hypot(h, j2)) / 2
+        small = abs(j2) / 2 * (abs(j2) / (2 * big)) if big else 0.0
+        eps1, eps2 = (small, big) if h >= 0 else (big, small)
+        return 0.0, eps1, eps2, 2 - eps1
     last = math.inf
     while True:
         slope = 2 * ((2 + 2 * eps2) * (eps2 - h) + eps2 * (2 + eps2))

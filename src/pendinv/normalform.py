@@ -4,11 +4,13 @@ The working algebra consists of finite sums of monomials
 
     c * J1^a * J2^b * e^(m*theta1),    m integer,
 
-closed under multiplication and Poisson bracket.  A monomial carries the
-grade 2(a+b) + m; the seed Hamiltonian decomposes into pure even grades and
-the homological operator {H2, .} acts as -m on each exponential, so the
-normalization proceeds with no small denominators.  Everything is exact
-rational arithmetic end to end, in dimensionless units kappa = nu = 1.
+closed under multiplication and Poisson bracket.  They are held as
+:class:`Series` in the variables (J1, J2, e) with e = exp(theta1) and
+weights (2, 2, 1), so a monomial carries the grade 2(a+b) + m; the seed
+Hamiltonian decomposes into pure even grades and the homological operator
+{H2, .} acts as -m on each exponential, so the normalization proceeds with
+no small denominators.  Everything is exact rational arithmetic end to
+end, in dimensionless units kappa = nu = 1.
 """
 
 from __future__ import annotations
@@ -16,158 +18,47 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .series import TruncatedSeries2
+from .series import Series
 
-Key = tuple[int, int, int]  # (a, b, m) for J1^a J2^b e^{m theta1}
-
-
-def _grade(key: Key) -> int:
-    a, b, m = key
-    return 2 * (a + b) + m
+VARS = ("J1", "J2", "e")   # e = exp(theta1)
+WEIGHTS = (2, 2, 1)
 
 
-@dataclass(frozen=True)
-class PClassTerm:
-    """One exponential component: Q(J1, J2) * e^(m*theta1) at a fixed grade."""
-
-    exponent_m: int
-    coefficients: dict  # {(a, b): Fraction}, Q homogeneous when grade-pure
-    grade: int
+def monomial(a: int, b: int, m: int, order: int, coeff=1) -> Series:
+    """coeff * J1^a J2^b e^(m theta1), in the algebra truncated at grade `order`."""
+    return Series(order, VARS, {(a, b, m): coeff}, WEIGHTS)
 
 
-class PClassFunction:
-    """Finite sum of J1^a J2^b e^{m theta1} monomials with exact coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if c != 0:
-                    clean[key] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "PClassFunction":
-        return cls()
-
-    @classmethod
-    def monomial(cls, a: int, b: int, m: int, coeff=1) -> "PClassFunction":
-        return cls({(a, b, m): Fraction(coeff)})
-
-    def terms(self) -> dict[Key, Fraction]:
-        return dict(self._terms)
-
-    def coeff(self, a: int, b: int, m: int) -> Fraction:
-        return self._terms.get((a, b, m), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PClassFunction):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        return f"PClassFunction({len(self._terms)} terms)"
-
-    def __add__(self, other: "PClassFunction") -> "PClassFunction":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return PClassFunction(out)
-
-    def __neg__(self) -> "PClassFunction":
-        return PClassFunction({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "PClassFunction") -> "PClassFunction":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        out: dict[Key, Fraction] = {}
-        for (a1, b1, m1), c1 in self._terms.items():
-            for (a2, b2, m2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2, m1 + m2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PClassFunction(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, factor) -> "PClassFunction":
-        factor = Fraction(factor)
-        return PClassFunction({k: factor * c for k, c in self._terms.items()})
-
-    def grades(self) -> set[int]:
-        return {_grade(k) for k in self._terms}
-
-    def grade_part(self, grade: int) -> "PClassFunction":
-        return PClassFunction({k: c for k, c in self._terms.items() if _grade(k) == grade})
-
-    def truncate_grade(self, max_grade: int) -> "PClassFunction":
-        return PClassFunction({k: c for k, c in self._terms.items() if _grade(k) <= max_grade})
-
-    def kernel_part(self) -> "PClassFunction":
-        """Terms with m = 0: the theta1-independent component."""
-        return PClassFunction({k: c for k, c in self._terms.items() if k[2] == 0})
-
-    def range_part(self) -> "PClassFunction":
-        return PClassFunction({k: c for k, c in self._terms.items() if k[2] != 0})
-
-    def dtheta(self) -> "PClassFunction":
-        """Partial derivative with respect to theta1 (multiplies by m)."""
-        return PClassFunction({k: c * k[2] for k, c in self._terms.items() if k[2] != 0})
-
-    def integrate_theta(self) -> "PClassFunction":
-        """Antiderivative in theta1 of a function with no m = 0 component."""
-        if any(k[2] == 0 for k in self._terms):
-            raise ValueError("cannot integrate a term independent of theta1")
-        return PClassFunction({k: c / k[2] for k, c in self._terms.items()})
-
-    def grouped_terms(self) -> list[PClassTerm]:
-        """Group monomials by exponent m (presentation helper)."""
-        by_m: dict[int, dict[tuple[int, int], Fraction]] = {}
-        for (a, b, m), c in self._terms.items():
-            by_m.setdefault(m, {})[(a, b)] = c
-        out = []
-        for m in sorted(by_m):
-            grades = {2 * (a + b) + m for a, b in by_m[m]}
-            grade = grades.pop() if len(grades) == 1 else -1
-            out.append(PClassTerm(m, by_m[m], grade))
-        return out
-
-    def to_series(self, order: int, vars=("j1", "j2")) -> TruncatedSeries2:
-        """Convert a theta1-free function to a bivariate series."""
-        if any(k[2] != 0 for k in self._terms):
-            raise ValueError("function still depends on theta1")
-        return TruncatedSeries2(order, vars,
-                                {(a, b): c for (a, b, _), c in self._terms.items()})
+def dtheta(f: Series) -> Series:
+    """Partial derivative with respect to theta1 (multiplies by m)."""
+    return f.map(lambda k, c: c * k[2])
 
 
-def poisson_bracket(f: PClassFunction, g: PClassFunction) -> PClassFunction:
+def kernel_part(f: Series) -> Series:
+    """Terms with m = 0: the theta1-independent component."""
+    return f.map(lambda k, c: c if k[2] == 0 else 0)
+
+
+def integrate_theta(f: Series) -> Series:
+    """Antiderivative in theta1 of a function with no m = 0 component."""
+    if not kernel_part(f).is_zero():
+        raise ValueError("cannot integrate a term independent of theta1")
+    return f.map(lambda k, c: c / k[2])
+
+
+def poisson_bracket(f: Series, g: Series) -> Series:
     """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1).
 
     Both arguments are theta2-independent, so only the (J1, theta1) pair
     contributes.  The grade of each product term is grade(f) + grade(g) - 2.
+    Elements of the algebra are exact polynomials, so the J1-derivatives
+    keep the order of their arguments rather than losing the weight of J1.
     """
-    out: dict[Key, Fraction] = {}
-    for (a1, b1, m1), c1 in f._terms.items():
-        for (a2, b2, m2), c2 in g._terms.items():
-            factor = m1 * a2 - a1 * m2
-            if factor == 0:
-                continue
-            key = (a1 + a2 - 1, b1 + b2, m1 + m2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2 * factor
-    return PClassFunction(out)
+    order = min(f.order, g.order)
+    return (dtheta(f) * g.partial(0).truncate(order)
+            - f.partial(0).truncate(order) * dtheta(g))
 
 
 def _double_factorial(n: int) -> int:
@@ -178,7 +69,7 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def seed_hamiltonian(order: int) -> PClassFunction:
+def seed_hamiltonian(order: int) -> Series:
     """Hamiltonian expanded through grade `order` in the exponential algebra.
 
     Uses q^2 = e^{2 theta1}, p^2 = (J1^2 + J2^2) e^{-2 theta1}; the grade-2
@@ -188,11 +79,10 @@ def seed_hamiltonian(order: int) -> PClassFunction:
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    e_plus = PClassFunction.monomial(0, 0, 2)                      # q^2
-    j_sq = (PClassFunction.monomial(2, 0, 0)
-            + PClassFunction.monomial(0, 2, 0))                    # J1^2 + J2^2
-    p_sq = j_sq * PClassFunction.monomial(0, 0, -2)                # p^2
-    j1 = PClassFunction.monomial(1, 0, 0)
+    e_plus = monomial(0, 0, 2, order)                                  # q^2
+    j_sq = monomial(2, 0, 0, order) + monomial(0, 2, 0, order)         # J1^2 + J2^2
+    p_sq = j_sq * monomial(0, 0, -2, order)                            # p^2
+    j1 = monomial(1, 0, 0, order)
 
     h = j1
     if order >= 4:
@@ -204,29 +94,28 @@ def seed_hamiltonian(order: int) -> PClassFunction:
         while 2 * n <= order:
             coeff = Fraction(-_double_factorial(2 * n - 3), _double_factorial(2 * n))
             h = h + rho_pow.scale(coeff)
-            rho_pow = (rho_pow * rho2).truncate_grade(order)
+            rho_pow = rho_pow * rho2
             n += 1
-    return h.truncate_grade(order)
+    return h
 
 
-def homological_solve(h: PClassFunction, nu: Fraction = Fraction(1)) -> tuple[PClassFunction, PClassFunction]:
+def homological_solve(h: Series, nu: Fraction = Fraction(1)) -> tuple[Series, Series]:
     """Split h into kernel + removable part and return (kernel, generator).
 
     The generator W satisfies nu * dW/dtheta1 = h - kernel; on the range
     the operator just divides each e^{m theta1} coefficient by m*nu.
     """
-    kernel = h.kernel_part()
-    generator = h.range_part().integrate_theta().scale(Fraction(1) / Fraction(nu))
+    kernel = kernel_part(h)
+    generator = integrate_theta(h - kernel).scale(Fraction(1) / Fraction(nu))
     return kernel, generator
 
 
 def lie_normalize(order: int = 10, return_generators: bool = False):
     """Birkhoff normal form through grade `order` via the Deprit triangle.
 
-    Returns H(J1, J2) as a TruncatedSeries2 in (j1, j2) of total degree
-    order/2; the output depends on J1 and J2^2 only.  With
-    return_generators=True also returns the list of generators (grade
-    2n + 2 for stage n).
+    Returns H(J1, J2) as a Series in (j1, j2) of total degree order/2;
+    the output depends on J1 and J2^2 only.  With return_generators=True
+    also returns the list of generators (grade 2n + 2 for stage n).
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -236,14 +125,14 @@ def lie_normalize(order: int = 10, return_generators: bool = False):
     h_seed = [seed.grade_part(2 * n + 2).scale(math.factorial(n))
               for n in range(nmax + 1)]
 
-    generators: list[PClassFunction] = []
-    kernels: list[PClassFunction] = [h_seed[0]]
+    generators: list[Series] = []
+    kernels: list[Series] = [h_seed[0]]
 
-    def triangle_top(n: int) -> PClassFunction:
+    def triangle_top(n: int) -> Series:
         # H_0^n computed with the currently known generators (W_n treated
         # as zero until solved for; its bracket enters only through the
         # homological term, restored analytically below).
-        rows: dict[tuple[int, int], PClassFunction] = {}
+        rows: dict[tuple[int, int], Series] = {}
         for i in range(n + 1):
             rows[(i, 0)] = h_seed[i]
         for j in range(1, n + 1):
@@ -264,10 +153,13 @@ def lie_normalize(order: int = 10, return_generators: bool = False):
         kernels.append(kernel)
         generators.append(generator)
 
-    normal = PClassFunction.zero()
+    normal = Series(seed.order, VARS, None, WEIGHTS)
     for n, k_n in enumerate(kernels):
         normal = normal + k_n.scale(Fraction(1, math.factorial(n)))
-    series = normal.to_series(order // 2, ("j1", "j2"))
+    if not dtheta(normal).is_zero():
+        raise ArithmeticError("normal form still depends on theta1")
+    series = Series(order // 2, ("j1", "j2"),
+                    {(a, b): c for (a, b, _), c in normal.terms().items()})
     if return_generators:
         return series, generators
     return series
@@ -398,10 +290,10 @@ def _charpoly(a) -> list[Fraction]:
 
 @dataclass
 class AveragingCrossCheck:
-    average: PClassFunction
-    oscillating: PClassFunction
-    s1_literal: PClassFunction        # integral of the oscillating part
-    w4: PClassFunction                # Lie generator at grade 4
+    average: Series
+    oscillating: Series
+    s1_literal: Series                # integral of the oscillating part
+    w4: Series                        # Lie generator at grade 4
     average_ok: bool
     first_order_ok: bool
     observed_relation: str
@@ -423,19 +315,19 @@ def canonical_pt_cross_check() -> AveragingCrossCheck:
     assumed.
     """
     h4 = seed_hamiltonian(4).grade_part(4)
-    average = h4.kernel_part()
+    average = kernel_part(h4)
     oscillating = h4 - average
-    s1_literal = oscillating.integrate_theta()
+    s1_literal = integrate_theta(oscillating)
     kernel, w4 = homological_solve(h4)
 
-    expected_average = (PClassFunction.monomial(2, 0, 0, Fraction(1, 16))
-                        + PClassFunction.monomial(0, 2, 0, Fraction(3, 16)))
+    expected_average = (monomial(2, 0, 0, 4, Fraction(1, 16))
+                        + monomial(0, 2, 0, 4, Fraction(3, 16)))
     average_ok = average == expected_average
 
     # First order: Lie route keeps K4 = <H4>; averaging route removes the
     # oscillating part with generating function -S1_literal.  Both leave
     # exactly the average.
-    lie_k4 = h4 + poisson_bracket(PClassFunction.monomial(1, 0, 0), w4)
+    lie_k4 = h4 + poisson_bracket(monomial(1, 0, 0, 4), w4)
     first_order_ok = (lie_k4 == average) and (s1_literal == w4)
 
     relation = ("integral of the oscillating part equals the Lie generator "

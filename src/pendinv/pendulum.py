@@ -16,8 +16,7 @@ from functools import lru_cache
 
 from .actions import J1_series, birkhoff_series, invariant_polynomial
 from .elliptic import DomainError, ellint_E, ellint_K
-from .series import (TruncatedSeries1, TruncatedSeries2, binom_frac,
-                     exp_series, log1p_series)
+from .series import Series, binom_frac, exp_series, log1p_series
 
 
 # -- numeric branch formulas ---------------------------------------------------
@@ -77,53 +76,33 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
 
 
 # -- exact logarithmic expansions near the separatrix --------------------------
+#
+# An expansion A(t) + B(t) * Lam with an abstract logarithm Lam (here
+# ln(4/k') or ln(32/|h|)) is a Series in (t, Lam) where Lam has weight 0,
+# so the truncation counts powers of t alone.
 
-@dataclass
-class LogSeries1:
-    """A(t) + B(t) * symbol, with exact univariate series A and B.
-
-    The symbol stays abstract (here ln(4/k') or ln(32/|h|)); products are
-    restricted to at most one logarithmic factor, which is all the action
-    expansions ever need.
-    """
-
-    plain: TruncatedSeries1
-    log: TruncatedSeries1
-
-    def __add__(self, other: "LogSeries1") -> "LogSeries1":
-        return LogSeries1(self.plain + other.plain, self.log + other.log)
-
-    def __sub__(self, other: "LogSeries1") -> "LogSeries1":
-        return LogSeries1(self.plain - other.plain, self.log - other.log)
-
-    def mul_plain(self, series: TruncatedSeries1) -> "LogSeries1":
-        return LogSeries1(self.plain * series, self.log * series)
-
-    def compose(self, g: TruncatedSeries1) -> "LogSeries1":
-        return LogSeries1(self.plain.compose(g), self.log.compose(g))
+LOG_WEIGHTS = (1, 0)
 
 
-def _k_prime_log_series(order: int) -> LogSeries1:
-    """K(k) as A(t) + B(t) * ln(4/k') with t = k'^2.
+def _k_prime_log_series(order: int) -> Series:
+    """K(k) as A(t) + B(t) * Lam with t = k'^2 and Lam = ln(4/k').
 
     Classical expansion: K = sum_m r_m t^m (ln(4/k') - c_m) with
     r_m = ((2m choose m) / 4^m)^2 and c_m = sum_{i<=m} (2/(2i-1) - 1/i).
     """
-    r = []
-    c = []
+    terms = {}
     c_val = Fraction(0)
     for m_idx in range(order + 1):
-        r.append(Fraction(math.comb(2 * m_idx, m_idx), 4 ** m_idx) ** 2)
+        r = Fraction(math.comb(2 * m_idx, m_idx), 4 ** m_idx) ** 2
         if m_idx > 0:
             c_val += Fraction(2, 2 * m_idx - 1) - Fraction(1, m_idx)
-        c.append(c_val)
-    plain = TruncatedSeries1(order, "t", {m: -r[m] * c[m] for m in range(order + 1)})
-    log = TruncatedSeries1(order, "t", {m: r[m] for m in range(order + 1)})
-    return LogSeries1(plain, log)
+        terms[(m_idx, 0)] = -r * c_val
+        terms[(m_idx, 1)] = r
+    return Series(order, ("t", "Lam"), terms, LOG_WEIGHTS)
 
 
-def _e_prime_log_series(order: int) -> LogSeries1:
-    """E(k) as A(t) + B(t) * ln(4/k'), derived from K through the ODE.
+def _e_prime_log_series(order: int) -> Series:
+    """E(k) as A(t) + B(t) * Lam, Lam = ln(4/k'), derived from K through the ODE.
 
     In x = k' the Legendre relation dE/dx (1 - x^2) = -x E + x K becomes
     2 (1 - t) dE/dt = K - E for t = x^2; substituting E = A + B*Lam with
@@ -133,76 +112,70 @@ def _e_prime_log_series(order: int) -> LogSeries1:
     a = [Fraction(1)]
     b = [Fraction(0)]
     for n in range(order):
-        bk_n = kk.log.coeff(n)
-        ak_n = kk.plain.coeff(n)
-        b_next = (bk_n + (2 * n - 1) * b[n]) / (2 * (n + 1))
-        a_next = (ak_n + (2 * n - 1) * a[n] + b_next - b[n]) / (2 * (n + 1))
+        b_next = (kk.coeff(n, 1) + (2 * n - 1) * b[n]) / (2 * (n + 1))
+        a_next = (kk.coeff(n, 0) + (2 * n - 1) * a[n] + b_next - b[n]) / (2 * (n + 1))
         b.append(b_next)
         a.append(a_next)
-    plain = TruncatedSeries1(order, "t", dict(enumerate(a)))
-    log = TruncatedSeries1(order, "t", dict(enumerate(b)))
-    return LogSeries1(plain, log)
+    terms = {(n, 0): c for n, c in enumerate(a)}
+    terms.update({(n, 1): c for n, c in enumerate(b)})
+    return Series(order, ("t", "Lam"), terms, LOG_WEIGHTS)
 
 
 @lru_cache(maxsize=None)
-def action_log_series(order: int = 12) -> LogSeries1:
-    """2 pi I(h) for h > 0 as P(h) + Q(h) * ln(32/h), exact.
+def action_log_series(order: int = 12) -> Series:
+    """2 pi I(h) for h > 0 as P(h) + Q(h) * L, L = ln(32/h), exact.
 
-    Composes the E expansion with t = h/(2+h) and converts ln(4/k') =
-    (1/2) ln(32/h) + (1/2) ln(1 + h/2).  The logarithmic coefficient Q must
-    coincide with the imaginary-action series on the axis; that equality is
-    asserted here, tying the residue route to the classical one.
+    A Series in (h, L).  Composes the E expansion with t = h/(2+h) and
+    ln(4/k') = (1/2) L + (1/2) ln(1 + h/2).  The logarithmic coefficient Q
+    must coincide with the imaginary-action series on the axis; that
+    equality is asserted here, tying the residue route to the classical one.
     """
-    ee = _e_prime_log_series(order)
-    h = TruncatedSeries1.variable(order, "h")
-    # t(h) = h / (2 + h) = (h/2) * 1/(1 + h/2)
-    one_plus = TruncatedSeries1(order, "h", {0: Fraction(1), 1: Fraction(1, 2)})
-    t_of_h = h.scale(Fraction(1, 2)) * one_plus.reciprocal()
-    e_comp = ee.compose(t_of_h)
-    # Lam = ln(4/k') = (1/2) L + (1/2) ln(1 + h/2), L = ln(32/h)
-    half_log1p = log1p_series(h.scale(Fraction(1, 2))).scale(Fraction(1, 2))
-    plain = e_comp.plain + e_comp.log * half_log1p
-    log = e_comp.log.scale(Fraction(1, 2))
+    vars_ = ("h", "L")
+    h = Series.variable(0, order, vars_, LOG_WEIGHTS)
+    half_h = h.scale(Fraction(1, 2))
+    t_of_h = half_h * (1 + half_h).reciprocal()          # h / (2 + h)
+    lam = (Series.variable(1, order, vars_, LOG_WEIGHTS)
+           + log1p_series(half_h)).scale(Fraction(1, 2))
     # 2 pi I = (8/k) E = 8 sqrt(1 + h/2) E
-    sqrt_series = TruncatedSeries1(order, "h",
-                                   {m: binom_frac(Fraction(1, 2), m) * Fraction(1, 2 ** m)
-                                    for m in range(order + 1)})
-    pref = sqrt_series.scale(8)
-    result = LogSeries1(plain * pref, log * pref)
+    sqrt_series = Series(order, vars_,
+                         {(m, 0): binom_frac(Fraction(1, 2), m) * Fraction(1, 2 ** m)
+                          for m in range(order + 1)}, LOG_WEIGHTS)
+    result = _e_prime_log_series(order).compose(t_of_h, lam) * sqrt_series.scale(8)
 
-    axis = {a: c for (a, b), c in J1_series(order).terms().items() if b == 0}
-    if result.log != TruncatedSeries1(order, "h", axis):
+    axis = {(a, 1): c for (a, b), c in J1_series(order).terms().items() if b == 0}
+    if result.map(lambda k, c: c if k[1] == 1 else 0) != Series(order, vars_, axis,
+                                                              LOG_WEIGHTS):
         raise ArithmeticError("logarithm coefficient disagrees with the "
                               "imaginary-action series")
     return result
 
 
 @lru_cache(maxsize=None)
-def pendulum_normal_form(order: int = 12) -> TruncatedSeries1:
+def pendulum_normal_form(order: int = 12) -> Series:
     """h as a series in the axis action j (zero-angular-momentum slice)."""
-    axis = {a: c for (a, b), c in birkhoff_series(order).terms().items() if b == 0}
-    return TruncatedSeries1(order, "j", axis)
+    axis = {(a,): c for (a, b), c in birkhoff_series(order).terms().items() if b == 0}
+    return Series(order, ("j",), axis)
 
 
 @lru_cache(maxsize=None)
-def invariant_series_exact(order: int = 10) -> TruncatedSeries1:
+def invariant_series_exact(order: int = 10) -> Series:
     """Quadratic-and-up part of the axis invariant, exact in j.
 
-    From 2 pi I = 8 + J L + G with L = ln(32/h): substituting the normal
-    form h = H(j) and splitting ln(32/|h|) = ln(32/|j|) - ln(H(j)/j)
-    leaves  S>=2(j) = G(H(j)) - j ln(H(j)/j) - j.
+    2 pi I = P(h) + Q(h) L with L = ln(32/h); substituting the normal form
+    h = H(j) and ln(32/|h|) = ln(32/|j|) - ln(H(j)/j) gives a series in
+    (j, ln(32/|j|)) whose logarithmic part is Q(H(j)) L = j L, so its
+    plain part is 8 + j + S>=2(j).
     """
-    ls = action_log_series(order + 1)
-    g = ls.plain - TruncatedSeries1.constant(8, ls.plain.order, "h")
-    h_of_j = pendulum_normal_form(order + 1).relabel("h")
-    g_of_j = g.compose(h_of_j.relabel("j")).relabel("j")
-    ratio_minus_1 = TruncatedSeries1(
-        order + 1, "j",
-        {a - 1: c for a, c in h_of_j.relabel("j").terms().items() if a >= 1})
-    ratio_minus_1 = ratio_minus_1 - 1
-    j_var = TruncatedSeries1.variable(order + 1, "j")
-    out = g_of_j - j_var * log1p_series(ratio_minus_1) - j_var
-    return out.truncate(order)
+    vars_ = ("j", "L")
+    h_of_j = pendulum_normal_form(order + 1).terms()
+    h_sub = Series(order + 1, vars_, {(a, 0): c for (a,), c in h_of_j.items()},
+                   LOG_WEIGHTS)
+    ratio = Series(order + 1, vars_, {(a - 1, 0): c for (a,), c in h_of_j.items()},
+                   LOG_WEIGHTS)                          # H(j) / j
+    log_sub = Series.variable(1, order + 1, vars_, LOG_WEIGHTS) - log1p_series(ratio - 1)
+    two_pi_i = action_log_series(order + 1).compose(h_sub, log_sub)
+    plain = {(a,): c for (a, b), c in two_pi_i.terms().items() if b == 0}
+    return Series(order, ("j",), plain) - 8 - Series.variable(0, order, ("j",))
 
 
 # -- nome ----------------------------------------------------------------------
@@ -211,10 +184,10 @@ def invariant_series_exact(order: int = 10) -> TruncatedSeries1:
 class NomeSeries:
     """Nome as a series in l = j/32, its inverse, and the reciprocal."""
 
-    q_of_l: TruncatedSeries1
-    l_of_q: TruncatedSeries1
+    q_of_l: Series
+    l_of_q: Series
     reciprocal_pole: Fraction          # coefficient of 1/l
-    reciprocal_series: TruncatedSeries1
+    reciprocal_series: Series
 
     def integer_coefficients(self) -> bool:
         return all(c.denominator == 1 for c in self.q_of_l.terms().values()) and \
@@ -232,41 +205,41 @@ def nome_from_invariant(order: int = 7) -> NomeSeries:
     exponentiates to j/32 and the rest is an exact exp-series.  The
     reciprocal keeps the 1/l pole separate.
     """
-    s_prime = invariant_series_exact(order + 1).derivative().truncate(order)
-    q_of_j = TruncatedSeries1.variable(order, "j").scale(Fraction(1, 32)) \
+    s_prime = invariant_series_exact(order + 1).partial(0).truncate(order)
+    q_of_j = Series.variable(0, order, ("j",)).scale(Fraction(1, 32)) \
         * exp_series(-s_prime)
-    q_of_l = q_of_j.rescale_var(32, "l")
-    l_of_q = q_of_l.relabel("q_dummy").invert().relabel("q").rescale_var(1, "q")
+    q_of_l = q_of_j.compose(Series.variable(0, order, ("l",)).scale(32))
+    l_of_q = q_of_l.relabel(("q",)).invert()
 
     # exp(+2 pi dI/dJ) = (32/j) exp(s') = (1/l) * exp-series
     exp_plus = exp_series(s_prime)
     # (32/j) * sum_d s_d j^d = 32 s_1 + 32 s_2 j + ... plus the 1/l pole
-    recip_terms = {d - 1: exp_plus.coeff(d) * Fraction(32) * Fraction(32) ** (d - 1)
+    recip_terms = {(d - 1,): exp_plus.coeff(d) * Fraction(32) * Fraction(32) ** (d - 1)
                    for d in range(1, order + 1)}
-    reciprocal = TruncatedSeries1(order - 1 if order > 0 else 0, "l", recip_terms)
+    reciprocal = Series(order - 1 if order > 0 else 0, ("l",), recip_terms)
     return NomeSeries(q_of_l=q_of_l, l_of_q=l_of_q,
                       reciprocal_pole=Fraction(1),
                       reciprocal_series=reciprocal)
 
 
 @lru_cache(maxsize=None)
-def J_of_q_theta(order: int = 7) -> TruncatedSeries1:
+def J_of_q_theta(order: int = 7) -> Series:
     """Imaginary action as a function of the nome via the theta-quotient.
 
     J(q) = -16 q (d theta4 / dq) / theta4^3 with theta4 = sum (-1)^n q^(n^2);
     all series arithmetic exact, so the integrality of J/32 comes out of
     the computation itself, not an observation.
     """
-    theta = {0: Fraction(1)}
+    theta = {(0,): Fraction(1)}
     dtheta = {}
     n = 1
     while n * n <= order:
         sign = Fraction((-1) ** n)
-        theta[n * n] = 2 * sign
-        dtheta[n * n] = 2 * sign * n * n   # q d/dq picks up n^2
+        theta[(n * n,)] = 2 * sign
+        dtheta[(n * n,)] = 2 * sign * n * n   # q d/dq picks up n^2
         n += 1
-    theta4 = TruncatedSeries1(order, "q", theta)
-    q_dtheta = TruncatedSeries1(order, "q", dtheta)
+    theta4 = Series(order, ("q",), theta)
+    q_dtheta = Series(order, ("q",), dtheta)
     inv_cubed = theta4.reciprocal() ** 3
     return q_dtheta.scale(-16) * inv_cubed
 
@@ -279,65 +252,13 @@ def theta_inverse_matches_nome(order: int = 7) -> bool:
     """
     j32 = J_of_q_theta(order).scale(Fraction(1, 32))
     ns = nome_from_invariant(order)
-    return (j32.invert() == ns.q_of_l.relabel("q")
-            and j32 == ns.l_of_q.relabel("q"))
+    return j32.invert() == ns.q_of_l.relabel(("q",)) and j32 == ns.l_of_q
 
 
 # -- complex nome of the full system -------------------------------------------
 
-class ComplexSeries2:
-    """Bivariate series with Gaussian-rational coefficients (re, im pair)."""
-
-    def __init__(self, re: TruncatedSeries2, im: TruncatedSeries2):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def zero(cls, order: int, vars=("l", "lbar")) -> "ComplexSeries2":
-        return cls(TruncatedSeries2.zero(order, vars), TruncatedSeries2.zero(order, vars))
-
-    @classmethod
-    def real(cls, series: TruncatedSeries2) -> "ComplexSeries2":
-        return cls(series, TruncatedSeries2.zero(series.order, series.vars))
-
-    def __add__(self, other):
-        return ComplexSeries2(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return ComplexSeries2(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return ComplexSeries2(self.re * other.re - self.im * other.im,
-                              self.re * other.im + self.im * other.re)
-
-    def scale(self, re_factor, im_factor=0) -> "ComplexSeries2":
-        re_f = Fraction(re_factor)
-        im_f = Fraction(im_factor)
-        return ComplexSeries2(self.re.scale(re_f) - self.im.scale(im_f),
-                              self.re.scale(im_f) + self.im.scale(re_f))
-
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def exp(self) -> "ComplexSeries2":
-        if self.re.coeff(0, 0) != 0 or self.im.coeff(0, 0) != 0:
-            raise ValueError("exp requires zero constant term")
-        order = self.re.order
-        one = ComplexSeries2.real(TruncatedSeries2.constant(1, order, self.re.vars))
-        out = one
-        term = one
-        fact = 1
-        for k_idx in range(1, order + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            fact *= k_idx
-            out = out + term.scale(Fraction(1, fact))
-        return out
-
-
 @lru_cache(maxsize=None)
-def complex_nome_series(order: int = 4) -> TruncatedSeries2:
+def complex_nome_series(order: int = 4) -> Series:
     """The singularity-free complex nome as a series in (l, lbar).
 
     Built as l * exp(-S1 + i S2) with the invariant partials rewritten
@@ -350,39 +271,33 @@ def complex_nome_series(order: int = 4) -> TruncatedSeries2:
                          "limits the complex nome to order 4")
     vars_ = ("l", "lbar")
     poly = invariant_polynomial(4)
-    p1 = poly.partial("first")
-    p2 = poly.partial("second")
-    l_v = ComplexSeries2.real(TruncatedSeries2.variable(0, order, vars_))
-    lb_v = ComplexSeries2.real(TruncatedSeries2.variable(1, order, vars_))
+    l_v = Series.variable(0, order, vars_)
+    lb_v = Series.variable(1, order, vars_)
     j1 = (l_v + lb_v).scale(16)
-    j2 = (l_v - lb_v).scale(0, -16)
+    d = (l_v - lb_v).scale(-16)            # j2 = i d
 
-    def subst(series: TruncatedSeries2) -> ComplexSeries2:
-        out = ComplexSeries2.zero(order, vars_)
-        j1_pows = [ComplexSeries2.real(TruncatedSeries2.constant(1, order, vars_))]
-        j2_pows = [ComplexSeries2.real(TruncatedSeries2.constant(1, order, vars_))]
-        for _ in range(series.order):
-            j1_pows.append(j1_pows[-1] * j1)
-            j2_pows.append(j2_pows[-1] * j2)
+    def subst(series: Series) -> list[Series]:
+        """[re, im] of series(j1, i d): i^b is real for even b, imaginary for odd."""
+        parts = [Series(order, vars_), Series(order, vars_)]
         for (a, b), c in series.terms().items():
-            out = out + (j1_pows[a] * j2_pows[b]).scale(c)
-        return out
+            parts[b % 2] = parts[b % 2] + (j1 ** a * d ** b).scale(c * (-1) ** (b // 2))
+        return parts
 
-    w = subst(p2).scale(0, 1) - subst(p1)
-    q_hat = l_v * w.exp()
-    if not q_hat.im.is_zero():
+    s1_re, s1_im = subst(poly.partial(0))
+    s2_re, s2_im = subst(poly.partial(1))
+    w_re, w_im = -s2_im - s1_re, s2_re - s1_im         # w = i S2 - S1
+    # Im(l exp(w)) = l exp(w_re) sin(w_im) vanishes through `order`
+    # exactly when l * w_im does
+    if not (l_v * w_im).is_zero():
         raise ArithmeticError("complex nome has a nonvanishing imaginary part")
-    return q_hat.re
+    return l_v * exp_series(w_re)
 
 
 def complex_nome_diagonal_matches(order: int = 4) -> bool:
     """Exact reduction check q_hat(l, l) == q(l) through `order`."""
-    q_hat = complex_nome_series(order)
-    diag: dict[int, Fraction] = {}
-    for (a, b), c in q_hat.terms().items():
-        diag[a + b] = diag.get(a + b, Fraction(0)) + c
-    diagonal = TruncatedSeries1(order, "l", diag)
-    return diagonal == nome_from_invariant(order).q_of_l.truncate(order)
+    ell = Series.variable(0, order, ("l",))
+    return (complex_nome_series(order).compose(ell, ell)
+            == nome_from_invariant(order).q_of_l.truncate(order))
 
 
 # -- displayed-truncation checks ------------------------------------------------
@@ -424,24 +339,23 @@ def pendulum_series_check(h_values=(0.05, -0.05, 0.1, -0.1, 0.2, -0.2),
     compared at the sample energies; the error must shrink like the first
     omitted order.  Also verifies the axis invariant fractions exactly.
     """
-    ls = action_log_series(order + 1)
-    p_ser = ls.plain
-    q_ser = ls.log
-    # T = d(2 pi I)/dh = (P' - Q/h) + Q' L;  U = 2 pi dJ/dh = 2 pi Q'
-    q_over_h = TruncatedSeries1(order, "h",
-                                {a - 1: c for a, c in q_ser.terms().items() if a >= 1})
-    t_plain = p_ser.derivative() - q_over_h
-    t_log = q_ser.derivative()
+    ls = action_log_series(order + 1)            # P(h) + Q(h) L
+    q_ser = ls.partial(1)                        # Q(h), the imaginary action
+    # T = d(2 pi I)/dh with dL/dh = -1/h: P' + Q' L - Q/h;  U = 2 pi Q'
+    q_over_h = Series(order, ls.vars,
+                      {(a - 1, b): c for (a, b), c in q_ser.terms().items() if a >= 1},
+                      ls.weights)
+    t_ser = (ls.partial(0) - q_over_h).truncate(order - 1)
+    u_ser = q_ser.partial(0).truncate(order - 1)
 
     worst = [0.0, 0.0, 0.0, 0.0]
-    bound_scale = [0.0, 0.0, 0.0, 0.0]
     for h in h_values:
         quad = pendulum_quadruple(h)
         L = math.log(32 / abs(h))
-        two_pi_i = p_ser.truncate(order).evaluate(h) + q_ser.truncate(order).evaluate(h) * L
-        j_val = q_ser.truncate(order).evaluate(h)
-        t_val = t_plain.truncate(order - 1).evaluate(h) + t_log.truncate(order - 1).evaluate(h) * L
-        u_val = 2 * math.pi * t_log.truncate(order - 1).evaluate(h)
+        two_pi_i = ls.truncate(order).evaluate(h, L)
+        j_val = q_ser.truncate(order).evaluate(h, L)
+        t_val = t_ser.evaluate(h, L)
+        u_val = 2 * math.pi * u_ser.evaluate(h, L)
         worst[0] = max(worst[0], abs(two_pi_i - 2 * math.pi * quad.action))
         worst[1] = max(worst[1], abs(j_val - quad.imaginary_action))
         worst[2] = max(worst[2], abs(t_val - quad.period))

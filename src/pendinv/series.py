@@ -1,10 +1,24 @@
-"""Truncated power series with exact rational coefficients.
+"""Truncated graded power series with exact rational coefficients.
 
-Two carriers: :class:`TruncatedSeries2` for bivariate series truncated by
-total degree, and :class:`TruncatedSeries1` for the univariate case.  All
-coefficients are :class:`fractions.Fraction`; floating point only enters at
-the evaluation boundary.  Values are immutable after construction, so they
-can be shared freely between threads.
+One carrier, :class:`Series`, serves all of the exact algebra.  Terms are
+stored sparsely as ``{exponent tuple: Fraction}`` and each variable carries
+an integer weight.  The grade of a term is the weighted sum of its
+exponents; a series of order N keeps the terms of grade <= N and drops the
+rest, so sums, products and compositions of order-N series are again
+order-N series.  The grade is linear, so a product term's grade is the sum
+of its factors' grades.  The weights in use:
+
+* ``(1,)`` and ``(1, 1)``: total degree in one or two variables;
+* ``(2, 2, 1)``: the ``J1^a J2^b e^(m theta1)`` algebra of the normal
+  form, where the exponent m of e = exp(theta1) may be negative;
+* ``(1, 0)``: a series in t times powers of a logarithm symbol L of
+  weight 0, for the expansions at the separatrix.
+
+Coefficients are :class:`fractions.Fraction`; floating point only enters
+at the evaluation boundary.  Values are immutable after construction:
+derived data (partials, float coefficients, integer numerators) is
+computed once and cached on the instance, so values can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -12,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Mapping
+from operator import add
+from typing import Callable, Mapping
 
 import mpmath as mp
 
-Rational = Fraction
-
-DEFAULT_ORDER = 10
+# exponent keys of the JSON terms, one per variable
+_EXPONENT_NAMES = "abcdefgh"
 
 
 class LabelMismatchError(ValueError):
@@ -36,9 +50,7 @@ class InversionError(ValueError):
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
@@ -59,152 +71,215 @@ def binom_frac(alpha: Fraction, k: int) -> Fraction:
     return out
 
 
-class TruncatedSeries2:
-    """Bivariate polynomial of bounded total degree, exact coefficients.
+def _horner_table(terms: Mapping[tuple, object]) -> list:
+    """Dense Horner table of `terms` in the first variable.
 
-    Terms are stored sparsely as ``{(a, b): Fraction}`` with ``a + b <=
-    order``; absent entries are zero.  Sums, products and compositions of
-    order-N series are again order-N series (higher terms are discarded).
+    Entry i belongs to exponent amax - i: None where no term has it, else
+    the coefficient (one variable) or the table of the remaining ones.
+    """
+    rows: dict[int, dict] = {}
+    for key, c in terms.items():
+        rows.setdefault(key[0], {})[key[1:]] = c
+    amax = max(rows, default=-1)
+    return [None if a not in rows
+            else rows[a][()] if () in rows[a] else _horner_table(rows[a])
+            for a in range(amax, -1, -1)]
+
+
+def _horner(table: list, xs: list, conv: Callable | None, i: int = 0):
+    x = xs[i]
+    total = 0 * x
+    last = i == len(xs) - 1
+    for row in table:
+        total = total * x
+        if row is not None:
+            if not last:
+                row = _horner(row, xs, conv, i + 1)
+            elif conv is not None:
+                row = conv(row)
+            total = total + row
+    return total
+
+
+class Series:
+    """Sparse truncated series over named variables of given weights.
+
+    ``Series(order, vars, terms, weights)`` keeps the terms of ``terms``
+    (``{exponent tuple: coefficient}``) whose grade is at most `order`;
+    zero coefficients are dropped.  `weights` defaults to 1 per variable.
+    Binary operations require the same variables and weights and truncate
+    at the smaller order.
     """
 
-    __slots__ = ("order", "vars", "_terms")
+    __slots__ = ("order", "vars", "weights", "_terms", "_cache")
 
-    def __init__(self, order: int = DEFAULT_ORDER,
-                 vars: tuple[str, str] = ("j1", "j2"),
-                 terms: Mapping[tuple[int, int], Fraction] | None = None):
+    def __init__(self, order: int, vars: tuple = ("j1", "j2"),
+                 terms: Mapping[tuple, Fraction] | None = None,
+                 weights: tuple | None = None):
         if order < 0:
             raise ValueError("order must be non-negative")
         self.order = int(order)
-        self.vars = (str(vars[0]), str(vars[1]))
-        clean: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if a < 0 or b < 0:
-                    raise ValueError(f"negative exponent ({a},{b})")
-                if a + b > order:
-                    continue
-                c = _coerce(c)
-                if c != 0:
-                    clean[(a, b)] = c
+        self.vars = tuple(str(v) for v in vars)
+        self.weights = (1,) * len(self.vars) if weights is None \
+            else tuple(int(w) for w in weights)
+        if len(self.weights) != len(self.vars):
+            raise ValueError(f"{len(self.weights)} weights for variables {self.vars}")
+        clean: dict[tuple, Fraction] = {}
+        for key, c in (terms or {}).items():
+            if len(key) != len(self.vars):
+                raise ValueError(f"exponents {key} do not match variables {self.vars}")
+            if self.grade(key) > order:
+                continue
+            c = _coerce(c)
+            if c != 0:
+                clean[key] = c
         self._terms = clean
+        self._cache: dict = {}
+
+    def _like(self, terms: dict, order: int | None = None) -> "Series":
+        """Same variables and weights; `terms` must already be clean."""
+        out = object.__new__(Series)
+        out.order = self.order if order is None else order
+        out.vars, out.weights, out._terms, out._cache = self.vars, self.weights, terms, {}
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int, vars=("j1", "j2")) -> "TruncatedSeries2":
-        return cls(order, vars)
+    def constant(cls, value, order: int, vars=("j1", "j2"), weights=None) -> "Series":
+        return cls(order, vars, {(0,) * len(vars): value}, weights)
 
     @classmethod
-    def constant(cls, value, order: int, vars=("j1", "j2")) -> "TruncatedSeries2":
-        return cls(order, vars, {(0, 0): _coerce(value)})
-
-    @classmethod
-    def variable(cls, which: int, order: int, vars=("j1", "j2")) -> "TruncatedSeries2":
-        key = (1, 0) if which == 0 else (0, 1)
-        return cls(order, vars, {key: Fraction(1)})
+    def variable(cls, which: int, order: int, vars=("j1", "j2"), weights=None) -> "Series":
+        key = tuple(int(i == which) for i in range(len(vars)))
+        return cls(order, vars, {key: 1}, weights)
 
     # -- inspection ----------------------------------------------------
 
-    def coeff(self, a: int, b: int) -> Fraction:
-        return self._terms.get((a, b), Fraction(0))
+    def grade(self, exponents: tuple) -> int:
+        return sum(w * e for w, e in zip(self.weights, exponents))
 
-    def terms(self) -> dict[tuple[int, int], Fraction]:
+    def coeff(self, *exponents: int) -> Fraction:
+        return self._terms.get(exponents, Fraction(0))
+
+    def coeffs(self) -> list[Fraction]:
+        """Coefficients of a one-variable series, exponents 0 to order."""
+        return [self.coeff(a) for a in range(self.order + 1)]
+
+    def terms(self) -> dict[tuple, Fraction]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        return max((a + b for a, b in self._terms), default=0)
+    def _const(self) -> Fraction:
+        return self.coeff(*(0,) * len(self.vars))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries2):
+        if not isinstance(other, Series):
             return NotImplemented
-        return self.vars == other.vars and self._terms == other._terms
+        return (self.vars == other.vars and self.weights == other.weights
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self._terms.items())))
+        return hash((self.vars, self.weights, frozenset(self._terms.items())))
 
     def __repr__(self):
-        return f"TruncatedSeries2(order={self.order}, vars={self.vars}, terms={len(self._terms)})"
+        return (f"Series(order={self.order}, vars={self.vars}, "
+                f"weights={self.weights}, terms={len(self._terms)})")
+
+    def _sort_key(self, key: tuple):
+        """By grade, then by the exponents read from the last variable."""
+        return (self.grade(key), key[::-1])
 
     def pretty(self) -> str:
-        """Human-readable polynomial, graded by total degree."""
+        """Human-readable polynomial, graded."""
         if not self._terms:
             return "0"
-        x, y = self.vars
         parts = []
-        for (a, b) in sorted(self._terms, key=lambda k: (k[0] + k[1], k[1])):
-            c = self._terms[(a, b)]
-            mono = "*".join(
-                ([f"{x}^{a}" if a > 1 else x] if a else [])
-                + ([f"{y}^{b}" if b > 1 else y] if b else [])
-            )
-            if mono:
-                parts.append(f"({c})*{mono}")
-            else:
-                parts.append(f"({c})")
+        for key in sorted(self._terms, key=self._sort_key):
+            mono = "*".join(v if e == 1 else f"{v}^{e}"
+                            for v, e in zip(self.vars, key) if e)
+            c = self._terms[key]
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(parts)
 
     # -- ring operations -----------------------------------------------
 
-    def _check_compatible(self, other: "TruncatedSeries2") -> int:
-        if self.vars != other.vars:
+    def _check_compatible(self, other: "Series") -> int:
+        if (self.vars, self.weights) != (other.vars, other.weights):
             raise LabelMismatchError(
                 f"variable labels differ: {self.vars} vs {other.vars}")
         return min(self.order, other.order)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2.constant(other, self.order, self.vars)
+            other = Series.constant(other, self.order, self.vars, self.weights)
         order = self._check_compatible(other)
         out = dict(self._terms)
         for k, c in other._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TruncatedSeries2(order, self.vars, out)
+            out[k] = out.get(k, 0) + c
+        if self.order == other.order:       # nothing to truncate
+            return self._like({k: c for k, c in out.items() if c})
+        return Series(order, self.vars, out, self.weights)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries2(self.order, self.vars,
-                                {k: -c for k, c in self._terms.items()})
+        return self._like({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries2.constant(other, self.order, self.vars)
+            other = Series.constant(other, self.order, self.vars, self.weights)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _integer_form(self):
+        """(D, rows): common denominator D and rows (grade, exponents,
+        coefficient * D) sorted by grade; cached."""
+        form = self._cache.get("int")
+        if form is None:
+            den = math.lcm(*(c.denominator for c in self._terms.values()))
+            rows = sorted(((self.grade(k), k, c.numerator * (den // c.denominator))
+                           for k, c in self._terms.items()), key=lambda r: r[0])
+            form = self._cache["int"] = (den, rows)
+        return form
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = self._check_compatible(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > order:
-                    continue
-                key = (a, b)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TruncatedSeries2(order, self.vars, out)
+        den1, rows1 = self._integer_form()
+        den2, rows2 = other._integer_form()
+        # integer products over the common denominators: one Fraction per
+        # result term instead of one per pair
+        acc: dict[tuple, int] = {}
+        for g1, k1, n1 in rows1:
+            for g2, k2, n2 in rows2:
+                if g1 + g2 > order:
+                    break
+                key = tuple(map(add, k1, k2))
+                acc[key] = acc.get(key, 0) + n1 * n2
+        den = den1 * den2
+        return self._like({k: Fraction(n, den) for k, n in acc.items() if n}, order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, factor) -> "TruncatedSeries2":
+    def scale(self, factor) -> "Series":
         factor = _coerce(factor)
-        return TruncatedSeries2(self.order, self.vars,
-                                {k: factor * c for k, c in self._terms.items()})
+        if factor == 0:
+            return self._like({})
+        return self._like({k: factor * c for k, c in self._terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only non-negative integer powers")
-        out = TruncatedSeries2.constant(1, self.order, self.vars)
+        out = Series.constant(1, self.order, self.vars, self.weights)
         base = self
         while n:
             if n & 1:
@@ -213,320 +288,104 @@ class TruncatedSeries2:
             n >>= 1
         return out
 
-    def truncate(self, order: int) -> "TruncatedSeries2":
-        return TruncatedSeries2(order, self.vars, self._terms)
+    def truncate(self, order: int) -> "Series":
+        """The same terms under another order (a larger one keeps them all)."""
+        return Series(order, self.vars, self._terms, self.weights)
 
-    def relabel(self, vars: tuple[str, str]) -> "TruncatedSeries2":
-        return TruncatedSeries2(self.order, vars, self._terms)
+    def relabel(self, vars: tuple) -> "Series":
+        return Series(self.order, vars, self._terms, self.weights)
+
+    def map(self, fn: Callable[[tuple, Fraction], object]) -> "Series":
+        """Each coefficient c at exponents k replaced by fn(k, c)."""
+        return Series(self.order, self.vars,
+                      {k: fn(k, c) for k, c in self._terms.items()}, self.weights)
+
+    def grade_part(self, grade: int) -> "Series":
+        return self.map(lambda k, c: c if self.grade(k) == grade else 0)
 
     # -- calculus ------------------------------------------------------
 
-    def partial(self, which) -> "TruncatedSeries2":
-        """Formal partial derivative; result has order N-1."""
-        idx = {0: 0, 1: 1, "first": 0, "second": 1}[which]
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in self._terms.items():
-            if idx == 0 and a > 0:
-                out[(a - 1, b)] = c * a
-            elif idx == 1 and b > 0:
-                out[(a, b - 1)] = c * b
-        return TruncatedSeries2(max(self.order - 1, 0), self.vars, out)
+    def partial(self, which: int) -> "Series":
+        """Formal partial derivative in variable number `which`.
 
-    def reciprocal(self) -> "TruncatedSeries2":
+        The order drops by that variable's weight.  Cached on the instance.
+        """
+        out = self._cache.get(("partial", which))
+        if out is None:
+            terms = {}
+            for k, c in self._terms.items():
+                e = k[which]
+                if e:
+                    terms[k[:which] + (e - 1,) + k[which + 1:]] = c * e
+            out = Series(max(self.order - self.weights[which], 0), self.vars,
+                         terms, self.weights)
+            self._cache[("partial", which)] = out
+        return out
+
+    def reciprocal(self) -> "Series":
         """1/f for series with nonzero constant term (Newton iteration)."""
-        c0 = self.coeff(0, 0)
+        c0 = self._const()
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        r = TruncatedSeries2.constant(Fraction(1) / c0, self.order, self.vars)
-        two = TruncatedSeries2.constant(2, self.order, self.vars)
+        r = Series.constant(1 / c0, self.order, self.vars, self.weights)
+        two = Series.constant(2, self.order, self.vars, self.weights)
         for _ in range(max(1, self.order.bit_length() + 1)):
             r = r * (two - self * r)
         return r
 
-    def compose_first(self, g: "TruncatedSeries2") -> "TruncatedSeries2":
-        """Substitute g for the first variable: f(g(x,y), y).
+    def compose(self, *gs: "Series") -> "Series":
+        """Substitute gs for the leading variables: f(g1, ..., gk, x_k+1, ...).
 
-        g must have zero constant term so the truncation stays consistent;
-        the second variable of f must match the second variable of g.
+        The gs share one set of variables and have zero constant terms, so
+        the truncation stays consistent; the variables of f that are not
+        substituted must match theirs by label and weight.  The result is
+        a series in the gs' variables.  Exponents must be non-negative.
         """
-        if g.coeff(0, 0) != 0:
-            raise SubstitutionError("substituted series has a constant term")
-        if self.vars[1] != g.vars[1]:
+        head, k = gs[0], len(gs)
+        for g in gs:
+            head._check_compatible(g)
+            if g._const() != 0:
+                raise SubstitutionError("substituted series has a constant term")
+        if (self.vars[k:], self.weights[k:]) != (head.vars[k:], head.weights[k:]):
             raise LabelMismatchError(
-                f"second variables differ: {self.vars[1]} vs {g.vars[1]}")
-        order = min(self.order, g.order)
-        # f = sum_a x^a f_a(y); reuse powers of g.
-        by_a: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in self._terms.items():
-            by_a.setdefault(a, {})[b] = c
-        y_of_g = TruncatedSeries2.variable(1, order, g.vars)
-        result = TruncatedSeries2.zero(order, g.vars)
-        g_pow = TruncatedSeries2.constant(1, order, g.vars)
-        for a in range(0, max(by_a, default=0) + 1):
-            if a > 0:
-                g_pow = g_pow * g.truncate(order)
-                if g_pow.is_zero():
-                    break
-            if a in by_a:
-                fa = TruncatedSeries2(order, g.vars,
-                                      {(0, b): c for b, c in by_a[a].items()})
-                result = result + fa * g_pow
-        return result
+                f"remaining variables differ: {self.vars[k:]} vs {head.vars[k:]}")
+        order = min(self.order, *(g.order for g in gs))
+        subs = ([g.truncate(order) for g in gs]
+                + [Series.variable(i, order, head.vars, head.weights)
+                   for i in range(k, len(self.vars))])
+        one = Series.constant(1, order, head.vars, head.weights)
+        powers = [[one] for _ in subs]
+        acc: dict[tuple, Fraction] = {}
+        for exponents, c in self._terms.items():
+            mono = one
+            for pw, s, e in zip(powers, subs, exponents):
+                while len(pw) <= e:
+                    pw.append(pw[-1] * s)
+                if e:
+                    mono = mono * pw[e]
+            for key, v in mono._terms.items():
+                acc[key] = acc.get(key, 0) + c * v
+        return Series(order, head.vars, acc, head.weights)
 
-    def invert_first(self) -> "TruncatedSeries2":
-        """Solve f(g(x,y), y) = x for g, exactly up to the truncation order.
+    def invert(self) -> "Series":
+        """Solve f(g, x2, ...) = x1 for g, exactly up to the order.
 
-        Requires f = x + (higher order): unit linear coefficient in the
-        first variable, zero constant term and no pure-y linear term.
-        Newton iteration on series; the result is certified by an exact
-        composition round-trip.
+        Requires f = x1 + (higher order): unit linear coefficient in the
+        first variable, zero constant term and no linear term in another
+        variable.  Newton iteration on series; the result is certified by
+        an exact composition round-trip.
         """
-        if self.coeff(0, 0) != 0:
+        n = len(self.vars)
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        if self._const() != 0:
             raise InversionError("constant term must vanish")
-        if self.coeff(1, 0) != 1:
+        if self.coeff(*units[0]) != 1:
             raise InversionError("linear coefficient of the first variable must be 1")
-        if self.coeff(0, 1) != 0:
-            raise InversionError("pure linear term in the second variable")
+        if any(self.coeff(*u) != 0 for u in units[1:]):
+            raise InversionError("pure linear term in another variable")
         order = self.order
-        x = TruncatedSeries2.variable(0, order, self.vars)
+        x = Series.variable(0, order, self.vars, self.weights)
         fprime = self.partial(0).truncate(order)
-        g = x
-        for _ in range(max(1, order.bit_length()) + 2):
-            err = self.compose_first(g) - x
-            if err.is_zero():
-                break
-            corr = err * fprime.compose_first(g).reciprocal()
-            g = g - corr
-        if not (self.compose_first(g) - x).is_zero():
-            raise InversionError("Newton iteration did not close the round-trip")
-        return g
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, x, y, prec: int | None = None):
-        """Evaluate the truncated polynomial at (x, y).
-
-        Horner in the first variable with inner Horner in the second.
-        With ``prec`` set, the evaluation runs at that many bits via mpmath
-        and returns an mpf; otherwise plain floats are used.
-        """
-        if prec is not None:
-            with mp.workprec(prec):
-                return self._evaluate_ctx(_to_mpf(x), _to_mpf(y),
-                                          lambda q: mp.mpf(q.numerator) / q.denominator)
-        return self._evaluate_ctx(float(x), float(y),
-                                  lambda q: q.numerator / q.denominator)
-
-    def evaluate_exact(self, x: Fraction, y: Fraction) -> Fraction:
-        return self._evaluate_ctx(_coerce(x), _coerce(y), lambda q: q)
-
-    def _evaluate_ctx(self, x, y, conv):
-        by_a: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in self._terms.items():
-            by_a.setdefault(a, {})[b] = c
-        amax = max(by_a, default=0)
-        total = 0 * x
-        for a in range(amax, -1, -1):
-            total = total * x
-            if a in by_a:
-                row = by_a[a]
-                bmax = max(row)
-                inner = 0 * y
-                for b in range(bmax, -1, -1):
-                    inner = inner * y
-                    if b in row:
-                        inner = inner + conv(row[b])
-                total = total + inner
-        return total
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        terms = [
-            {"a": a, "b": b, "num": str(c.numerator), "den": str(c.denominator)}
-            for (a, b), c in sorted(self._terms.items(),
-                                    key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1], kv[0][0]))
-        ]
-        return json.dumps({"order": self.order, "vars": list(self.vars), "terms": terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries2":
-        data = json.loads(text)
-        terms = {(t["a"], t["b"]): Fraction(int(t["num"]), int(t["den"]))
-                 for t in data["terms"]}
-        return cls(data["order"], tuple(data["vars"]), terms)
-
-
-class TruncatedSeries1:
-    """Univariate truncated power series with exact rational coefficients."""
-
-    __slots__ = ("order", "var", "_terms")
-
-    def __init__(self, order: int = DEFAULT_ORDER, var: str = "x",
-                 terms: Mapping[int, Fraction] | None = None):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        self.order = int(order)
-        self.var = str(var)
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for a, c in terms.items():
-                if a < 0:
-                    raise ValueError("negative exponent")
-                if a > order:
-                    continue
-                c = _coerce(c)
-                if c != 0:
-                    clean[a] = c
-        self._terms = clean
-
-    @classmethod
-    def zero(cls, order: int, var: str = "x") -> "TruncatedSeries1":
-        return cls(order, var)
-
-    @classmethod
-    def constant(cls, value, order: int, var: str = "x") -> "TruncatedSeries1":
-        return cls(order, var, {0: _coerce(value)})
-
-    @classmethod
-    def variable(cls, order: int, var: str = "x") -> "TruncatedSeries1":
-        return cls(order, var, {1: Fraction(1)})
-
-    def coeff(self, a: int) -> Fraction:
-        return self._terms.get(a, Fraction(0))
-
-    def coeffs(self) -> list[Fraction]:
-        return [self.coeff(a) for a in range(self.order + 1)]
-
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries1):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        return f"TruncatedSeries1(order={self.order}, var={self.var!r}, terms={len(self._terms)})"
-
-    def _order_with(self, other) -> int:
-        if self.var != other.var:
-            raise LabelMismatchError(f"variables differ: {self.var} vs {other.var}")
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.order, self.var)
-        order = self._order_with(other)
-        out = dict(self._terms)
-        for a, c in other._terms.items():
-            out[a] = out.get(a, Fraction(0)) + c
-        return TruncatedSeries1(order, self.var, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries1(self.order, self.var,
-                                {a: -c for a, c in self._terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries1.constant(other, self.order, self.var)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        order = self._order_with(other)
-        out: dict[int, Fraction] = {}
-        for a1, c1 in self._terms.items():
-            for a2, c2 in other._terms.items():
-                a = a1 + a2
-                if a > order:
-                    continue
-                out[a] = out.get(a, Fraction(0)) + c1 * c2
-        return TruncatedSeries1(order, self.var, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, factor) -> "TruncatedSeries1":
-        factor = _coerce(factor)
-        return TruncatedSeries1(self.order, self.var,
-                                {a: factor * c for a, c in self._terms.items()})
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        out = TruncatedSeries1.constant(1, self.order, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def truncate(self, order: int) -> "TruncatedSeries1":
-        return TruncatedSeries1(order, self.var, self._terms)
-
-    def relabel(self, var: str) -> "TruncatedSeries1":
-        return TruncatedSeries1(self.order, var, self._terms)
-
-    def derivative(self) -> "TruncatedSeries1":
-        return TruncatedSeries1(max(self.order - 1, 0), self.var,
-                                {a - 1: c * a for a, c in self._terms.items() if a > 0})
-
-    def integrate(self, const=0) -> "TruncatedSeries1":
-        out = {a + 1: c / (a + 1) for a, c in self._terms.items()}
-        out[0] = _coerce(const)
-        return TruncatedSeries1(self.order + 1, self.var, out)
-
-    def reciprocal(self) -> "TruncatedSeries1":
-        c0 = self.coeff(0)
-        if c0 == 0:
-            raise ZeroDivisionError("series has zero constant term")
-        r = TruncatedSeries1.constant(Fraction(1) / c0, self.order, self.var)
-        for _ in range(max(1, self.order.bit_length() + 1)):
-            r = r * (2 - self * r)
-        return r
-
-    def compose(self, g: "TruncatedSeries1") -> "TruncatedSeries1":
-        """f(g(x)); g must have zero constant term."""
-        if g.coeff(0) != 0:
-            raise SubstitutionError("substituted series has a constant term")
-        order = min(self.order, g.order)
-        result = TruncatedSeries1.constant(self.coeff(0), order, g.var)
-        g_pow = TruncatedSeries1.constant(1, order, g.var)
-        for a in range(1, self.order + 1):
-            g_pow = g_pow * g.truncate(order)
-            if g_pow.is_zero():
-                break
-            c = self.coeff(a)
-            if c != 0:
-                result = result + g_pow.scale(c)
-        return result
-
-    def invert(self) -> "TruncatedSeries1":
-        """Compositional inverse of f = x + (higher order)."""
-        if self.coeff(0) != 0:
-            raise InversionError("constant term must vanish")
-        if self.coeff(1) != 1:
-            raise InversionError("linear coefficient must be 1")
-        order = self.order
-        x = TruncatedSeries1.variable(order, self.var)
-        fprime = self.derivative().truncate(order)
         g = x
         for _ in range(max(1, order.bit_length()) + 2):
             err = self.compose(g) - x
@@ -537,50 +396,71 @@ class TruncatedSeries1:
             raise InversionError("Newton iteration did not close the round-trip")
         return g
 
-    def rescale_var(self, factor, var: str | None = None) -> "TruncatedSeries1":
-        """Substitute x -> factor * x (used for passing from j to l = j/32)."""
-        factor = _coerce(factor)
-        return TruncatedSeries1(self.order, var or self.var,
-                                {a: c * factor ** a for a, c in self._terms.items()})
+    # the benchmark's tracer wraps the series methods under these names too
+    compose_first = compose
+    invert_first = invert
 
-    def evaluate(self, x, prec: int | None = None):
+    # -- evaluation ----------------------------------------------------
+
+    def evaluate(self, *point, prec: int | None = None):
+        """Value at `point`, one coordinate per variable.
+
+        Horner in the first variable with nested Horner in the others.
+        Plain floats by default, from float coefficients converted once per
+        series; with `prec` set, mpmath at that many bits, returning an mpf.
+        """
+        if len(point) != len(self.vars):
+            raise ValueError(f"{len(point)} coordinates for variables {self.vars}")
+        table = self._cache.get("horner")
+        if table is None:
+            table = self._cache["horner"] = _horner_table(self._terms)
         if prec is not None:
             with mp.workprec(prec):
-                xv = _to_mpf(x)
-                total = mp.mpf(0)
-                for a in range(self.order, -1, -1):
-                    total = total * xv
-                    c = self._terms.get(a)
-                    if c is not None:
-                        total += mp.mpf(c.numerator) / c.denominator
-                return total
-        xv = float(x)
-        total = 0.0
-        for a in range(self.order, -1, -1):
-            total = total * xv
-            c = self._terms.get(a)
-            if c is not None:
-                total += c.numerator / c.denominator
-        return total
+                return _horner(table, [_to_mpf(x) for x in point],
+                               lambda q: mp.mpf(q.numerator) / q.denominator)
+        floats = self._cache.get("float")
+        if floats is None:
+            floats = self._cache["float"] = _horner_table(
+                {k: c.numerator / c.denominator for k, c in self._terms.items()})
+        return _horner(floats, [float(x) for x in point], None)
+
+    # -- serialization ---------------------------------------------------
 
     def to_json(self) -> str:
-        terms = [{"a": a, "num": str(c.numerator), "den": str(c.denominator)}
-                 for a, c in sorted(self._terms.items())]
-        return json.dumps({"order": self.order, "vars": [self.var], "terms": terms})
+        """``{"order", "vars", "terms"}``, plus ``"weights"`` unless all are 1.
+
+        A term is ``{"a": .., "b": .., ..., "num": "..", "den": ".."}`` with
+        one exponent key per variable, in order; terms are sorted by grade,
+        then by the exponents read from the last variable.
+        """
+        terms = [dict(zip(_EXPONENT_NAMES, key),
+                      num=str(c.numerator), den=str(c.denominator))
+                 for key, c in sorted(self._terms.items(),
+                                      key=lambda kv: self._sort_key(kv[0]))]
+        data = {"order": self.order, "vars": list(self.vars), "terms": terms}
+        if any(w != 1 for w in self.weights):
+            data["weights"] = list(self.weights)
+        return json.dumps(data)
 
     @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries1":
+    def from_json(cls, text: str) -> "Series":
         data = json.loads(text)
-        terms = {t["a"]: Fraction(int(t["num"]), int(t["den"])) for t in data["terms"]}
-        return cls(data["order"], data["vars"][0], terms)
+        names = _EXPONENT_NAMES[:len(data["vars"])]
+        terms = {tuple(t[name] for name in names): Fraction(int(t["num"]), int(t["den"]))
+                 for t in data["terms"]}
+        return cls(data["order"], data["vars"], terms, data.get("weights"))
 
 
-def exp_series(f: TruncatedSeries1) -> TruncatedSeries1:
+# The benchmark's tracer looks the series type up under these two names.
+TruncatedSeries1 = TruncatedSeries2 = Series
+
+
+def exp_series(f: Series) -> Series:
     """Exact exp of a series with zero constant term."""
-    if f.coeff(0) != 0:
+    if f._const() != 0:
         raise ValueError("exp requires zero constant term")
-    out = TruncatedSeries1.constant(1, f.order, f.var)
-    term = TruncatedSeries1.constant(1, f.order, f.var)
+    out = Series.constant(1, f.order, f.vars, f.weights)
+    term = out
     for k in range(1, f.order + 1):
         term = term * f
         if term.is_zero():
@@ -589,12 +469,12 @@ def exp_series(f: TruncatedSeries1) -> TruncatedSeries1:
     return out
 
 
-def log1p_series(f: TruncatedSeries1) -> TruncatedSeries1:
+def log1p_series(f: Series) -> Series:
     """log(1 + f) for a series f with zero constant term."""
-    if f.coeff(0) != 0:
+    if f._const() != 0:
         raise ValueError("log1p requires zero constant term")
-    out = TruncatedSeries1.zero(f.order, f.var)
-    term = TruncatedSeries1.constant(1, f.order, f.var)
+    out = Series(f.order, f.vars, None, f.weights)
+    term = Series.constant(1, f.order, f.vars, f.weights)
     for k in range(1, f.order + 1):
         term = term * f
         if term.is_zero():

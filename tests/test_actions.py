@@ -18,7 +18,7 @@ from pendinv.actions import (A_series, J1_series,
                              verify_birkhoff_equivalence, W_star, W_star_approx)
 from pendinv.elliptic import EnergyMomentum
 from pendinv.normalform import lie_normalize
-from pendinv.series import TruncatedSeries2
+from pendinv.series import Series
 
 TWO_PI = 2 * math.pi
 
@@ -42,7 +42,7 @@ def test_j1_series_even_in_j2():
 def test_birkhoff_inversion_identity():
     # J1(H(j1, j2), j2) = j1 exactly
     comp = J1_series(10).compose_first(birkhoff_series(10).relabel(("j1", "j2")))
-    assert comp == TruncatedSeries2.variable(0, 10, ("j1", "j2"))
+    assert comp == Series.variable(0, 10, ("j1", "j2"))
 
 
 @pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
@@ -182,6 +182,15 @@ def test_period_leading_log():
     for rho in (1e-3, 1e-4):
         t = period_T_model(rho, 0.0)
         assert t == pytest.approx(math.log(32 / rho), rel=1e-3)
+
+
+def test_period_next_to_the_critical_value():
+    # k^2 rounds to 1 at these in-image points; the period is finite and
+    # follows the ln(32/|j|) asymptote, whose error is O(|j| ln|j|)
+    for h, j2 in [(1e-17, 1e-17), (0.0, 1e-200)]:
+        t = period_T_numeric(EnergyMomentum(h, j2))
+        rho = math.hypot(j1_of_energy(h, j2), j2)
+        assert t == pytest.approx(math.log(32 / rho), rel=1e-13)
 
 
 def test_rotation_model_vs_numeric():

@@ -1,6 +1,8 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,8 @@ def test_nf_json_schema_round_trip(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lie_equals_inversion"] is True
-    from pendinv.series import TruncatedSeries2
-    series = TruncatedSeries2.from_json(json.dumps(payload["series"]))
+    from pendinv.series import Series
+    series = Series.from_json(json.dumps(payload["series"]))
     from pendinv.normalform import lie_normalize
     assert series == lie_normalize(10)
 
@@ -118,3 +120,15 @@ def test_special_subcommand(capsys):
     code, out, _ = run(capsys, "special", "K", "0.0")
     assert code == 0
     assert float(out) == pytest.approx(1.5707963267948966)
+
+
+def test_exact_outputs_match_the_benchmark_digests(capsys):
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "golden.json").read_text())
+    commands = {"nf": ["nf", "--order", "20", "--format", "json"],
+                "nome": ["pendulum", "--series", "nome", "--order", "12",
+                         "--format", "csv"]}
+    for key, argv in commands.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[key], key

@@ -13,7 +13,7 @@ from pendinv.pendulum import (AXIS_INVARIANT_FRACTIONS, J_of_q_theta,
                               nome_from_invariant, pendulum_normal_form,
                               pendulum_quadruple, pendulum_series_check,
                               theta_inverse_matches_nome)
-from pendinv.series import TruncatedSeries1
+from pendinv.series import Series
 
 mp.mp.dps = 30
 
@@ -71,20 +71,21 @@ def test_true_pendulum_flag():
 def test_action_log_series_displayed_coefficients():
     ls = action_log_series(6)
     # 2 pi I = 8 + h + (h - h^2/16 + ...) ln(32/|h|) + (3/32) h^2 + ...
-    assert ls.plain.coeff(0) == F(8)
-    assert ls.plain.coeff(1) == F(1)
-    assert ls.plain.coeff(2) == F(3, 32)
-    assert ls.log.coeff(1) == F(1)
-    assert ls.log.coeff(2) == F(-1, 16)
-    assert ls.log.coeff(3) == F(3, 256)
+    # a series in (h, L): exponents (n, 0) are plain, (n, 1) carry L
+    assert ls.coeff(0, 0) == F(8)
+    assert ls.coeff(1, 0) == F(1)
+    assert ls.coeff(2, 0) == F(3, 32)
+    assert ls.coeff(1, 1) == F(1)
+    assert ls.coeff(2, 1) == F(-1, 16)
+    assert ls.coeff(3, 1) == F(3, 256)
 
 
 def test_imaginary_period_series():
     # U / 2 pi = dJ/dh = 1 - h/8 + 9 h^2/256 - ...
-    dj = action_log_series(6).log.derivative()
-    assert dj.coeff(0) == F(1)
-    assert dj.coeff(1) == F(-1, 8)
-    assert dj.coeff(2) == F(9, 256)
+    dj = action_log_series(6).partial(1).partial(0)
+    assert dj.coeff(0, 0) == F(1)
+    assert dj.coeff(1, 0) == F(-1, 8)
+    assert dj.coeff(2, 0) == F(9, 256)
 
 
 def test_pendulum_normal_form_axis():
@@ -144,8 +145,8 @@ def test_nome_integrality():
 
 def test_nome_inverse_round_trip():
     ns = nome_from_invariant(7)
-    ell = TruncatedSeries1.variable(7, "l")
-    assert ns.l_of_q.relabel("l").compose(ns.q_of_l) == ell
+    ell = Series.variable(0, 7, ("l",))
+    assert ns.l_of_q.relabel(("l",)).compose(ns.q_of_l) == ell
 
 
 def test_theta_series_displayed():
@@ -172,8 +173,8 @@ def test_theta_inversion_exact():
 def test_theta_round_trip():
     ns = nome_from_invariant(7)
     j32 = J_of_q_theta(7).scale(F(1, 32))
-    comp = ns.q_of_l.relabel("q").compose(j32.relabel("q"))
-    assert comp == TruncatedSeries1.variable(7, "q")
+    comp = ns.q_of_l.relabel(("q",)).compose(j32.relabel(("q",)))
+    assert comp == Series.variable(0, 7, ("q",))
 
 
 def test_nome_against_modulus_route():
@@ -216,3 +217,12 @@ def test_complex_nome_reduces_to_axis():
 def test_complex_nome_order_guard():
     with pytest.raises(ValueError):
         complex_nome_series(5)
+
+
+def test_complex_nome_rejects_an_imaginary_part(monkeypatch):
+    # an invariant odd in j2 leaves an imaginary part that must not be dropped
+    from pendinv import pendulum
+    odd = Series(4, ("j1", "j2"), {(2, 1): F(1, 32)})
+    monkeypatch.setattr(pendulum, "invariant_polynomial", lambda order: odd)
+    with pytest.raises(ArithmeticError):
+        complex_nome_series.__wrapped__(4)

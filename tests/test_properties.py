@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pendinv.actions import (action_I1, j1_of_energy, period_T_numeric,
-                             rotation_W_numeric)
+from pendinv.actions import (action_I1, energy_of_j, j1_of_energy,
+                             period_T_model, period_T_numeric, rotation_W_model,
+                             rotation_W_numeric, twist, two_pi_I1_model)
 from pendinv.elliptic import DomainError, EnergyMomentum, cubic_roots
 
 SETTINGS = settings(deadline=None, max_examples=150)
@@ -70,6 +71,18 @@ def test_outside_the_image_raises_domain_error(point):
                  lambda: j1_of_energy(h, j2)):
         with pytest.raises(DomainError):
             call()
+
+
+@SETTINGS
+@given(st.one_of(st.tuples(non_finite, any_float), st.tuples(any_float, non_finite)))
+@example((math.nan, 0.1))
+@example((0.1, math.inf))
+def test_model_functions_reject_non_finite_coordinates(point):
+    j1, j2 = point
+    for fn in (two_pi_I1_model, rotation_W_model, twist, period_T_model,
+               energy_of_j):
+        with pytest.raises(DomainError):
+            fn(j1, j2)
 
 
 def _residual_ok(terms):

@@ -5,9 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from pendinv.series import (InversionError, LabelMismatchError,
-                            SubstitutionError, TruncatedSeries1,
-                            TruncatedSeries2, exp_series, log1p_series)
+from pendinv.series import (InversionError, LabelMismatchError, Series,
+                            SubstitutionError, exp_series, log1p_series)
 
 
 def random_series(rng, order=5, vars=("x", "y"), zero_constant=False,
@@ -23,26 +22,26 @@ def random_series(rng, order=5, vars=("x", "y"), zero_constant=False,
         terms[(1, 0)] = F(1)
         terms.pop((0, 1), None)
         terms.pop((0, 0), None)
-    return TruncatedSeries2(order, vars, terms)
+    return Series(order, vars, terms)
 
 
 def test_difference_of_squares():
-    one = TruncatedSeries2.constant(1, 2, ("j1", "j2"))
-    j1 = TruncatedSeries2.variable(0, 2, ("j1", "j2"))
+    one = Series.constant(1, 2, ("j1", "j2"))
+    j1 = Series.variable(0, 2, ("j1", "j2"))
     assert (one + j1) * (one - j1) == one - j1 * j1
 
 
 def test_mixed_quadratic_identity():
     order = 2
-    h = TruncatedSeries2.variable(0, order, ("h", "j2"))
-    j2 = TruncatedSeries2.variable(1, order, ("h", "j2"))
+    h = Series.variable(0, order, ("h", "j2"))
+    j2 = Series.variable(1, order, ("h", "j2"))
     assert h * (h + j2) + j2 * (j2 - h) == h * h + j2 * j2
 
 
 def test_scale_matches_term_shape():
     order = 2
-    j1 = TruncatedSeries2.variable(0, order, ("j1", "j2"))
-    j2 = TruncatedSeries2.variable(1, order, ("j1", "j2"))
+    j1 = Series.variable(0, order, ("j1", "j2"))
+    j2 = Series.variable(1, order, ("j1", "j2"))
     scaled = (j1 + (j2 * j2).scale(3)).scale(F(1, 16))
     assert scaled.coeff(1, 0) == F(1, 16)
     assert scaled.coeff(0, 2) == F(3, 16)
@@ -61,8 +60,8 @@ def test_ring_axioms_random():
 
 
 def test_label_mismatch_raises():
-    a = TruncatedSeries2.variable(0, 3, ("x", "y"))
-    b = TruncatedSeries2.variable(0, 3, ("u", "v"))
+    a = Series.variable(0, 3, ("x", "y"))
+    b = Series.variable(0, 3, ("u", "v"))
     with pytest.raises(LabelMismatchError):
         _ = a + b
     with pytest.raises(LabelMismatchError):
@@ -70,28 +69,28 @@ def test_label_mismatch_raises():
 
 
 def test_compose_first_simple():
-    f = TruncatedSeries2.variable(0, 2, ("h", "j2")) ** 2
-    g = (TruncatedSeries2.variable(0, 2, ("j1", "j2"))
-         + TruncatedSeries2.variable(1, 2, ("j1", "j2")))
+    f = Series.variable(0, 2, ("h", "j2")) ** 2
+    g = (Series.variable(0, 2, ("j1", "j2"))
+         + Series.variable(1, 2, ("j1", "j2")))
     comp = f.compose_first(g)
     assert comp.coeff(2, 0) == 1 and comp.coeff(1, 1) == 2 and comp.coeff(0, 2) == 1
 
 
 def test_compose_requires_zero_constant():
-    f = TruncatedSeries2.variable(0, 3, ("x", "y"))
-    g = TruncatedSeries2.constant(1, 3, ("x", "y"))
+    f = Series.variable(0, 3, ("x", "y"))
+    g = Series.constant(1, 3, ("x", "y"))
     with pytest.raises(SubstitutionError):
         f.compose_first(g)
 
 
 def test_invert_identity():
-    f = TruncatedSeries2.variable(0, 6, ("h", "j2"))
+    f = Series.variable(0, 6, ("h", "j2"))
     assert f.invert_first() == f
 
 
 def test_invert_round_trip_random():
     rng = random.Random(1)
-    x = TruncatedSeries2.variable(0, 5, ("x", "y"))
+    x = Series.variable(0, 5, ("x", "y"))
     for _ in range(10):
         f = random_series(rng, order=5, unit_linear=True)
         g = f.invert_first()
@@ -105,35 +104,35 @@ def test_invert_pendulum_style_series():
     order = 4
     terms = {(1, 0): F(1), (2, 0): F(-1, 16), (3, 0): F(3, 256),
              (4, 0): F(-25, 8192)}
-    f = TruncatedSeries2(order, ("h", "j2"), terms)
+    f = Series(order, ("h", "j2"), terms)
     g = f.invert_first()
     assert g.coeff(1, 0) == F(1)
     assert g.coeff(2, 0) == F(1, 16)
     assert g.coeff(3, 0) == F(-1, 256)
     assert g.coeff(4, 0) == F(5, 8192)
     # certified by exact round-trip
-    assert f.compose_first(g) == TruncatedSeries2.variable(0, order, ("h", "j2"))
+    assert f.compose_first(g) == Series.variable(0, order, ("h", "j2"))
 
 
 def test_invert_requires_unit_linear():
-    f = TruncatedSeries2.variable(0, 3, ("x", "y")).scale(2)
+    f = Series.variable(0, 3, ("x", "y")).scale(2)
     with pytest.raises(InversionError):
         f.invert_first()
-    g = (TruncatedSeries2.variable(0, 3, ("x", "y"))
-         + TruncatedSeries2.variable(1, 3, ("x", "y")))
+    g = (Series.variable(0, 3, ("x", "y"))
+         + Series.variable(1, 3, ("x", "y")))
     with pytest.raises(InversionError):
         g.invert_first()
 
 
 def test_partial_derivatives():
     order = 3
-    j1 = TruncatedSeries2.variable(0, order, ("j1", "j2"))
-    j2 = TruncatedSeries2.variable(1, order, ("j1", "j2"))
+    j1 = Series.variable(0, order, ("j1", "j2"))
+    j2 = Series.variable(1, order, ("j1", "j2"))
     s = (j1 * j1 + (j2 * j2).scale(3)).scale(F(3, 32))
-    ds = s.partial("second")
+    ds = s.partial(1)
     assert ds.coeff(0, 1) == F(9, 16)
-    const = TruncatedSeries2.constant(5, order, ("h", "j2"))
-    assert const.partial("first").is_zero()
+    const = Series.constant(5, order, ("h", "j2"))
+    assert const.partial(0).is_zero()
 
 
 def test_partials_commute_random():
@@ -145,7 +144,7 @@ def test_partials_commute_random():
 
 def test_evaluate_simple_and_truncation_scale():
     order = 3
-    f = (TruncatedSeries2.variable(0, order) + TruncatedSeries2.variable(1, order))
+    f = (Series.variable(0, order) + Series.variable(1, order))
     assert f.evaluate(1.0, 2.0) == pytest.approx(3.0)
     rng = random.Random(3)
     for _ in range(5):
@@ -162,7 +161,7 @@ def test_evaluate_simple_and_truncation_scale():
 def test_evaluate_extended_precision():
     import mpmath as mp
 
-    f = TruncatedSeries2(4, ("h", "j2"), {(1, 0): F(1), (3, 0): F(1, 3)})
+    f = Series(4, ("h", "j2"), {(1, 0): F(1), (3, 0): F(1, 3)})
     val = f.evaluate(F(1, 10), 0, prec=200)
     with mp.workprec(220):
         ref = mp.mpf(1) / 10 + (mp.mpf(1) / 3) / 1000
@@ -172,42 +171,66 @@ def test_evaluate_extended_precision():
 def test_json_round_trip():
     rng = random.Random(4)
     f = random_series(rng, order=6, vars=("j1", "j2"))
-    g = TruncatedSeries2.from_json(f.to_json())
+    g = Series.from_json(f.to_json())
     assert f == g and g.order == f.order and g.vars == f.vars
 
 
 def test_exp_series_basics():
-    x = TruncatedSeries1.variable(3, "x")
+    x = Series.variable(0, 3, ("x",))
     e = exp_series(x)
     assert e.coeffs() == [F(1), F(1), F(1, 2), F(1, 6)]
-    zero = TruncatedSeries1.zero(3, "x")
-    assert exp_series(zero) == TruncatedSeries1.constant(1, 3, "x")
+    zero = Series(3, ("x",))
+    assert exp_series(zero) == Series.constant(1, 3, ("x",))
     with pytest.raises(ValueError):
-        exp_series(TruncatedSeries1.constant(1, 3, "x"))
+        exp_series(Series.constant(1, 3, ("x",)))
 
 
 def test_exp_log_inverse():
     rng = random.Random(5)
     for _ in range(8):
-        terms = {a: F(rng.randint(-4, 4), rng.randint(1, 4)) for a in range(1, 7)}
-        f = TruncatedSeries1(6, "x", terms)
+        terms = {(a,): F(rng.randint(-4, 4), rng.randint(1, 4)) for a in range(1, 7)}
+        f = Series(6, ("x",), terms)
         assert log1p_series(exp_series(f) - 1) == f
 
 
 def test_univariate_invert_and_compose():
     rng = random.Random(6)
-    x = TruncatedSeries1.variable(7, "x")
+    x = Series.variable(0, 7, ("x",))
     for _ in range(8):
-        terms = {1: F(1)}
-        terms.update({a: F(rng.randint(-5, 5), rng.randint(1, 3))
+        terms = {(1,): F(1)}
+        terms.update({(a,): F(rng.randint(-5, 5), rng.randint(1, 3))
                       for a in range(2, 8)})
-        f = TruncatedSeries1(7, "x", terms)
+        f = Series(7, ("x",), terms)
         g = f.invert()
         assert f.compose(g) == x and g.compose(f) == x
 
 
 def test_rescale_var():
-    f = TruncatedSeries1(3, "j", {1: F(1, 32), 2: F(3, 4)})
-    g = f.rescale_var(32, "l")
+    f = Series(3, ("j",), {(1,): F(1, 32), (2,): F(3, 4)})
+    g = f.compose(Series.variable(0, 3, ("l",)).scale(32))
     assert g.coeff(1) == F(1)
     assert g.coeff(2) == F(3, 4) * 32 ** 2
+
+
+def test_weighted_grades_truncate_products_and_round_trip_json():
+    # J1^a J2^b e^m with weights (2, 2, 1) and negative m
+    vars_, weights = ("J1", "J2", "e"), (2, 2, 1)
+    f = Series(6, vars_, {(1, 0, 2): F(1, 3), (0, 1, -2): F(2)}, weights)
+    g = Series(6, vars_, {(1, 0, 0): F(1), (2, 0, -1): F(5)}, weights)
+    prod = f * g            # grades 4 + 2, 4 + 3 (dropped), 0 + 2, 0 + 3
+    assert prod.terms() == {(2, 0, 2): F(1, 3), (1, 1, -2): F(2), (2, 1, -3): F(10)}
+    assert prod.grade((3, 0, 1)) == 7
+    assert Series.from_json(f.to_json()) == f
+    # a weight-0 symbol does not count towards the order
+    log = Series(2, ("t", "L"), {(2, 3): F(1)}, (1, 0))
+    assert log.coeff(2, 3) == 1 and log.partial(1).order == 2
+    with pytest.raises(LabelMismatchError):
+        _ = f + Series(6, vars_, {(1, 0, 0): F(1)})
+
+
+def test_partials_and_float_coefficients_are_built_once():
+    f = random_series(random.Random(7), order=5)
+    assert f.partial(0) is f.partial(0)
+    assert f.evaluate(0.1, 0.2) == f.evaluate(0.1, 0.2)
+    assert float(f.evaluate(0.1, 0.2, prec=80)) == pytest.approx(f.evaluate(0.1, 0.2),
+                                                                 rel=1e-14, abs=1e-14)
