@@ -24,8 +24,9 @@ import mpmath as mp
 import numpy as np
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, carlson_rf, cubic_roots, ellint_E,
-                       ellint_K, ellint_Pi, ellint_Pi_from_p, heuman_lambda0)
+                       _discriminant, _gaps, _lambda0_terms, carlson_rf,
+                       carlson_rj, cubic_roots, ellint_E, ellint_K, ellint_Pi,
+                       heuman_lambda0)
 from .quadrature import tanh_sinh
 from .series import Series, binom_frac
 
@@ -173,8 +174,9 @@ def A_series(order: int = 9) -> Series:
 
 # -- numeric action over the real cycle --------------------------------------
 
-def _roots_mp(h, j2, prec: int):
-    """(zeta0, zeta1) to `prec` bits: the float gaps polished by the same solver.
+def _gaps_mp(h, j2, prec: int):
+    """(delta0, eps1, eps2, width) to `prec` bits: the float gaps polished
+    by the same solver.
 
     Raises DomainError outside the image of the momentum map.
     """
@@ -184,10 +186,42 @@ def _roots_mp(h, j2, prec: int):
         # the float eps2 is 0 only where j2^2 underflows (h <= 0); |j2|/2
         # lies above the root there, where 0 is a flat start for h = 0
         start = mp.mpf(eps2) or abs(jj) / 2
-        delta0, eps1, _, _ = _gaps(hh, jj, start, mp.sqrt(mp.eps),
-                                   _discriminant(hh, jj),
-                                   lambda n, d: mp.sqrt(mp.mpf(n) / d))
+        return _gaps(hh, jj, start, mp.sqrt(mp.eps), _discriminant(hh, jj),
+                     lambda n, d: mp.sqrt(mp.mpf(n) / d))
+
+
+def _roots_mp(h, j2, prec: int):
+    """(zeta0, zeta1) to `prec` bits, from `_gaps_mp`."""
+    delta0, eps1, _, _ = _gaps_mp(h, j2, prec)
+    with mp.workprec(prec + 20):
         return delta0 - 1, 1 - eps1
+
+
+def two_pi_I1_closed(h, j2, prec: int = 53):
+    """2*pi*I1 at `prec` bits from the Lambda0 form that `action_I1` uses.
+
+    2 pi I1 = 2 pi [c0 (c1~ K + (zeta2 - zeta0) E) - |j2|/2 Lambda0(phi, k)]
+    with c0 = 4 / (pi sqrt(2 (zeta2 - zeta0))) and Lambda0 = (2/pi) (K
+    E(phi | k'^2) - (K - E) F(phi | k'^2)).  mpmath's complete and
+    incomplete integrals (Carlson forms) run at `prec + 20` bits and take
+    phi beyond pi/2 directly; the gaps come from `_gaps_mp`, and phi and
+    c1~ from the formula the float route uses.  Returns an mpf.
+    """
+    delta0, eps1, eps2, width = _gaps_mp(h, j2, prec)
+    with mp.workprec(prec + 20):
+        h, j2 = mp.mpf(h), mp.mpf(j2)
+        if h == 0 and j2 == 0:
+            return mp.mpf(8)
+        span = 2 - delta0 + eps2                      # zeta2 - zeta0
+        K, E = mp.ellipk(width / span), mp.ellipe(width / span)
+        phi, c1_tilde = _lambda0_terms(h, j2, delta0, eps1, eps2,
+                                       mp.sqrt, mp.atan2)
+        total = 4 / (mp.pi * mp.sqrt(2 * span)) * (c1_tilde * K + span * E)
+        if j2 != 0:        # on the axis the term vanishes (F may be infinite)
+            kcsq = (eps1 + eps2) / span               # k'^2 = 1 - k^2
+            total -= abs(j2) / mp.pi * (K * mp.ellipe(phi, kcsq)
+                                        - (K - E) * mp.ellipf(phi, kcsq))
+        return 2 * mp.pi * total
 
 
 def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
@@ -344,10 +378,18 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
     """Rotation number -dI1/dj2 from complete elliptic integrals.
 
     Odd in j2; on the axis the continuity limits are +1 (h > 0) and +1/2
-    (h < 0).  The third-kind characteristics pair as n+ with the 1/(1 - z)
-    partial fraction and n- with 1/(1 + z), each carrying the matching
-    (1 -+ zeta0) denominator; the pairing is pinned by the
-    finite-difference oracle in the tests.
+    (h < 0).  -dI1/dj2 = pref (Pi(n+) / (1 - zeta0) + Pi(n-) / (1 +
+    zeta0)) with pref = j2 / (pi sqrt(2 span)), span = zeta2 - zeta0; the
+    pairing is pinned by the finite-difference oracle in the tests.  A
+    term whose characteristic nears its pole as j2 -> 0 is rewritten with
+    Pi(n) + Pi(k^2/n) = K + (pi/2) sqrt(n / ((1 - n)(n - k^2))): by Vieta
+    (2 delta0 delta1 (2 + eps2) = j2^2 = 2 (1 - zeta0) eps1 eps2) the pole
+    part times pref is exactly sgn(j2)/2, and one R_J is left.  That is
+    always done for n- = -width / delta0, and for n+ where 1 - k^2/n+ =
+    eps2 / span exceeds 1 - n+ = eps1 / (1 - zeta0), as for h > 0 near the
+    axis, where eps1 may underflow.  Within 1e-20 of the critical value the
+    result is the limit sgn(j2) - arg(h + i j2) / (2 pi), whose error
+    O(|j| ln|j|) is below rounding; the float R_J would underflow there.
     """
     data = cubic_roots(em)
     h, j2 = em.h, em.j2
@@ -355,11 +397,20 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
         if h == 0.0:
             raise DomainError("rotation number undefined at the critical value")
         return 1.0 if h > 0 else 0.5
+    if math.hypot(h, j2) < 1e-20:
+        return math.copysign(1.0, j2) - math.atan2(j2, h) / TWO_PI
+    span = data.c2                                   # zeta2 - zeta0
+    kcsq = (data.eps1 + data.eps2) / span
+    pref = j2 / (math.pi * math.sqrt(2 * span))
+    half = math.copysign(0.5, j2)
+    w = half + pref * carlson_rj(0.0, kcsq, 1.0, 1 + data.delta0 / span) / (3 * span)
     one_minus_z0 = 2.0 - data.delta0
-    pref = j2 / (math.pi * math.sqrt(2 * data.c2))
-    # 1 - n_plus = eps1 / (1 - zeta0), passed directly to keep its digits
-    return pref * (ellint_Pi_from_p(data.eps1 / one_minus_z0, data.ksq) / one_minus_z0
-                   + ellint_Pi(data.n_minus, data.ksq) / data.delta0)
+    p_plus = data.eps1 / one_minus_z0                # 1 - n+
+    if data.eps2 / span > p_plus:
+        return w + half - pref * carlson_rj(0.0, kcsq, 1.0, data.eps2 / span) / (3 * span)
+    pi_plus = (carlson_rf(0.0, kcsq, 1.0)
+               + (1 - p_plus) / 3 * carlson_rj(0.0, kcsq, 1.0, p_plus))
+    return w + pref * pi_plus / one_minus_z0
 
 
 def period_T_numeric(em: EnergyMomentum) -> float:
@@ -367,12 +418,16 @@ def period_T_numeric(em: EnergyMomentum) -> float:
 
     K = R_F(0, k'^2, 1) takes the complementary parameter k'^2 =
     (eps1 + eps2) / (zeta2 - zeta0) from the gaps, so it keeps its digits
-    next to the critical value, where k^2 itself rounds to 1.
+    next to the critical value, where k^2 itself rounds to 1.  Where k'^2
+    underflows there, the result is the separatrix asymptote ln(32 / |h +
+    i j2|).
     """
     data = cubic_roots(em)
     kcsq = (data.eps1 + data.eps2) / data.c2
     if kcsq == 0:
-        raise DomainError("period diverges on the separatrix")
+        if em.h == 0.0 and em.j2 == 0.0:
+            raise DomainError("period diverges on the separatrix")
+        return LN32 - math.log(math.hypot(em.h, em.j2))
     return 2 * math.sqrt(2.0) * carlson_rf(0.0, kcsq, 1.0) / math.sqrt(data.c2)
 
 
@@ -517,6 +572,8 @@ class InvariantSeries:
     ln32_error: float
     reference_errors: dict
     snapped: Series = field(repr=False)
+    oracle_samples: int                # samples also taken by quadrature
+    oracle_max_diff: float             # largest |closed form - quadrature|
     i10_two_pi: float = 8.0
 
 
@@ -527,11 +584,16 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
 
     Samples (j1, j2) on concentric circles (axis neighbourhoods of width
     1e-3 excluded), maps to energy through the high-order normal form,
-    evaluates 2 pi I1 by tanh-sinh quadrature at `precision` bits,
-    subtracts the universal singular terms exactly, and solves the
+    evaluates 2 pi I1 in closed form (`two_pi_I1_closed`) at `precision`
+    bits, subtracts the universal singular terms exactly, and solves the
     overdetermined Vandermonde system by QR least squares at the same
-    precision.  Raises FitQualityError when the residual exceeds 1e-3
-    times the smallest reference coefficient.
+    precision.  On each circle the sample nearest the j2 = 0 axis, where
+    the near-axis pole of the integrand is closest, is also integrated by
+    tanh-sinh quadrature (`precision` bits, `max_level`); a difference
+    above the quadrature's own stopping tolerance 2^(10 - precision) (1 +
+    |2 pi I1|) raises ConsistencyError, and the number of checked samples
+    and the largest difference are reported.  Raises FitQualityError when
+    the residual exceeds 1e-3 times the smallest reference coefficient.
 
     Polynomials of the form j1 * prod_i (j1^2 + j2^2 - r_i^2) respect the
     parity of the column set and vanish on every sampled circle, so the
@@ -554,24 +616,33 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     # midpoint angle grids alias the top cosine harmonic when too coarse
     per_circle = max(2 * order + 3, samples // len(radii))
     points: list[tuple[float, float]] = []
+    checked = set()                    # per circle, the sample nearest the axis
     for r in radii:
-        for i in range(per_circle):
-            ang = 2 * math.pi * (i + 0.5) / per_circle
-            j1 = r * math.cos(ang)
-            j2 = r * math.sin(ang)
-            if abs(j2) < 1e-3:
-                continue
-            points.append((j1, j2))
+        angles = (2 * math.pi * (i + 0.5) / per_circle for i in range(per_circle))
+        circle = [(r * math.cos(ang), r * math.sin(ang)) for ang in angles]
+        circle = [(j1, j2) for (j1, j2) in circle if abs(j2) >= 1e-3]
+        checked.add(len(points) + min(range(len(circle)),
+                                      key=lambda i: abs(circle[i][1])))
+        points.extend(circle)
 
     with mp.workprec(precision + 20):
         rows = []
         rhs = []
-        for (j1, j2) in points:
+        oracle_diff = mp.mpf(0)
+        for index, (j1, j2) in enumerate(points):
             j1m = mp.mpf(j1)
             j2m = mp.mpf(j2)
             h = h_series.evaluate(j1m, j2m, prec=precision + 20)
-            two_pi_i1, _ = two_pi_I1_quadrature(h, j2m, prec=precision,
-                                                max_level=max_level)
+            two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
+            if index in checked:
+                quad, _ = two_pi_I1_quadrature(h, j2m, prec=precision,
+                                               max_level=max_level)
+                diff = abs(two_pi_i1 - quad)
+                if diff > mp.mpf(2) ** (10 - precision) * (1 + abs(quad)):
+                    raise ConsistencyError(
+                        f"closed-form action off quadrature by {float(diff):.3e} "
+                        f"at (j1, j2) = ({j1!r}, {j2!r})")
+                oracle_diff = max(oracle_diff, diff)
             rho = mp.sqrt(j1m * j1m + j2m * j2m)
             singular = (8 - 2 * mp.pi * abs(j2m) + j2m * mp.atan2(j2m, j1m)
                         - j1m * mp.log(rho) + j1m)
@@ -613,7 +684,8 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         order=order, precision=precision, samples=len(points),
         residual_max=residual_max, residual_rms=residual_rms,
         ln32_error=ln32_error, reference_errors=reference_errors,
-        snapped=invariant_polynomial(4))
+        snapped=invariant_polynomial(4), oracle_samples=len(checked),
+        oracle_max_diff=float(oracle_diff))
 
 
 # -- twist ---------------------------------------------------------------------

@@ -61,11 +61,16 @@ def cmd_invariants(args) -> int:
     if args.format == "json":
         payload = {"order": res.order, "precision": res.precision,
                    "samples": res.samples, "residual_max": res.residual_max,
-                   "residual_rms": res.residual_rms, "coefficients": rows}
+                   "residual_rms": res.residual_rms, "coefficients": rows,
+                   "quadrature_checked_samples": res.oracle_samples,
+                   "quadrature_max_abs_diff": res.oracle_max_diff}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
         lines = [f"invariant fit: order {res.order}, {res.precision} bits, "
-                 f"{res.samples} samples, residual {res.residual_max:.3e}"]
+                 f"{res.samples} samples, residual {res.residual_max:.3e}",
+                 f"closed-form action checked by quadrature at "
+                 f"{res.oracle_samples} samples: max |difference| "
+                 f"{res.oracle_max_diff:.3e}"]
         for row in rows:
             ref = (f"  reference {row['reference_label']}"
                    f" (|err| = {abs(row['fitted'] - row['reference']):.2e})"

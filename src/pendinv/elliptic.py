@@ -375,6 +375,22 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     return delta0, eps1, eps2, width
 
 
+def _lambda0_terms(h, j2, delta0, eps1, eps2, sqrt, atan2):
+    """Heuman angle phi and coefficient c1~ of the Lambda0 form, from the gaps.
+
+    The same code runs on floats and on mpf, with `sqrt` and `atan2` of
+    the working type.  By Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) /
+    (zeta2 - zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 -
+    zeta1), and cos phi has the sign of -zeta1 (phi = pi - arcsin for
+    zeta1 > 0, arcsin for zeta1 < 0, continuous through zeta1 = 0).
+    """
+    inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
+    phi = atan2(sqrt(inner), (eps1 - 1) * sqrt(delta0 + eps2))  # cos ~ -zeta1
+    c1_tilde = (h - eps2 - j2 * j2 / (4 * (2 + eps2))
+                - abs(j2) / 2 * sqrt(eps2 * inner / (2 * (2 + eps2))))
+    return phi, c1_tilde
+
+
 def cubic_roots(em: EnergyMomentum) -> EllipticData:
     """Ordered roots -1 <= zeta0 <= zeta1 <= 1 <= zeta2, gaps and derived data.
 
@@ -392,18 +408,11 @@ def cubic_roots(em: EnergyMomentum) -> EllipticData:
     delta0, eps1, eps2, width = _gaps(h, j2, start, math.sqrt(_EPS), disc,
                                       lambda n, d: math.sqrt(n / d))
     span = 2 - delta0 + eps2                           # zeta2 - zeta0
-    zeta1 = 1 - eps1
-    # Lambda0 angle: by Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) / (zeta2 -
-    # zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 - zeta1), and
-    # cos phi has the sign of -zeta1 (phi = pi - arcsin for zeta1 > 0,
-    # arcsin for zeta1 < 0, continuous through zeta1 = 0)
-    inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
-    phi = math.atan2(math.sqrt(inner), -zeta1 * math.sqrt(delta0 + eps2))
+    phi, c1_tilde = _lambda0_terms(h, j2, delta0, eps1, eps2,
+                                   math.sqrt, math.atan2)
     c1 = h - eps2                                      # 1 + h - zeta2
-    c1_tilde = (c1 - jsq / (4 * (2 + eps2))
-                - abs(j2) / 2 * math.sqrt(eps2 * inner / (2 * (2 + eps2))))
     return EllipticData(
-        zeta0=delta0 - 1, zeta1=zeta1, zeta2=1 + eps2,
+        zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
         delta0=delta0, eps1=eps1, eps2=eps2, width=width,
         ksq=width / span, n_plus=width / (2 - delta0),
         n_minus=-width / delta0 if delta0 else -math.inf,

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from pendinv.actions import (A_series, J1_series,
+import mpmath as mp
+
+from pendinv import actions
+from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              action_I1, action_J1_numeric,
                              birkhoff_by_inversion, birkhoff_series,
                              energy_of_j, fit_invariant_S, invariant_polynomial,
@@ -13,8 +16,9 @@ from pendinv.actions import (A_series, J1_series,
                              period_T_fd, period_T_model, period_T_numeric,
                              rotation_expansion_check, rotation_W_fd,
                              rotation_W_model, rotation_W_numeric, twist,
-                             twistless_curve, two_pi_I1_energy_expansion,
-                             two_pi_I1_model, two_pi_I1_quadrature,
+                             twistless_curve, two_pi_I1_closed,
+                             two_pi_I1_energy_expansion, two_pi_I1_model,
+                             two_pi_I1_quadrature,
                              verify_birkhoff_equivalence, W_star, W_star_approx)
 from pendinv.elliptic import EnergyMomentum
 from pendinv.normalform import lie_normalize
@@ -86,6 +90,32 @@ def test_lambda0_route_where_zeta1_is_negative():
         assert abs(action_I1(EnergyMomentum(h, j2)).two_pi - quad) <= 1e-12
 
 
+def _on_fit_circle(r, j2):
+    """(h, j2) of the fit sample at radius r and height j2, j1 < 0 and > 0."""
+    h_series = birkhoff_series(14)
+    j1 = math.sqrt(r * r - j2 * j2)
+    return [(h_series.evaluate(mp.mpf(s * j1), mp.mpf(j2), prec=300), j2)
+            for s in (1, -1)]
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_closed_form_action_matches_quadrature(prec):
+    # fit circles (|j2| = 1e-3 is the closest any fit sample comes to the
+    # axis), h > 0, and zeta1 < 0 where j2^2 > 2 (h + 1)
+    points = (_on_fit_circle(0.08, 1e-3) + _on_fit_circle(0.32, 1e-3)
+              + _on_fit_circle(0.2, 0.15)
+              + [(0.5, 0.3), (2.0, 1.0), (-1.5, 0.3), (-1.2, 0.6), (-0.9, 0.5)])
+    for h, j2 in points:
+        quad, _ = two_pi_I1_quadrature(h, j2, prec=prec)
+        closed = two_pi_I1_closed(h, j2, prec=prec)
+        assert abs(closed - quad) <= mp.mpf(2) ** -prec * (1 + abs(quad))
+    # on the axis, where quadrature stalls, against the float route
+    for h in (-2.0, -0.5, 0.5):
+        assert float(two_pi_I1_closed(h, 0.0, prec=prec)) == pytest.approx(
+            action_I1(EnergyMomentum(h, 0.0)).two_pi, abs=1e-13)
+    assert two_pi_I1_closed(0.0, 0.0, prec=prec) == 8
+
+
 def test_action_even_in_j2():
     for (h, j2) in [(0.1, 0.2), (-0.2, 0.15)]:
         up = action_I1(EnergyMomentum(h, j2)).two_pi
@@ -155,6 +185,32 @@ def test_rotation_axis_limits():
     assert rotation_W_numeric(EnergyMomentum(-0.1, 1e-7)) == pytest.approx(0.5, abs=1e-5)
 
 
+def test_rotation_near_the_axis_tends_to_its_limits():
+    # the n- term has a pole as delta0 -> 0; taken out in closed form, the
+    # limits +-1 (h > 0) and +-1/2 (h < 0) hold down to underflowing j2
+    for h in (-1.5, -0.3, 0.3, 2.0):
+        for k in range(9, 301):
+            for j2 in (10.0 ** -k, -10.0 ** -k):
+                limit = math.copysign(1.0 if h > 0 else 0.5, j2)
+                w = rotation_W_numeric(EnergyMomentum(h, j2))
+                assert abs(w - limit) <= 1e-5 + abs(j2)
+
+
+def test_rotation_next_to_the_critical_value():
+    # within 1e-8 of the critical value, against a quadrature derivative
+    # (j2 +- 2^-50 is exact in floats)
+    em = EnergyMomentum(-2.9e-9, -1.23e-9)
+    assert rotation_W_numeric(em) == pytest.approx(
+        rotation_W_fd(em, step=2.0 ** -50, prec=160), abs=1e-13)
+    # the limit sgn(j2) - arg(h + i j2) / (2 pi) on both sides of the
+    # switch to it at |h + i j2| = 1e-20, and at the smallest j2
+    for rho in (1e-19, 1e-21):
+        h, j2 = rho * math.cos(2.0), rho * math.sin(2.0)
+        limit = 1 - math.atan2(j2, h) / TWO_PI
+        assert rotation_W_numeric(EnergyMomentum(h, j2)) == pytest.approx(limit, abs=1e-15)
+    assert rotation_W_numeric(EnergyMomentum(0.0, 5e-324)) == 0.75
+
+
 def test_rotation_odd_in_j2():
     for (h, j2) in [(0.05, 0.1), (-0.2, 0.3)]:
         assert rotation_W_numeric(EnergyMomentum(h, j2)) == pytest.approx(
@@ -191,6 +247,9 @@ def test_period_next_to_the_critical_value():
         t = period_T_numeric(EnergyMomentum(h, j2))
         rho = math.hypot(j1_of_energy(h, j2), j2)
         assert t == pytest.approx(math.log(32 / rho), rel=1e-13)
+    # k'^2 underflows to 0 here, and every gap with it
+    t = period_T_numeric(EnergyMomentum(0.0, 5e-324))
+    assert t == pytest.approx(math.log(32) - math.log(5e-324), rel=1e-15)
 
 
 def test_rotation_model_vs_numeric():
@@ -232,23 +291,43 @@ def test_invariant_polynomial_table():
     assert all(b % 2 == 0 for (_, b) in poly.terms())
 
 
+REDUCED_FIT = dict(order=8, precision=128, samples=80,
+                   radii=(0.08, 0.14, 0.2, 0.26), h_degree=12, max_level=11)
+
+
 @pytest.mark.slow
-def test_fit_invariant_reduced():
-    res = fit_invariant_S(order=8, precision=128, samples=80,
-                          radii=(0.08, 0.14, 0.2, 0.26), h_degree=12,
-                          max_level=11)
+def test_fit_invariant_reduced(monkeypatch):
+    quadratures = []
+
+    def counted(*args, **kwargs):
+        quadratures.append(args)
+        return two_pi_I1_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "two_pi_I1_quadrature", counted)
+    res = fit_invariant_S(**REDUCED_FIT)
     assert res.residual_max < 1e-9
     assert res.ln32_error < 1e-8
     for err in res.reference_errors.values():
         assert err < 1e-6
+    # the closed form is the production route; quadrature checks exactly
+    # one sample per circle, and the largest difference is reported
+    assert len(quadratures) == res.oracle_samples == 4
+    assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
+
+
+def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
+    def perturbed(h, j2, prec):
+        return two_pi_I1_closed(h, j2, prec) + mp.mpf("1e-30")
+
+    monkeypatch.setattr(actions, "two_pi_I1_closed", perturbed)
+    with pytest.raises(ConsistencyError):
+        fit_invariant_S(**REDUCED_FIT)
 
 
 @pytest.mark.slow
 def test_fit_stability_under_sample_doubling():
-    kwargs = dict(order=8, precision=128, radii=(0.08, 0.14, 0.2, 0.26),
-                  h_degree=12, max_level=11)
-    a = fit_invariant_S(samples=80, **kwargs)
-    b = fit_invariant_S(samples=160, **kwargs)
+    a = fit_invariant_S(**REDUCED_FIT)
+    b = fit_invariant_S(**{**REDUCED_FIT, "samples": 160})
     for mono in [(1, 0), (2, 0), (0, 2), (3, 0), (1, 2), (4, 0), (2, 2), (0, 4)]:
         assert abs(a.coefficients[mono] - b.coefficients[mono]) < 1e-9
 

@@ -77,6 +77,9 @@ def test_deterministic_output(capsys):
     _, second, _ = run(capsys, "invariants", "--order", "8", "--precision", "80",
                        "--samples", "40", "--format", "json")
     assert first == second
+    payload = json.loads(first)
+    assert payload["quadrature_checked_samples"] == 5     # one per circle
+    assert 0 <= payload["quadrature_max_abs_diff"] <= 2.0 ** (10 - 80) * 11
 
 
 def test_pendulum_scalar_json(capsys):
