@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,9 +23,8 @@ import mpmath as mp
 import numpy as np
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, _lambda0_terms, carlson_rf,
-                       carlson_rj, cubic_roots, ellint_E, ellint_K, ellint_Pi,
-                       heuman_lambda0)
+                       _discriminant, _gaps, _lambda0, carlson_rf, carlson_rj,
+                       cubic_roots, ellint_E, ellint_K)
 from .quadrature import tanh_sinh
 from .series import Series, binom_frac
 
@@ -48,11 +46,10 @@ class FitQualityError(ArithmeticError):
 
 @dataclass
 class ActionValue:
-    """A computed action with provenance and a rough error estimate."""
+    """A computed action and the route that produced it."""
 
     value: float
-    method: str           # legendre_form | quadrature | contour | series_model
-    error: float = 0.0
+    method: str           # lambda0 | quadrature | contour
 
     @property
     def two_pi(self) -> float:
@@ -174,9 +171,9 @@ def A_series(order: int = 9) -> Series:
 
 # -- numeric action over the real cycle --------------------------------------
 
-def _gaps_mp(h, j2, prec: int):
-    """(delta0, eps1, eps2, width) to `prec` bits: the float gaps polished
-    by the same solver.
+def _cubic_roots_mp(h, j2, prec: int) -> EllipticData:
+    """`cubic_roots` to `prec` bits, in mpf: the float gaps polished by the
+    same solver.
 
     Raises DomainError outside the image of the momentum map.
     """
@@ -186,42 +183,66 @@ def _gaps_mp(h, j2, prec: int):
         # the float eps2 is 0 only where j2^2 underflows (h <= 0); |j2|/2
         # lies above the root there, where 0 is a flat start for h = 0
         start = mp.mpf(eps2) or abs(jj) / 2
-        return _gaps(hh, jj, start, mp.sqrt(mp.eps), _discriminant(hh, jj),
-                     lambda n, d: mp.sqrt(mp.mpf(n) / d))
+        return EllipticData.from_gaps(*_gaps(
+            hh, jj, start, mp.sqrt(mp.eps), _discriminant(hh, jj),
+            lambda n, d: mp.sqrt(mp.mpf(n) / d)))
 
 
-def _roots_mp(h, j2, prec: int):
-    """(zeta0, zeta1) to `prec` bits, from `_gaps_mp`."""
-    delta0, eps1, _, _ = _gaps_mp(h, j2, prec)
-    with mp.workprec(prec + 20):
-        return delta0 - 1, 1 - eps1
+def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
+    """2 pi I1 in the Lambda0 form, from the gaps in `d`.
+
+    2 pi I1 = 2 pi [c0 (c1~ K + span E) - |j2|/2 Lambda0(phi, k)] with
+    c0 = 4 / (pi sqrt(2 span)).  The same code runs on floats and on mpf:
+    `lib` (math or mpmath) gives sqrt, atan2 and pi of the working type,
+    `complete(mc)` returns (K, E) and `lambda0(phi, mc, K, E)` Heuman's
+    Lambda0 for 0 <= phi <= pi/2, all at the complementary parameter mc =
+    k'^2 = d.kcsq.  By Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) / (zeta2 -
+    zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 - zeta1); cos
+    phi has the sign of -zeta1, so for zeta1 > 0 the angle is pi minus the
+    one taken here and Lambda0(pi - x) = 2 - Lambda0(x).  On the axis the
+    Lambda0 term vanishes (F may be infinite there, at h = -2).  At mc = 0,
+    the critical value or where the float k'^2 underflows, K diverges and
+    the result is the limit 8, whose error O(|j| ln |j|) is below rounding.
+    """
+    if d.kcsq == 0:
+        return d.kcsq + 8                            # in the working type
+    delta0, eps1, eps2, span = d.delta0, d.eps1, d.eps2, d.span
+    K, E = complete(d.kcsq)
+    inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
+    c1_tilde = (h - eps2 - j2 * j2 / (4 * (2 + eps2))
+                - abs(j2) / 2 * lib.sqrt(eps2 * inner / (2 * (2 + eps2))))
+    total = 4 / (lib.pi * lib.sqrt(2 * span)) * (c1_tilde * K + span * E)
+    if j2 != 0:
+        phi = lib.atan2(lib.sqrt(inner), abs(1 - eps1) * lib.sqrt(delta0 + eps2))
+        lam = lambda0(phi, d.kcsq, K, E)
+        total -= abs(j2) / 2 * (2 - lam if eps1 < 1 else lam)
+    return 2 * lib.pi * total
+
+
+def _complete(mc: float) -> tuple[float, float]:
+    return ellint_K(mc), ellint_E(mc)
+
+
+def _complete_mp(mc):
+    """K by the AGM, and E by the imaginary-modulus transformation E(k) =
+    k' E(i k / k') (DLMF 19.7.5), whose parameter 1 - 1/mc keeps its
+    digits for small mc."""
+    return mp.pi / (2 * mp.agm(1, mp.sqrt(mc))), mp.sqrt(mc) * mp.ellipe(1 - 1 / mc)
+
+
+def _lambda0_mp(phi, mc, K, E):
+    return 2 / mp.pi * (K * mp.ellipe(phi, mc) - (K - E) * mp.ellipf(phi, mc))
 
 
 def two_pi_I1_closed(h, j2, prec: int = 53):
     """2*pi*I1 at `prec` bits from the Lambda0 form that `action_I1` uses.
 
-    2 pi I1 = 2 pi [c0 (c1~ K + (zeta2 - zeta0) E) - |j2|/2 Lambda0(phi, k)]
-    with c0 = 4 / (pi sqrt(2 (zeta2 - zeta0))) and Lambda0 = (2/pi) (K
-    E(phi | k'^2) - (K - E) F(phi | k'^2)).  mpmath's complete and
-    incomplete integrals (Carlson forms) run at `prec + 20` bits and take
-    phi beyond pi/2 directly; the gaps come from `_gaps_mp`, and phi and
-    c1~ from the formula the float route uses.  Returns an mpf.
+    The formula of `_two_pi_I1` runs at `prec + 20` bits on the gaps of
+    `_cubic_roots_mp`, with mpmath's elliptic integrals; returns an mpf.
     """
-    delta0, eps1, eps2, width = _gaps_mp(h, j2, prec)
+    d = _cubic_roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):
-        h, j2 = mp.mpf(h), mp.mpf(j2)
-        if h == 0 and j2 == 0:
-            return mp.mpf(8)
-        span = 2 - delta0 + eps2                      # zeta2 - zeta0
-        K, E = mp.ellipk(width / span), mp.ellipe(width / span)
-        phi, c1_tilde = _lambda0_terms(h, j2, delta0, eps1, eps2,
-                                       mp.sqrt, mp.atan2)
-        total = 4 / (mp.pi * mp.sqrt(2 * span)) * (c1_tilde * K + span * E)
-        if j2 != 0:        # on the axis the term vanishes (F may be infinite)
-            kcsq = (eps1 + eps2) / span               # k'^2 = 1 - k^2
-            total -= abs(j2) / mp.pi * (K * mp.ellipe(phi, kcsq)
-                                        - (K - E) * mp.ellipf(phi, kcsq))
-        return 2 * mp.pi * total
+        return _two_pi_I1(mp.mpf(h), mp.mpf(j2), d, mp, _complete_mp, _lambda0_mp)
 
 
 def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
@@ -232,7 +253,7 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
     and the near-axis pole just outside the interval are resolved by the
     double-exponential transform.  Returns (value, error_estimate) as mpf.
     """
-    z0, z1 = _roots_mp(h, j2, prec)
+    d = _cubic_roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):
         hh = mp.mpf(h)
         jj = mp.mpf(j2)
@@ -243,73 +264,27 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
                 return mp.mpf(0)
             return mp.sqrt(p) / (1 - z * z)
 
-        val, err = tanh_sinh(integrand, z0, z1, prec=prec, max_level=max_level)
+        val, err = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec,
+                             max_level=max_level)
         return 2 * val, 2 * err
 
 
-def _two_pi_I1_legendre(data: EllipticData, j2: float) -> float:
-    """Four-term Legendre form; valid away from the j2 -> 0 circular limit.
-
-    With the 1/(1 - n sin^2) convention for the third kind, the
-    characteristic terms enter with a minus sign; the combination is pinned
-    against direct quadrature to 1e-14 in the tests.
-    """
-    k = data.ksq
-    total = data.c1 * ellint_K(k) + data.c2 * ellint_E(k)
-    if data.c3_plus != 0.0:
-        total -= data.c3_plus * ellint_Pi(data.n_plus, k)
-    if data.c3_minus != 0.0:
-        total -= data.c3_minus * ellint_Pi(data.n_minus, k)
-    return TWO_PI * data.c0 * total
-
-
-def _two_pi_I1_lambda0(data: EllipticData, j2: float) -> float:
-    """Lambda0 form: uniformly valid through the circular (n+ -> 1) regime."""
-    k = data.ksq
-    total = data.c0 * (data.c1_tilde * ellint_K(k) + data.c2 * ellint_E(k))
-    total -= abs(j2) / 2 * heuman_lambda0(data.phi, k)
-    return TWO_PI * total
-
-
-def action_I1(em: EnergyMomentum, method: str = "auto",
+def action_I1(em: EnergyMomentum, method: str = "lambda0",
               prec: int = 53) -> ActionValue:
     """Non-trivial action I1(h, j2); `two_pi` on the result gives 2 pi I1.
 
-    auto uses the Lambda0 representation (mandatory near the circular
-    degeneracy), the plain two-term form on the axis, and switches to the
-    series model with a warning once the modulus is within 1e-6 of the
-    separatrix.  Absolute accuracy away from the separatrix is ~1e-14 for
-    the closed forms and the requested tolerance for quadrature.
+    "lambda0" evaluates the closed Lambda0 form (`_two_pi_I1`, the formula
+    of `two_pi_I1_closed`) in floats on the whole image, within about
+    1e-14 (1 + |2 pi I1|); "quadrature" integrates the defining integral
+    at `prec` bits, the independent oracle.
     """
-    h, j2 = em.h, em.j2
-    if h == 0.0 and j2 == 0.0:
-        return ActionValue(8 / TWO_PI, "closed_form", 1e-16)
     if method == "quadrature":
-        val, err = two_pi_I1_quadrature(h, j2, prec=prec)
-        return ActionValue(float(val) / TWO_PI, "quadrature", float(err))
-
-    data = cubic_roots(em)
-    near_separatrix = 1 - data.ksq < 1e-6
-    if method == "auto" and near_separatrix:
-        warnings.warn("modulus within 1e-6 of the separatrix; "
-                      "returning the series model value", stacklevel=2)
-        method = "series_model"
-
-    if method == "series_model":
-        j1 = float(J1_series(12).evaluate(h, j2))
-        val = two_pi_I1_model(j1, j2)
-        return ActionValue(val / TWO_PI, "series_model", 1e-10)
-    if method in ("auto", "lambda0"):
-        if j2 == 0.0:
-            two_pi_val = TWO_PI * data.c0 * (data.c1 * ellint_K(data.ksq)
-                                             + data.c2 * ellint_E(data.ksq))
-        else:
-            two_pi_val = _two_pi_I1_lambda0(data, j2)
-        return ActionValue(two_pi_val / TWO_PI, "legendre_form", 2e-14 * (1 + abs(two_pi_val)))
-    if method == "legendre":
-        two_pi_val = _two_pi_I1_legendre(data, j2)
-        return ActionValue(two_pi_val / TWO_PI, "legendre_form", 2e-12 * (1 + abs(two_pi_val)))
-    raise ValueError(f"unknown method {method!r}")
+        val, _ = two_pi_I1_quadrature(em.h, em.j2, prec=prec)
+        return ActionValue(float(val) / TWO_PI, "quadrature")
+    if method != "lambda0":
+        raise ValueError(f"unknown method {method!r}")
+    two_pi = _two_pi_I1(em.h, em.j2, cubic_roots(em), math, _complete, _lambda0)
+    return ActionValue(two_pi / TWO_PI, "lambda0")
 
 
 # -- numeric imaginary action over the vanishing cycle -----------------------
@@ -327,7 +302,7 @@ def action_J1_numeric(em: EnergyMomentum, panels_per_unit: int = 0,
     data = cubic_roots(em)
     z1, z2 = data.zeta1, data.zeta2
     if z2 - z1 < 1e-14:
-        return ActionValue(0.0, "contour", 1e-15)
+        return ActionValue(0.0, "contour")
     clearance = min(z1 - data.zeta0, z1 + 1)
     if clearance <= 0:
         raise ContourGeometryError(
@@ -369,7 +344,7 @@ def action_J1_numeric(em: EnergyMomentum, panels_per_unit: int = 0,
     value = 2 * total / (2j * math.pi)
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(f"contour result not real: {value}")
-    return ActionValue(value.real, "contour", 1e-12 * max(1.0, abs(value.real)))
+    return ActionValue(value.real, "contour")
 
 
 # -- rotation number and period ----------------------------------------------
@@ -399,8 +374,7 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
         return 1.0 if h > 0 else 0.5
     if math.hypot(h, j2) < 1e-20:
         return math.copysign(1.0, j2) - math.atan2(j2, h) / TWO_PI
-    span = data.c2                                   # zeta2 - zeta0
-    kcsq = (data.eps1 + data.eps2) / span
+    span, kcsq = data.span, data.kcsq
     pref = j2 / (math.pi * math.sqrt(2 * span))
     half = math.copysign(0.5, j2)
     w = half + pref * carlson_rj(0.0, kcsq, 1.0, 1 + data.delta0 / span) / (3 * span)
@@ -423,12 +397,11 @@ def period_T_numeric(em: EnergyMomentum) -> float:
     i j2|).
     """
     data = cubic_roots(em)
-    kcsq = (data.eps1 + data.eps2) / data.c2
-    if kcsq == 0:
+    if data.kcsq == 0:
         if em.h == 0.0 and em.j2 == 0.0:
             raise DomainError("period diverges on the separatrix")
         return LN32 - math.log(math.hypot(em.h, em.j2))
-    return 2 * math.sqrt(2.0) * carlson_rf(0.0, kcsq, 1.0) / math.sqrt(data.c2)
+    return 2 * math.sqrt(2.0) * carlson_rf(0.0, data.kcsq, 1.0) / math.sqrt(data.span)
 
 
 def rotation_W_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import actions, dynamics, elliptic, normalform, pendulum
-from .elliptic import DomainError, EnergyMomentum
+from .elliptic import DivergenceError, DomainError, EnergyMomentum
 
 
 def _emit(text: str, path: str | None):
@@ -188,15 +188,15 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_special(args) -> int:
-    msq = args.msq
+    mc = 1 - args.msq                  # the kernels take k'^2 = 1 - m
     if args.function == "K":
-        val = elliptic.ellint_K(msq)
+        val = elliptic.ellint_K(mc)
     elif args.function == "E":
-        val = elliptic.ellint_E(msq)
+        val = elliptic.ellint_E(mc)
     elif args.function == "Pi":
-        val = elliptic.ellint_Pi(args.n, msq)
+        val = elliptic.ellint_Pi(args.n, mc)
     elif args.function == "lambda0":
-        val = elliptic.heuman_lambda0(args.phi, msq)
+        val = elliptic.heuman_lambda0(args.phi, mc)
     else:
         raise ValueError(args.function)
     _emit(repr(val), args.output)
@@ -296,9 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("action", help="action values at one point")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--j2", type=float, default=0.0)
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "legendre", "lambda0", "quadrature",
-                            "series_model"))
+    p.add_argument("--method", default="lambda0",
+                   choices=("lambda0", "quadrature"))
     common(p)
     p.set_defaults(func=cmd_action)
 
@@ -333,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("special", help="evaluate a special function")
     p.add_argument("function", choices=("K", "E", "Pi", "lambda0"))
-    p.add_argument("msq", type=float)
+    p.add_argument("msq", type=float, help="the parameter m = k^2")
     p.add_argument("--n", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=math.pi / 2)
     common(p)
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, DivergenceError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
     except (actions.ConsistencyError, actions.FitQualityError) as exc:

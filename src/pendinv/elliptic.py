@@ -2,9 +2,10 @@
 
 Carlson symmetric forms with duplication give K, E and Pi uniformly,
 including the large-negative characteristics that appear on the axis of
-small angular momentum.  Root data of the defining cubic is bundled in
-:class:`EllipticData` together with every derived coefficient the action
-formulas need.
+small angular momentum.  Every kernel takes the complementary parameter
+k'^2, which the gaps of the defining cubic give with full relative
+accuracy up to the critical value; :class:`EllipticData` bundles the
+roots, their gaps and k'^2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class DomainError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Integral diverges at the requested parameter (k^2 -> 1 or n -> 1)."""
+    """Integral diverges at the requested parameter (k'^2 = 0 or n >= 1)."""
 
 
 # -- Carlson symmetric forms -------------------------------------------------
@@ -53,7 +54,13 @@ def _rf_tail(x: float, y: float, z: float, A: float) -> float:
 
 
 def carlson_rc(x: float, y: float) -> float:
-    """R_C(x, y) = R_F(x, y, y); y may be negative (principal value)."""
+    """R_C(x, y) = R_F(x, y, y); y may be negative (principal value).
+
+    For y < x, atanh(t) with t = sqrt((x - y) / x) is taken as ln((1 + t)
+    sqrt(x / y)) = log1p((sqrt(x - y) + (x - y) / (sqrt(x) + sqrt(y))) /
+    sqrt(y)), a sum of positive terms, so it keeps its digits as y / x ->
+    0, where t rounds to 1.
+    """
     if x < 0:
         raise DomainError("carlson_rc requires x >= 0")
     if y == 0:
@@ -67,7 +74,8 @@ def carlson_rc(x: float, y: float) -> float:
         return math.pi / (2 * math.sqrt(y))
     if x < y:
         return math.atan(math.sqrt((y - x) / x)) / math.sqrt(y - x)
-    return math.atanh(math.sqrt((x - y) / x)) / math.sqrt(x - y)
+    sx, sy, sd = math.sqrt(x), math.sqrt(y), math.sqrt(x - y)
+    return math.log1p((sd + (x - y) / (sx + sy)) / sy) / sd
 
 
 def carlson_rd(x: float, y: float, z: float) -> float:
@@ -104,11 +112,21 @@ def _rd_tail(x, y, z, A, f, s):
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
-    """R_J(x, y, z, p) by duplication; p > 0 here (no Cauchy principal value)."""
+    """R_J(x, y, z, p) by duplication; p > 0 here (no Cauchy principal value).
+
+    The arguments are first scaled by the power of 4 that brings the
+    largest near 2^300, and the result back by the matching power of 8
+    (R_J has degree -3/2); powers of two scale exactly.  The cubed
+    products of the duplication then stay below overflow, and above
+    underflow unless the smallest argument is below about 1e-297 of the
+    largest.
+    """
     if min(x, y, z) < 0 or x + y <= 0 or y + z <= 0 or z + x <= 0:
         raise DomainError("carlson_rj requires non-negative x, y, z, at most one zero")
     if p <= 0:
         raise DomainError("carlson_rj implemented for p > 0 only")
+    e = (300 - math.frexp(max(x, y, z, p))[1]) // 2
+    x, y, z, p = (math.ldexp(v, 2 * e) for v in (x, y, z, p))
     A = (x + y + z + 2 * p) / 5
     delta = (p - x) * (p - y) * (p - z)
     q = (0.2 * _EPS) ** (-1 / 8) * max(abs(A - x), abs(A - y), abs(A - z), abs(A - p))
@@ -127,7 +145,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
         x, y, z, p = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4, (p + lam) / 4
         A = (A + lam) / 4
         f /= 4
-    return _rj_tail(x, y, z, p, A, f, s)
+    return math.ldexp(_rj_tail(x, y, z, p, A, f, s), 3 * e)
 
 
 def _rj_tail(x, y, z, p, A, f, s):
@@ -146,29 +164,40 @@ def _rj_tail(x, y, z, p, A, f, s):
     return f * series / (A * math.sqrt(A)) + 6 * s
 
 
-# -- Legendre complete integrals --------------------------------------------
+# -- Legendre integrals at the complementary parameter ---------------------
+#
+# Every kernel takes mc = k'^2 = 1 - k^2.  The curve geometry forms it
+# from the gaps, where it keeps its digits next to the critical value;
+# k^2 itself rounds to 1 there.
 
-def ellint_K(msq: float) -> float:
-    """Complete integral of the first kind, parameter m = k^2."""
-    if msq >= 1:
-        raise DivergenceError(f"K diverges for k^2 = {msq} >= 1")
-    if msq < 0:
-        raise DomainError("k^2 must be non-negative")
-    return carlson_rf(0.0, 1.0 - msq, 1.0)
+def _check_mc(mc: float) -> None:
+    if not 0 <= mc <= 1:
+        raise DomainError(f"k'^2 = {mc} outside [0, 1]")
 
 
-def ellint_E(msq: float) -> float:
-    """Complete integral of the second kind, parameter m = k^2."""
-    if msq > 1:
-        raise DomainError("k^2 must lie in [0, 1]")
-    if msq < 0:
-        raise DomainError("k^2 must be non-negative")
-    if msq == 1:
+def ellint_K(mc: float) -> float:
+    """Complete integral of the first kind K(k), from mc = k'^2."""
+    _check_mc(mc)
+    if mc == 0:
+        raise DivergenceError("K diverges at k'^2 = 0")
+    return carlson_rf(0.0, mc, 1.0)
+
+
+def ellint_E(mc: float) -> float:
+    """Complete integral of the second kind E(k), from mc = k'^2.
+
+    E = (mc/3) (R_D(0, mc, 1) + R_D(0, 1, mc)) (DLMF 19.25.1): both terms
+    are positive, so no digits cancel where K is large.  Below 2^-1000,
+    E - 1 = O(mc ln mc) is far below rounding and R_D(0, 1, mc) ~ 3/mc
+    nears overflow, so E is 1 there.
+    """
+    _check_mc(mc)
+    if mc < 2.0 ** -1000:
         return 1.0
-    return carlson_rf(0.0, 1.0 - msq, 1.0) - msq / 3 * carlson_rd(0.0, 1.0 - msq, 1.0)
+    return mc / 3 * (carlson_rd(0.0, mc, 1.0) + carlson_rd(0.0, 1.0, mc))
 
 
-def ellint_Pi(n: float, msq: float) -> float:
+def ellint_Pi(n: float, mc: float) -> float:
     """Complete integral of the third kind with 1/(1 - n sin^2) convention.
 
     n < 1 (the circular range); large negative n is fine and occurs for the
@@ -176,69 +205,56 @@ def ellint_Pi(n: float, msq: float) -> float:
     """
     if n >= 1:
         raise DivergenceError(f"Pi has a pole at characteristic n = {n} >= 1")
-    return ellint_Pi_from_p(1.0 - n, msq)
+    return ellint_Pi_from_p(1.0 - n, mc)
 
 
-def ellint_Pi_from_p(p: float, msq: float) -> float:
+def ellint_Pi_from_p(p: float, mc: float) -> float:
     """Third kind parametrized by p = 1 - n, for callers that know the gap.
 
     Near-circular characteristics (n -> 1) lose all digits when the caller
     forms n first; passing the tiny complement p directly keeps them.
     """
-    if msq >= 1:
-        raise DivergenceError(f"Pi diverges for k^2 = {msq} >= 1")
-    if msq < 0:
-        raise DomainError("k^2 must be non-negative")
+    _check_mc(mc)
+    if mc == 0:
+        raise DivergenceError("Pi diverges at k'^2 = 0")
     if p <= 0:
         raise DivergenceError(f"Pi has a pole at p = 1 - n = {p} <= 0")
     if p == 1.0:
-        return ellint_K(msq)
-    return carlson_rf(0.0, 1.0 - msq, 1.0) + (1.0 - p) / 3 * carlson_rj(0.0, 1.0 - msq, 1.0, p)
+        return ellint_K(mc)
+    return carlson_rf(0.0, mc, 1.0) + (1.0 - p) / 3 * carlson_rj(0.0, mc, 1.0, p)
 
 
-def ellint_F_inc(phi: float, msq: float) -> float:
-    """Incomplete first kind F(phi | m) for 0 <= phi <= pi/2."""
-    s = math.sin(phi)
-    c = math.cos(phi)
-    if s == 0:
-        return 0.0
-    return s * carlson_rf(c * c, 1.0 - msq * s * s, 1.0)
+def _lambda0(phi: float, mc: float, K: float, E: float) -> float:
+    """Heuman's Lambda0 for 0 <= phi <= pi/2, given K and E at mc = k'^2 > 0.
 
-
-def ellint_E_inc(phi: float, msq: float) -> float:
-    """Incomplete second kind E(phi | m) for 0 <= phi <= pi/2."""
-    s = math.sin(phi)
-    c = math.cos(phi)
-    if s == 0:
-        return 0.0
-    rf = carlson_rf(c * c, 1.0 - msq * s * s, 1.0)
-    rd = carlson_rd(c * c, 1.0 - msq * s * s, 1.0)
-    return s * rf - msq * s ** 3 / 3 * rd
-
-
-def heuman_lambda0(phi: float, msq: float) -> float:
-    """Heuman's Lambda0(phi, k) with parameter m = k^2.
-
-    Normalized so Lambda0(pi/2, k) = 1; the incomplete integrals run at the
-    complementary parameter.  Angles beyond pi/2 (which arise as
-    phi = pi - arcsin(...)) reduce through Lambda0(pi - x) = 2 - Lambda0(x).
+    Lambda0 = (2/pi) (K E(phi | mc) - (K - E) F(phi | mc)), with the
+    incomplete integrals at the complementary parameter.  With F = s R_F
+    and E(phi | mc) - F = -(mc/3) s^3 R_D (s = sin phi, both at (cos^2
+    phi, 1 - mc s^2, 1)) this is (2/pi) (E F - K (mc/3) s^3 R_D): one R_F,
+    one R_D, and no difference of large terms where K is large.
     """
-    if not 0 <= msq <= 1:
-        raise DomainError("k^2 must lie in [0, 1]")
+    s, c = math.sin(phi), math.cos(phi)
+    delta = 1.0 - mc * s * s
+    return 2 / math.pi * (E * s * carlson_rf(c * c, delta, 1.0)
+                          - K * mc * s ** 3 / 3 * carlson_rd(c * c, delta, 1.0))
+
+
+def heuman_lambda0(phi: float, mc: float) -> float:
+    """Heuman's Lambda0(phi, k), from mc = k'^2.
+
+    Normalized so Lambda0(pi/2, k) = 1.  Angles beyond pi/2 reduce through
+    Lambda0(pi - x) = 2 - Lambda0(x); at mc = 0 (k = 1) it is 2 phi / pi.
+    """
+    _check_mc(mc)
     if phi < 0:
-        return -heuman_lambda0(-phi, msq)
+        return -heuman_lambda0(-phi, mc)
     if phi > math.pi / 2:
         if phi > math.pi + 1e-12:
             raise DomainError("phi must lie in [0, pi]")
-        return 2.0 - heuman_lambda0(math.pi - phi, msq)
-    if msq == 1:
+        return 2.0 - heuman_lambda0(math.pi - phi, mc)
+    if mc == 0:
         return 2 * phi / math.pi
-    mc = 1.0 - msq
-    K = ellint_K(msq)
-    E = ellint_E(msq)
-    F_c = ellint_F_inc(phi, mc)
-    E_c = ellint_E_inc(phi, mc)
-    return 2 / math.pi * (K * E_c - (K - E) * F_c)
+    return _lambda0(phi, mc, ellint_K(mc), ellint_E(mc))
 
 
 # -- curve geometry ----------------------------------------------------------
@@ -257,12 +273,15 @@ class EnergyMomentum:
 
 @dataclass
 class EllipticData:
-    """Roots of the defining cubic, their gaps and every derived coefficient.
+    """Roots of the defining cubic, their gaps, span and k'^2.
 
     The solver computes the gaps delta0 = 1 + zeta0, eps1 = 1 - zeta1 and
     eps2 = zeta2 - 1 and the width zeta1 - zeta0, which keep their
     relative accuracy where roots merge with -1, with 1 or with each
-    other; the roots are formed from them.
+    other.  The roots, the span zeta2 - zeta0 and the complementary
+    parameter kcsq = k'^2 = (zeta2 - zeta1) / (zeta2 - zeta0) of the
+    elliptic integrals are formed from them; the fields hold floats, or
+    mpf values for the high-precision action.
     """
 
     zeta0: float
@@ -272,16 +291,15 @@ class EllipticData:
     eps1: float
     eps2: float
     width: float
-    ksq: float
-    n_plus: float
-    n_minus: float
-    c0: float
-    c1: float
-    c2: float
-    c3_plus: float
-    c3_minus: float
-    phi: float
-    c1_tilde: float
+    span: float
+    kcsq: float
+
+    @classmethod
+    def from_gaps(cls, delta0, eps1, eps2, width) -> "EllipticData":
+        span = 2 - delta0 + eps2
+        return cls(zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
+                   delta0=delta0, eps1=eps1, eps2=eps2, width=width,
+                   span=span, kcsq=(eps1 + eps2) / span)
 
 
 def cubic_value(zeta: float, h: float, j2: float) -> float:
@@ -375,22 +393,6 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     return delta0, eps1, eps2, width
 
 
-def _lambda0_terms(h, j2, delta0, eps1, eps2, sqrt, atan2):
-    """Heuman angle phi and coefficient c1~ of the Lambda0 form, from the gaps.
-
-    The same code runs on floats and on mpf, with `sqrt` and `atan2` of
-    the working type.  By Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) /
-    (zeta2 - zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 -
-    zeta1), and cos phi has the sign of -zeta1 (phi = pi - arcsin for
-    zeta1 > 0, arcsin for zeta1 < 0, continuous through zeta1 = 0).
-    """
-    inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
-    phi = atan2(sqrt(inner), (eps1 - 1) * sqrt(delta0 + eps2))  # cos ~ -zeta1
-    c1_tilde = (h - eps2 - j2 * j2 / (4 * (2 + eps2))
-                - abs(j2) / 2 * sqrt(eps2 * inner / (2 * (2 + eps2))))
-    return phi, c1_tilde
-
-
 def cubic_roots(em: EnergyMomentum) -> EllipticData:
     """Ordered roots -1 <= zeta0 <= zeta1 <= 1 <= zeta2, gaps and derived data.
 
@@ -405,18 +407,5 @@ def cubic_roots(em: EnergyMomentum) -> EllipticData:
     jsq = j2 * j2
     s = math.hypot(h, j2)
     start = (h + s) / 2 if h >= 0 else jsq / (2 * (s - h))
-    delta0, eps1, eps2, width = _gaps(h, j2, start, math.sqrt(_EPS), disc,
-                                      lambda n, d: math.sqrt(n / d))
-    span = 2 - delta0 + eps2                           # zeta2 - zeta0
-    phi, c1_tilde = _lambda0_terms(h, j2, delta0, eps1, eps2,
-                                   math.sqrt, math.atan2)
-    c1 = h - eps2                                      # 1 + h - zeta2
-    return EllipticData(
-        zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
-        delta0=delta0, eps1=eps1, eps2=eps2, width=width,
-        ksq=width / span, n_plus=width / (2 - delta0),
-        n_minus=-width / delta0 if delta0 else -math.inf,
-        c0=4 / (math.pi * math.sqrt(2 * span)), c1=c1, c2=span,
-        c3_plus=jsq / (4 * (2 - delta0)),
-        c3_minus=jsq / (4 * delta0) if delta0 else 0.0,
-        phi=phi, c1_tilde=c1_tilde)
+    return EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc,
+                                         lambda n, d: math.sqrt(n / d)))

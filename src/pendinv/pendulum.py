@@ -43,6 +43,10 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
     with the angular-momentum-zero slice of the spherical problem, half the
     bare libration quantities, which makes I continuous across h = 0.
     `true_pendulum` restores the bare factors for I and T on that branch.
+    The elliptic kernels take the complementary parameter, so the modulus
+    k of the real cycle enters through k'^2 (h / (2 + h) above, -h / 2
+    below), which keeps its digits next to the critical energy, and the
+    imaginary cycle's through k^2.
     """
     if h <= -2:
         raise DomainError(f"h = {h} at or below the potential minimum -2")
@@ -52,20 +56,20 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
         ksq = 2 / (2 + h)
         kcsq = h / (2 + h)
         k = math.sqrt(ksq)
-        K_c = ellint_K(kcsq)
-        E_c = ellint_E(kcsq)
-        action = 4 / (math.pi * k) * ellint_E(ksq)
+        K_c = ellint_K(ksq)
+        E_c = ellint_E(ksq)
+        action = 4 / (math.pi * k) * ellint_E(kcsq)
         imag_action = 8 / (math.pi * k) * (K_c - E_c)
-        period = 2 * k * ellint_K(ksq)
+        period = 2 * k * ellint_K(kcsq)
         imag_period = 4 * k * K_c
         return PendulumQuadruple(action, imag_action, period, imag_period, "above")
     ksq = (2 + h) / 2
     kcsq = -h / 2
-    K = ellint_K(ksq)
-    E = ellint_E(ksq)
-    K_c = ellint_K(kcsq)
-    E_c = ellint_E(kcsq)
-    action = 4 / math.pi * (E - (1 - ksq) * K)
+    K = ellint_K(kcsq)
+    E = ellint_E(kcsq)
+    K_c = ellint_K(ksq)
+    E_c = ellint_E(ksq)
+    action = 4 / math.pi * (E - kcsq * K)
     imag_action = 8 / math.pi * (ksq * K_c - E_c)
     period = 2 * K
     imag_period = 4 * K_c

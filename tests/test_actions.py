@@ -1,6 +1,7 @@
 """Action integrals, series identities, invariant fit, twist, monodromy."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -78,8 +79,6 @@ def test_action_forms_agree_with_quadrature():
         em = EnergyMomentum(h, j2)
         quad = float(two_pi_I1_quadrature(h, j2, prec=80)[0])
         assert action_I1(em).two_pi == pytest.approx(quad, abs=1e-10)
-        if j2 != 0.0:
-            assert action_I1(em, "legendre").two_pi == pytest.approx(quad, abs=1e-10)
 
 
 def test_lambda0_route_where_zeta1_is_negative():
@@ -123,11 +122,15 @@ def test_action_even_in_j2():
         assert abs(up - dn) < 1e-12
 
 
-def test_action_near_separatrix_switches_to_model():
-    with pytest.warns(UserWarning):
-        act = action_I1(EnergyMomentum(1e-7, 1e-7))
-    assert act.method == "series_model"
-    assert act.two_pi == pytest.approx(8.0, abs=1e-4)
+def test_action_near_separatrix_stays_on_the_closed_form():
+    # k'^2 < 1e-6 at these points: no fallback, no warning
+    for (h, j2) in [(1e-7, 1e-7), (-1e-9, 1e-9), (1e-17, -1e-17), (0.0, 1e-200)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            act = action_I1(EnergyMomentum(h, j2))
+        assert act.method == "lambda0"
+        closed = float(two_pi_I1_closed(h, j2, prec=80))
+        assert abs(act.two_pi - closed) <= 4e-14 * (1 + abs(closed))
 
 
 def test_action_model_matches_inside_half_disk():

@@ -125,6 +125,20 @@ def test_special_subcommand(capsys):
     assert float(out) == pytest.approx(1.5707963267948966)
 
 
+@pytest.mark.parametrize("argv", [("special", "K", "1.0"),
+                                  ("special", "Pi", "0.5", "--n", "1.0")])
+def test_divergence_is_a_domain_error_exit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and "Traceback" not in err
+
+
+def test_pendulum_next_to_the_critical_energy(capsys):
+    code, out, _ = run(capsys, "pendulum", "--h", "1e-17", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["legendre_combination"] == pytest.approx(8.0, abs=1e-12)
+
+
 def test_exact_outputs_match_the_benchmark_digests(capsys):
     golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                          / "golden.json").read_text())

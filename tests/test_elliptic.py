@@ -7,39 +7,50 @@ import mpmath as mp
 import pytest
 
 from pendinv.elliptic import (DivergenceError, DomainError, EnergyMomentum,
-                              carlson_rf, cubic_roots, cubic_value,
-                              ellint_E, ellint_K, ellint_Pi, heuman_lambda0)
+                              carlson_rc, carlson_rf, carlson_rj, cubic_roots,
+                              cubic_value, ellint_E, ellint_K, ellint_Pi,
+                              heuman_lambda0)
 
 mp.mp.dps = 30
 
+# the kernels take the complementary parameter mc = k'^2 = 1 - m
+
 
 def test_complete_integrals_special_values():
-    assert ellint_K(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert ellint_E(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert ellint_E(1.0) == 1.0
+    assert ellint_K(1.0) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert ellint_E(1.0) == pytest.approx(math.pi / 2, abs=1e-15)
+    assert ellint_E(0.0) == 1.0
+    assert ellint_E(5e-324) == 1.0
     assert ellint_Pi(0.0, 0.5) == ellint_K(0.5)
 
 
 def test_complete_integrals_against_mpmath():
-    for m in (0.05, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-8):
-        assert ellint_K(m) == pytest.approx(float(mp.ellipk(m)), rel=4e-15)
-        assert ellint_E(m) == pytest.approx(float(mp.ellipe(m)), rel=4e-15)
+    with mp.workdps(400):                  # 1 - mc resolves mc down to 5e-324
+        for mc in (0.95, 0.75, 0.5, 0.25, 0.1, 0.01, 1e-8, 1e-17, 1e-100,
+                   1e-300, 2.0 ** -1000, 1e-305, 5e-324):
+            m = 1 - mp.mpf(mc)
+            assert ellint_K(mc) == pytest.approx(float(mp.ellipk(m)), rel=4e-15)
+            assert ellint_E(mc) == pytest.approx(float(mp.ellipe(m)), rel=4e-15)
     for n in (-400.0, -5.0, -0.3, 0.4, 0.95):
-        for m in (0.1, 0.6, 0.95):
-            assert ellint_Pi(n, m) == pytest.approx(float(mp.ellippi(n, m)),
-                                                    rel=1e-13)
+        for mc in (0.9, 0.4, 0.05):
+            assert ellint_Pi(n, mc) == pytest.approx(float(mp.ellippi(n, 1 - mc)),
+                                                     rel=1e-13)
 
 
 def test_divergences():
     with pytest.raises(DivergenceError):
-        ellint_K(1.0)
+        ellint_K(0.0)
     with pytest.raises(DivergenceError):
         ellint_Pi(1.0, 0.5)
     with pytest.raises(DivergenceError):
-        ellint_Pi(0.5, 1.0)
+        ellint_Pi(0.5, 0.0)
+    for mc in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            ellint_E(mc)
 
 
 def test_legendre_relation_grid():
+    # symmetric in m and mc, so it reads the same at either parameter
     for m in [0.05 * i for i in range(1, 20)]:
         mc = 1 - m
         resid = (ellint_E(m) * ellint_K(mc) + ellint_E(mc) * ellint_K(m)
@@ -55,24 +66,24 @@ def test_pi_against_direct_quadrature():
         direct = mp.quad(lambda t: 1 / ((1 - n * mp.sin(t) ** 2)
                                         * mp.sqrt(1 - m * mp.sin(t) ** 2)),
                          [0, mp.pi / 2])
-        assert abs(ellint_Pi(n, m) - float(direct)) < 1e-11
+        assert abs(ellint_Pi(n, 1 - m) - float(direct)) < 1e-11
 
 
 def test_lambda0_normalization():
-    for m in (0.0, 0.3, 0.8, 0.999):
-        assert heuman_lambda0(math.pi / 2, m) == pytest.approx(1.0, abs=1e-13)
+    for mc in (1.0, 0.7, 0.2, 0.001, 1e-300):
+        assert heuman_lambda0(math.pi / 2, mc) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_lambda0_unit_modulus_reduction():
     for phi in (0.3, 0.7, 1.2):
-        assert heuman_lambda0(phi, 1.0) == pytest.approx(2 * phi / math.pi,
+        assert heuman_lambda0(phi, 0.0) == pytest.approx(2 * phi / math.pi,
                                                          abs=1e-15)
 
 
 def test_lambda0_reflection():
-    phi, m = 0.4, 0.6
-    assert heuman_lambda0(math.pi - phi, m) == pytest.approx(
-        2 - heuman_lambda0(phi, m), abs=1e-13)
+    phi, mc = 0.4, 0.4
+    assert heuman_lambda0(math.pi - phi, mc) == pytest.approx(
+        2 - heuman_lambda0(phi, mc), abs=1e-13)
 
 
 def test_lambda0_quadrature_oracle():
@@ -82,7 +93,26 @@ def test_lambda0_quadrature_oracle():
     e_inc = mp.quad(lambda t: mp.sqrt(1 - mc * mp.sin(t) ** 2), [0, phi])
     ref = 2 / mp.pi * (mp.ellipk(m) * e_inc
                        - (mp.ellipk(m) - mp.ellipe(m)) * f_inc)
-    assert abs(heuman_lambda0(phi, m) - float(ref)) < 1e-12
+    assert abs(heuman_lambda0(phi, mc) - float(ref)) < 1e-12
+
+
+def test_carlson_rc_with_small_second_argument():
+    for y in (0.9, 0.5, 1e-3, 1e-10, 1e-17, 1e-60, 1e-300, 5e-324):
+        ref = mp.elliprc(1, mp.mpf(y))
+        assert carlson_rc(1.0, y) == pytest.approx(float(ref), rel=4e-15), y
+
+
+def test_carlson_rj_with_tiny_and_huge_arguments():
+    # the cubed products of the duplication would underflow or overflow
+    # without scaling
+    for args in [(0.0, 1e-200, 1.0, 1e-200), (0.0, 1e-200, 1.0, 2e-200),
+                 (1e-200, 2e-200, 3e-200, 4e-200), (0.0, 5e-324, 1.0, 0.5),
+                 (0.0, 1e-300, 1.0, 1e-120), (0.0, 1e-150, 1.0, 1.5),
+                 (1e200, 2e200, 3e200, 1e200),
+                 (0.3, 0.6, 1.2, 0.9)]:
+        with mp.workdps(100):
+            ref = mp.elliprj(*(mp.mpf(a) for a in args))
+        assert carlson_rj(*args) == pytest.approx(float(ref), rel=1e-14), args
 
 
 def test_carlson_symmetry():
@@ -109,9 +139,8 @@ def test_cubic_roots_residuals_and_fields():
     d = cubic_roots(em)
     for z in (d.zeta0, d.zeta1, d.zeta2):
         assert abs(cubic_value(z, em.h, em.j2)) < 1e-14
-    assert d.ksq == pytest.approx((d.zeta1 - d.zeta0) / (d.zeta2 - d.zeta0))
-    assert d.n_plus == pytest.approx((d.zeta1 - d.zeta0) / (1 - d.zeta0))
-    assert d.n_minus == pytest.approx((d.zeta1 - d.zeta0) / (-1 - d.zeta0))
+    assert d.span == pytest.approx(d.zeta2 - d.zeta0)
+    assert d.kcsq == pytest.approx((d.zeta2 - d.zeta1) / (d.zeta2 - d.zeta0))
 
 
 def test_cubic_roots_small_parameter_expansion():

@@ -27,13 +27,43 @@ def test_quadruple_value_h2():
         4 * math.sqrt(2) / math.pi * float(mp.ellipe(0.5)), rel=1e-14)
 
 
+# next to the critical energy, on both branches
+NEAR_SEPARATRIX = [s * 10.0 ** -k for k in range(1, 301) for s in (1, -1)]
+
+
 def test_legendre_relation_log_grid():
-    values = [-1.9 + 6.9 * i / 49 for i in range(50)]
+    values = [-1.9 + 6.9 * i / 49 for i in range(50)] + NEAR_SEPARATRIX
     for h in values:
         if abs(h) < 1e-9:
             continue
         quad = pendulum_quadruple(h)
         assert abs(quad.legendre_combination() - 8.0) < 1e-12
+
+
+def _quadruple_mp(h):
+    """(I, J, T, U) from mpmath at 1200 bits, with k^2 itself as the parameter."""
+    with mp.workprec(1200):
+        h = mp.mpf(h)
+        if h > 0:
+            ksq, kcsq = 2 / (2 + h), h / (2 + h)
+            k = mp.sqrt(ksq)
+            return (4 / (mp.pi * k) * mp.ellipe(ksq),
+                    8 / (mp.pi * k) * (mp.ellipk(kcsq) - mp.ellipe(kcsq)),
+                    2 * k * mp.ellipk(ksq), 4 * k * mp.ellipk(kcsq))
+        ksq, kcsq = (2 + h) / 2, -h / 2
+        return (4 / mp.pi * (mp.ellipe(ksq) - kcsq * mp.ellipk(ksq)),
+                8 / mp.pi * (ksq * mp.ellipk(kcsq) - mp.ellipe(kcsq)),
+                2 * mp.ellipk(ksq), 4 * mp.ellipk(kcsq))
+
+
+def test_quadruple_next_to_the_separatrix():
+    for h in NEAR_SEPARATRIX:
+        quad = pendulum_quadruple(h)
+        action, imag_action, period, imag_period = map(float, _quadruple_mp(h))
+        assert abs(quad.action - action) <= 1e-14, h
+        assert abs(quad.imaginary_action - imag_action) <= 1e-14, h
+        assert quad.period == pytest.approx(period, rel=1e-15), h
+        assert quad.imaginary_period == pytest.approx(imag_period, rel=1e-15), h
 
 
 def test_appell_duality():

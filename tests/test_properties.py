@@ -7,7 +7,6 @@ when both are finite, h >= -2 and that discriminant is non-negative.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,8 @@ from hypothesis import strategies as st
 
 from pendinv.actions import (action_I1, energy_of_j, j1_of_energy,
                              period_T_model, period_T_numeric, rotation_W_model,
-                             rotation_W_numeric, twist, two_pi_I1_model)
+                             rotation_W_numeric, twist, two_pi_I1_closed,
+                             two_pi_I1_energy_expansion, two_pi_I1_model)
 from pendinv.elliptic import DomainError, EnergyMomentum, cubic_roots
 
 SETTINGS = settings(deadline=None, max_examples=150)
@@ -121,11 +121,48 @@ def test_gaps_are_non_negative_roots_of_their_equations(point):
 @example((-1.5, 0.3))
 def test_action_even_in_j2(point):
     h, j2 = point
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")        # the separatrix model warning
-        up = action_I1(EnergyMomentum(h, j2))
-        down = action_I1(EnergyMomentum(h, -j2))
+    up = action_I1(EnergyMomentum(h, j2))
+    down = action_I1(EnergyMomentum(h, -j2))
     assert up.value == down.value and up.method == down.method
+
+
+def polar(log_rho_lo, log_rho_hi):
+    """Points at radius 10^u, u uniform in [lo, hi], about the critical value."""
+    return st.tuples(finite(log_rho_lo, log_rho_hi), finite(-math.pi, math.pi)).map(
+        lambda p: (10 ** p[0] * math.cos(p[1]), 10 ** p[0] * math.sin(p[1]))
+    ).filter(lambda p: in_image(*p))
+
+
+@SETTINGS
+@given(st.one_of(inside, polar(-300, -1)))
+@example((0.0, 1e-200))
+@example((1e-300, 0.0))
+@example((-1e-300, 0.0))
+@example((1e-40, 1e-40))
+@example((1e-150, 1e-150))
+@example((1e-17, -1e-17))
+@example((-1e-16, 1e-20))
+@example((0.0, 5e-324))
+@example((-2.0, 0.0))
+@example((0.625, 1.875))        # a relative equilibrium, zeta0 = zeta1 = -1/4
+@example((1e6, 1.0))
+def test_float_action_matches_the_closed_form(point):
+    h, j2 = point
+    closed = float(two_pi_I1_closed(h, j2, prec=80))
+    value = action_I1(EnergyMomentum(h, j2)).two_pi
+    assert math.isfinite(value)
+    assert abs(value - closed) <= 4e-14 * (1 + abs(closed))
+
+
+@SETTINGS
+@given(polar(-300, -3))
+def test_closed_form_action_tends_to_the_energy_expansion(point):
+    # an independent route next to the critical value: the displayed
+    # expansion, whose first omitted order is rho^4
+    h, j2 = point
+    rho = math.hypot(h, j2)
+    closed = float(two_pi_I1_closed(h, j2, prec=80))
+    assert abs(closed - two_pi_I1_energy_expansion(h, j2)) <= 10 * rho ** 4 + 4e-15
 
 
 # Off the axis: at j2 = 0 both signs of zero give the same axis limit.
