@@ -209,8 +209,10 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     delta0, eps1, eps2, span = d.delta0, d.eps1, d.eps2, d.span
     K, E = complete(d.kcsq)
     inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
+    # eps2 / (2 (2 + eps2)) < 1/2 is formed first: eps2 * inner overflows
+    # a float at large h
     c1_tilde = (h - eps2 - j2 * j2 / (4 * (2 + eps2))
-                - abs(j2) / 2 * lib.sqrt(eps2 * inner / (2 * (2 + eps2))))
+                - abs(j2) / 2 * lib.sqrt(inner * (eps2 / (2 * (2 + eps2)))))
     total = 4 / (lib.pi * lib.sqrt(2 * span)) * (c1_tilde * K + span * E)
     if j2 != 0:
         phi = lib.atan2(lib.sqrt(inner), abs(1 - eps1) * lib.sqrt(delta0 + eps2))
@@ -251,7 +253,8 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
     The real cycle covers [zeta0, zeta1] twice, so 2 pi I1 equals twice the
     plain integral of sqrt(P)/(1 - zeta^2).  Endpoint inverse square roots
     and the near-axis pole just outside the interval are resolved by the
-    double-exponential transform.  Returns (value, error_estimate) as mpf.
+    double-exponential transform.  Returns (value, error_estimate,
+    converged) from `tanh_sinh`, the first two as mpf.
     """
     d = _cubic_roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):
@@ -264,9 +267,9 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
                 return mp.mpf(0)
             return mp.sqrt(p) / (1 - z * z)
 
-        val, err = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec,
-                             max_level=max_level)
-        return 2 * val, 2 * err
+        val, err, converged = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec,
+                                        max_level=max_level)
+        return 2 * val, 2 * err, converged
 
 
 def action_I1(em: EnergyMomentum, method: str = "lambda0",
@@ -279,7 +282,7 @@ def action_I1(em: EnergyMomentum, method: str = "lambda0",
     at `prec` bits, the independent oracle.
     """
     if method == "quadrature":
-        val, _ = two_pi_I1_quadrature(em.h, em.j2, prec=prec)
+        val = two_pi_I1_quadrature(em.h, em.j2, prec=prec)[0]
         return ActionValue(float(val) / TWO_PI, "quadrature")
     if method != "lambda0":
         raise ValueError(f"unknown method {method!r}")
@@ -407,16 +410,16 @@ def period_T_numeric(em: EnergyMomentum) -> float:
 def rotation_W_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
     """Finite-difference oracle -dI1/dj2 via extended-precision quadrature."""
     h, j2 = em.h, em.j2
-    up, _ = two_pi_I1_quadrature(h, j2 + step, prec=prec)
-    dn, _ = two_pi_I1_quadrature(h, j2 - step, prec=prec)
+    up = two_pi_I1_quadrature(h, j2 + step, prec=prec)[0]
+    dn = two_pi_I1_quadrature(h, j2 - step, prec=prec)[0]
     return float(-(up - dn) / (2 * step) / TWO_PI)
 
 
 def period_T_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
     """Finite-difference oracle 2 pi dI1/dh."""
     h, j2 = em.h, em.j2
-    up, _ = two_pi_I1_quadrature(h + step, j2, prec=prec)
-    dn, _ = two_pi_I1_quadrature(h - step, j2, prec=prec)
+    up = two_pi_I1_quadrature(h + step, j2, prec=prec)[0]
+    dn = two_pi_I1_quadrature(h - step, j2, prec=prec)[0]
     return float((up - dn) / (2 * step))
 
 
@@ -562,9 +565,10 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     overdetermined Vandermonde system by QR least squares at the same
     precision.  On each circle the sample nearest the j2 = 0 axis, where
     the near-axis pole of the integrand is closest, is also integrated by
-    tanh-sinh quadrature (`precision` bits, `max_level`); a difference
-    above the quadrature's own stopping tolerance 2^(10 - precision) (1 +
-    |2 pi I1|) raises ConsistencyError, and the number of checked samples
+    tanh-sinh quadrature (`precision` bits, `max_level`); a quadrature that
+    stops at `max_level` unconverged, or a difference above its own
+    stopping tolerance 2^(10 - precision) (1 + |2 pi I1|), raises
+    ConsistencyError, and the number of checked samples
     and the largest difference are reported.  Raises FitQualityError when
     the residual exceeds 1e-3 times the smallest reference coefficient.
 
@@ -608,8 +612,12 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
             h = h_series.evaluate(j1m, j2m, prec=precision + 20)
             two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
             if index in checked:
-                quad, _ = two_pi_I1_quadrature(h, j2m, prec=precision,
-                                               max_level=max_level)
+                quad, _, converged = two_pi_I1_quadrature(
+                    h, j2m, prec=precision, max_level=max_level)
+                if not converged:
+                    raise ConsistencyError(
+                        f"quadrature oracle unconverged at level {max_level} "
+                        f"at (j1, j2) = ({j1!r}, {j2!r})")
                 diff = abs(two_pi_i1 - quad)
                 if diff > mp.mpf(2) ** (10 - precision) * (1 + abs(quad)):
                     raise ConsistencyError(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from .actions import energy_of_j, rotation_W_numeric
+from .actions import energy_of_j, period_T_numeric, rotation_W_numeric
 from .elliptic import DomainError, EnergyMomentum, cubic_roots
 
 
@@ -52,24 +52,37 @@ class PhaseState:
 
 
 def _rhs(_t: float, y: np.ndarray) -> np.ndarray:
-    """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3."""
-    r = y[:3]
-    p = y[3:]
-    ll = np.cross(r, p)
-    norm = math.sqrt(float(r @ r))
-    dr = np.cross(ll, r)
-    dp = np.cross(ll, p)
-    dp[2] -= 1.0 / norm
-    dp += (r[2] / norm ** 3) * r
-    return np.concatenate([dr, dp])
+    """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3.
+
+    Scalar cross products on Python floats: the solver calls this about 14
+    times per step, and numpy's cross on 3-vectors spends its time on axis
+    handling rather than arithmetic.
+    """
+    rx, ry, rz, px, py, pz = y.tolist()
+    lx = ry * pz - rz * py
+    ly = rz * px - rx * pz
+    lz = rx * py - ry * px
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    c = rz / norm ** 3
+    return np.array([ly * rz - lz * ry, lz * rx - lx * rz, lx * ry - ly * rx,
+                     ly * pz - lz * py + c * rx, lz * px - lx * pz + c * ry,
+                     lx * py - ly * px - 1.0 / norm + c * rz])
+
+
+def _zdot(y: np.ndarray) -> float:
+    """dz/dt = (L x r)_z; it falls through zero at a maximum of z."""
+    rx, ry, rz, px, py, pz = y.tolist()
+    return (ry * pz - rz * py) * ry - (rz * px - rx * pz) * rx
 
 
 def _project(y: np.ndarray) -> np.ndarray:
-    r = y[:3]
-    p = y[3:]
-    r = r / math.sqrt(float(r @ r))
-    p = p - float(r @ p) * r
-    return np.concatenate([r, p])
+    """Back onto (r, r) = 1, (r, p) = 0: r scaled to unit length, then the
+    radial part of p removed."""
+    rx, ry, rz, px, py, pz = y.tolist()
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)
+    rx, ry, rz = rx / norm, ry / norm, rz / norm
+    rp = rx * px + ry * py + rz * pz
+    return np.array([rx, ry, rz, px - rp * rx, py - rp * ry, pz - rp * rz])
 
 
 @dataclass
@@ -104,8 +117,9 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
 
     Records every accepted step, tracks the continuous azimuth, and refines
     each inclination turning point (maximum of z, the pericenter of the
-    reduced motion) on the dense interpolant.  Energy and angular-momentum
-    drift are reported and must stay within 10 * tol * t_end.
+    reduced motion) on the dense interpolant of its step, which is built
+    for those steps only.  Energy and angular-momentum drift are reported
+    and must stay within 10 * tol * t_end.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -119,10 +133,6 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
     phis = [math.atan2(y0[1], y0[0])]
     turning: list[tuple[float, float]] = []   # (time, unwrapped phi)
 
-    def zdot(y: np.ndarray) -> float:
-        r, p = y[:3], y[3:]
-        return float(np.cross(np.cross(r, p), r)[2])
-
     def unwrap(prev: float, raw: float) -> float:
         while raw - prev > math.pi:
             raw -= 2 * math.pi
@@ -130,24 +140,23 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
             raw += 2 * math.pi
         return raw
 
-    prev_zdot = zdot(y0)
+    prev_zdot = _zdot(y0)
     while solver.status == "running":
         msg = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"step failed: {msg}")
-        dense = solver.dense_output()
-        y = _project(solver.y)
-        solver.y[:] = y
-        solver.f = solver.fun(solver.t, solver.y)
         t = solver.t
+        y = _project(solver.y)
         phi = unwrap(phis[-1], math.atan2(y[1], y[0]))
-        cur_zdot = zdot(y)
+        cur_zdot = _zdot(y)
         if prev_zdot > 0.0 and cur_zdot <= 0.0 and len(times) > 1:
-            # z-maximum inside (t_prev, t): bisect the interpolant
+            # z-maximum inside (t_prev, t): bisect the step's interpolant,
+            # built before the projection below rewrites solver.y and solver.f
+            dense = solver.dense_output()
             lo, hi = times[-1], t
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if zdot(dense(mid)) > 0:
+                if _zdot(dense(mid)) > 0:
                     lo = mid
                 else:
                     hi = mid
@@ -157,9 +166,11 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
             y_star = dense(t_star)
             phi_star = unwrap(phis[-1], math.atan2(y_star[1], y_star[0]))
             turning.append((t_star, phi_star))
+        solver.y[:] = y
+        solver.f = solver.fun(t, solver.y)
         prev_zdot = cur_zdot
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         phis.append(phi)
         if len(times) > max_samples:
             raise IntegrationError("sample budget exhausted")
@@ -208,8 +219,6 @@ def initial_condition(em: EnergyMomentum) -> PhaseState:
 def rotation_number_measured(em: EnergyMomentum, n_periods: int = 3,
                              tol: float = 1e-12) -> tuple[float, OrbitRecord]:
     """Rotation number from direct integration over a few reduced periods."""
-    from .actions import period_T_numeric
-
     state = initial_condition(em)
     t_est = period_T_numeric(em)
     record = integrate(state, (n_periods + 0.25) * t_est, tol=tol)
@@ -277,8 +286,6 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
     h = energy_of_j(j1, j2)
     em = EnergyMomentum(h, j2)
     state0 = initial_condition(em)
-    from .actions import period_T_numeric
-
     t_period = period_T_numeric(em)
     record = integrate(state0, q * t_period, tol=tol)
     y_end = record.states[-1]

@@ -376,18 +376,27 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
         small = abs(j2) / 2 * (abs(j2) / (2 * big)) if big else 0.0
         eps1, eps2 = (small, big) if h >= 0 else (big, small)
         return 0.0, eps1, eps2, 2 - eps1
+    # eps2 (2 + eps2) overflows a float past eps2 = 2^512; there the
+    # equation and its slope are scaled by 2^-k near 1 / (4 eps2), which is
+    # exact and leaves each Newton step as it was
+    k = 0 if eps2 < 2.0 ** 511 else 2 + math.frexp(eps2)[1]
+    scale = math.ldexp(1.0, -k)
     last = math.inf
     while True:
-        slope = 2 * ((2 + 2 * eps2) * (eps2 - h) + eps2 * (2 + eps2))
-        step = (2 * eps2 * (2 + eps2) * (eps2 - h) - jsq) / slope
+        slope = 2 * ((2 + 2 * eps2) * (eps2 - h) * scale
+                     + eps2 * scale * (2 + eps2))
+        step = (2 * (eps2 * scale) * (2 + eps2) * (eps2 - h) - jsq * scale) / slope
         eps2 -= step
         if not tol * eps2 < abs(step) < last:   # converged, or rounding noise
             break
         last = abs(step)
-    slope = 2 * ((2 + 2 * eps2) * (eps2 - h) + eps2 * (2 + eps2))  # P'(zeta2)
+    # P'(zeta2) times scale
+    slope = 2 * ((2 + 2 * eps2) * (eps2 - h) * scale + eps2 * scale * (2 + eps2))
     sn, sd = _dyadic(slope)
-    width = sqrt_ratio(disc[0] * sd * sd, 4 * disc[1] * sn * sn)
-    delta1 = (h + 2 - eps2 + width) / 2
+    width = sqrt_ratio(disc[0] * sd * sd, 4 * disc[1] * sn * sn << 2 * k)
+    # delta0 + delta1 = h + 2 - eps2; for h > 0 eps2 - h goes first, or
+    # h + 2 drops the 2 once h passes 2^53
+    delta1 = ((h + 2 - eps2 if h <= 0 else 2 - (eps2 - h)) + width) / 2
     delta0 = jsq / (2 * (2 + eps2) * delta1)
     eps1 = eps2 - h + delta0 if h <= 0 else jsq / (2 * eps2 * (2 - delta0))
     return delta0, eps1, eps2, width

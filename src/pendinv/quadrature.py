@@ -49,18 +49,19 @@ def _nodes(prec: int, level: int):
 
 def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
               tol=None, min_level: int = 3) -> tuple:
-    """Integrate f over [a, b]; returns (value, error_estimate) as mpf.
+    """Integrate f over [a, b]; returns (value, error_estimate, converged).
 
     f is evaluated strictly inside (a, b); integrable endpoint
     singularities up to 1/sqrt converge at full accuracy.  The step is
     halved until two successive refinements agree to tol (default
-    relative 2^(10-prec)).
+    relative 2^(10-prec)); value and error estimate are mpf, and
+    `converged` is False when `max_level` was reached first.
     """
     with mp.workprec(prec + 20):
         a = mp.mpf(a)
         b = mp.mpf(b)
         if a == b:
-            return mp.mpf(0), mp.mpf(0)
+            return mp.mpf(0), mp.mpf(0), True
         half = (b - a) / 2
         mid = (a + b) / 2
         if tol is None:
@@ -72,6 +73,7 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             running += w * (f(a + half * d) + f(b - half * d))
         value = running * half
         err = abs(value)
+        converged = False
         for level in range(1, max_level + 1):
             add = mp.mpf(0)
             for idx, (d, w) in enumerate(_nodes(prec, level)):
@@ -83,5 +85,6 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             err = abs(new_value - value)
             value = new_value
             if level >= min_level and err <= tol * (1 + abs(value)):
+                converged = True
                 break
-        return value, err
+        return value, err, converged

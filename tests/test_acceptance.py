@@ -230,7 +230,6 @@ def test_criterion_11_twist():
     assert range_ok
 
 
-@pytest.mark.slow
 def test_criterion_12_periodic_orbits():
     targets = [F(4, 7), F(3, 5), F(5, 8), F(2, 3), F(5, 7), F(3, 4),
                F(4, 5), F(7, 8)]

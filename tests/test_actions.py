@@ -97,6 +97,13 @@ def _on_fit_circle(r, j2):
             for s in (1, -1)]
 
 
+def test_quadrature_reports_whether_it_converged():
+    # on the axis quadrature stalls short of its tolerance
+    assert two_pi_I1_quadrature(0.5, 0.0, prec=80)[2] is False
+    for prec in (53, 80):
+        assert two_pi_I1_quadrature(0.1, 0.1, prec=prec)[2] is True
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_closed_form_action_matches_quadrature(prec):
     # fit circles (|j2| = 1e-3 is the closest any fit sample comes to the
@@ -105,7 +112,8 @@ def test_closed_form_action_matches_quadrature(prec):
               + _on_fit_circle(0.2, 0.15)
               + [(0.5, 0.3), (2.0, 1.0), (-1.5, 0.3), (-1.2, 0.6), (-0.9, 0.5)])
     for h, j2 in points:
-        quad, _ = two_pi_I1_quadrature(h, j2, prec=prec)
+        quad, _, converged = two_pi_I1_quadrature(h, j2, prec=prec)
+        assert converged
         closed = two_pi_I1_closed(h, j2, prec=prec)
         assert abs(closed - quad) <= mp.mpf(2) ** -prec * (1 + abs(quad))
     # on the axis, where quadrature stalls, against the float route
@@ -316,6 +324,11 @@ def test_fit_invariant_reduced(monkeypatch):
     # one sample per circle, and the largest difference is reported
     assert len(quadratures) == res.oracle_samples == 4
     assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
+
+
+def test_fit_raises_on_an_unconverged_oracle():
+    with pytest.raises(ConsistencyError, match="unconverged"):
+        fit_invariant_S(**{**REDUCED_FIT, "max_level": 4})
 
 
 def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):

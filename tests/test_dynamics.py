@@ -6,10 +6,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from pendinv import dynamics
 from pendinv.actions import period_T_numeric, rotation_W_numeric
-from pendinv.dynamics import (PhaseState, _rhs, geometry_report,
-                              initial_condition, integrate, orbits_at_energy,
-                              periodic_orbit_search, rotation_number_measured)
+from pendinv.dynamics import (PhaseState, _project, _rhs, _zdot,
+                              geometry_report, initial_condition, integrate,
+                              orbits_at_energy, periodic_orbit_search,
+                              rotation_number_measured)
 from pendinv.elliptic import EnergyMomentum
 
 
@@ -17,6 +19,61 @@ def field(r, p):
     """(dr/dt, dp/dt) from the integrator's right-hand side."""
     y = _rhs(0.0, np.concatenate([r, p]))
     return y[:3], y[3:]
+
+
+# numpy forms of the scalar kernels, kept as their oracle
+
+
+def rhs_vector(y):
+    r, p = y[:3], y[3:]
+    ll = np.cross(r, p)
+    norm = math.sqrt(float(r @ r))
+    dp = np.cross(ll, p)
+    dp[2] -= 1.0 / norm
+    dp += (r[2] / norm ** 3) * r
+    return np.concatenate([np.cross(ll, r), dp])
+
+
+def project_vector(y):
+    r = y[:3] / math.sqrt(float(y[:3] @ y[:3]))
+    return np.concatenate([r, y[3:] - float(r @ y[3:]) * r])
+
+
+def zdot_vector(y):
+    r, p = y[:3], y[3:]
+    return float(np.cross(np.cross(r, p), r)[2])
+
+
+def near_constraint_states(n=100, seed=3):
+    """Seeded states with |p| from 1e-3 to 1e3, moved off the constraint
+    set by a relative 1e-9, as an integration step leaves them."""
+    rng = np.random.default_rng(seed)
+    for size in np.logspace(-3, 3, n):
+        r = rng.normal(size=3)
+        r /= np.linalg.norm(r)
+        p = rng.normal(size=3)
+        p -= (r @ p) * r
+        y = np.concatenate([r, p * (size / np.linalg.norm(p))])
+        yield y * (1 + 1e-9 * rng.normal(size=6))
+
+
+def test_scalar_kernels_match_the_vector_forms():
+    for y in near_constraint_states():
+        for new, old in ((_rhs(0.0, y), rhs_vector(y)),
+                         (_project(y), project_vector(y))):
+            assert np.linalg.norm(new - old) <= 1e-15 * np.linalg.norm(old)
+        assert abs(_zdot(y) - zdot_vector(y)) <= 1e-15 * abs(zdot_vector(y))
+
+
+def test_projection_lands_on_the_constraint_set():
+    # residuals of the stored floats, in exact arithmetic; u = 2^-53
+    u = F(1, 2 ** 53)
+    for y in near_constraint_states():
+        out = [F(v) for v in _project(y).tolist()]
+        r, p = out[:3], out[3:]
+        assert abs(sum(a * a for a in r) - 1) <= 6 * u
+        assert abs(sum(a * b for a, b in zip(r, p))) \
+            <= 4 * u * F(np.linalg.norm(y[3:]))
 
 
 def test_vector_field_equilibria():
@@ -63,7 +120,6 @@ def test_small_oscillation_period():
     assert period == pytest.approx(2 * math.pi * (1 + amp ** 2 / 16), rel=1e-6)
 
 
-@pytest.mark.slow
 def test_drift_bounds_hundred_periods():
     em = EnergyMomentum(0.1, 0.15)
     state = initial_condition(em)
@@ -110,11 +166,44 @@ def test_reduced_period_at_reference_point():
     assert abs(t_meas - period_T_numeric(em)) < 1e-6
 
 
-def test_periodic_orbit_three_quarters():
+def test_periodic_orbit_three_quarters(monkeypatch):
+    built = []
+
+    class Spy(dynamics.DOP853):
+        def dense_output(self):
+            built.append(self.t)
+            return super().dense_output()
+
+    monkeypatch.setattr(dynamics, "DOP853", Spy)
     res = periodic_orbit_search(F(3, 4), 0.75, tol=1e-12)
     assert res.closure_error < 1e-6
     # measured winding over q periods closes to the target
     assert res.record.rotation_number == pytest.approx(0.75, abs=1e-7)
+    # a step's interpolant is built only to refine a turning point in it
+    assert len(built) == len(res.record.turning_times) >= 2
+
+
+def test_turning_points_use_the_interpolant_of_the_unprojected_step(monkeypatch):
+    # reference: each step's interpolant built as soon as the step is taken,
+    # before the projection rewrites the solver state
+    class Eager(dynamics.DOP853):
+        def step(self):
+            message = super().step()
+            self.eager = super().dense_output()
+            return message
+
+        def dense_output(self):
+            return self.eager
+
+    # at a loose tolerance the projection moves the state enough to change
+    # an interpolant built after it
+    state = initial_condition(EnergyMomentum(0.1, 0.1))
+    lazy = integrate(state, 40.0, tol=1e-8)
+    monkeypatch.setattr(dynamics, "DOP853", Eager)
+    eager = integrate(state, 40.0, tol=1e-8)
+    assert len(lazy.turning_times) >= 2
+    assert lazy.turning_times == eager.turning_times
+    assert lazy.rotation_number == eager.rotation_number
 
 
 def test_rotation_target_limits_small_radius():

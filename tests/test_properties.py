@@ -89,10 +89,12 @@ def _residual_ok(terms):
     """The exact sum of `terms` is small against the sum of their sizes.
 
     Below the smallest normal float nothing is resolved, which is the
-    absolute floor.
+    absolute floor.  The comparison stays in exact arithmetic: at large h
+    the terms pass the float range.
     """
     terms = [Fraction(t) for t in terms]
-    return abs(sum(terms)) <= 1e-12 * sum(abs(t) for t in terms) + 2.0 ** -1022
+    return (abs(sum(terms))
+            <= Fraction(1e-12) * sum(abs(t) for t in terms) + Fraction(2.0 ** -1022))
 
 
 @SETTINGS
@@ -101,6 +103,9 @@ def _residual_ok(terms):
 @example((-1.9999999848921983, -7.096793468803744e-09))
 @example((-2.0, 0.0))
 @example((0.0, 0.0))
+@example((1e20, 1.0))            # h + 2 rounds to h
+@example((1e154, 1.0))
+@example((1e300, 1e10))
 def test_gaps_are_non_negative_roots_of_their_equations(point):
     h, j2 = point
     d = cubic_roots(EnergyMomentum(h, j2))
@@ -152,6 +157,17 @@ def test_float_action_matches_the_closed_form(point):
     value = action_I1(EnergyMomentum(h, j2)).two_pi
     assert math.isfinite(value)
     assert abs(value - closed) <= 4e-14 * (1 + abs(closed))
+
+
+@pytest.mark.parametrize("h, j2", [(1e154, 1.0), (1e300, 1e10)])
+def test_float_physics_at_large_energy(h, j2):
+    # past eps2 ~ h ~ 1.3e154 the unscaled gap equation overflows a float
+    em = EnergyMomentum(h, j2)
+    closed = float(two_pi_I1_closed(h, j2, prec=80))
+    value = action_I1(em).two_pi
+    assert abs(value - closed) <= 4e-14 * (1 + abs(closed))
+    assert math.isfinite(rotation_W_numeric(em))
+    assert math.isfinite(period_T_numeric(em))
 
 
 @SETTINGS
