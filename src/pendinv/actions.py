@@ -210,10 +210,12 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     K, E = complete(d.kcsq)
     inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
     # eps2 / (2 (2 + eps2)) < 1/2 is formed first: eps2 * inner overflows
-    # a float at large h
-    c1_tilde = (h - eps2 - j2 * j2 / (4 * (2 + eps2))
-                - abs(j2) / 2 * lib.sqrt(inner * (eps2 / (2 * (2 + eps2)))))
-    total = 4 / (lib.pi * lib.sqrt(2 * span)) * (c1_tilde * K + span * E)
+    # a float at large h, and so do 2 (2 + eps2), 2 span and span E past
+    # h ~ 9e307; with root = sqrt(span / 2), c0 = 2 / (pi root)
+    c1_tilde = (h - eps2 - j2 * j2 / (2 + eps2) / 4
+                - abs(j2) / 2 * lib.sqrt(inner * (eps2 / (2 + eps2) / 2)))
+    root = lib.sqrt(span / 2)
+    total = 2 / lib.pi * (c1_tilde * K / root + 2 * root * E)
     if j2 != 0:
         phi = lib.atan2(lib.sqrt(inner), abs(1 - eps1) * lib.sqrt(delta0 + eps2))
         lam = lambda0(phi, d.kcsq, K, E)
@@ -232,8 +234,39 @@ def _complete_mp(mc):
     return mp.pi / (2 * mp.agm(1, mp.sqrt(mc))), mp.sqrt(mc) * mp.ellipe(1 - 1 / mc)
 
 
+def _incomplete_mp(phi, mc):
+    """F(phi | mc) and E(phi | mc), parameter mc, by the descending Landen
+    transformation (A&S 17.6, DLMF 19.8).
+
+    The AGM a, g starts from (1, sqrt(1 - mc)) with c0^2 = mc and
+    c_{n+1} = (a_n - g_n) / 2; the amplitude doubles as phi_{n+1} = 2 phi_n
+    - atan2((a - g) sin cos, a cos^2 + g sin^2), whose denominator is
+    positive, so no multiple of pi is tracked.  Then F = phi_N / (2^N a_N)
+    and E = F (1 - sum 2^(n-1) c_n^2) + sum c_n sin phi_n.  At mc = 1 the
+    AGM of (1, 0) does not converge; there F = asinh(tan phi), E = sin phi,
+    with |cos phi| so that a phi rounded past pi/2 stays on the branch.
+    """
+    cos, sin = mp.cos_sin(phi)
+    if mc == 1:
+        return mp.asinh(sin / abs(cos)), sin
+    a, g = mp.mpf(1), mp.sqrt(1 - mc)
+    tol = mp.ldexp(1, 2 - mp.mp.prec)
+    weight, c_sq_sum, sin_sum = 1, mc / 2, 0
+    while a - g > tol * a:
+        c = (a - g) / 2
+        phi = 2 * phi - mp.atan2((a - g) * sin * cos, a * cos * cos + g * sin * sin)
+        a, g = (a + g) / 2, mp.sqrt(a * g)
+        cos, sin = mp.cos_sin(phi)
+        c_sq_sum += weight * c * c
+        sin_sum += c * sin
+        weight *= 2
+    F = phi / (weight * a)
+    return F, F * (1 - c_sq_sum) + sin_sum
+
+
 def _lambda0_mp(phi, mc, K, E):
-    return 2 / mp.pi * (K * mp.ellipe(phi, mc) - (K - E) * mp.ellipf(phi, mc))
+    F, E_phi = _incomplete_mp(phi, mc)
+    return 2 / mp.pi * (K * E_phi - (K - E) * F)
 
 
 def two_pi_I1_closed(h, j2, prec: int = 53):
@@ -553,24 +586,86 @@ class InvariantSeries:
     i10_two_pi: float = 8.0
 
 
+def _midpoint_circle(r, n: int) -> list:
+    """The n points r (cos theta_i, sin theta_i), theta_i = pi (2i + 1) / n,
+    in mpf at the working precision."""
+    r = mp.mpf(r)
+    return [(r * mp.cospi(mp.mpf(2 * i + 1) / n), r * mp.sinpi(mp.mpf(2 * i + 1) / n))
+            for i in range(n)]
+
+
+def _harmonic_monomials(d: int, m: int) -> dict[tuple[int, int], int]:
+    """Re(z^m) |z|^(d - m), z = j1 + i j2, m = d mod 2: its integer
+    coefficients of j1^a j2^b (b even, a + b = d)."""
+    p = (d - m) // 2
+    out: dict[tuple[int, int], int] = {}
+    for k in range(0, m + 1, 2):
+        for i in range(p + 1):
+            mono = (m - k + 2 * (p - i), k + 2 * i)
+            out[mono] = out.get(mono, 0) + (-1) ** (k // 2) * math.comb(m, k) * math.comb(p, i)
+    return out
+
+
+def _harmonic_lsq(radii, values, order: int):
+    """Least squares of S_fit = sum c_ab j1^a j2^b (b even, 1 <= a + b <=
+    order) against `values`, sampled on the `_midpoint_circle` grid of each
+    radius; returns the coefficients by (a, b) and the residuals.
+
+    On a circle S_fit = sum over m <= order of g_m(r) cos(m theta), g_m(r) =
+    sum c(d, m) r^d over d = m, m + 2, ..., the coefficients of Re(z^m)
+    |z|^(d - m).  On n > 2 order midpoint angles the cos(m theta) are
+    orthogonal with equal norms on every circle, so the normal equations
+    split by harmonic: g_m fits, by least squares over the circles, the
+    cosine projection of the values, a radial Vandermonde of at most
+    ceil(order / 2) unknowns and one row per circle, full rank for distinct
+    radii when order <= 2 len(radii).  This is the dense monomial least
+    squares solved exactly, not an approximation to it.
+    """
+    n = len(values[0])
+    cos_table = [[mp.cospi(mp.mpf(m * (2 * i + 1)) / n) for i in range(n)]
+                 for m in range(order + 1)]
+    coeffs = {(d - b, b): mp.mpf(0) for d in range(1, order + 1) for b in range(0, d + 1, 2)}
+    radial = [[mp.mpf(0)] * (order + 1) for _ in radii]
+    for m in range(order + 1):
+        degrees = range(m or 2, order + 1, 2)
+        if not degrees:
+            continue
+        weight = mp.mpf(2 if m else 1) / n
+        proj = [weight * mp.fdot(cos_table[m], circle) for circle in values]
+        powers = [[mp.mpf(r) ** d for d in degrees] for r in radii]
+        try:
+            sol, _res = mp.qr_solve(mp.matrix(powers), mp.matrix(proj))
+        except (ZeroDivisionError, ValueError) as exc:
+            raise FitQualityError(f"degenerate fit system: {exc}") from exc
+        for k, d in enumerate(degrees):
+            for mono, t in _harmonic_monomials(d, m).items():
+                coeffs[mono] += t * sol[k]
+        for c, row in enumerate(powers):
+            radial[c][m] = mp.fdot(row, sol)
+    residuals = [mp.fdot(radial[c], [cos_table[m][i] for m in range(order + 1)]) - y
+                 for c, circle in enumerate(values) for i, y in enumerate(circle)]
+    return coeffs, residuals
+
+
 def fit_invariant_S(order: int = 10, precision: int = 256,
                     samples: int = 160, radii: tuple | None = None,
                     h_degree: int = 14, max_level: int = 12) -> InvariantSeries:
     """Fit the polynomial invariant from high-precision action values.
 
-    Samples (j1, j2) on concentric circles (axis neighbourhoods of width
-    1e-3 excluded), maps to energy through the high-order normal form,
-    evaluates 2 pi I1 in closed form (`two_pi_I1_closed`) at `precision`
-    bits, subtracts the universal singular terms exactly, and solves the
-    overdetermined Vandermonde system by QR least squares at the same
-    precision.  On each circle the sample nearest the j2 = 0 axis, where
-    the near-axis pole of the integrand is closest, is also integrated by
-    tanh-sinh quadrature (`precision` bits, `max_level`); a quadrature that
-    stops at `max_level` unconverged, or a difference above its own
-    stopping tolerance 2^(10 - precision) (1 + |2 pi I1|), raises
-    ConsistencyError, and the number of checked samples
-    and the largest difference are reported.  Raises FitQualityError when
-    the residual exceeds 1e-3 times the smallest reference coefficient.
+    Samples (j1, j2) at the uniform midpoint angles of concentric circles,
+    formed in mpf (the j2 = 0 axis included, where the closed form holds),
+    maps to energy through the high-order normal form, evaluates 2 pi I1 in
+    closed form (`two_pi_I1_closed`) at `precision` bits, subtracts the
+    universal singular terms exactly, and solves the least squares in the
+    monomials by harmonics (`_harmonic_lsq`) at the same precision.  On
+    each circle the sample nearest the axis with |j2| >= 1e-3 (quadrature
+    does not converge on the axis) is also integrated by tanh-sinh
+    quadrature (`precision` bits, `max_level`); a quadrature that stops at
+    `max_level` unconverged, or a difference above its own stopping
+    tolerance 2^(10 - precision) (1 + |2 pi I1|), raises ConsistencyError,
+    and the number of checked samples and the largest difference are
+    reported.  Raises FitQualityError when the residual exceeds 1e-3 times
+    the smallest reference coefficient.
 
     Polynomials of the form j1 * prod_i (j1^2 + j2^2 - r_i^2) respect the
     parity of the column set and vanish on every sampled circle, so the
@@ -583,60 +678,44 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         radii = (0.08, 0.14, 0.2, 0.26, 0.32) if order >= 7 \
             else (0.05, 0.09, 0.13, 0.17)
     h_series = birkhoff_series(h_degree)
-    monomials = [(a, b) for d in range(1, order + 1)
-                 for b in range(0, d + 1, 2)
-                 for a in [d - b]]
     if order > 2 * len(radii):
         raise ValueError(
             f"{len(radii)} circles leave a kernel for degree {order}; "
             f"need at least {math.ceil(order / 2)} distinct radii")
-    # midpoint angle grids alias the top cosine harmonic when too coarse
+    # more than 2 order angles keep the harmonics up to order orthogonal
     per_circle = max(2 * order + 3, samples // len(radii))
-    points: list[tuple[float, float]] = []
-    checked = set()                    # per circle, the sample nearest the axis
-    for r in radii:
-        angles = (2 * math.pi * (i + 0.5) / per_circle for i in range(per_circle))
-        circle = [(r * math.cos(ang), r * math.sin(ang)) for ang in angles]
-        circle = [(j1, j2) for (j1, j2) in circle if abs(j2) >= 1e-3]
-        checked.add(len(points) + min(range(len(circle)),
-                                      key=lambda i: abs(circle[i][1])))
-        points.extend(circle)
 
     with mp.workprec(precision + 20):
-        rows = []
-        rhs = []
+        values = []
         oracle_diff = mp.mpf(0)
-        for index, (j1, j2) in enumerate(points):
-            j1m = mp.mpf(j1)
-            j2m = mp.mpf(j2)
-            h = h_series.evaluate(j1m, j2m, prec=precision + 20)
-            two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
-            if index in checked:
-                quad, _, converged = two_pi_I1_quadrature(
-                    h, j2m, prec=precision, max_level=max_level)
-                if not converged:
-                    raise ConsistencyError(
-                        f"quadrature oracle unconverged at level {max_level} "
-                        f"at (j1, j2) = ({j1!r}, {j2!r})")
-                diff = abs(two_pi_i1 - quad)
-                if diff > mp.mpf(2) ** (10 - precision) * (1 + abs(quad)):
-                    raise ConsistencyError(
-                        f"closed-form action off quadrature by {float(diff):.3e} "
-                        f"at (j1, j2) = ({j1!r}, {j2!r})")
-                oracle_diff = max(oracle_diff, diff)
-            rho = mp.sqrt(j1m * j1m + j2m * j2m)
-            singular = (8 - 2 * mp.pi * abs(j2m) + j2m * mp.atan2(j2m, j1m)
-                        - j1m * mp.log(rho) + j1m)
-            rhs.append(two_pi_i1 - singular)
-            rows.append([j1m ** a * j2m ** b for (a, b) in monomials])
-        A = mp.matrix(rows)
-        b = mp.matrix(rhs)
-        try:
-            sol, _res = mp.qr_solve(A, b)
-        except (ZeroDivisionError, ValueError) as exc:
-            raise FitQualityError(f"degenerate fit system: {exc}") from exc
-        coeffs = {mono: sol[i] for i, mono in enumerate(monomials)}
-        resid = A * sol - b
+        for r in radii:
+            circle = _midpoint_circle(r, per_circle)
+            # ties between mirror samples go to the last, below the j1 > 0 axis
+            checked = min(reversed([p for p in circle if abs(p[1]) >= 1e-3]),
+                          key=lambda p: float(abs(p[1])))
+            values.append([])
+            for point in circle:
+                j1m, j2m = point
+                h = h_series.evaluate(j1m, j2m, prec=precision + 20)
+                two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
+                if point is checked:
+                    quad, _, converged = two_pi_I1_quadrature(
+                        h, j2m, prec=precision, max_level=max_level)
+                    if not converged:
+                        raise ConsistencyError(
+                            f"quadrature oracle unconverged at level {max_level} "
+                            f"at (j1, j2) = ({float(j1m)!r}, {float(j2m)!r})")
+                    diff = abs(two_pi_i1 - quad)
+                    if diff > mp.mpf(2) ** (10 - precision) * (1 + abs(quad)):
+                        raise ConsistencyError(
+                            f"closed-form action off quadrature by {float(diff):.3e} "
+                            f"at (j1, j2) = ({float(j1m)!r}, {float(j2m)!r})")
+                    oracle_diff = max(oracle_diff, diff)
+                rho = mp.sqrt(j1m * j1m + j2m * j2m)
+                singular = (8 - 2 * mp.pi * abs(j2m) + j2m * mp.atan2(j2m, j1m)
+                            - j1m * mp.log(rho) + j1m)
+                values[-1].append(two_pi_i1 - singular)
+        coeffs, resid = _harmonic_lsq(radii, values, order)
         residual_max = float(max(abs(x) for x in resid))
         residual_rms = float(mp.sqrt(sum(x * x for x in resid) / len(resid)))
         ln32_error = float(abs(coeffs[(1, 0)] - mp.log(32)))
@@ -662,10 +741,10 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
 
     return InvariantSeries(
         coefficients={k: float(v) for k, v in coeffs.items()},
-        order=order, precision=precision, samples=len(points),
+        order=order, precision=precision, samples=len(resid),
         residual_max=residual_max, residual_rms=residual_rms,
         ln32_error=ln32_error, reference_errors=reference_errors,
-        snapped=invariant_polynomial(4), oracle_samples=len(checked),
+        snapped=invariant_polynomial(4), oracle_samples=len(radii),
         oracle_max_diff=float(oracle_diff))
 
 

@@ -372,7 +372,7 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
         return 0.0, max(0.0, -h), max(0.0, h), 2 - max(0.0, -h)
     jsq = j2 * j2
     if jsq == 0:
-        big = (abs(h) + math.hypot(h, j2)) / 2
+        big = abs(h) / 2 + math.hypot(h, j2) / 2      # the sum overflows near 1.8e308
         small = abs(j2) / 2 * (abs(j2) / (2 * big)) if big else 0.0
         eps1, eps2 = (small, big) if h >= 0 else (big, small)
         return 0.0, eps1, eps2, 2 - eps1
@@ -383,7 +383,7 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     scale = math.ldexp(1.0, -k)
     last = math.inf
     while True:
-        slope = 2 * ((2 + 2 * eps2) * (eps2 - h) * scale
+        slope = 2 * (2 * ((1 + eps2) * scale) * (eps2 - h)
                      + eps2 * scale * (2 + eps2))
         step = (2 * (eps2 * scale) * (2 + eps2) * (eps2 - h) - jsq * scale) / slope
         eps2 -= step
@@ -391,14 +391,14 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
             break
         last = abs(step)
     # P'(zeta2) times scale
-    slope = 2 * ((2 + 2 * eps2) * (eps2 - h) * scale + eps2 * scale * (2 + eps2))
+    slope = 2 * (2 * ((1 + eps2) * scale) * (eps2 - h) + eps2 * scale * (2 + eps2))
     sn, sd = _dyadic(slope)
     width = sqrt_ratio(disc[0] * sd * sd, 4 * disc[1] * sn * sn << 2 * k)
     # delta0 + delta1 = h + 2 - eps2; for h > 0 eps2 - h goes first, or
     # h + 2 drops the 2 once h passes 2^53
     delta1 = ((h + 2 - eps2 if h <= 0 else 2 - (eps2 - h)) + width) / 2
-    delta0 = jsq / (2 * (2 + eps2) * delta1)
-    eps1 = eps2 - h + delta0 if h <= 0 else jsq / (2 * eps2 * (2 - delta0))
+    delta0 = jsq * scale / (2 * ((2 + eps2) * scale) * delta1)
+    eps1 = eps2 - h + delta0 if h <= 0 else jsq * scale / (2 * (eps2 * scale) * (2 - delta0))
     return delta0, eps1, eps2, width
 
 
@@ -415,6 +415,6 @@ def cubic_roots(em: EnergyMomentum) -> EllipticData:
     disc = _discriminant(h, j2)
     jsq = j2 * j2
     s = math.hypot(h, j2)
-    start = (h + s) / 2 if h >= 0 else jsq / (2 * (s - h))
+    start = h / 2 + s / 2 if h >= 0 else jsq / (2 * (s - h))   # h + s may overflow
     return EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc,
                                          lambda n, d: math.sqrt(n / d)))

@@ -54,8 +54,18 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
     f is evaluated strictly inside (a, b); integrable endpoint
     singularities up to 1/sqrt converge at full accuracy.  The step is
     halved until two successive refinements agree to tol (default
-    relative 2^(10-prec)); value and error estimate are mpf, and
-    `converged` is False when `max_level` was reached first.
+    relative 2^(10-prec)) and the last relative difference d_L still falls
+    doubly exponentially, d_L <= d_(L-1)^1.25, or sits at the noise floor
+    2^(6-prec).  Differences that shrink by a fixed factor per level, as
+    on the j2 = 0 axis of the action integrand, can meet the tolerance
+    while the error is a hundred times larger; they do not count.  (The
+    exponent is below 2 because near the critical value the descent is
+    still pre-asymptotic, about 1.4, when it reaches the tolerance.  The
+    floor lies above the plateau of rounding noise that differences reach
+    there, up to about 2^(5.4-prec), and below the 2^(6.9-prec) that the
+    axis differences come down to at (0.5, 0) and 53 bits.)
+    Value and error estimate are mpf, and `converged` is False when
+    `max_level` was reached first.
     """
     with mp.workprec(prec + 20):
         a = mp.mpf(a)
@@ -73,6 +83,8 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             running += w * (f(a + half * d) + f(b - half * d))
         value = running * half
         err = abs(value)
+        last = mp.mpf(1)                          # previous relative difference
+        floor = mp.mpf(2) ** (6 - prec)           # above the noise plateau
         converged = False
         for level in range(1, max_level + 1):
             add = mp.mpf(0)
@@ -84,7 +96,9 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             new_value = running * half
             err = abs(new_value - value)
             value = new_value
-            if level >= min_level and err <= tol * (1 + abs(value)):
+            rel = err / (1 + abs(value))
+            if level >= min_level and rel <= tol and (rel <= last ** 1.25 or rel <= floor):
                 converged = True
                 break
+            last = rel
         return value, err, converged

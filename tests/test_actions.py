@@ -1,6 +1,7 @@
 """Action integrals, series identities, invariant fit, twist, monodromy."""
 
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -102,6 +103,44 @@ def test_quadrature_reports_whether_it_converged():
     assert two_pi_I1_quadrature(0.5, 0.0, prec=80)[2] is False
     for prec in (53, 80):
         assert two_pi_I1_quadrature(0.1, 0.1, prec=prec)[2] is True
+
+
+def test_quadrature_rejects_wandering_differences_on_the_axis():
+    # at 53 bits the axis differences fall under the tolerance and wander
+    # there, down to 2^(6.9 - 53) at level 11, while the value is 7e-11 off
+    value, _, converged = two_pi_I1_quadrature(0.5, 0.0, prec=53)
+    assert converged is False
+    assert abs(value - two_pi_I1_closed(0.5, 0.0, prec=80)) > 1e-11
+
+
+def test_quadrature_accepts_differences_at_the_noise_plateau():
+    # next to the critical value the differences fall doubly exponentially
+    # to a rounding plateau near 2^(4 - prec) at level 9 and stay there
+    value, _, converged = two_pi_I1_quadrature(1e-9, 1e-9, prec=128, max_level=9)
+    assert converged is True
+    assert abs(value - two_pi_I1_closed(1e-9, 1e-9, prec=148)) <= 2.0 ** (10 - 128)
+
+
+@pytest.mark.parametrize("prec", [80, 128, 256])
+def test_landen_incomplete_integrals_match_mpmath(prec):
+    # mpmath's ellipf and ellipe form 1/sin^2 phi - 1 and 1 - mc, which lose
+    # about 2 (prec + 20) and 140 bits here, so the reference runs at 3 prec
+    # + 100 bits; phi = pi/2 is rounded down, where F(phi | 1) is finite
+    rng = random.Random(prec)
+    with mp.workprec(prec + 20):
+        half_pi = mp.mpf(mp.libmp.mpf_pi(prec + 20, mp.libmp.round_floor)) / 2
+        phis = [mp.mpf(0), half_pi] + [half_pi * rng.random() for _ in range(3)]
+    with mp.workprec(4 * prec):
+        mcs = ([mp.mpf("1e-300"), mp.mpf("1e-30"), 1 - mp.mpf(2) ** -140, mp.mpf(1)]
+               + [mp.mpf(10) ** -rng.uniform(0, 300) for _ in range(6)])
+    for phi in phis:
+        for mc in mcs:
+            with mp.workprec(prec + 20):
+                F, E = actions._incomplete_mp(phi, mc)
+            with mp.workprec(3 * prec + 100):
+                refs = (mp.ellipf(phi, mc), mp.ellipe(phi, mc))
+            for value, ref in zip((F, E), refs):
+                assert abs(value - ref) <= mp.mpf(2) ** -prec * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -306,7 +345,6 @@ REDUCED_FIT = dict(order=8, precision=128, samples=80,
                    radii=(0.08, 0.14, 0.2, 0.26), h_degree=12, max_level=11)
 
 
-@pytest.mark.slow
 def test_fit_invariant_reduced(monkeypatch):
     quadratures = []
 
@@ -326,6 +364,46 @@ def test_fit_invariant_reduced(monkeypatch):
     assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
 
 
+# the command line's reduced fit: 19 angles per circle, one on the axis
+CLI_FIT = dict(order=8, precision=128, samples=80)
+
+
+@pytest.mark.parametrize("fit", [CLI_FIT, REDUCED_FIT], ids=["odd-grid", "even-grid"])
+def test_harmonic_solve_equals_dense_qr(monkeypatch, fit):
+    solves, qr_rows = [], []
+    harmonic_lsq, qr_solve = actions._harmonic_lsq, mp.qr_solve
+
+    def spy_lsq(radii, values, order):
+        out = harmonic_lsq(radii, values, order)
+        solves.append((radii, values, out[0]))
+        return out
+
+    def spy_qr(A, b, **kwargs):
+        qr_rows.append(A.rows)
+        return qr_solve(A, b, **kwargs)
+
+    monkeypatch.setattr(actions, "_harmonic_lsq", spy_lsq)
+    monkeypatch.setattr(mp, "qr_solve", spy_qr)
+    fit_invariant_S(**fit)
+    monkeypatch.undo()
+    [(radii, values, coeffs)] = solves
+    # only radial blocks, one row per circle, reach the QR
+    assert qr_rows and max(qr_rows) <= len(radii)
+    n = len(values[0])
+    if n % 2:                                   # the middle sample is on the axis
+        assert all(actions._midpoint_circle(r, n)[n // 2][1] == 0 for r in radii)
+    # the dense monomial system on the same points, solved as one QR
+    with mp.workprec(fit["precision"] + 20):
+        monos = list(coeffs)
+        rows, rhs = [], []
+        for r, circle in zip(radii, values):
+            for (j1, j2), y in zip(actions._midpoint_circle(r, n), circle):
+                rows.append([j1 ** a * j2 ** b for a, b in monos])
+                rhs.append(y)
+        dense, _ = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))
+        assert max(abs(coeffs[mono] - dense[i]) for i, mono in enumerate(monos)) < 1e-30
+
+
 def test_fit_raises_on_an_unconverged_oracle():
     with pytest.raises(ConsistencyError, match="unconverged"):
         fit_invariant_S(**{**REDUCED_FIT, "max_level": 4})
@@ -340,7 +418,6 @@ def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
         fit_invariant_S(**REDUCED_FIT)
 
 
-@pytest.mark.slow
 def test_fit_stability_under_sample_doubling():
     a = fit_invariant_S(**REDUCED_FIT)
     b = fit_invariant_S(**{**REDUCED_FIT, "samples": 160})

@@ -106,6 +106,8 @@ def _residual_ok(terms):
 @example((1e20, 1.0))            # h + 2 rounds to h
 @example((1e154, 1.0))
 @example((1e300, 1e10))
+@example((1e308, 1e150))         # h + hypot(h, j2) and 2 eps2 overflow
+@example((1.7e308, 1.0))
 def test_gaps_are_non_negative_roots_of_their_equations(point):
     h, j2 = point
     d = cubic_roots(EnergyMomentum(h, j2))
@@ -159,9 +161,11 @@ def test_float_action_matches_the_closed_form(point):
     assert abs(value - closed) <= 4e-14 * (1 + abs(closed))
 
 
-@pytest.mark.parametrize("h, j2", [(1e154, 1.0), (1e300, 1e10)])
+@pytest.mark.parametrize("h, j2", [(1e154, 1.0), (1e300, 1e10), (1e308, 1e150),
+                                   (1.7e308, 1.0)])
 def test_float_physics_at_large_energy(h, j2):
-    # past eps2 ~ h ~ 1.3e154 the unscaled gap equation overflows a float
+    # past eps2 ~ h ~ 1.3e154 the unscaled gap equation overflows a float,
+    # past h ~ 9e307 so do h + hypot(h, j2), 2 span and span E
     em = EnergyMomentum(h, j2)
     closed = float(two_pi_I1_closed(h, j2, prec=80))
     value = action_I1(em).two_pi
@@ -179,6 +183,19 @@ def test_closed_form_action_tends_to_the_energy_expansion(point):
     rho = math.hypot(h, j2)
     closed = float(two_pi_I1_closed(h, j2, prec=80))
     assert abs(closed - two_pi_I1_energy_expansion(h, j2)) <= 10 * rho ** 4 + 4e-15
+
+
+@SETTINGS
+@given(polar(-7, math.log10(0.36)).filter(lambda p: abs(p[1]) >= 1e-7))
+@example((0.3, 0.2))
+@example((-0.35, 1e-7))
+@example((1e-7, -1e-7))
+def test_rotation_number_matches_the_model(point):
+    # the band and the bound of the benchmark sweep's model oracle, with the
+    # model at the exact coordinate j1 = J1(h, j2)
+    h, j2 = point
+    w = rotation_W_numeric(EnergyMomentum(h, j2))
+    assert abs(rotation_W_model(j1_of_energy(h, j2), j2) - w) <= 1e-4
 
 
 # Off the axis: at j2 = 0 both signs of zero give the same axis limit.
