@@ -180,9 +180,10 @@ def _cubic_roots_mp(h, j2, prec: int) -> EllipticData:
     eps2 = cubic_roots(EnergyMomentum(float(h), float(j2))).eps2
     with mp.workprec(prec + 20):
         hh, jj = mp.mpf(h), mp.mpf(j2)
-        # the float eps2 is 0 only where j2^2 underflows (h <= 0); |j2|/2
-        # lies above the root there, where 0 is a flat start for h = 0
-        start = mp.mpf(eps2) or abs(jj) / 2
+        # the float eps2 is 0 only where j2^2 underflows and h <= 0 or h is
+        # subnormal; max(h, 0) + |j2|/2 lies above the root there, where 0
+        # is a flat start for h = 0
+        start = mp.mpf(eps2) or max(hh, 0) + abs(jj) / 2
         return EllipticData.from_gaps(*_gaps(
             hh, jj, start, mp.sqrt(mp.eps), _discriminant(hh, jj),
             lambda n, d: mp.sqrt(mp.mpf(n) / d)))
@@ -211,15 +212,18 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
     # eps2 / (2 (2 + eps2)) < 1/2 is formed first: eps2 * inner overflows
     # a float at large h, and so do 2 (2 + eps2), 2 span and span E past
-    # h ~ 9e307; with root = sqrt(span / 2), c0 = 2 / (pi root)
-    c1_tilde = (h - eps2 - j2 * j2 / (2 + eps2) / 4
-                - abs(j2) / 2 * lib.sqrt(inner * (eps2 / (2 + eps2) / 2)))
+    # h ~ 9e307; with root = sqrt(span / 2), c0 = 2 / (pi root).  j2^2
+    # overflows past |j2| ~ 1.3e154, but (|j2| / 2)^2 does not on the image
+    # (there j2^2 <= 2 (h + 2))
+    half_j = abs(j2) / 2
+    c1_tilde = (h - eps2 - half_j * half_j / (2 + eps2)
+                - half_j * lib.sqrt(inner * (eps2 / (2 + eps2) / 2)))
     root = lib.sqrt(span / 2)
     total = 2 / lib.pi * (c1_tilde * K / root + 2 * root * E)
     if j2 != 0:
         phi = lib.atan2(lib.sqrt(inner), abs(1 - eps1) * lib.sqrt(delta0 + eps2))
         lam = lambda0(phi, d.kcsq, K, E)
-        total -= abs(j2) / 2 * (2 - lam if eps1 < 1 else lam)
+        total -= half_j * (2 - lam if eps1 < 1 else lam)
     return 2 * lib.pi * total
 
 

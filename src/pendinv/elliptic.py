@@ -231,8 +231,12 @@ def _lambda0(phi: float, mc: float, K: float, E: float) -> float:
     incomplete integrals at the complementary parameter.  With F = s R_F
     and E(phi | mc) - F = -(mc/3) s^3 R_D (s = sin phi, both at (cos^2
     phi, 1 - mc s^2, 1)) this is (2/pi) (E F - K (mc/3) s^3 R_D): one R_F,
-    one R_D, and no difference of large terms where K is large.
+    one R_D, and no difference of large terms where K is large.  At mc = 1
+    (k = 0; k'^2 of the cycle rounds to 1 past h ~ 1e16) the terms cancel,
+    and the value sin phi is returned exactly.
     """
+    if mc == 1:
+        return math.sin(phi)
     s, c = math.sin(phi), math.cos(phi)
     delta = 1.0 - mc * s * s
     return 2 / math.pi * (E * s * carlson_rf(c * c, delta, 1.0)
@@ -376,16 +380,20 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
         small = abs(j2) / 2 * (abs(j2) / (2 * big)) if big else 0.0
         eps1, eps2 = (small, big) if h >= 0 else (big, small)
         return 0.0, eps1, eps2, 2 - eps1
-    # eps2 (2 + eps2) overflows a float past eps2 = 2^512; there the
-    # equation and its slope are scaled by 2^-k near 1 / (4 eps2), which is
+    # eps2 (2 + eps2) overflows a float past eps2 = 2^512, and j2^2 past
+    # |j2| = 2^512; there the equation and its slope are scaled by 2^-k
+    # near 1 / (4 eps2), k even, and jsq becomes (j2 2^(-k/2))^2, which is
     # exact and leaves each Newton step as it was
-    k = 0 if eps2 < 2.0 ** 511 else 2 + math.frexp(eps2)[1]
+    k = 0 if eps2 < 2.0 ** 511 else (3 + math.frexp(eps2)[1]) // 2 * 2
     scale = math.ldexp(1.0, -k)
+    if k:
+        jsq = j2 * math.ldexp(1.0, -k // 2)
+        jsq = jsq * jsq
     last = math.inf
     while True:
         slope = 2 * (2 * ((1 + eps2) * scale) * (eps2 - h)
                      + eps2 * scale * (2 + eps2))
-        step = (2 * (eps2 * scale) * (2 + eps2) * (eps2 - h) - jsq * scale) / slope
+        step = (2 * (eps2 * scale) * (2 + eps2) * (eps2 - h) - jsq) / slope
         eps2 -= step
         if not tol * eps2 < abs(step) < last:   # converged, or rounding noise
             break
@@ -397,8 +405,8 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     # delta0 + delta1 = h + 2 - eps2; for h > 0 eps2 - h goes first, or
     # h + 2 drops the 2 once h passes 2^53
     delta1 = ((h + 2 - eps2 if h <= 0 else 2 - (eps2 - h)) + width) / 2
-    delta0 = jsq * scale / (2 * ((2 + eps2) * scale) * delta1)
-    eps1 = eps2 - h + delta0 if h <= 0 else jsq * scale / (2 * (eps2 * scale) * (2 - delta0))
+    delta0 = jsq / (2 * ((2 + eps2) * scale) * delta1)
+    eps1 = eps2 - h + delta0 if h <= 0 else jsq / (2 * (eps2 * scale) * (2 - delta0))
     return delta0, eps1, eps2, width
 
 

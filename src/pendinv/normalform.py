@@ -9,8 +9,9 @@ closed under multiplication and Poisson bracket.  They are held as
 weights (2, 2, 1), so a monomial carries the grade 2(a+b) + m; the seed
 Hamiltonian decomposes into pure even grades and the homological operator
 {H2, .} acts as -m on each exponential, so the normalization proceeds with
-no small denominators.  Everything is exact rational arithmetic end to
-end, in dimensionless units kappa = nu = 1.
+no small denominators; the Deprit triangle grows by one diagonal per
+stage.  Everything is exact rational arithmetic end to end, in
+dimensionless units kappa = nu = 1.
 """
 
 from __future__ import annotations
@@ -49,16 +50,26 @@ def integrate_theta(f: Series) -> Series:
 
 
 def poisson_bracket(f: Series, g: Series) -> Series:
-    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1).
+    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1), in one pass.
 
-    Both arguments are theta2-independent, so only the (J1, theta1) pair
-    contributes.  The grade of each product term is grade(f) + grade(g) - 2.
-    Elements of the algebra are exact polynomials, so the J1-derivatives
-    keep the order of their arguments rather than losing the weight of J1.
+    A term pair n1 J1^a1 J2^b1 e^m1, n2 J1^a2 J2^b2 e^m2 adds n1 n2 (m1 a2
+    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), of grade g1 + g2 - 2 <=
+    the smaller order, summed over integer numerators.  On the algebra
+    (grades >= 0) this is the difference of the two truncated products.
     """
     order = min(f.order, g.order)
-    return (dtheta(f) * g.partial(0).truncate(order)
-            - f.partial(0).truncate(order) * dtheta(g))
+    (den1, rows1), (den2, rows2) = f._integer_form(), g._integer_form()
+    acc: dict[tuple, int] = {}
+    for g1, (a1, b1, m1), n1 in rows1:
+        for g2, (a2, b2, m2), n2 in rows2:
+            if g1 + g2 - 2 > order:
+                break
+            weight = m1 * a2 - a1 * m2
+            if weight:
+                key = (a1 + a2 - 1, b1 + b2, m1 + m2)
+                acc[key] = acc.get(key, 0) + weight * n1 * n2
+    den = den1 * den2
+    return f._like({k: Fraction(n, den) for k, n in acc.items() if n}, order)
 
 
 def _double_factorial(n: int) -> int:
@@ -116,46 +127,39 @@ def lie_normalize(order: int = 10, return_generators: bool = False):
     Returns H(J1, J2) as a Series in (j1, j2) of total degree order/2;
     the output depends on J1 and J2^2 only.  With return_generators=True
     also returns the list of generators (grade 2n + 2 for stage n).
+
+    Stage n adds only the diagonal i + j = n; earlier entries are final.
+    It is built with W_n unknown, so each entry with j >= 1 lacks the same
+    {H_0, W_n}: the kernel minus the top entry, added back once W_n is
+    solved for.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     nmax = (order - 2) // 2
     seed = seed_hamiltonian(2 * nmax + 2)
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
-    h_seed = [seed.grade_part(2 * n + 2).scale(math.factorial(n))
-              for n in range(nmax + 1)]
-
+    # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n;
+    # generators[k] is W_(k+1).
+    rows = {(i, 0): seed.grade_part(2 * i + 2).scale(math.factorial(i))
+            for i in range(nmax + 1)}
     generators: list[Series] = []
-    kernels: list[Series] = [h_seed[0]]
-
-    def triangle_top(n: int) -> Series:
-        # H_0^n computed with the currently known generators (W_n treated
-        # as zero until solved for; its bracket enters only through the
-        # homological term, restored analytically below).
-        rows: dict[tuple[int, int], Series] = {}
-        for i in range(n + 1):
-            rows[(i, 0)] = h_seed[i]
-        for j in range(1, n + 1):
-            for i in range(0, n - j + 1):
-                acc = rows[(i + 1, j - 1)]
-                for k in range(0, i + 1):
-                    if k >= len(generators):
-                        continue
-                    c = math.comb(i, k)
-                    term = poisson_bracket(rows[(i - k, j - 1)], generators[k])
-                    acc = acc + term.scale(c)
-                rows[(i, j)] = acc
-        return rows[(0, n)]
-
     for n in range(1, nmax + 1):
-        t_n = triangle_top(n)
-        kernel, generator = homological_solve(t_n)
-        kernels.append(kernel)
+        for j in range(1, n + 1):
+            i = n - j
+            acc = rows[(i + 1, j - 1)]
+            for k in range(min(i + 1, n - 1)):
+                term = poisson_bracket(rows[(i - k, j - 1)], generators[k])
+                acc = acc + term.scale(math.comb(i, k))
+            rows[(i, j)] = acc
+        kernel, generator = homological_solve(rows[(0, n)])
+        delta = kernel - rows[(0, n)]
+        for j in range(1, n + 1):
+            rows[(n - j, j)] = rows[(n - j, j)] + delta
         generators.append(generator)
 
     normal = Series(seed.order, VARS, None, WEIGHTS)
-    for n, k_n in enumerate(kernels):
-        normal = normal + k_n.scale(Fraction(1, math.factorial(n)))
+    for n in range(nmax + 1):
+        normal = normal + rows[(0, n)].scale(Fraction(1, math.factorial(n)))
     if not dtheta(normal).is_zero():
         raise ArithmeticError("normal form still depends on theta1")
     series = Series(order // 2, ("j1", "j2"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .actions import J1_series, birkhoff_series, invariant_polynomial
+from .actions import J1_series, invariant_polynomial
 from .elliptic import DomainError, ellint_E, ellint_K
 from .series import Series, binom_frac, exp_series, log1p_series
 
@@ -156,9 +156,10 @@ def action_log_series(order: int = 12) -> Series:
 
 @lru_cache(maxsize=None)
 def pendulum_normal_form(order: int = 12) -> Series:
-    """h as a series in the axis action j (zero-angular-momentum slice)."""
-    axis = {(a,): c for (a, b), c in birkhoff_series(order).terms().items() if b == 0}
-    return Series(order, ("j",), axis)
+    """h(j) on the axis j2 = 0: the inverse of the axis slice of `J1_series`,
+    which is the axis slice of the full inverse since H(J1(h, 0), 0) = h."""
+    axis = {(a,): c for (a, b), c in J1_series(order).terms().items() if b == 0}
+    return Series(order, ("j",), axis).invert()
 
 
 @lru_cache(maxsize=None)

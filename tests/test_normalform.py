@@ -1,10 +1,12 @@
 """Lie normalization: seed expansion, homological steps, normal form."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from pendinv import normalform
 from pendinv.normalform import (VARS, WEIGHTS, canonical_pt_cross_check,
                                 dtheta, homological_solve, kernel_part,
                                 lie_normalize, monomial, poisson_bracket,
@@ -168,3 +170,123 @@ def test_averaging_cross_check():
     # leading term of the integrated oscillation: (5/128) J^4 e^{-4 theta1}
     assert rep.s1_literal.coeff(4, 0, -4) == F(5, 128)
     assert rep.s1_literal == rep.w4
+
+
+# -- oracles: the bracket as two truncated products, and the triangle
+# rebuilt from its first row at every stage ----------------------------------
+
+def bracket_two_products(f, g):
+    """{f, g} as dtheta(f) g_J1 - f_J1 dtheta(g), each factor truncated."""
+    order = min(f.order, g.order)
+    return (dtheta(f) * g.partial(0).truncate(order)
+            - f.partial(0).truncate(order) * dtheta(g))
+
+
+def lie_normalize_rebuilt(order):
+    """(normal form, generators) with every entry H_i^j, i + j <= n,
+    recomputed at stage n, W_n taken as zero; its bracket {H_0, W_n}
+    enters only through the homological equation."""
+    nmax = (order - 2) // 2
+    seed = seed_hamiltonian(2 * nmax + 2)
+    h_seed = [seed.grade_part(2 * n + 2).scale(math.factorial(n))
+              for n in range(nmax + 1)]
+    generators, kernels = [], [h_seed[0]]
+
+    def triangle_top(n):
+        rows = {(i, 0): h_seed[i] for i in range(n + 1)}
+        for j in range(1, n + 1):
+            for i in range(n - j + 1):
+                acc = rows[(i + 1, j - 1)]
+                for k in range(min(i + 1, len(generators))):
+                    term = bracket_two_products(rows[(i - k, j - 1)], generators[k])
+                    acc = acc + term.scale(math.comb(i, k))
+                rows[(i, j)] = acc
+        return rows[(0, n)]
+
+    for n in range(1, nmax + 1):
+        kernel, generator = homological_solve(triangle_top(n))
+        kernels.append(kernel)
+        generators.append(generator)
+    normal = Series(seed.order, VARS, None, WEIGHTS)
+    for n, k_n in enumerate(kernels):
+        normal = normal + k_n.scale(F(1, math.factorial(n)))
+    series = Series(order // 2, ("j1", "j2"),
+                    {(a, b): c for (a, b, _), c in normal.terms().items()})
+    return series, generators
+
+
+def test_incremental_triangle_matches_the_rebuilt_one():
+    # odd orders share nmax with the even order below them
+    rebuilt = {}
+    for order in range(4, 21):
+        series, generators = lie_normalize(order, return_generators=True)
+        nmax = (order - 2) // 2
+        if nmax not in rebuilt:
+            rebuilt[nmax] = lie_normalize_rebuilt(order)
+        ref_series, ref_generators = rebuilt[nmax]
+        assert series == ref_series.truncate(order // 2)
+        assert series.order == order // 2
+        assert generators == ref_generators
+
+
+def random_algebra_element(rng, order, n_terms, grade=None):
+    """Up to `n_terms` random J1^a J2^b e^m terms of non-negative grade
+    <= order (`grade` if given); m = grade - 2(a + b) takes either sign."""
+    terms = {}
+    for _ in range(n_terms):
+        a, b = rng.randint(0, 5), rng.randint(0, 4)
+        m = (rng.randint(0, order) if grade is None else grade) - 2 * (a + b)
+        terms[(a, b, m)] = F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 16, 35)))
+    return Series(order, VARS, terms, WEIGHTS)
+
+
+def test_one_pass_bracket_matches_the_two_products():
+    rng = random.Random(20)
+    for _ in range(200):
+        f_order, g_order = rng.randint(2, 16), rng.randint(2, 16)   # unequal: truncation
+        f = random_algebra_element(rng, f_order, rng.randint(1, 12))
+        g = random_algebra_element(rng, g_order, rng.randint(1, 12))
+        br = poisson_bracket(f, g)
+        ref = bracket_two_products(f, g)
+        assert br == ref
+        assert br.order == ref.order == min(f_order, g_order)
+        assert all(c != 0 for c in br.terms().values())
+    # a pure-grade pair keeps to grade g1 + g2 - 2, and past the order to nothing
+    f = random_algebra_element(rng, 12, 6, grade=6)
+    g = random_algebra_element(rng, 12, 6, grade=8)
+    assert grades(poisson_bracket(f, g)) == {12}
+    assert poisson_bracket(f.truncate(10), g).is_zero()
+    assert bracket_two_products(f.truncate(10), g).is_zero()
+
+
+def test_one_pass_bracket_cancels_to_zero():
+    rng = random.Random(21)
+    for _ in range(20):
+        f = random_algebra_element(rng, 14, 8)
+        assert poisson_bracket(f, f).is_zero()    # pairs cancel key by key
+        assert poisson_bracket(f, f.scale(F(-7, 3))).is_zero()
+        kernel = kernel_part(random_algebra_element(rng, 14, 8))
+        assert poisson_bracket(kernel, kernel_part(f)).is_zero()
+        # {f, g} + {g, f} = 0 term by term
+        g = random_algebra_element(rng, 14, 8)
+        assert (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero()
+
+
+def bracket_count(order):
+    nmax = (order - 2) // 2
+    return math.comb(nmax + 1, 3) + nmax * (nmax - 1) // 2
+
+
+@pytest.mark.parametrize("order, calls", [(10, 16), (20, 156)])
+def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
+    # the bracket count of the incremental triangle; a rebuild per stage
+    # makes 486 at order 20
+    seen = []
+
+    def spy(f, g):
+        seen.append(1)
+        return poisson_bracket(f, g)
+
+    monkeypatch.setattr(normalform, "poisson_bracket", spy)
+    lie_normalize(order)
+    assert len(seen) == bracket_count(order) == calls

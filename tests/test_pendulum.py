@@ -6,7 +6,9 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
+from pendinv.actions import birkhoff_series
 from pendinv.elliptic import DomainError
+from pendinv.normalform import lie_normalize
 from pendinv.pendulum import (AXIS_INVARIANT_FRACTIONS, J_of_q_theta,
                               action_log_series, complex_nome_diagonal_matches,
                               complex_nome_series, invariant_series_exact,
@@ -124,6 +126,20 @@ def test_pendulum_normal_form_axis():
     assert h_of_j.coeff(2) == F(1, 16)
     assert h_of_j.coeff(3) == F(-1, 256)
     assert h_of_j.coeff(4) == F(5, 8192)
+
+
+def axis_slice(series):
+    """The j2 = 0 terms of a series in (j1, j2), as a series in j."""
+    return Series(series.order, ("j",),
+                  {(a,): c for (a, b), c in series.terms().items() if b == 0})
+
+
+def test_axis_normal_form_equals_the_slice_of_the_full_one():
+    # inverting the axis slice of J1 gives the axis slice of its inverse
+    for order in range(1, 14):
+        assert pendulum_normal_form(order) == axis_slice(birkhoff_series(order))
+        assert pendulum_normal_form(order).order == order
+    assert pendulum_normal_form(10) == axis_slice(lie_normalize(20))
 
 
 def test_invariant_series_exact_fractions():

@@ -108,6 +108,8 @@ def _residual_ok(terms):
 @example((1e300, 1e10))
 @example((1e308, 1e150))         # h + hypot(h, j2) and 2 eps2 overflow
 @example((1.7e308, 1.0))
+@example((1e308, 1.4e154))       # j2^2 overflows
+@example((1.7e308, 1.5e154))
 def test_gaps_are_non_negative_roots_of_their_equations(point):
     h, j2 = point
     d = cubic_roots(EnergyMomentum(h, j2))
@@ -153,6 +155,7 @@ def polar(log_rho_lo, log_rho_hi):
 @example((-2.0, 0.0))
 @example((0.625, 1.875))        # a relative equilibrium, zeta0 = zeta1 = -1/4
 @example((1e6, 1.0))
+@example((5e-324, 5e-324))      # the float eps2 is 0 at a subnormal h > 0
 def test_float_action_matches_the_closed_form(point):
     h, j2 = point
     closed = float(two_pi_I1_closed(h, j2, prec=80))
@@ -162,10 +165,12 @@ def test_float_action_matches_the_closed_form(point):
 
 
 @pytest.mark.parametrize("h, j2", [(1e154, 1.0), (1e300, 1e10), (1e308, 1e150),
-                                   (1.7e308, 1.0)])
+                                   (1.7e308, 1.0), (1e308, 1.4e154),
+                                   (1.7e308, 1.5e154)])
 def test_float_physics_at_large_energy(h, j2):
     # past eps2 ~ h ~ 1.3e154 the unscaled gap equation overflows a float,
-    # past h ~ 9e307 so do h + hypot(h, j2), 2 span and span E
+    # past h ~ 9e307 so do h + hypot(h, j2), 2 span and span E, and past
+    # |j2| ~ 1.3e154 so does j2^2
     em = EnergyMomentum(h, j2)
     closed = float(two_pi_I1_closed(h, j2, prec=80))
     value = action_I1(em).two_pi
