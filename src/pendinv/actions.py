@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -117,34 +117,6 @@ def J1_series(order: int = 10) -> Series:
 def birkhoff_series(degree: int = 5) -> Series:
     """H(j1, j2) as the exact compositional inverse of the J1 series."""
     return J1_series(degree).invert().relabel(("j1", "j2"))
-
-
-def birkhoff_by_inversion(order: int = 10) -> Series:
-    """Normal form through grade `order` (total degree order/2) by inversion.
-
-    Must agree coefficient-for-coefficient with the Lie-series route; the
-    comparison lives in `verify_birkhoff_equivalence`.
-    """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    return birkhoff_series(order // 2)
-
-
-def verify_birkhoff_equivalence(order: int = 10) -> Series:
-    """Exact equality of the Lie route and the inversion route.
-
-    Raises ConsistencyError on any coefficient mismatch; returns the
-    common series.
-    """
-    from .normalform import lie_normalize
-
-    lie = lie_normalize(order)
-    inv = birkhoff_by_inversion(order)
-    if lie != inv:
-        raise ConsistencyError(
-            f"normal form mismatch at order {order}: "
-            f"lie={sorted(lie.terms().items())} inversion={sorted(inv.terms().items())}")
-    return lie
 
 
 @lru_cache(maxsize=None)
@@ -309,17 +281,16 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
         return 2 * val, 2 * err, converged
 
 
-def action_I1(em: EnergyMomentum, method: str = "lambda0",
-              prec: int = 53) -> ActionValue:
+def action_I1(em: EnergyMomentum, method: str = "lambda0") -> ActionValue:
     """Non-trivial action I1(h, j2); `two_pi` on the result gives 2 pi I1.
 
     "lambda0" evaluates the closed Lambda0 form (`_two_pi_I1`, the formula
     of `two_pi_I1_closed`) in floats on the whole image, within about
     1e-14 (1 + |2 pi I1|); "quadrature" integrates the defining integral
-    at `prec` bits, the independent oracle.
+    at 53 bits, the independent oracle.
     """
     if method == "quadrature":
-        val = two_pi_I1_quadrature(em.h, em.j2, prec=prec)[0]
+        val = two_pi_I1_quadrature(em.h, em.j2)[0]
         return ActionValue(float(val) / TWO_PI, "quadrature")
     if method != "lambda0":
         raise ValueError(f"unknown method {method!r}")
@@ -329,14 +300,13 @@ def action_I1(em: EnergyMomentum, method: str = "lambda0",
 
 # -- numeric imaginary action over the vanishing cycle -----------------------
 
-def action_J1_numeric(em: EnergyMomentum, panels_per_unit: int = 0,
-                      nodes: int = 16) -> ActionValue:
+def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
     """J1 by complex contour quadrature around [zeta1, zeta2].
 
     A rectangle with clearance delta = min(0.1, zeta1 - zeta0)/4 encloses
     the doubled vanishing cycle; the square-root branch is tracked by
-    continuity along Gauss-Legendre panels.  The result times the cycle
-    orientation is real; an imaginary residue above 1e-10 raises.
+    continuity along 16-node Gauss-Legendre panels.  The result times the
+    cycle orientation is real; an imaginary residue above 1e-10 raises.
     """
     h, j2 = em.h, em.j2
     data = cubic_roots(em)
@@ -355,7 +325,7 @@ def action_J1_numeric(em: EnergyMomentum, panels_per_unit: int = 0,
                complex(z1 - delta, -delta),
                complex(z2 + delta, -delta),
                complex(z2 + delta, 0.0)]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
 
     def poly(z: complex) -> complex:
         return 2 * (1 - z * z) * (h + 1 - z) - j2 * j2
@@ -462,20 +432,16 @@ def period_T_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> floa
 
 # -- invariant model ----------------------------------------------------------
 
-def _known_invariant_terms(order: int = 4) -> dict[tuple[int, int], Fraction]:
-    """Exact low-order invariant coefficients (beyond the j1*ln 32 term).
-
-    The pure-j1 column is rederived exactly by the pendulum route
-    (pendulum.invariant_series_exact); mixed terms are pinned by
-    fit_invariant_S.  Both validations live in the test suite.
-    """
-    table = {
-        (2, 0): Fraction(3, 32), (0, 2): Fraction(9, 32),
-        (3, 0): Fraction(-5, 512), (1, 2): Fraction(-51, 512),
-        (4, 0): Fraction(55, 32768), (2, 2): Fraction(1230, 32768),
-        (0, 4): Fraction(271, 32768),
-    }
-    return {k: v for k, v in table.items() if k[0] + k[1] <= order}
+# Exact invariant coefficients of j1^a j2^b through degree 4, beyond the
+# j1 ln 32 term.  The pure-j1 column is rederived exactly by the pendulum
+# route (pendulum.invariant_series_exact); mixed terms are pinned by
+# fit_invariant_S.  Both validations live in the test suite.
+_INVARIANT_TERMS = {
+    (2, 0): Fraction(3, 32), (0, 2): Fraction(9, 32),
+    (3, 0): Fraction(-5, 512), (1, 2): Fraction(-51, 512),
+    (4, 0): Fraction(55, 32768), (2, 2): Fraction(1230, 32768),
+    (0, 4): Fraction(271, 32768),
+}
 
 
 @lru_cache(maxsize=None)
@@ -483,7 +449,7 @@ def invariant_polynomial(order: int = 4) -> Series:
     """Polynomial part of S (degrees >= 2), exact, in (j1, j2)."""
     if order > 4:
         raise ValueError("exact invariant coefficients available through degree 4")
-    return Series(order, ("j1", "j2"), _known_invariant_terms(order))
+    return Series(order, ("j1", "j2"), _INVARIANT_TERMS)
 
 
 def _require_finite(j1: float, j2: float) -> None:
@@ -491,13 +457,13 @@ def _require_finite(j1: float, j2: float) -> None:
         raise DomainError(f"non-finite coordinate ({j1}, {j2})")
 
 
-def two_pi_I1_model(j1: float, j2: float, s_order: int = 4) -> float:
+def two_pi_I1_model(j1: float, j2: float) -> float:
     """2 pi I1 from the normal-form model: singular terms plus invariant."""
     _require_finite(j1, j2)
     jc = ComplexJ(j1, j2)
     if jc.modulus == 0.0:
         return 8.0
-    s_val = LN32 * j1 + invariant_polynomial(s_order).evaluate(j1, j2)
+    s_val = LN32 * j1 + invariant_polynomial(4).evaluate(j1, j2)
     return (8.0 - TWO_PI * abs(j2) + j2 * jc.arg - j1 * math.log(jc.modulus)
             + j1 + s_val)
 
@@ -519,8 +485,7 @@ def two_pi_I1_energy_expansion(h: float, j2: float) -> float:
     return float(val)
 
 
-def rotation_W_model(j1: float, j2: float, s_order: int = 4,
-                     a_order: int = 9) -> float:
+def rotation_W_model(j1: float, j2: float) -> float:
     """Model rotation number from the invariant and frequency ratio.
 
     2 pi W = 2 pi sgn j2 - Arg - A ln|j| + A S1 - S2, with sgn 0 := +1 so
@@ -534,8 +499,8 @@ def rotation_W_model(j1: float, j2: float, s_order: int = 4,
     if jc.modulus > 1.0:
         raise DomainError("model restricted to |j| <= 1")
     sgn = 1.0 if j2 >= 0 else -1.0
-    a_val = float(A_series(a_order).evaluate(j1, j2))
-    poly = invariant_polynomial(s_order)
+    a_val = float(A_series(9).evaluate(j1, j2))
+    poly = invariant_polynomial(4)
     s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
     s2 = float(poly.partial(1).evaluate(j1, j2))
     two_pi_w = (TWO_PI * sgn - jc.arg - a_val * math.log(jc.modulus)
@@ -543,22 +508,22 @@ def rotation_W_model(j1: float, j2: float, s_order: int = 4,
     return two_pi_w / TWO_PI
 
 
-def period_T_model(j1: float, j2: float, s_order: int = 4) -> float:
+def period_T_model(j1: float, j2: float) -> float:
     """Model reduced period (-ln|j| + S1) / (dH/dj1)."""
     _require_finite(j1, j2)
     rho = math.hypot(j1, j2)
     if rho == 0.0 or rho > 1.0:
         raise DomainError("model restricted to 0 < |j| <= 1")
-    poly = invariant_polynomial(s_order)
+    poly = invariant_polynomial(4)
     s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
     h1 = float(birkhoff_series(8).partial(0).evaluate(j1, j2))
     return (-math.log(rho) + s1) / h1
 
 
-def energy_of_j(j1: float, j2: float, degree: int = 10) -> float:
-    """Scaled energy h = H(j1, j2) from the normal form."""
+def energy_of_j(j1: float, j2: float) -> float:
+    """Scaled energy h = H(j1, j2) from the degree-10 normal form."""
     _require_finite(j1, j2)
-    return float(birkhoff_series(degree).evaluate(j1, j2))
+    return float(birkhoff_series(10).evaluate(j1, j2))
 
 
 def j1_of_energy(h: float, j2: float, degree: int = 12) -> float:
@@ -574,7 +539,7 @@ def j1_of_energy(h: float, j2: float, degree: int = 12) -> float:
 
 @dataclass
 class InvariantSeries:
-    """Fitted invariant: coefficients, diagnostics and the exact snap."""
+    """Fitted invariant: coefficients and diagnostics."""
 
     coefficients: dict
     order: int
@@ -584,10 +549,8 @@ class InvariantSeries:
     residual_rms: float
     ln32_error: float
     reference_errors: dict
-    snapped: Series = field(repr=False)
     oracle_samples: int                # samples also taken by quadrature
     oracle_max_diff: float             # largest |closed form - quadrature|
-    i10_two_pi: float = 8.0
 
 
 def _midpoint_circle(r, n: int) -> list:
@@ -724,12 +687,11 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         residual_rms = float(mp.sqrt(sum(x * x for x in resid) / len(resid)))
         ln32_error = float(abs(coeffs[(1, 0)] - mp.log(32)))
 
-    reference = _known_invariant_terms(4)
     reference_errors = {
         mono: float(abs(coeffs[mono] - mp.mpf(frac.numerator) / frac.denominator))
-        for mono, frac in reference.items()
+        for mono, frac in _INVARIANT_TERMS.items()
     }
-    threshold = 1e-3 * min(abs(float(f)) for f in reference.values())
+    threshold = 1e-3 * min(abs(float(f)) for f in _INVARIANT_TERMS.values())
     if residual_max > threshold:
         raise FitQualityError(
             f"fit residual {residual_max:.3e} above threshold {threshold:.3e}")
@@ -748,15 +710,15 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         order=order, precision=precision, samples=len(resid),
         residual_max=residual_max, residual_rms=residual_rms,
         ln32_error=ln32_error, reference_errors=reference_errors,
-        snapped=invariant_polynomial(4), oracle_samples=len(radii),
+        oracle_samples=len(radii),
         oracle_max_diff=float(oracle_diff))
 
 
 # -- twist ---------------------------------------------------------------------
 
-def _model_pieces(j1: float, j2: float, s_order: int = 4, a_order: int = 9):
-    poly = invariant_polynomial(s_order)
-    a_ser = A_series(a_order)
+def _model_pieces(j1: float, j2: float):
+    poly = invariant_polynomial(4)
+    a_ser = A_series(9)
     a = float(a_ser.evaluate(j1, j2))
     a1 = float(a_ser.partial(0).evaluate(j1, j2))
     a2 = float(a_ser.partial(1).evaluate(j1, j2))
@@ -773,12 +735,15 @@ def twist(j1: float, j2: float) -> float:
 
     T = -A W1 + W2 with Wi the partials of the rotation number; the
     singular pieces differentiate in closed form, the series pieces
-    symbolically.
+    symbolically.  Like the model rotation number it is restricted to
+    |j| <= 1.
     """
     _require_finite(j1, j2)
     rho_sq = j1 * j1 + j2 * j2
     if rho_sq == 0.0:
         raise DomainError("twist undefined at the origin")
+    if math.hypot(j1, j2) > 1.0:
+        raise DomainError("model restricted to |j| <= 1")
     a, a1, a2, s1, s2, s11, s12, s22 = _model_pieces(j1, j2)
     lnr = 0.5 * math.log(rho_sq)
     two_pi_w1 = (j2 / rho_sq - a1 * lnr - a * j1 / rho_sq
@@ -788,11 +753,12 @@ def twist(j1: float, j2: float) -> float:
     return (-a * two_pi_w1 + two_pi_w2) / TWO_PI
 
 
-def twistless_curve(r: float, tol: float = 1e-12) -> float:
+def twistless_curve(r: float) -> float:
     """Polar angle s (from the positive j2 axis) where the twist vanishes.
 
     Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by bracketed
-    bisection; raises if the bracket does not change sign.
+    bisection to a bracket below 1e-12; raises if the bracket does not
+    change sign.
     """
     if not 0 < r <= 1:
         raise DomainError("radius must lie in (0, 1]")
@@ -808,7 +774,7 @@ def twistless_curve(r: float, tol: float = 1e-12) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0 or hi - lo < tol:
+        if fm == 0 or hi - lo < 1e-12:
             return mid
         if flo * fm < 0:
             hi, fhi = mid, fm
@@ -916,14 +882,14 @@ class RotationExpansionReport:
         return self.ln_coefficient_ok and self.a_series_ok and self.worst_numeric < 1e-5
 
 
-def rotation_expansion_check(rho_values=(0.03, 0.05, 0.07), n_angles: int = 8,
-                             a_order: int = 9) -> RotationExpansionReport:
+def rotation_expansion_check() -> RotationExpansionReport:
     """Cross-check the rotation-number expansion against the elliptic route.
 
     Verifies exactly that the logarithm coefficient equals -dJ1/dj2, that
-    substituting the normal form reproduces the frequency-ratio series, and
-    numerically that the displayed expansion tracks the elliptic-integral
-    rotation number on a small grid.
+    the two routes of `A_series(9)` agree (its ConsistencyError reads as
+    False), and numerically that the displayed expansion tracks the
+    elliptic-integral rotation number at 8 angles on each of the radii
+    0.03, 0.05 and 0.07.
     """
     # ln-coefficient: -(dJ1/dj2) == (3/8) j2 (1 - (5/16) h + (35/256) rho^2)
     dj1 = J1_series(4).partial(1)
@@ -935,19 +901,17 @@ def rotation_expansion_check(rho_values=(0.03, 0.05, 0.07), n_angles: int = 8,
                     - h_v.scale(Fraction(5, 16)) + rho2.scale(Fraction(35, 256))))
     ln_ok = (-dj1).truncate(3) == displayed
 
-    # substitution reproduces the frequency ratio
-    a_direct = A_series(a_order)
-    h_series = birkhoff_series(a_order + 1)
-    a_subst = (-J1_series(a_order + 1).partial(1)
-               .compose(h_series.relabel(("j1", "j2")))
-               ).truncate(a_order).relabel(("j1", "j2"))
-    a_ok = a_subst == a_direct
+    try:
+        A_series(9)
+        a_ok = True
+    except ConsistencyError:
+        a_ok = False
 
     worst = 0.0
     grid = []
-    for rho in rho_values:
-        for i in range(n_angles):
-            ang = math.pi * (i + 0.5) / n_angles  # j2 > 0 half
+    for rho in (0.03, 0.05, 0.07):
+        for i in range(8):
+            ang = math.pi * (i + 0.5) / 8  # j2 > 0 half
             h = rho * math.cos(ang)
             j2 = rho * math.sin(ang)
             w_num = rotation_W_numeric(EnergyMomentum(h, j2))
@@ -961,11 +925,11 @@ def rotation_expansion_check(rho_values=(0.03, 0.05, 0.07), n_angles: int = 8,
 
 # -- model error sweep ---------------------------------------------------------
 
-def model_error_sweep(radius: float, n_radii: int = 5, n_angles: int = 40,
-                      s_order: int = 4, j1_order: int | None = 4) -> float:
+def model_error_sweep(radius: float, j1_order: int | None = 4) -> float:
     """Max |2 pi I1 (elliptic) - 2 pi I1 (model)| over a polar grid.
 
-    The model is the degree-`s_order` invariant evaluated at a coordinate
+    The grid is 5 radii, spaced evenly up to `radius`, times 40 midpoint
+    angles.  The model is the degree-4 invariant evaluated at a coordinate
     j1 obtained from (h, j2) by one of two routes:
 
     * `j1_order=n` (default 4, the displayed order): the degree-n
@@ -980,10 +944,10 @@ def model_error_sweep(radius: float, n_radii: int = 5, n_angles: int = 40,
     """
     worst = 0.0
     j1s = None if j1_order is None else J1_series(j1_order)
-    for i in range(1, n_radii + 1):
-        rho = radius * i / n_radii
-        for k in range(n_angles):
-            ang = TWO_PI * (k + 0.5) / n_angles
+    for i in range(1, 6):
+        rho = radius * i / 5
+        for k in range(40):
+            ang = TWO_PI * (k + 0.5) / 40
             h = rho * math.cos(ang)
             j2 = rho * math.sin(ang)
             em = EnergyMomentum(h, j2)
@@ -995,6 +959,6 @@ def model_error_sweep(radius: float, n_radii: int = 5, n_angles: int = 40,
                 j1 = action_J1_numeric(em).value
             else:
                 j1 = float(j1s.evaluate(h, j2))
-            model = two_pi_I1_model(j1, j2, s_order=s_order)
+            model = two_pi_I1_model(j1, j2)
             worst = max(worst, abs(numeric - model))
     return worst

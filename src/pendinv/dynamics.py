@@ -46,10 +46,6 @@ class PhaseState:
     def j2(self) -> float:
         return float(self.angular_momentum[2])
 
-    @property
-    def constraint_residuals(self) -> tuple[float, float]:
-        return (abs(float(self.r @ self.r) - 1.0), abs(float(self.r @ self.p)))
-
 
 def _rhs(_t: float, y: np.ndarray) -> np.ndarray:
     """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3.
@@ -111,8 +107,7 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
-              max_samples: int = 200000) -> OrbitRecord:
+def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitRecord:
     """Adaptive eighth-order integration with per-step constraint projection.
 
     Records every accepted step, tracks the continuous azimuth, and refines
@@ -172,7 +167,7 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12,
         times.append(t)
         states.append(y)
         phis.append(phi)
-        if len(times) > max_samples:
+        if len(times) > 200000:
             raise IntegrationError("sample budget exhausted")
 
     arr = np.array(states)
@@ -239,12 +234,11 @@ class OrbitSearchResult:
 
 
 def periodic_orbit_search(w_target: Fraction, radius: float,
-                          tol: float = 1e-12,
-                          n_scan: int = 80) -> OrbitSearchResult:
+                          tol: float = 1e-12) -> OrbitSearchResult:
     """Find the periodic orbit with rotation number p/q on a polar circle.
 
     The polar angle is measured from the positive j2 axis (j1 = r sin s,
-    j2 = r cos s).  The model rotation number brackets the root, the
+    j2 = r cos s).  A scan of 80 angles brackets the root, the
     elliptic-integral rotation number refines it to full accuracy, and the
     orbit is then integrated over q reduced periods and checked to close to
     1e-6 in phase space.
@@ -258,7 +252,7 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
         return rotation_W_numeric(EnergyMomentum(energy_of_j(j1, j2), j2))
 
     eps = 1e-3
-    grid = np.linspace(-math.pi / 2 + eps, math.pi / 2 - eps, n_scan)
+    grid = np.linspace(-math.pi / 2 + eps, math.pi / 2 - eps, 80)
     vals = []
     for s in grid:
         try:
@@ -298,9 +292,9 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
                              h=h, closure_error=closure, record=record)
 
 
-def orbits_at_energy(h: float, w_target: Fraction,
-                     n_scan: int = 400) -> list[EnergyMomentum]:
-    """All j2 > 0 with the given rotation number at fixed energy.
+def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
+    """All j2 > 0 with the given rotation number at fixed energy, bracketed
+    by a scan of 400 values of j2.
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.
@@ -313,8 +307,8 @@ def orbits_at_energy(h: float, w_target: Fraction,
 
     out = []
     prev = None
-    for i in range(1, n_scan + 1):
-        j2 = j2_max * i / (n_scan + 1)
+    for i in range(1, 401):
+        j2 = j2_max * i / 401
         try:
             cur = (j2, f(j2))
         except DomainError:

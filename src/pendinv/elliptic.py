@@ -104,11 +104,17 @@ def _rd_tail(x, y, z, A, f, s):
     e3 = (3 * X * Y - 8 * Z * Z) * Z
     e4 = 3 * (X * Y - Z * Z) * Z * Z
     e5 = X * Y * Z ** 3
+    return _rdj_tail(e2, e3, e4, e5, A, f) + 3 * s
+
+
+def _rdj_tail(e2, e3, e4, e5, A, f):
+    """f A^(-3/2) times the fifth-order series in the elementary symmetric
+    functions that R_D and R_J share after duplication."""
     series = (1 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
               - 9 * e2 * e3 / 52 + 3 * e5 / 26 - e2 ** 3 / 16
               + 3 * e3 * e3 / 40 + 3 * e2 * e4 / 20 + 45 * e2 * e2 * e3 / 272
               - 9 * (e3 * e4 + e2 * e5) / 68)
-    return f * series / (A * math.sqrt(A)) + 3 * s
+    return f * series / (A * math.sqrt(A))
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
@@ -157,11 +163,7 @@ def _rj_tail(x, y, z, p, A, f, s):
     e3 = X * Y * Z + 2 * e2 * P + 4 * P ** 3
     e4 = (2 * X * Y * Z + e2 * P + 3 * P ** 3) * P
     e5 = X * Y * Z * P * P
-    series = (1 - 3 * e2 / 14 + e3 / 6 + 9 * e2 * e2 / 88 - 3 * e4 / 22
-              - 9 * e2 * e3 / 52 + 3 * e5 / 26 - e2 ** 3 / 16
-              + 3 * e3 * e3 / 40 + 3 * e2 * e4 / 20 + 45 * e2 * e2 * e3 / 272
-              - 9 * (e3 * e4 + e2 * e5) / 68)
-    return f * series / (A * math.sqrt(A)) + 6 * s
+    return _rdj_tail(e2, e3, e4, e5, A, f) + 6 * s
 
 
 # -- Legendre integrals at the complementary parameter ---------------------

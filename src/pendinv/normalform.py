@@ -110,15 +110,15 @@ def seed_hamiltonian(order: int) -> Series:
     return h
 
 
-def homological_solve(h: Series, nu: Fraction = Fraction(1)) -> tuple[Series, Series]:
+def homological_solve(h: Series) -> tuple[Series, Series]:
     """Split h into kernel + removable part and return (kernel, generator).
 
-    The generator W satisfies nu * dW/dtheta1 = h - kernel; on the range
-    the operator just divides each e^{m theta1} coefficient by m*nu.
+    The generator W satisfies dW/dtheta1 = h - kernel (frequency nu = 1);
+    on the range the operator just divides each e^{m theta1} coefficient
+    by m.
     """
     kernel = kernel_part(h)
-    generator = integrate_theta(h - kernel).scale(Fraction(1) / Fraction(nu))
-    return kernel, generator
+    return kernel, integrate_theta(h - kernel)
 
 
 def lie_normalize(order: int = 10, return_generators: bool = False):

@@ -335,15 +335,16 @@ AXIS_INVARIANT_FRACTIONS = {
 }
 
 
-def pendulum_series_check(h_values=(0.05, -0.05, 0.1, -0.1, 0.2, -0.2),
-                          order: int = 3) -> SeriesCheckReport:
-    """Evaluate the low-order expansions against the closed branch formulas.
+def pendulum_series_check() -> SeriesCheckReport:
+    """Evaluate the cubic-order expansions against the closed branch formulas.
 
     The expansions of 2 pi I, J, T and U at |h| -> 0 are produced exactly
     from the logarithmic series engine (both branches share them) and
-    compared at the sample energies; the error must shrink like the first
-    omitted order.  Also verifies the axis invariant fractions exactly.
+    compared at h = +-0.05, +-0.1, +-0.2; the error must shrink like the
+    first omitted order.  Also verifies the axis invariant fractions exactly.
     """
+    order = 3
+    h_values = (0.05, -0.05, 0.1, -0.1, 0.2, -0.2)
     ls = action_log_series(order + 1)            # P(h) + Q(h) L
     q_ser = ls.partial(1)                        # Q(h), the imaginary action
     # T = d(2 pi I)/dh with dL/dh = -1/h: P' + Q' L - Q/h;  U = 2 pi Q'
@@ -372,4 +373,4 @@ def pendulum_series_check(h_values=(0.05, -0.05, 0.1, -0.1, 0.2, -0.2),
     return SeriesCheckReport(worst_action=worst[0], worst_imaginary_action=worst[1],
                              worst_period=worst[2], worst_imaginary_period=worst[3],
                              invariant_fractions_ok=fractions_ok,
-                             samples=tuple(h_values))
+                             samples=h_values)

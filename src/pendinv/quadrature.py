@@ -47,14 +47,13 @@ def _nodes(prec: int, level: int):
     return out
 
 
-def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
-              tol=None, min_level: int = 3) -> tuple:
+def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12) -> tuple:
     """Integrate f over [a, b]; returns (value, error_estimate, converged).
 
     f is evaluated strictly inside (a, b); integrable endpoint
     singularities up to 1/sqrt converge at full accuracy.  The step is
-    halved until two successive refinements agree to tol (default
-    relative 2^(10-prec)) and the last relative difference d_L still falls
+    halved, from level 3 on, until two successive refinements agree to
+    relative 2^(10-prec) and the last relative difference d_L still falls
     doubly exponentially, d_L <= d_(L-1)^1.25, or sits at the noise floor
     2^(6-prec).  Differences that shrink by a fixed factor per level, as
     on the j2 = 0 axis of the action integrand, can meet the tolerance
@@ -74,8 +73,7 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             return mp.mpf(0), mp.mpf(0), True
         half = (b - a) / 2
         mid = (a + b) / 2
-        if tol is None:
-            tol = mp.mpf(2) ** (10 - prec)
+        tol = mp.mpf(2) ** (10 - prec)
 
         # Level 0: trapezoid with h = 1; the t = 0 node has weight pi/2.
         running = mp.pi / 2 * f(mid)
@@ -97,7 +95,7 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12,
             err = abs(new_value - value)
             value = new_value
             rel = err / (1 + abs(value))
-            if level >= min_level and rel <= tol and (rel <= last ** 1.25 or rel <= floor):
+            if level >= 3 and rel <= tol and (rel <= last ** 1.25 or rel <= floor):
                 converged = True
                 break
             last = rel

@@ -96,8 +96,8 @@ def test_criterion_04_invariant_fit():
 
 
 def _sweep_grids(j1_order=4):
-    half = actions.model_error_sweep(0.5, n_radii=5, n_angles=40, j1_order=j1_order)
-    full = actions.model_error_sweep(1.0, n_radii=5, n_angles=40, j1_order=j1_order)
+    half = actions.model_error_sweep(0.5, j1_order=j1_order)
+    full = actions.model_error_sweep(1.0, j1_order=j1_order)
     return half, full
 
 

@@ -12,7 +12,7 @@ import mpmath as mp
 from pendinv import actions
 from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              action_I1, action_J1_numeric,
-                             birkhoff_by_inversion, birkhoff_series,
+                             birkhoff_series,
                              energy_of_j, fit_invariant_S, invariant_polynomial,
                              j1_of_energy, model_error_sweep, monodromy_check,
                              period_T_fd, period_T_model, period_T_numeric,
@@ -20,9 +20,8 @@ from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              rotation_W_model, rotation_W_numeric, twist,
                              twistless_curve, two_pi_I1_closed,
                              two_pi_I1_energy_expansion, two_pi_I1_model,
-                             two_pi_I1_quadrature,
-                             verify_birkhoff_equivalence, W_star, W_star_approx)
-from pendinv.elliptic import EnergyMomentum
+                             two_pi_I1_quadrature, W_star, W_star_approx)
+from pendinv.elliptic import DomainError, EnergyMomentum
 from pendinv.normalform import lie_normalize
 from pendinv.series import Series
 
@@ -55,12 +54,11 @@ def test_birkhoff_inversion_identity():
 def test_lie_equals_inversion(order):
     # grade 12 exercises degree-6 coefficients with no reference values at
     # all: two independent derivations must coincide exactly
-    assert lie_normalize(order) == birkhoff_by_inversion(order)
-    verify_birkhoff_equivalence(order)
+    assert lie_normalize(order) == birkhoff_series(order // 2)
 
 
 def test_birkhoff_by_inversion_low_order():
-    h = birkhoff_by_inversion(4)
+    h = birkhoff_series(4 // 2)
     assert h.terms() == {(1, 0): F(1), (2, 0): F(1, 16), (0, 2): F(3, 16)}
 
 
@@ -327,6 +325,22 @@ def test_rotation_expansion_report():
     assert rep.worst_numeric < 1e-5
 
 
+def test_rotation_expansion_reports_disagreeing_a_routes(monkeypatch):
+    # a j2^4 term added to the normal form breaks J1(H(j1, j2), j2) = j1,
+    # so the partial-ratio and substitution routes of A_series part ways
+    def bent(degree):
+        return birkhoff_series(degree) + Series(degree, ("j1", "j2"), {(0, 4): F(1)})
+
+    monkeypatch.setattr(actions, "birkhoff_series", bent)
+    A_series.cache_clear()
+    try:
+        rep = rotation_expansion_check()
+    finally:
+        A_series.cache_clear()
+    assert rep.a_series_ok is False and not rep.passed
+    assert rep.ln_coefficient_ok and rep.worst_numeric < 1e-5
+
+
 # -- invariant fit ---------------------------------------------------------------
 
 def test_invariant_polynomial_table():
@@ -439,6 +453,14 @@ def test_twist_sign_change_and_curve():
         assert abs(twist(r * math.sin(s), r * math.cos(s))) < 1e-10
 
 
+def test_twist_model_restricted_to_the_unit_disk():
+    with pytest.raises(DomainError, match=r"\|j\| <= 1"):
+        twist(2.0, 0.5)
+    # the half circle r = 1 lies on the boundary and stays inside
+    assert twistless_curve(1.0) == pytest.approx(0.18813981813633235, abs=1e-12)
+    assert W_star(1.0) == pytest.approx(0.8963478858965611, abs=1e-12)
+
+
 def test_twistless_angle_vanishes_with_radius():
     s_values = [twistless_curve(r) for r in (0.02, 0.05, 0.1)]
     assert all(s > 0 for s in s_values)
@@ -480,8 +502,8 @@ def test_monodromy_orientation_and_step_doubling():
 def test_model_error_reproduces_reference_bound():
     # displayed-order model vs elliptic action, in units of the action
     # itself: 1.04e-4 inside radius 1/2 and 3.34e-3 inside radius 1
-    err_half = model_error_sweep(0.5, n_radii=5, n_angles=40)
-    err_one = model_error_sweep(1.0, n_radii=5, n_angles=40)
+    err_half = model_error_sweep(0.5)
+    err_one = model_error_sweep(1.0)
     assert err_half / TWO_PI < 1.1e-4
     assert err_one / TWO_PI < 3.4e-3
     # and the error is genuinely above the literal 2-pi-scaled reading
@@ -491,8 +513,8 @@ def test_model_error_reproduces_reference_bound():
 def test_model_error_exact_coordinate_matches_high_order_series():
     # contour coordinate vs degree-14 J1 series: two independent routes to
     # j1, both 3.354e-5 in units of the action inside radius 1/2
-    exact = model_error_sweep(0.5, n_radii=5, n_angles=40, j1_order=None)
-    series = model_error_sweep(0.5, n_radii=5, n_angles=40, j1_order=14)
+    exact = model_error_sweep(0.5, j1_order=None)
+    series = model_error_sweep(0.5, j1_order=14)
     assert abs(exact - series) < 1e-7
 
 
