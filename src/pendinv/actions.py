@@ -800,9 +800,6 @@ def W_star_approx(r: float) -> float:
 class MonodromyResult:
     mu: int
     raw: float
-    radius: float
-    steps: int
-    orientation: int
 
 
 def monodromy_check(radius: float = 0.3, steps: int = 720,
@@ -851,8 +848,7 @@ def monodromy_check(radius: float = 0.3, steps: int = 720,
         raise ConsistencyError(f"monodromy increment {raw} not close to an integer")
     if abs(mu) != 1:
         raise ConsistencyError(f"|mu| = {abs(mu)} != 1")
-    return MonodromyResult(mu=mu, raw=raw, radius=radius, steps=steps,
-                           orientation=orientation)
+    return MonodromyResult(mu=mu, raw=raw)
 
 
 # -- rotation-number expansion in (h, j2) -------------------------------------
@@ -875,7 +871,6 @@ class RotationExpansionReport:
     ln_coefficient_ok: bool
     a_series_ok: bool
     worst_numeric: float
-    grid: list
 
     @property
     def passed(self) -> bool:
@@ -908,7 +903,6 @@ def rotation_expansion_check() -> RotationExpansionReport:
         a_ok = False
 
     worst = 0.0
-    grid = []
     for rho in (0.03, 0.05, 0.07):
         for i in range(8):
             ang = math.pi * (i + 0.5) / 8  # j2 > 0 half
@@ -916,11 +910,9 @@ def rotation_expansion_check() -> RotationExpansionReport:
             j2 = rho * math.sin(ang)
             w_num = rotation_W_numeric(EnergyMomentum(h, j2))
             w_exp = two_pi_W_energy_expansion(h, j2) / TWO_PI
-            err = abs(w_num - w_exp)
-            grid.append((h, j2, err))
-            worst = max(worst, err)
+            worst = max(worst, abs(w_num - w_exp))
     return RotationExpansionReport(ln_coefficient_ok=ln_ok, a_series_ok=a_ok,
-                          worst_numeric=worst, grid=grid)
+                                   worst_numeric=worst)
 
 
 # -- model error sweep ---------------------------------------------------------

@@ -83,15 +83,12 @@ def _project(y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OrbitRecord:
-    """Trajectory samples plus the reduced-period bookkeeping."""
+    """Trajectory samples, turning points and the rotation number."""
 
     times: np.ndarray
     states: np.ndarray                  # shape (n, 6)
-    reduced_period: float | None
-    delta_phi: float | None
     rotation_number: float | None
     turning_times: list = field(default_factory=list)
-    closure_error: float | None = None
     energy_drift: float = 0.0
     j2_drift: float = 0.0
     constraint_drift: float = 0.0
@@ -113,8 +110,11 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
     Records every accepted step, tracks the continuous azimuth, and refines
     each inclination turning point (maximum of z, the pericenter of the
     reduced motion) on the dense interpolant of its step, which is built
-    for those steps only.  Energy and angular-momentum drift are reported
-    and must stay within 10 * tol * t_end.
+    for those steps only.  The record keeps the turning times, whose
+    spacing is the reduced period, and the rotation number: the mean
+    azimuth advance between successive turning points over 2 pi, or None
+    with fewer than two.  Energy, angular-momentum and constraint drift are
+    reported; the tests hold them within 10 * tol * t_end.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -177,18 +177,10 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
     res_r = np.abs(np.sum(arr[:, :3] ** 2, axis=1) - 1.0)
     res_rp = np.abs(np.sum(arr[:, :3] * arr[:, 3:], axis=1))
 
-    reduced_period = None
-    delta_phi = None
     rotation = None
     if len(turning) >= 2:
-        periods = np.diff([t for t, _ in turning])
-        dphis = np.diff([f for _, f in turning])
-        reduced_period = float(np.mean(periods))
-        delta_phi = float(np.mean(dphis))
-        rotation = delta_phi / (2 * math.pi)
-    return OrbitRecord(times=np.array(times), states=arr,
-                       reduced_period=reduced_period, delta_phi=delta_phi,
-                       rotation_number=rotation,
+        rotation = float(np.mean(np.diff([f for _, f in turning]))) / (2 * math.pi)
+    return OrbitRecord(times=np.array(times), states=arr, rotation_number=rotation,
                        turning_times=[t for t, _ in turning],
                        energy_drift=float(np.max(np.abs(energies - h0))),
                        j2_drift=float(np.max(np.abs(j2s - j20))),

@@ -187,18 +187,20 @@ def invariant_series_exact(order: int = 10) -> Series:
 
 @dataclass
 class NomeSeries:
-    """Nome as a series in l = j/32, its inverse, and the reciprocal."""
+    """Nome as a series in l = j/32, its inverse, and the reciprocal.
+
+    The reciprocal 1/q is 1/l plus `reciprocal_series`; its pole
+    coefficient is 1 by construction, as exp(S') has constant term 1.
+    """
 
     q_of_l: Series
     l_of_q: Series
-    reciprocal_pole: Fraction          # coefficient of 1/l
     reciprocal_series: Series
 
     def integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.q_of_l.terms().values()) and \
-            all(c.denominator == 1 for c in self.l_of_q.terms().values()) and \
-            self.reciprocal_pole.denominator == 1 and \
-            all(c.denominator == 1 for c in self.reciprocal_series.terms().values())
+        return all(c.denominator == 1
+                   for ser in (self.q_of_l, self.l_of_q, self.reciprocal_series)
+                   for c in ser.terms().values())
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +210,8 @@ def nome_from_invariant(order: int = 7) -> NomeSeries:
     The derivative of the action with respect to the imaginary action is
     ln(32/|j|) plus the derivative of the invariant, so the logarithm
     exponentiates to j/32 and the rest is an exact exp-series.  The
-    reciprocal keeps the 1/l pole separate.
+    reciprocal 1/q = 1/l + `reciprocal_series` leaves out its pole, whose
+    coefficient is 1 because exp(S') has constant term 1.
     """
     s_prime = invariant_series_exact(order + 1).partial(0).truncate(order)
     q_of_j = Series.variable(0, order, ("j",)).scale(Fraction(1, 32)) \
@@ -222,9 +225,7 @@ def nome_from_invariant(order: int = 7) -> NomeSeries:
     recip_terms = {(d - 1,): exp_plus.coeff(d) * Fraction(32) * Fraction(32) ** (d - 1)
                    for d in range(1, order + 1)}
     reciprocal = Series(order - 1 if order > 0 else 0, ("l",), recip_terms)
-    return NomeSeries(q_of_l=q_of_l, l_of_q=l_of_q,
-                      reciprocal_pole=Fraction(1),
-                      reciprocal_series=reciprocal)
+    return NomeSeries(q_of_l=q_of_l, l_of_q=l_of_q, reciprocal_series=reciprocal)
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +315,6 @@ class SeriesCheckReport:
     worst_period: float
     worst_imaginary_period: float
     invariant_fractions_ok: bool
-    samples: tuple
 
     @property
     def passed(self) -> bool:
@@ -372,5 +372,4 @@ def pendulum_series_check() -> SeriesCheckReport:
                        for d, frac in AXIS_INVARIANT_FRACTIONS.items())
     return SeriesCheckReport(worst_action=worst[0], worst_imaginary_action=worst[1],
                              worst_period=worst[2], worst_imaginary_period=worst[3],
-                             invariant_fractions_ok=fractions_ok,
-                             samples=h_values)
+                             invariant_fractions_ok=fractions_ok)

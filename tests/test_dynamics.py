@@ -252,3 +252,18 @@ def test_geometry_report_pole_access():
     # s -> -pi/2: the upper pole stays excluded
     rep2 = geometry_report(0.3, -math.pi / 2 + 1e-4)
     assert rep2.theta_min > 0.5
+
+
+def test_geometry_report_pole_distance_asymptotics():
+    # the leading polar formulas carry a relative error of order r: within
+    # 0.3 % at r = 0.01, and about three times smaller than at r = 0.03
+    def gaps(r, s):
+        rep = geometry_report(r, s)
+        return (abs(rep.theta_min / rep.north_asymptotic - 1),
+                abs((math.pi - rep.theta_max) / (math.pi - rep.south_asymptotic) - 1))
+
+    for s in (-1.0, 0.0, 0.7, 1.3):
+        small, large = gaps(0.01, s), gaps(0.03, s)
+        for g_small, g_large in zip(small, large):
+            assert g_small < 3e-3
+            assert g_small < g_large / 2.5

@@ -37,6 +37,17 @@ def test_complete_integrals_against_mpmath():
                                                      rel=1e-13)
 
 
+def test_pi_below_minus_one_against_mpmath():
+    # R_F + (n/3) R_J cancels for n < -1; the reflected form must not,
+    # down to the largest float
+    with mp.workdps(400):                  # 1 - mc resolves mc down to 5e-324
+        for n in (-1.0000001, -1.5, -10.0, -1e6, -1e12, -1e20, -1e80, -1e150,
+                  -1e200, -1e300, -1.7e308):
+            for mc in (1.0, 0.5, 1e-10, 1e-300, 5e-324):
+                ref = mp.ellippi(n, 1 - mp.mpf(mc))
+                assert abs(ellint_Pi(n, mc) / ref - 1) < 1e-15, (n, mc)
+
+
 def test_divergences():
     with pytest.raises(DivergenceError):
         ellint_K(0.0)
@@ -44,6 +55,8 @@ def test_divergences():
         ellint_Pi(1.0, 0.5)
     with pytest.raises(DivergenceError):
         ellint_Pi(0.5, 0.0)
+    with pytest.raises(DivergenceError):
+        ellint_Pi(-5.0, 0.0)
     for mc in (-0.1, 1.5, math.nan):
         with pytest.raises(DomainError):
             ellint_E(mc)
