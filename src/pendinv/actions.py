@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from scipy.optimize import brentq
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
                        _discriminant, _gaps, _lambda0, carlson_rf, carlson_rj,
@@ -54,31 +55,6 @@ class ActionValue:
     @property
     def two_pi(self) -> float:
         return TWO_PI * self.value
-
-
-@dataclass(frozen=True)
-class ComplexJ:
-    """The complex local coordinate j1 + i j2 with its principal argument."""
-
-    j1: float
-    j2: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.j1, self.j2)
-
-    @property
-    def modulus(self) -> float:
-        return math.hypot(self.j1, self.j2)
-
-    @property
-    def arg(self) -> float:
-        """Principal value in (-pi, pi]: +pi on the negative j1 axis.
-
-        For tiny j2 < 0 the angle rounds to -pi, its limit from below the
-        axis, and stays there; only j2 == 0 (either sign of zero) gives +pi.
-        """
-        return math.atan2(self.j2 if self.j2 != 0 else 0.0, self.j1)
 
 
 # -- exact series for the imaginary action ----------------------------------
@@ -287,10 +263,14 @@ def action_I1(em: EnergyMomentum, method: str = "lambda0") -> ActionValue:
     "lambda0" evaluates the closed Lambda0 form (`_two_pi_I1`, the formula
     of `two_pi_I1_closed`) in floats on the whole image, within about
     1e-14 (1 + |2 pi I1|); "quadrature" integrates the defining integral
-    at 53 bits, the independent oracle.
+    at 53 bits, the independent oracle, and raises ConsistencyError where
+    it stops unconverged.
     """
     if method == "quadrature":
-        val = two_pi_I1_quadrature(em.h, em.j2)[0]
+        val, _, converged = two_pi_I1_quadrature(em.h, em.j2)
+        if not converged:
+            raise ConsistencyError(
+                f"quadrature unconverged at (h, j2) = ({em.h!r}, {em.j2!r})")
         return ActionValue(float(val) / TWO_PI, "quadrature")
     if method != "lambda0":
         raise ValueError(f"unknown method {method!r}")
@@ -457,14 +437,41 @@ def _require_finite(j1: float, j2: float) -> None:
         raise DomainError(f"non-finite coordinate ({j1}, {j2})")
 
 
+def _disk_radius(j1: float, j2: float, what: str) -> float:
+    """|j| of a finite point with 0 < |j| <= 1, the domain of the disk models."""
+    _require_finite(j1, j2)
+    rho = math.hypot(j1, j2)
+    if rho == 0.0:
+        raise DomainError(f"{what} undefined at the origin")
+    if rho > 1.0:
+        raise DomainError("model restricted to |j| <= 1")
+    return rho
+
+
+def _arg(j1: float, j2: float) -> float:
+    """Principal argument of j1 + i j2 in (-pi, pi]: +pi on the negative j1 axis.
+
+    For tiny j2 < 0 the angle rounds to -pi, its limit from below the axis,
+    and stays there; only j2 == 0 (either sign of zero) gives +pi.
+    """
+    return math.atan2(j2 if j2 != 0 else 0.0, j1)
+
+
+def _invariant_slopes(j1: float, j2: float) -> tuple[float, float]:
+    """S1 = ln 32 + dS/dj1 and S2 = dS/dj2 of the model invariant."""
+    poly = invariant_polynomial(4)
+    return (LN32 + float(poly.partial(0).evaluate(j1, j2)),
+            float(poly.partial(1).evaluate(j1, j2)))
+
+
 def two_pi_I1_model(j1: float, j2: float) -> float:
     """2 pi I1 from the normal-form model: singular terms plus invariant."""
     _require_finite(j1, j2)
-    jc = ComplexJ(j1, j2)
-    if jc.modulus == 0.0:
+    rho = math.hypot(j1, j2)
+    if rho == 0.0:
         return 8.0
     s_val = LN32 * j1 + invariant_polynomial(4).evaluate(j1, j2)
-    return (8.0 - TWO_PI * abs(j2) + j2 * jc.arg - j1 * math.log(jc.modulus)
+    return (8.0 - TWO_PI * abs(j2) + j2 * _arg(j1, j2) - j1 * math.log(rho)
             + j1 + s_val)
 
 
@@ -492,32 +499,20 @@ def rotation_W_model(j1: float, j2: float) -> float:
     the axis values are the limits from above (+1 for j1 > 0, +1/2 for
     j1 < 0).
     """
-    _require_finite(j1, j2)
-    jc = ComplexJ(j1, j2)
-    if jc.modulus == 0.0:
-        raise DomainError("rotation number undefined at the origin")
-    if jc.modulus > 1.0:
-        raise DomainError("model restricted to |j| <= 1")
+    rho = _disk_radius(j1, j2, "rotation number")
     sgn = 1.0 if j2 >= 0 else -1.0
     a_val = float(A_series(9).evaluate(j1, j2))
-    poly = invariant_polynomial(4)
-    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
-    s2 = float(poly.partial(1).evaluate(j1, j2))
-    two_pi_w = (TWO_PI * sgn - jc.arg - a_val * math.log(jc.modulus)
+    s1, s2 = _invariant_slopes(j1, j2)
+    two_pi_w = (TWO_PI * sgn - _arg(j1, j2) - a_val * math.log(rho)
                 + a_val * s1 - s2)
     return two_pi_w / TWO_PI
 
 
 def period_T_model(j1: float, j2: float) -> float:
     """Model reduced period (-ln|j| + S1) / (dH/dj1)."""
-    _require_finite(j1, j2)
-    rho = math.hypot(j1, j2)
-    if rho == 0.0 or rho > 1.0:
-        raise DomainError("model restricted to 0 < |j| <= 1")
-    poly = invariant_polynomial(4)
-    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
-    h1 = float(birkhoff_series(8).partial(0).evaluate(j1, j2))
-    return (-math.log(rho) + s1) / h1
+    rho = _disk_radius(j1, j2, "period")
+    h1 = float(birkhoff_series(10).partial(0).evaluate(j1, j2))
+    return (-math.log(rho) + _invariant_slopes(j1, j2)[0]) / h1
 
 
 def energy_of_j(j1: float, j2: float) -> float:
@@ -716,20 +711,6 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
 
 # -- twist ---------------------------------------------------------------------
 
-def _model_pieces(j1: float, j2: float):
-    poly = invariant_polynomial(4)
-    a_ser = A_series(9)
-    a = float(a_ser.evaluate(j1, j2))
-    a1 = float(a_ser.partial(0).evaluate(j1, j2))
-    a2 = float(a_ser.partial(1).evaluate(j1, j2))
-    s1 = LN32 + float(poly.partial(0).evaluate(j1, j2))
-    s2 = float(poly.partial(1).evaluate(j1, j2))
-    s11 = float(poly.partial(0).partial(0).evaluate(j1, j2))
-    s12 = float(poly.partial(0).partial(1).evaluate(j1, j2))
-    s22 = float(poly.partial(1).partial(1).evaluate(j1, j2))
-    return a, a1, a2, s1, s2, s11, s12, s22
-
-
 def twist(j1: float, j2: float) -> float:
     """Isoenergetic twist dW/dj2 at constant energy, from the model.
 
@@ -738,14 +719,18 @@ def twist(j1: float, j2: float) -> float:
     symbolically.  Like the model rotation number it is restricted to
     |j| <= 1.
     """
-    _require_finite(j1, j2)
+    rho = _disk_radius(j1, j2, "twist")
+    a_ser = A_series(9)
+    a = float(a_ser.evaluate(j1, j2))
+    a1 = float(a_ser.partial(0).evaluate(j1, j2))
+    a2 = float(a_ser.partial(1).evaluate(j1, j2))
+    s1 = _invariant_slopes(j1, j2)[0]
+    poly = invariant_polynomial(4)
+    s11 = float(poly.partial(0).partial(0).evaluate(j1, j2))
+    s12 = float(poly.partial(0).partial(1).evaluate(j1, j2))
+    s22 = float(poly.partial(1).partial(1).evaluate(j1, j2))
     rho_sq = j1 * j1 + j2 * j2
-    if rho_sq == 0.0:
-        raise DomainError("twist undefined at the origin")
-    if math.hypot(j1, j2) > 1.0:
-        raise DomainError("model restricted to |j| <= 1")
-    a, a1, a2, s1, s2, s11, s12, s22 = _model_pieces(j1, j2)
-    lnr = 0.5 * math.log(rho_sq)
+    lnr = math.log(rho)
     two_pi_w1 = (j2 / rho_sq - a1 * lnr - a * j1 / rho_sq
                  + a1 * s1 + a * s11 - s12)
     two_pi_w2 = (-j1 / rho_sq - a2 * lnr - a * j2 / rho_sq
@@ -756,31 +741,19 @@ def twist(j1: float, j2: float) -> float:
 def twistless_curve(r: float) -> float:
     """Polar angle s (from the positive j2 axis) where the twist vanishes.
 
-    Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by bracketed
-    bisection to a bracket below 1e-12; raises if the bracket does not
-    change sign.
+    Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by `brentq` to 1e-14;
+    raises DomainError if the ends of that interval have the same sign.
     """
     if not 0 < r <= 1:
         raise DomainError("radius must lie in (0, 1]")
-    eps = 1e-9
 
     def f(s: float) -> float:
         return twist(r * math.sin(s), r * math.cos(s))
 
-    lo, hi = -math.pi / 2 + eps, math.pi / 2 - eps
-    flo, fhi = f(lo), f(hi)
-    if flo * fhi > 0:
+    lo, hi = -math.pi / 2 + 1e-9, math.pi / 2 - 1e-9
+    if f(lo) * f(hi) > 0:
         raise DomainError(f"no sign change of the twist on the half circle r={r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0 or hi - lo < 1e-12:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return brentq(f, lo, hi, xtol=1e-14)
 
 
 def W_star(r: float) -> float:

@@ -128,7 +128,7 @@ def cmd_rotation(args) -> int:
 
 def cmd_twist(args) -> int:
     s = actions.twistless_curve(args.r)
-    w_star = actions.W_star(args.r)
+    w_star = actions.rotation_W_model(args.r * math.sin(s), args.r * math.cos(s))
     _emit_payload({"r": args.r, "s_twistless": s, "W_on_curve": w_star,
                    "W_star_approx": actions.W_star_approx(args.r)}, args)
     return 0

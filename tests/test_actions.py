@@ -111,6 +111,13 @@ def test_quadrature_rejects_wandering_differences_on_the_axis():
     assert abs(value - two_pi_I1_closed(0.5, 0.0, prec=80)) > 1e-11
 
 
+def test_quadrature_action_raises_where_quadrature_is_unconverged():
+    with pytest.raises(ConsistencyError, match="unconverged"):
+        action_I1(EnergyMomentum(0.2, 0.0), method="quadrature")
+    act = action_I1(EnergyMomentum(0.2, 0.1), method="quadrature")
+    assert abs(act.two_pi - float(two_pi_I1_closed(0.2, 0.1, prec=80))) <= 1e-10
+
+
 def test_quadrature_accepts_differences_at_the_noise_plateau():
     # next to the critical value the differences fall doubly exponentially
     # to a rounding plateau near 2^(4 - prec) at level 9 and stay there
@@ -317,6 +324,7 @@ def test_rotation_model_axis_values():
     # limit from below, not the axis value +1/2 shifted by one
     assert rotation_W_model(-0.3, -1e-300) == -0.5
     assert rotation_W_model(-0.3, 0.0) == 0.5
+    assert rotation_W_model(-0.3, -0.0) == 0.5
 
 
 def test_rotation_expansion_report():
@@ -521,11 +529,9 @@ def test_model_error_exact_coordinate_matches_high_order_series():
 # -- complex coordinate -------------------------------------------------------
 
 def test_complex_j_principal_branch():
-    from pendinv.actions import ComplexJ
+    from pendinv.actions import _arg
 
-    jc = ComplexJ(-0.1, 0.0)
-    assert jc.arg == pytest.approx(math.pi)       # boundary maps to +pi
-    assert ComplexJ(0.1, 0.0).arg == 0.0
-    assert -math.pi < ComplexJ(-0.1, -1e-12).arg <= math.pi
-    assert ComplexJ(3.0, 4.0).modulus == pytest.approx(5.0)
-    assert ComplexJ(1.0, 2.0).value == 1.0 + 2.0j
+    assert _arg(-0.1, 0.0) == pytest.approx(math.pi)       # boundary maps to +pi
+    assert _arg(-0.1, -0.0) == math.pi
+    assert _arg(0.1, 0.0) == 0.0
+    assert -math.pi < _arg(-0.1, -1e-12) <= math.pi

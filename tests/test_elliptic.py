@@ -37,6 +37,7 @@ def test_complete_integrals_against_mpmath():
                                                      rel=1e-13)
 
 
+@pytest.mark.slow
 def test_pi_below_minus_one_against_mpmath():
     # R_F + (n/3) R_J cancels for n < -1; the reflected form must not,
     # down to the largest float
