@@ -141,7 +141,10 @@ def lie_normalize(order: int = 10, return_generators: bool = False):
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
     # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n;
     # generators[k] is W_(k+1).
-    rows = {(i, 0): seed.grade_part(2 * i + 2).scale(math.factorial(i))
+    parts: dict[int, dict] = {}
+    for key, c in seed.terms().items():
+        parts.setdefault(seed.grade(key), {})[key] = c
+    rows = {(i, 0): seed._like(parts.get(2 * i + 2, {})).scale(math.factorial(i))
             for i in range(nmax + 1)}
     generators: list[Series] = []
     for n in range(1, nmax + 1):

@@ -4,7 +4,8 @@ Handles inverse-square-root endpoint behaviour, which is exactly what the
 action integrands produce at the turning points.  Nodes and weights are
 cached per (precision, level); abscissae are stored as distances from the
 nearest endpoint so that the double-exponential clustering near the ends
-does not lose digits.
+does not lose digits.  A level holds only the nodes no coarser level
+has, so each node is computed once.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ _node_cache: dict[tuple[int, int], list[tuple[object, object]]] = {}
 def _nodes(prec: int, level: int):
     """Nodes for step h = 2^-level as (distance-from-endpoint, weight) pairs.
 
-    Entry k (0-based) is the node at t = (k+1) * h; the node near the right
-    endpoint of [-1, 1] sits at 1 - d, its mirror at -1 + d.  The weight
-    includes the step factor h.  The tail is cut when even a 1/sqrt
-    endpoint singularity could no longer contribute at precision `prec`.
+    Level 0 holds t = k h for k = 1, 2, ...; a level >= 1 only the odd k,
+    entry i at k = 2i + 1.  The node near the right endpoint of [-1, 1]
+    sits at 1 - d, its mirror at -1 + d.  The weight includes the step
+    factor h.  A level ends at the first k, odd or even, where even a 1/sqrt
+    endpoint singularity could no longer contribute at precision `prec`;
+    an even k = 2j tests node j of the level below, its weight halved.
     """
     key = (prec, level)
     cached = _node_cache.get(key)
@@ -35,16 +38,29 @@ def _nodes(prec: int, level: int):
         out = []
         k = 1
         while True:
-            t = k * h
-            u = pi_half * mp.sinh(t)
-            d = 2 / (1 + mp.exp(2 * u))          # 1 - tanh(u)
-            w = h * pi_half * mp.cosh(t) / mp.cosh(u) ** 2
-            out.append((d, w))
+            if level and k % 2 == 0:
+                d, w = _entry(prec, level, k)     # a coarser level's node
+            else:
+                t = k * h
+                u = pi_half * mp.sinh(t)
+                d = 2 / (1 + mp.exp(2 * u))          # 1 - tanh(u)
+                w = h * pi_half * mp.cosh(t) / mp.cosh(u) ** 2
+                out.append((d, w))
             if w < tiny * mp.sqrt(d):
                 break
             k += 1
     _node_cache[key] = out
     return out
+
+
+def _entry(prec: int, level: int, k: int) -> tuple:
+    """(d, w) at t = k 2^-level, from the table that holds it."""
+    if level == 0:
+        return _nodes(prec, 0)[k - 1]
+    if k % 2:
+        return _nodes(prec, level)[k // 2]
+    d, w = _entry(prec, level - 1, k // 2)
+    return d, mp.ldexp(w, -1)                     # exact
 
 
 def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12) -> tuple:
@@ -75,20 +91,12 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12) -> tuple:
         mid = (a + b) / 2
         tol = mp.mpf(2) ** (10 - prec)
 
-        # Level 0: trapezoid with h = 1; the t = 0 node has weight pi/2.
-        running = mp.pi / 2 * f(mid)
-        for d, w in _nodes(prec, 0):
-            running += w * (f(a + half * d) + f(b - half * d))
-        value = running * half
-        err = abs(value)
-        last = mp.mpf(1)                          # previous relative difference
         floor = mp.mpf(2) ** (6 - prec)           # above the noise plateau
-        converged = False
-        for level in range(1, max_level + 1):
-            add = mp.mpf(0)
-            for idx, (d, w) in enumerate(_nodes(prec, level)):
-                if idx % 2 == 1:
-                    continue  # k even: node already present at coarser level
+        running = value = mp.mpf(0)
+        for level in range(max(max_level, 0) + 1):      # level 0 always runs
+            # level 0 is the trapezoid with h = 1, its t = 0 node of weight pi/2
+            add = mp.pi / 2 * f(mid) if level == 0 else mp.mpf(0)
+            for d, w in _nodes(prec, level):
                 add += w * (f(a + half * d) + f(b - half * d))
             running = running / 2 + add
             new_value = running * half
@@ -96,7 +104,6 @@ def tanh_sinh(f: Callable, a, b, prec: int = 53, max_level: int = 12) -> tuple:
             value = new_value
             rel = err / (1 + abs(value))
             if level >= 3 and rel <= tol and (rel <= last ** 1.25 or rel <= floor):
-                converged = True
-                break
-            last = rel
-        return value, err, converged
+                return value, err, True
+            last = rel                            # previous relative difference
+        return value, err, False

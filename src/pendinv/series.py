@@ -16,9 +16,9 @@ of its factors' grades.  The weights in use:
 
 Coefficients are :class:`fractions.Fraction`; floating point only enters
 at the evaluation boundary.  Values are immutable after construction:
-derived data (partials, float coefficients, integer numerators) is
-computed once and cached on the instance, so values can be shared freely
-between threads.
+derived data (partials, float and per-precision mpf coefficients, integer
+numerators) is computed once and cached on the instance, so values can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -61,6 +61,15 @@ def _to_mpf(value):
     return mp.mpf(value)
 
 
+def _doubling(order: int):
+    """Newton working orders 1, 3, 7, ..., `order`: a step at 2p + 1 from
+    an iterate exact through grade p is exact through grade 2p + 1."""
+    p = 0
+    while p < order:
+        p = min(2 * p + 1, order)
+        yield p
+
+
 def binom_frac(alpha: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(alpha, k) for rational alpha."""
     alpha = _coerce(alpha)
@@ -86,18 +95,14 @@ def _horner_table(terms: Mapping[tuple, object]) -> list:
             for a in range(amax, -1, -1)]
 
 
-def _horner(table: list, xs: list, conv: Callable | None, i: int = 0):
+def _horner(table: list, xs: list, i: int = 0):
     x = xs[i]
     total = 0 * x
     last = i == len(xs) - 1
     for row in table:
         total = total * x
         if row is not None:
-            if not last:
-                row = _horner(row, xs, conv, i + 1)
-            elif conv is not None:
-                row = conv(row)
-            total = total + row
+            total = total + (row if last else _horner(row, xs, i + 1))
     return total
 
 
@@ -174,6 +179,12 @@ class Series:
 
     def _const(self) -> Fraction:
         return self.coeff(*(0,) * len(self.vars))
+
+    def _require_constant_grade0(self, what: str) -> None:
+        """Refuse grade-0 terms besides the constant (a weight-0 variable):
+        truncated Newton steps and power series would drop terms silently."""
+        if any(any(k) and self.grade(k) == 0 for k in self._terms):
+            raise ValueError(f"{what} needs a constant grade-0 part")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -323,14 +334,19 @@ class Series:
         return out
 
     def reciprocal(self) -> "Series":
-        """1/f for series with nonzero constant term (Newton iteration)."""
+        """1/f for a series whose grade-0 part is a nonzero constant.
+
+        Newton iteration r <- r (2 - f r) with order doubling: the step at
+        working order p truncates f and r to p.
+        """
         c0 = self._const()
         if c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
+        self._require_constant_grade0("reciprocal")
         r = Series.constant(1 / c0, self.order, self.vars, self.weights)
-        two = Series.constant(2, self.order, self.vars, self.weights)
-        for _ in range(max(1, self.order.bit_length() + 1)):
-            r = r * (two - self * r)
+        for p in _doubling(self.order):
+            r = r.truncate(p)
+            r = r * (2 - self.truncate(p) * r)
         return r
 
     def compose(self, *gs: "Series") -> "Series":
@@ -340,6 +356,10 @@ class Series:
         the truncation stays consistent; the variables of f that are not
         substituted must match theirs by label and weight.  The result is
         a series in the gs' variables.  Exponents must be non-negative.
+
+        Nested Horner, as in `evaluate`: one product per exponent of each
+        substituted variable.  Every grade is >= 0, so truncating each
+        product at the order is exact.
         """
         head, k = gs[0], len(gs)
         for g in gs:
@@ -350,30 +370,24 @@ class Series:
             raise LabelMismatchError(
                 f"remaining variables differ: {self.vars[k:]} vs {head.vars[k:]}")
         order = min(self.order, *(g.order for g in gs))
-        subs = ([g.truncate(order) for g in gs]
-                + [Series.variable(i, order, head.vars, head.weights)
-                   for i in range(k, len(self.vars))])
-        one = Series.constant(1, order, head.vars, head.weights)
-        powers = [[one] for _ in subs]
-        acc: dict[tuple, Fraction] = {}
-        for exponents, c in self._terms.items():
-            mono = one
-            for pw, s, e in zip(powers, subs, exponents):
-                while len(pw) <= e:
-                    pw.append(pw[-1] * s)
-                if e:
-                    mono = mono * pw[e]
-            for key, v in mono._terms.items():
-                acc[key] = acc.get(key, 0) + c * v
-        return Series(order, head.vars, acc, head.weights)
+        # one leaf series per exponents of the gs; the head may have fewer
+        # variables than k, so pad the remaining exponents to its length
+        pad = len(head.vars) - (len(self.vars) - k)
+        leaves: dict[tuple, dict] = {}
+        for key, c in self._terms.items():
+            leaves.setdefault(key[:k], {})[(0,) * pad + key[k:]] = c
+        table = _horner_table({key: Series(order, head.vars, rest, head.weights)
+                               for key, rest in leaves.items()})
+        return _horner(table, [g.truncate(order) for g in gs])
 
     def invert(self) -> "Series":
         """Solve f(g, x2, ...) = x1 for g, exactly up to the order.
 
         Requires f = x1 + (higher order): unit linear coefficient in the
         first variable, zero constant term and no linear term in another
-        variable.  Newton iteration on series; the result is certified by
-        an exact composition round-trip.
+        variable.  Newton iteration with order doubling: the step at working
+        order p truncates f, f' and g to p.  The result is certified once,
+        by the exact round-trip f(g, x2, ...) = x1 at the full order.
         """
         n = len(self.vars)
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -383,16 +397,18 @@ class Series:
             raise InversionError("linear coefficient of the first variable must be 1")
         if any(self.coeff(*u) != 0 for u in units[1:]):
             raise InversionError("pure linear term in another variable")
-        order = self.order
-        x = Series.variable(0, order, self.vars, self.weights)
-        fprime = self.partial(0).truncate(order)
+        x = Series.variable(0, self.order, self.vars, self.weights)
+        fprime = self.partial(0)
         g = x
-        for _ in range(max(1, order.bit_length()) + 2):
-            err = self.compose(g) - x
-            if err.is_zero():
-                break
-            g = g - err * fprime.compose(g).reciprocal()
-        if not (self.compose(g) - x).is_zero():
+        for p in _doubling(self.order):
+            g = g.truncate(p)
+            err = self.truncate(p).compose(g) - x.truncate(p)
+            slope = fprime.truncate(p).compose(g)
+            try:
+                g = g - err * slope.reciprocal()
+            except ValueError as exc:       # non-constant grade-0 part
+                raise InversionError(f"no polynomial inverse: {exc}") from exc
+        if self.compose(g) != x:
             raise InversionError("Newton iteration did not close the round-trip")
         return g
 
@@ -406,23 +422,23 @@ class Series:
         """Value at `point`, one coordinate per variable.
 
         Horner in the first variable with nested Horner in the others.
-        Plain floats by default, from float coefficients converted once per
-        series; with `prec` set, mpmath at that many bits, returning an mpf.
+        Plain floats by default; with `prec` set, mpmath at that many bits,
+        returning an mpf.  The coefficients are converted once per series
+        and precision.
         """
         if len(point) != len(self.vars):
             raise ValueError(f"{len(point)} coordinates for variables {self.vars}")
-        table = self._cache.get("horner")
-        if table is None:
-            table = self._cache["horner"] = _horner_table(self._terms)
-        if prec is not None:
-            with mp.workprec(prec):
-                return _horner(table, [_to_mpf(x) for x in point],
-                               lambda q: mp.mpf(q.numerator) / q.denominator)
-        floats = self._cache.get("float")
-        if floats is None:
-            floats = self._cache["float"] = _horner_table(
-                {k: c.numerator / c.denominator for k, c in self._terms.items()})
-        return _horner(floats, [float(x) for x in point], None)
+        table = self._cache.get(("horner", prec))
+        if prec is None:
+            if table is None:
+                table = self._cache[("horner", prec)] = _horner_table(
+                    {k: c.numerator / c.denominator for k, c in self._terms.items()})
+            return _horner(table, [float(x) for x in point])
+        with mp.workprec(prec):
+            if table is None:
+                table = self._cache[("horner", prec)] = _horner_table(
+                    {k: _to_mpf(c) for k, c in self._terms.items()})
+            return _horner(table, [_to_mpf(x) for x in point])
 
     # -- serialization ---------------------------------------------------
 
@@ -455,29 +471,23 @@ class Series:
 TruncatedSeries1 = TruncatedSeries2 = Series
 
 
+def _power_series(f: Series, what: str, coeff: Callable[[int], Fraction]) -> Series:
+    """Sum of coeff(k) f^k, k <= order, for f with zero constant term: the
+    one-variable power series composed with f."""
+    if f._const() != 0:
+        raise ValueError(f"{what} requires zero constant term")
+    f._require_constant_grade0(what)
+    rest = (0,) * (len(f.vars) - 1)
+    outer = Series(f.order, f.vars, {(k,) + rest: coeff(k) for k in range(f.order + 1)},
+                   (1,) + f.weights[1:])
+    return outer.compose(f)
+
+
 def exp_series(f: Series) -> Series:
     """Exact exp of a series with zero constant term."""
-    if f._const() != 0:
-        raise ValueError("exp requires zero constant term")
-    out = Series.constant(1, f.order, f.vars, f.weights)
-    term = out
-    for k in range(1, f.order + 1):
-        term = term * f
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction(1, math.factorial(k)))
-    return out
+    return _power_series(f, "exp", lambda k: Fraction(1, math.factorial(k)))
 
 
 def log1p_series(f: Series) -> Series:
     """log(1 + f) for a series f with zero constant term."""
-    if f._const() != 0:
-        raise ValueError("log1p requires zero constant term")
-    out = Series(f.order, f.vars, None, f.weights)
-    term = Series.constant(1, f.order, f.vars, f.weights)
-    for k in range(1, f.order + 1):
-        term = term * f
-        if term.is_zero():
-            break
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return _power_series(f, "log1p", lambda k: Fraction((-1) ** (k + 1), k) if k else 0)

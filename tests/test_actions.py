@@ -9,7 +9,7 @@ import pytest
 
 import mpmath as mp
 
-from pendinv import actions
+from pendinv import actions, quadrature
 from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              action_I1, action_J1_numeric,
                              birkhoff_series,
@@ -101,6 +101,39 @@ def test_quadrature_reports_whether_it_converged():
     assert two_pi_I1_quadrature(0.5, 0.0, prec=80)[2] is False
     for prec in (53, 80):
         assert two_pi_I1_quadrature(0.1, 0.1, prec=prec)[2] is True
+
+
+def test_quadrature_value_is_pinned_bitwise(monkeypatch):
+    # the 148-bit working value, printed to 50 digits, as computed when
+    # every level still held its even nodes too
+    monkeypatch.setattr(quadrature, "_node_cache", {})
+    value, err, converged = two_pi_I1_quadrature(0.01, 0.003, prec=128)
+    assert converged is True
+    # the odd k of the full tables of 5, 10, 20, 39, 78, 156, 311, 621 nodes
+    assert [len(quadrature._node_cache[(128, level)]) for level in range(8)] \
+        == [5, 5, 10, 20, 39, 78, 156, 311]
+    with mp.workdps(50):
+        assert repr(value) == "mpf('8.0722512719197606135904782982296526254953518303169817')"
+        assert repr(err) == "mpf('6.3680383205022695000326619386293622283319218844725682e-39')"
+
+
+def test_quadrature_evaluates_each_node_once(monkeypatch):
+    monkeypatch.setattr(quadrature, "_node_cache", {})
+    calls = []
+
+    def integrand(x):
+        calls.append(x)
+        return mp.sqrt(1 - x * x)
+
+    value, _, converged = quadrature.tanh_sinh(integrand, -1, 1, prec=128)
+    assert converged is True
+    with mp.workprec(148):
+        assert abs(value - mp.pi / 2) < mp.mpf(2) ** -120
+    # the midpoint plus both mirror nodes of every cached entry, and no
+    # node is cached twice
+    distances = [d for table in quadrature._node_cache.values() for d, _ in table]
+    assert len(calls) == 1 + 2 * len(distances)
+    assert len(set(distances)) == len(distances)
 
 
 def test_quadrature_rejects_wandering_differences_on_the_axis():

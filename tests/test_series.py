@@ -1,5 +1,6 @@
 """Exact series algebra: ring axioms, composition, inversion, serialization."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,34 @@ def random_series(rng, order=5, vars=("x", "y"), zero_constant=False,
         terms.pop((0, 1), None)
         terms.pop((0, 0), None)
     return Series(order, vars, terms)
+
+
+def random_weighted(rng, order, vars, weights, zero_constant=True, log_max=2):
+    """Random series; a weight-0 variable gets exponents up to `log_max`."""
+    ranges = [range(order // w + 1 if w else log_max + 1) for w in weights]
+    terms = {key: F(rng.randint(-6, 6), rng.randint(1, 5))
+             for key in itertools.product(*ranges)
+             if sum(w * e for w, e in zip(weights, key)) <= order
+             and rng.random() < 0.4}
+    if zero_constant:
+        terms.pop((0,) * len(vars), None)
+    return Series(order, vars, terms, weights)
+
+
+def compose_reference(f, *gs):
+    """Sum of c * g1^e1 * ... over f's terms, from __mul__ and __pow__."""
+    head, k = gs[0], len(gs)
+    order = min(f.order, *(g.order for g in gs))
+    subs = ([g.truncate(order) for g in gs]
+            + [Series.variable(i, order, head.vars, head.weights)
+               for i in range(k, len(f.vars))])
+    out = Series(order, head.vars, None, head.weights)
+    for key, c in f.terms().items():
+        mono = Series.constant(c, order, head.vars, head.weights)
+        for s, e in zip(subs, key):
+            mono = mono * s ** e
+        out = out + mono
+    return out
 
 
 def test_difference_of_squares():
@@ -76,6 +105,41 @@ def test_compose_first_simple():
     assert comp.coeff(2, 0) == 1 and comp.coeff(1, 1) == 2 and comp.coeff(0, 2) == 1
 
 
+@pytest.mark.parametrize("vars_, weights, k, head_vars", [
+    (("x",), (1,), 1, ("x",)),
+    (("x", "y"), (1, 1), 1, ("x", "y")),
+    (("x", "y"), (1, 1), 2, ("x", "y")),
+    (("x", "y"), (1, 1), 2, ("l",)),            # head shorter than k
+    (("t", "L"), (1, 0), 1, ("t", "L")),        # L kept, weight 0
+    (("t", "L"), (1, 0), 2, ("t", "L")),        # L substituted, grade-0 term
+])
+def test_compose_matches_term_by_term_reference(vars_, weights, k, head_vars):
+    rng = random.Random(11)
+    head_weights = weights if head_vars == vars_ else (1,)
+    for order in (1, 4, 7):
+        for _ in range(3):
+            f = random_weighted(rng, order, vars_, weights, zero_constant=False)
+            gs = [random_weighted(rng, order, head_vars, head_weights)
+                  for _ in range(k)]
+            if head_weights == (1, 0) and k == 2:
+                gs[1] = gs[1] + Series.variable(1, order, head_vars, head_weights)
+            assert f.compose(*gs) == compose_reference(f, *gs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 13, 21])
+def test_invert_round_trip_at_orders_off_the_doubling(order):
+    rng = random.Random(order)
+    for vars_ in (("x",), ("x", "y")):
+        terms = {key: F(rng.randint(-3, 3), rng.randint(1, 4))
+                 for key in itertools.product(range(order + 1), repeat=len(vars_))
+                 if 2 <= sum(key) <= order and rng.random() < 0.3}
+        terms[(1,) + (0,) * (len(vars_) - 1)] = F(1)
+        f = Series(order, vars_, terms)
+        g = f.invert()
+        x = Series.variable(0, order, vars_)
+        assert f.compose(g) == x and g.compose(f) == x
+
+
 def test_compose_requires_zero_constant():
     f = Series.variable(0, 3, ("x", "y"))
     g = Series.constant(1, 3, ("x", "y"))
@@ -122,6 +186,10 @@ def test_invert_requires_unit_linear():
          + Series.variable(1, 3, ("x", "y")))
     with pytest.raises(InversionError):
         g.invert_first()
+    # t + t L with L of weight 0: the inverse t / (1 + L) is no polynomial
+    log = Series(3, ("t", "L"), {(1, 0): 1, (1, 1): 1}, (1, 0))
+    with pytest.raises(InversionError):
+        log.invert()
 
 
 def test_partial_derivatives():
@@ -183,6 +251,23 @@ def test_exp_series_basics():
     assert exp_series(zero) == Series.constant(1, 3, ("x",))
     with pytest.raises(ValueError):
         exp_series(Series.constant(1, 3, ("x",)))
+
+
+@pytest.mark.parametrize("fn", [Series.reciprocal, exp_series, log1p_series])
+def test_grade_zero_terms_besides_the_constant_are_refused(fn):
+    # with L of weight 0, L^n stays at grade 0 for every n: a truncated
+    # Newton or power series would drop terms silently
+    weights = (1, 0)
+    const = 1 if fn is Series.reciprocal else 0
+    f = Series(3, ("t", "L"), {(0, 0): const, (0, 1): 1, (1, 0): 1}, weights)
+    with pytest.raises(ValueError, match="constant grade-0 part"):
+        fn(f)
+    # L at positive grade only is fine
+    ok = Series(3, ("t", "L"), {(0, 0): const, (1, 1): 1, (1, 0): 1}, weights)
+    if fn is Series.reciprocal:
+        assert ok * ok.reciprocal() == Series.constant(1, 3, ("t", "L"), weights)
+    else:
+        assert log1p_series(exp_series(ok) - 1) == ok
 
 
 def test_exp_log_inverse():
