@@ -24,8 +24,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, _lambda0, carlson_rf, carlson_rj,
-                       cubic_roots, ellint_E, ellint_K)
+                       _discriminant, _gaps, _lambda0, carlson_rj, cubic_roots,
+                       cubic_value, ellint_E, ellint_K, ellint_Pi_from_p)
 from .quadrature import tanh_sinh
 from .series import Series, binom_frac
 
@@ -247,7 +247,7 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
         jj = mp.mpf(j2)
 
         def integrand(z):
-            p = 2 * (1 - z * z) * (hh + 1 - z) - jj * jj
+            p = cubic_value(z, hh, jj)
             if p <= 0:
                 return mp.mpf(0)
             return mp.sqrt(p) / (1 - z * z)
@@ -287,6 +287,10 @@ def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
     the doubled vanishing cycle; the square-root branch is tracked by
     continuity along 16-node Gauss-Legendre panels.  The result times the
     cycle orientation is real; an imaginary residue above 1e-10 raises.
+    At the relative equilibria of the image, where zeta0 = zeta1 (such as
+    (h, j2) = (0.625, 1.875), roots -1/4, -1/4, 17/8), the rectangle has no
+    room and ContourGeometryError is raised, although sqrt(P) has no
+    branch point at the double root.
     """
     h, j2 = em.h, em.j2
     data = cubic_roots(em)
@@ -307,11 +311,8 @@ def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
                complex(z2 + delta, 0.0)]
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
 
-    def poly(z: complex) -> complex:
-        return 2 * (1 - z * z) * (h + 1 - z) - j2 * j2
-
     total = 0.0 + 0.0j
-    w_prev = cmath.sqrt(poly(corners[0]))  # real positive right of zeta2
+    w_prev = cmath.sqrt(cubic_value(corners[0], h, j2))  # real positive right of zeta2
     for start, end in zip(corners[:-1], corners[1:]):
         seg = end - start
         length = abs(seg)
@@ -323,7 +324,7 @@ def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
             half = (b - a) / 2
             for x, wq in zip(gl_x, gl_w):
                 z = mid + half * x
-                w = cmath.sqrt(poly(z))
+                w = cmath.sqrt(cubic_value(z, h, j2))
                 if abs(w - w_prev) > abs(w + w_prev):
                     w = -w
                 w_prev = w
@@ -372,15 +373,13 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
     p_plus = data.eps1 / one_minus_z0                # 1 - n+
     if data.eps2 / span > p_plus:
         return w + half - pref * carlson_rj(0.0, kcsq, 1.0, data.eps2 / span) / (3 * span)
-    pi_plus = (carlson_rf(0.0, kcsq, 1.0)
-               + (1 - p_plus) / 3 * carlson_rj(0.0, kcsq, 1.0, p_plus))
-    return w + pref * pi_plus / one_minus_z0
+    return w + pref * ellint_Pi_from_p(p_plus, kcsq) / one_minus_z0
 
 
 def period_T_numeric(em: EnergyMomentum) -> float:
     """Reduced period 2 pi dI1/dh = 2 sqrt(2) K(k) / sqrt(zeta2 - zeta0).
 
-    K = R_F(0, k'^2, 1) takes the complementary parameter k'^2 =
+    `ellint_K` takes the complementary parameter k'^2 =
     (eps1 + eps2) / (zeta2 - zeta0) from the gaps, so it keeps its digits
     next to the critical value, where k^2 itself rounds to 1.  Where k'^2
     underflows there, the result is the separatrix asymptote ln(32 / |h +
@@ -391,23 +390,25 @@ def period_T_numeric(em: EnergyMomentum) -> float:
         if em.h == 0.0 and em.j2 == 0.0:
             raise DomainError("period diverges on the separatrix")
         return LN32 - math.log(math.hypot(em.h, em.j2))
-    return 2 * math.sqrt(2.0) * carlson_rf(0.0, data.kcsq, 1.0) / math.sqrt(data.span)
+    return 2 * math.sqrt(2.0) * ellint_K(data.kcsq) / math.sqrt(data.span)
+
+
+def _quadrature_slope(em: EnergyMomentum, step: float, prec: int, along_j2: bool):
+    """Central difference of `two_pi_I1_quadrature` along h or j2; an mpf."""
+    dh, dj2 = (0.0, step) if along_j2 else (step, 0.0)
+    up = two_pi_I1_quadrature(em.h + dh, em.j2 + dj2, prec=prec)[0]
+    dn = two_pi_I1_quadrature(em.h - dh, em.j2 - dj2, prec=prec)[0]
+    return (up - dn) / (2 * step)
 
 
 def rotation_W_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
     """Finite-difference oracle -dI1/dj2 via extended-precision quadrature."""
-    h, j2 = em.h, em.j2
-    up = two_pi_I1_quadrature(h, j2 + step, prec=prec)[0]
-    dn = two_pi_I1_quadrature(h, j2 - step, prec=prec)[0]
-    return float(-(up - dn) / (2 * step) / TWO_PI)
+    return float(-_quadrature_slope(em, step, prec, along_j2=True) / TWO_PI)
 
 
 def period_T_fd(em: EnergyMomentum, step: float = 1e-5, prec: int = 120) -> float:
     """Finite-difference oracle 2 pi dI1/dh."""
-    h, j2 = em.h, em.j2
-    up = two_pi_I1_quadrature(h + step, j2, prec=prec)[0]
-    dn = two_pi_I1_quadrature(h - step, j2, prec=prec)[0]
-    return float((up - dn) / (2 * step))
+    return float(_quadrature_slope(em, step, prec, along_j2=False))
 
 
 # -- invariant model ----------------------------------------------------------
@@ -682,11 +683,12 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         residual_rms = float(mp.sqrt(sum(x * x for x in resid) / len(resid)))
         ln32_error = float(abs(coeffs[(1, 0)] - mp.log(32)))
 
+    reference = invariant_polynomial(4).terms()
     reference_errors = {
         mono: float(abs(coeffs[mono] - mp.mpf(frac.numerator) / frac.denominator))
-        for mono, frac in _INVARIANT_TERMS.items()
+        for mono, frac in reference.items()
     }
-    threshold = 1e-3 * min(abs(float(f)) for f in _INVARIANT_TERMS.values())
+    threshold = 1e-3 * min(abs(float(f)) for f in reference.values())
     if residual_max > threshold:
         raise FitQualityError(
             f"fit residual {residual_max:.3e} above threshold {threshold:.3e}")
@@ -769,6 +771,15 @@ def W_star_approx(r: float) -> float:
 
 # -- monodromy -----------------------------------------------------------------
 
+def unwrap(prev: float, raw: float) -> float:
+    """The angle raw shifted by a multiple of 2 pi to within pi of prev."""
+    while raw - prev > math.pi:
+        raw -= TWO_PI
+    while raw - prev < -math.pi:
+        raw += TWO_PI
+    return raw
+
+
 @dataclass
 class MonodromyResult:
     mu: int
@@ -789,33 +800,19 @@ def monodromy_check(radius: float = 0.3, steps: int = 720,
     if radius <= 0:
         raise DomainError("radius must be positive")
     j1s = J1_series(14)
-
-    def corrected(theta: float, phi_prev: float | None) -> tuple[float, float]:
+    # the start has j2 > 0, so its angle lies in (0, pi), where unwrapping
+    # against pi/2 leaves it as it is
+    phi = math.pi / 2
+    values = []
+    for i in range(steps + 1):
+        theta = math.pi / 2 + orientation * TWO_PI * i / steps
         h = radius * math.cos(theta)
         j2 = radius * math.sin(theta)
-        two_pi_i1 = action_I1(EnergyMomentum(h, j2)).two_pi
         j1 = float(j1s.evaluate(h, j2))
-        phi = math.atan2(j2, j1)
-        if phi_prev is not None:
-            while phi - phi_prev > math.pi:
-                phi -= TWO_PI
-            while phi - phi_prev < -math.pi:
-                phi += TWO_PI
-        value = (two_pi_i1 + TWO_PI * abs(j2)
-                 + j2 * (phi - math.atan2(j2, j1)))
-        return value, phi
-
-    start = math.pi / 2
-    j2_start = radius
-    theta_list = [start + orientation * TWO_PI * i / steps for i in range(steps + 1)]
-    phi = None
-    first_value = None
-    for theta in theta_list:
-        value, phi = corrected(theta, phi)
-        if first_value is None:
-            first_value = value
-    delta = value - first_value
-    raw = delta / (TWO_PI * j2_start)
+        phi = unwrap(phi, math.atan2(j2, j1))
+        values.append(action_I1(EnergyMomentum(h, j2)).two_pi + TWO_PI * abs(j2)
+                      + j2 * (phi - math.atan2(j2, j1)))
+    raw = (values[-1] - values[0]) / (TWO_PI * radius)
     mu = round(raw)
     if abs(raw - mu) > 0.05:
         raise ConsistencyError(f"monodromy increment {raw} not close to an integer")

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from .actions import energy_of_j, period_T_numeric, rotation_W_numeric
+from .actions import energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
 from .elliptic import DomainError, EnergyMomentum, cubic_roots
 
 
@@ -109,12 +109,13 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
 
     Records every accepted step, tracks the continuous azimuth, and refines
     each inclination turning point (maximum of z, the pericenter of the
-    reduced motion) on the dense interpolant of its step, which is built
-    for those steps only.  The record keeps the turning times, whose
-    spacing is the reduced period, and the rotation number: the mean
-    azimuth advance between successive turning points over 2 pi, or None
-    with fewer than two.  Energy, angular-momentum and constraint drift are
-    reported; the tests hold them within 10 * tol * t_end.
+    reduced motion) as the root of z' on the dense interpolant of its step,
+    by `brentq` to 1e-13 max(1, t); the interpolant is built for those
+    steps only.  The record keeps the turning times, whose spacing is the
+    reduced period, and the rotation number: the mean azimuth advance
+    between successive turning points over 2 pi, or None with fewer than
+    two.  Energy, angular-momentum and constraint drift are reported; the
+    tests hold them within 10 * tol * t_end.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -127,14 +128,6 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
     states = [y0.copy()]
     phis = [math.atan2(y0[1], y0[0])]
     turning: list[tuple[float, float]] = []   # (time, unwrapped phi)
-
-    def unwrap(prev: float, raw: float) -> float:
-        while raw - prev > math.pi:
-            raw -= 2 * math.pi
-        while raw - prev < -math.pi:
-            raw += 2 * math.pi
-        return raw
-
     prev_zdot = _zdot(y0)
     while solver.status == "running":
         msg = solver.step()
@@ -145,19 +138,14 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
         phi = unwrap(phis[-1], math.atan2(y[1], y[0]))
         cur_zdot = _zdot(y)
         if prev_zdot > 0.0 and cur_zdot <= 0.0 and len(times) > 1:
-            # z-maximum inside (t_prev, t): bisect the step's interpolant,
-            # built before the projection below rewrites solver.y and solver.f
+            # z-maximum inside (t_prev, t]: a root of z' on the step's
+            # interpolant, built before the projection below rewrites
+            # solver.y and solver.f.  The interpolant starts at the projected
+            # previous state, where z' > 0, and ends at the unprojected
+            # state, whose z' may keep its sign; the maximum is then t
             dense = solver.dense_output()
-            lo, hi = times[-1], t
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if _zdot(dense(mid)) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-13 * max(1.0, abs(t)):
-                    break
-            t_star = 0.5 * (lo + hi)
+            t_star = t if _zdot(dense(t)) > 0 else brentq(
+                lambda s: _zdot(dense(s)), times[-1], t, xtol=1e-13 * max(1.0, abs(t)))
             y_star = dense(t_star)
             phi_star = unwrap(phis[-1], math.atan2(y_star[1], y_star[0]))
             turning.append((t_star, phi_star))
@@ -214,6 +202,26 @@ def rotation_number_measured(em: EnergyMomentum, n_periods: int = 3,
     return record.rotation_number, record
 
 
+def _brackets(f, grid):
+    """Yield, in grid order, (a, b) for neighbouring grid points where f
+    changes sign and (a, a) where f(a) is exactly 0.
+
+    A point where f raises DomainError is skipped, and no bracket spans it.
+    """
+    prev = None
+    for x in grid:
+        try:
+            fx = f(x)
+        except DomainError:
+            prev = None
+            continue
+        if fx == 0.0:
+            yield x, x
+        elif prev is not None and prev[1] * fx < 0:
+            yield prev[0], x
+        prev = (x, fx)
+
+
 @dataclass
 class OrbitSearchResult:
     target: Fraction
@@ -230,42 +238,27 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
     """Find the periodic orbit with rotation number p/q on a polar circle.
 
     The polar angle is measured from the positive j2 axis (j1 = r sin s,
-    j2 = r cos s).  A scan of 80 angles brackets the root, the
-    elliptic-integral rotation number refines it to full accuracy, and the
-    orbit is then integrated over q reduced periods and checked to close to
-    1e-6 in phase space.
+    j2 = r cos s).  The first bracket of `_brackets` on a grid of 80 angles
+    is refined by `brentq` on the elliptic-integral rotation number to full
+    accuracy, and the orbit is then integrated over q reduced periods and
+    checked to close to 1e-6 in phase space.  Raises DomainError when no
+    angle of the grid brackets the target.
     """
     w_val = float(w_target)
     q = Fraction(w_target).denominator
 
-    def w_of_s(s: float) -> float:
+    def f(s: float) -> float:
         j1 = radius * math.sin(s)
         j2 = radius * math.cos(s)
-        return rotation_W_numeric(EnergyMomentum(energy_of_j(j1, j2), j2))
+        return rotation_W_numeric(EnergyMomentum(energy_of_j(j1, j2), j2)) - w_val
 
     eps = 1e-3
     grid = np.linspace(-math.pi / 2 + eps, math.pi / 2 - eps, 80)
-    vals = []
-    for s in grid:
-        try:
-            vals.append(w_of_s(s) - w_val)
-        except DomainError:
-            vals.append(math.nan)
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            bracket = (a, a)
-            break
-        if fa * fb < 0:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    a, b = next(_brackets(f, grid), (None, None))
+    if a is None:
         raise DomainError(
             f"rotation number {w_target} not attained on the circle r = {radius}")
-    s_root = bracket[0] if bracket[0] == bracket[1] else brentq(
-        lambda s: w_of_s(s) - w_val, bracket[0], bracket[1], xtol=1e-14)
+    s_root = a if a == b else brentq(f, a, b, xtol=1e-14)
 
     j1 = radius * math.sin(s_root)
     j2 = radius * math.cos(s_root)
@@ -285,8 +278,8 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
 
 
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
-    """All j2 > 0 with the given rotation number at fixed energy, bracketed
-    by a scan of 400 values of j2.
+    """All j2 > 0 with the given rotation number at fixed energy: every
+    bracket of `_brackets` on 400 values of j2, refined by `brentq`.
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.
@@ -297,19 +290,9 @@ def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     def f(j2: float) -> float:
         return rotation_W_numeric(EnergyMomentum(h, j2)) - w_val
 
-    out = []
-    prev = None
-    for i in range(1, 401):
-        j2 = j2_max * i / 401
-        try:
-            cur = (j2, f(j2))
-        except DomainError:
-            break
-        if prev is not None and prev[1] * cur[1] < 0:
-            root = brentq(f, prev[0], cur[0], xtol=1e-13)
-            out.append(EnergyMomentum(h, root))
-        prev = cur
-    return out
+    grid = [j2_max * i / 401 for i in range(1, 401)]
+    return [EnergyMomentum(h, a if a == b else brentq(f, a, b, xtol=1e-13))
+            for a, b in _brackets(f, grid)]
 
 
 @dataclass

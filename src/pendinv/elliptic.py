@@ -305,7 +305,9 @@ class EllipticData:
     other.  The roots, the span zeta2 - zeta0 and the complementary
     parameter kcsq = k'^2 = (zeta2 - zeta1) / (zeta2 - zeta0) of the
     elliptic integrals are formed from them; the fields hold floats, or
-    mpf values for the high-precision action.
+    mpf values for the high-precision action.  kcsq is capped at 1: next
+    to the relative equilibria at large h the float gaps can put it an ulp
+    above, where every Legendre kernel refuses it.
     """
 
     zeta0: float
@@ -323,7 +325,7 @@ class EllipticData:
         span = 2 - delta0 + eps2
         return cls(zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
                    delta0=delta0, eps1=eps1, eps2=eps2, width=width,
-                   span=span, kcsq=(eps1 + eps2) / span)
+                   span=span, kcsq=min((eps1 + eps2) / span, 1.0))
 
 
 def cubic_value(zeta: float, h: float, j2: float) -> float:

@@ -21,7 +21,7 @@ from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              twistless_curve, two_pi_I1_closed,
                              two_pi_I1_energy_expansion, two_pi_I1_model,
                              two_pi_I1_quadrature, W_star, W_star_approx)
-from pendinv.elliptic import DomainError, EnergyMomentum
+from pendinv.elliptic import DomainError, EnergyMomentum, cubic_roots
 from pendinv.normalform import lie_normalize
 from pendinv.series import Series
 
@@ -198,6 +198,20 @@ def test_closed_form_action_matches_quadrature(prec):
         assert float(two_pi_I1_closed(h, 0.0, prec=prec)) == pytest.approx(
             action_I1(EnergyMomentum(h, 0.0)).two_pi, abs=1e-13)
     assert two_pi_I1_closed(0.0, 0.0, prec=prec) == 8
+
+
+def test_relative_equilibrium_edge_at_large_h_is_in_range():
+    # an in-image point where the float gaps put (eps1 + eps2) / span an
+    # ulp above 1; with k'^2 capped at 1 no Legendre kernel refuses it
+    em = EnergyMomentum(float.fromhex("0x1.a5deb459185a6p+25"),
+                        float.fromhex("0x1.48a1ae55fd73cp+13"))
+    d = cubic_roots(em)
+    assert (d.eps1 + d.eps2) / d.span > 1.0 and d.kcsq == 1.0
+    # the action is 2e-13 there, and the large-h gaps lose about 1e-11 of it
+    assert abs(action_I1(em).two_pi - float(two_pi_I1_closed(em.h, em.j2, prec=80))) < 1e-10
+    assert rotation_W_numeric(em) == pytest.approx(1.0, abs=1e-15)
+    assert period_T_numeric(em) == pytest.approx(math.sqrt(2) * math.pi / math.sqrt(d.span),
+                                                 rel=1e-15)
 
 
 def test_action_even_in_j2():

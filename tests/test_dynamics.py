@@ -12,7 +12,7 @@ from pendinv.dynamics import (PhaseState, _project, _rhs, _zdot,
                               geometry_report, initial_condition, integrate,
                               orbits_at_energy, periodic_orbit_search,
                               rotation_number_measured)
-from pendinv.elliptic import EnergyMomentum
+from pendinv.elliptic import DomainError, EnergyMomentum
 
 
 def field(r, p):
@@ -215,10 +215,38 @@ def test_rotation_target_limits_small_radius():
 
 
 def test_unattainable_target_raises():
-    from pendinv.elliptic import DomainError
-
     with pytest.raises(DomainError):
         periodic_orbit_search(F(1, 3), 0.3)
+
+
+# -- root brackets on a grid ---------------------------------------------------
+
+def test_brackets_at_sign_changes():
+    grid = [-2.0, -1.0, 1.0, 2.0]
+    assert list(dynamics._brackets(lambda x: x * x - 2.0, grid)) == [(-2.0, -1.0),
+                                                                   (1.0, 2.0)]
+
+
+def test_brackets_an_exact_zero_by_itself():
+    # neither pair next to the zero changes sign strictly
+    assert list(dynamics._brackets(lambda x: x - 1.0, [0.0, 1.0, 2.0])) == [(1.0, 1.0)]
+
+
+def test_brackets_never_span_a_refused_point():
+    def f(x):
+        if x == 1.0:
+            raise DomainError("outside the image")
+        return (x - 1.0) * (x - 2.5)
+
+    # f changes sign between 0 and 2 only across the refused point
+    assert list(dynamics._brackets(f, [0.0, 1.0, 2.0, 3.0])) == [(2.0, 3.0)]
+
+
+def test_search_without_a_bracket_raises(monkeypatch):
+    monkeypatch.setattr(dynamics, "rotation_W_numeric", lambda em: 0.5)
+    with pytest.raises(DomainError,
+                       match=r"^rotation number 3/4 not attained on the circle r = 0\.5$"):
+        periodic_orbit_search(F(3, 4), 0.5)
 
 
 def test_two_orbits_same_rotation_number():

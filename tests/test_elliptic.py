@@ -11,8 +11,6 @@ from pendinv.elliptic import (DivergenceError, DomainError, EnergyMomentum,
                               cubic_value, ellint_E, ellint_K, ellint_Pi,
                               heuman_lambda0)
 
-mp.mp.dps = 30
-
 # the kernels take the complementary parameter mc = k'^2 = 1 - m
 
 
@@ -77,9 +75,10 @@ def test_pi_against_direct_quadrature():
     for _ in range(12):
         n = rng.uniform(-3.0, 0.9)
         m = rng.uniform(0.05, 0.9)
-        direct = mp.quad(lambda t: 1 / ((1 - n * mp.sin(t) ** 2)
-                                        * mp.sqrt(1 - m * mp.sin(t) ** 2)),
-                         [0, mp.pi / 2])
+        with mp.workdps(30):
+            direct = mp.quad(lambda t: 1 / ((1 - n * mp.sin(t) ** 2)
+                                            * mp.sqrt(1 - m * mp.sin(t) ** 2)),
+                             [0, mp.pi / 2])
         assert abs(ellint_Pi(n, 1 - m) - float(direct)) < 1e-11
 
 
@@ -103,16 +102,18 @@ def test_lambda0_reflection():
 def test_lambda0_quadrature_oracle():
     phi, m = 1.2, 0.9
     mc = 1 - m
-    f_inc = mp.quad(lambda t: 1 / mp.sqrt(1 - mc * mp.sin(t) ** 2), [0, phi])
-    e_inc = mp.quad(lambda t: mp.sqrt(1 - mc * mp.sin(t) ** 2), [0, phi])
-    ref = 2 / mp.pi * (mp.ellipk(m) * e_inc
-                       - (mp.ellipk(m) - mp.ellipe(m)) * f_inc)
+    with mp.workdps(30):
+        f_inc = mp.quad(lambda t: 1 / mp.sqrt(1 - mc * mp.sin(t) ** 2), [0, phi])
+        e_inc = mp.quad(lambda t: mp.sqrt(1 - mc * mp.sin(t) ** 2), [0, phi])
+        ref = 2 / mp.pi * (mp.ellipk(m) * e_inc
+                           - (mp.ellipk(m) - mp.ellipe(m)) * f_inc)
     assert abs(heuman_lambda0(phi, mc) - float(ref)) < 1e-12
 
 
 def test_carlson_rc_with_small_second_argument():
     for y in (0.9, 0.5, 1e-3, 1e-10, 1e-17, 1e-60, 1e-300, 5e-324):
-        ref = mp.elliprc(1, mp.mpf(y))
+        with mp.workdps(30):
+            ref = mp.elliprc(1, mp.mpf(y))
         assert carlson_rc(1.0, y) == pytest.approx(float(ref), rel=4e-15), y
 
 

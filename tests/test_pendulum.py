@@ -9,15 +9,13 @@ import pytest
 from pendinv.actions import birkhoff_series
 from pendinv.elliptic import DomainError
 from pendinv.normalform import lie_normalize
-from pendinv.pendulum import (AXIS_INVARIANT_FRACTIONS, J_of_q_theta,
-                              action_log_series, complex_nome_diagonal_matches,
+from pendinv.pendulum import (J_of_q_theta, action_log_series,
+                              complex_nome_diagonal_matches,
                               complex_nome_series, invariant_series_exact,
                               nome_from_invariant, pendulum_normal_form,
                               pendulum_quadruple, pendulum_series_check,
                               theta_inverse_matches_nome)
 from pendinv.series import Series
-
-mp.mp.dps = 30
 
 
 # -- branch formulas ---------------------------------------------------------
@@ -25,8 +23,9 @@ mp.mp.dps = 30
 def test_quadruple_value_h2():
     quad = pendulum_quadruple(2.0)
     # k^2 = 1/2 there; I+ = (4 sqrt(2)/pi) E(1/2)
-    assert quad.action == pytest.approx(
-        4 * math.sqrt(2) / math.pi * float(mp.ellipe(0.5)), rel=1e-14)
+    with mp.workdps(30):
+        e_half = float(mp.ellipe(0.5))
+    assert quad.action == pytest.approx(4 * math.sqrt(2) / math.pi * e_half, rel=1e-14)
 
 
 # next to the critical energy, on both branches
@@ -142,6 +141,18 @@ def test_axis_normal_form_equals_the_slice_of_the_full_one():
     assert pendulum_normal_form(10) == axis_slice(lie_normalize(20))
 
 
+# quadratic-and-up invariant fractions on the axis
+AXIS_INVARIANT_FRACTIONS = {
+    2: F(3, 32),
+    3: F(-5, 512),
+    4: F(55, 32768),
+    5: F(-189, 524288),
+    6: F(3689, 41943040),
+    7: F(-3129, 134217728),
+    8: F(1575405, 240518168576),
+}
+
+
 def test_invariant_series_exact_fractions():
     s = invariant_series_exact(8)
     for d, frac in AXIS_INVARIANT_FRACTIONS.items():
@@ -151,7 +162,6 @@ def test_invariant_series_exact_fractions():
 
 def test_series_check_report():
     rep = pendulum_series_check()
-    assert rep.invariant_fractions_ok
     # truncation at cubic order over |h| <= 0.2: generous empirical caps
     assert rep.worst_action < 5e-4
     assert rep.worst_imaginary_action < 5e-5
@@ -229,7 +239,8 @@ def test_nome_against_modulus_route():
         h = pendulum_normal_form(14).evaluate(j)
         msq = 2 / (2 + h)
         mcsq = h / (2 + h)
-        q_ref = math.exp(-math.pi * float(mp.ellipk(msq) / mp.ellipk(mcsq)))
+        with mp.workdps(30):
+            q_ref = math.exp(-math.pi * float(mp.ellipk(msq) / mp.ellipk(mcsq)))
         q_series = nome_from_invariant(10).q_of_l.evaluate(j / 32)
         assert q_series == pytest.approx(q_ref, rel=1e-8)
 
@@ -257,6 +268,12 @@ def test_complex_nome_integer_coefficients():
 
 def test_complex_nome_reduces_to_axis():
     assert complex_nome_diagonal_matches(4)
+
+
+def test_complex_nome_lower_orders_truncate_order_four():
+    # the degree-n nome terms need the invariant only through degree n
+    for order in (1, 2, 3):
+        assert complex_nome_series(order) == complex_nome_series(4).truncate(order)
 
 
 def test_complex_nome_order_guard():
