@@ -50,7 +50,7 @@ class ActionValue:
     """A computed action and the route that produced it."""
 
     value: float
-    method: str           # lambda0 | quadrature | contour
+    method: str           # lambda0 (action_I1) | contour (action_J1_numeric)
 
     @property
     def two_pi(self) -> float:
@@ -232,7 +232,7 @@ def two_pi_I1_closed(h, j2, prec: int = 53):
         return _two_pi_I1(mp.mpf(h), mp.mpf(j2), d, mp, _complete_mp, _lambda0_mp)
 
 
-def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
+def two_pi_I1_quadrature(h, j2, prec: int, max_level: int = 12):
     """2*pi*I1 by tanh-sinh quadrature of the defining integral.
 
     The real cycle covers [zeta0, zeta1] twice, so 2 pi I1 equals twice the
@@ -257,23 +257,14 @@ def two_pi_I1_quadrature(h, j2, prec: int = 53, max_level: int = 12):
         return 2 * val, 2 * err, converged
 
 
-def action_I1(em: EnergyMomentum, method: str = "lambda0") -> ActionValue:
+def action_I1(em: EnergyMomentum) -> ActionValue:
     """Non-trivial action I1(h, j2); `two_pi` on the result gives 2 pi I1.
 
-    "lambda0" evaluates the closed Lambda0 form (`_two_pi_I1`, the formula
-    of `two_pi_I1_closed`) in floats on the whole image, within about
-    1e-14 (1 + |2 pi I1|); "quadrature" integrates the defining integral
-    at 53 bits, the independent oracle, and raises ConsistencyError where
-    it stops unconverged.
+    Evaluates the closed Lambda0 form (`_two_pi_I1`, the formula of
+    `two_pi_I1_closed`) in floats on the whole image, within about
+    1e-14 (1 + |2 pi I1|).  Its independent oracle is
+    `two_pi_I1_quadrature`.
     """
-    if method == "quadrature":
-        val, _, converged = two_pi_I1_quadrature(em.h, em.j2)
-        if not converged:
-            raise ConsistencyError(
-                f"quadrature unconverged at (h, j2) = ({em.h!r}, {em.j2!r})")
-        return ActionValue(float(val) / TWO_PI, "quadrature")
-    if method != "lambda0":
-        raise ValueError(f"unknown method {method!r}")
     two_pi = _two_pi_I1(em.h, em.j2, cubic_roots(em), math, _complete, _lambda0)
     return ActionValue(two_pi / TWO_PI, "lambda0")
 
@@ -522,13 +513,14 @@ def energy_of_j(j1: float, j2: float) -> float:
     return float(birkhoff_series(10).evaluate(j1, j2))
 
 
-def j1_of_energy(h: float, j2: float, degree: int = 12) -> float:
-    """Local normal-form coordinate j1 = J1(h, j2) from the exact series.
+def j1_of_energy(h: float, j2: float) -> float:
+    """Local normal-form coordinate j1 = J1(h, j2) from the exact series
+    through degree 12.
 
     Raises DomainError outside the image of the momentum map.
     """
     cubic_roots(EnergyMomentum(h, j2))
-    return float(J1_series(degree).evaluate(h, j2))
+    return float(J1_series(12).evaluate(h, j2))
 
 
 # -- high-precision fit of the invariant --------------------------------------
@@ -538,8 +530,6 @@ class InvariantSeries:
     """Fitted invariant: coefficients and diagnostics."""
 
     coefficients: dict
-    order: int
-    precision: int
     samples: int
     residual_max: float
     residual_rms: float
@@ -704,7 +694,7 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
 
     return InvariantSeries(
         coefficients={k: float(v) for k, v in coeffs.items()},
-        order=order, precision=precision, samples=len(resid),
+        samples=len(resid),
         residual_max=residual_max, residual_rms=residual_rms,
         ln32_error=ln32_error, reference_errors=reference_errors,
         oracle_samples=len(radii),

@@ -1,5 +1,6 @@
 """Command-line surface: reproducible experiments, machine-readable output.
 
+Every subcommand writes to stdout (`orbit --trace` also writes CSV files).
 Exit codes: 0 success, 1 verification failure, 2 domain error.  Nothing
 is sampled at random and grid sweeps are assembled in deterministic
 order, so identical invocations produce identical bytes.
@@ -17,24 +18,20 @@ from . import actions, dynamics, elliptic, normalform, pendulum
 from .elliptic import DivergenceError, DomainError, EnergyMomentum
 
 
-def _emit(text: str, path: str | None):
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _json(payload) -> str:
+    """Indented JSON; NaN or infinity raises ValueError, as JSON has neither."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit_payload(payload: dict, args) -> None:
-    """`payload` as indented JSON, a CSV header and row, or `key = value`
-    lines, by --format."""
+    """Print `payload` as indented JSON, a CSV header and row, or
+    `key = value` lines, by --format."""
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        print(_json(payload))
     elif args.format == "csv":
-        _emit(",".join(payload) + "\n" + ",".join(map(str, payload.values())),
-              args.output)
+        print(",".join(payload) + "\n" + ",".join(map(str, payload.values())))
     else:
-        _emit("\n".join(f"{k} = {v!r}" for k, v in payload.items()), args.output)
+        print("\n".join(f"{k} = {v!r}" for k, v in payload.items()))
 
 
 def cmd_nf(args) -> int:
@@ -43,12 +40,12 @@ def cmd_nf(args) -> int:
     if args.format == "json":
         payload = {"order": args.order, "series": json.loads(lie.to_json()),
                    "lie_equals_inversion": agree}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        print(_json(payload))
     else:
         lines = [f"normal form through grade {args.order}:",
                  "  H = " + lie.pretty(),
                  f"lie route == inversion route: {agree}"]
-        _emit("\n".join(lines), args.output)
+        print("\n".join(lines))
     return 0 if agree else 1
 
 
@@ -70,14 +67,14 @@ def cmd_invariants(args) -> int:
         rows.append({"a": a, "b": b, "fitted": fitted,
                      "reference": reference, "reference_label": label})
     if args.format == "json":
-        payload = {"order": res.order, "precision": res.precision,
+        payload = {"order": args.order, "precision": args.precision,
                    "samples": res.samples, "residual_max": res.residual_max,
                    "residual_rms": res.residual_rms, "coefficients": rows,
                    "quadrature_checked_samples": res.oracle_samples,
                    "quadrature_max_abs_diff": res.oracle_max_diff}
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+        print(_json(payload))
     else:
-        lines = [f"invariant fit: order {res.order}, {res.precision} bits, "
+        lines = [f"invariant fit: order {args.order}, {args.precision} bits, "
                  f"{res.samples} samples, residual {res.residual_max:.3e}",
                  f"closed-form action checked by quadrature at "
                  f"{res.oracle_samples} samples: max |difference| "
@@ -87,32 +84,32 @@ def cmd_invariants(args) -> int:
                    f" (|err| = {abs(row['fitted'] - row['reference']):.2e})"
                    if row["reference"] is not None else "")
             lines.append(f"  j1^{row['a']} j2^{row['b']}: {row['fitted']:+.12e}{ref}")
-        _emit("\n".join(lines), args.output)
+        print("\n".join(lines))
     return 0
 
 
 def cmd_action(args) -> int:
     em = EnergyMomentum(args.h, args.j2)
-    act = actions.action_I1(em, method=args.method)
+    act = actions.action_I1(em)
     j1 = actions.j1_of_energy(args.h, args.j2)
-    if args.j2 == 0.0 and args.h == 0.0:
+    critical = args.j2 == 0.0 and args.h == 0.0   # W and T are undefined
+    if critical:
         w_val, t_val = float("nan"), float("nan")
     else:
         w_val = actions.rotation_W_numeric(em)
         t_val = actions.period_T_numeric(em)
     if args.format == "csv":
-        _emit("h,j2,I1,J1,W,T,method\n"
-              f"{args.h},{args.j2},{act.value!r},{j1!r},{w_val!r},{t_val!r},{act.method}",
-              args.output)
+        print("h,j2,I1,J1,W,T,method\n"
+              f"{args.h},{args.j2},{act.value!r},{j1!r},{w_val!r},{t_val!r},{act.method}")
     elif args.format == "json":
-        _emit(json.dumps({"h": args.h, "j2": args.j2, "I1": act.value,
-                          "two_pi_I1": act.two_pi, "J1": j1, "W": w_val,
-                          "T": t_val, "method": act.method},
-                         indent=2, sort_keys=True), args.output)
+        print(_json({"h": args.h, "j2": args.j2, "I1": act.value,
+                     "two_pi_I1": act.two_pi, "J1": j1,
+                     "W": None if critical else w_val,
+                     "T": None if critical else t_val, "method": act.method}))
     else:
-        _emit(f"2 pi I1 = {act.two_pi:.15g}   (I1 = {act.value:.15g}, "
+        print(f"2 pi I1 = {act.two_pi:.15g}   (I1 = {act.value:.15g}, "
               f"method {act.method})\nJ1 = {j1:.15g}\nW = {w_val:.15g}\n"
-              f"T = {t_val:.15g}", args.output)
+              f"T = {t_val:.15g}")
     return 0
 
 
@@ -145,19 +142,17 @@ def cmd_pendulum(args) -> int:
             ser = pendulum.nome_from_invariant(order).l_of_q
         elif args.series == "reciprocal":
             ser = pendulum.nome_from_invariant(order).reciprocal_series
-        elif args.series == "theta":
+        else:  # "theta", the last of the argparse choices
             ser = pendulum.J_of_q_theta(order)
-        else:
-            raise ValueError(f"unknown series {args.series}")
         if args.format == "csv":
             lines = ["exponent,numerator,denominator"]
             for (a,), c in sorted(ser.terms().items()):
                 lines.append(f"{a},{c.numerator},{c.denominator}")
-            _emit("\n".join(lines), args.output)
+            print("\n".join(lines))
         elif args.format == "json":
-            _emit(ser.to_json(), args.output)
+            print(ser.to_json())
         else:
-            _emit(ser.pretty(), args.output)
+            print(ser.pretty())
         return 0
     quad = pendulum.pendulum_quadruple(args.h, true_pendulum=args.true_pendulum)
     _emit_payload({"h": args.h, "branch": quad.branch, "I": quad.action,
@@ -172,7 +167,7 @@ def cmd_orbit(args) -> int:
     res = dynamics.periodic_orbit_search(target, args.r, tol=args.tol)
     payload = {"target": str(target), "s": res.s, "h": res.h, "j2": res.j2,
                "closure_error": res.closure_error}
-    _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
+    print(_json(payload))
     if args.trace:
         lines = ["t,x,y,z,px,py,pz"]
         for t, y in zip(res.record.times, res.record.states):
@@ -196,11 +191,9 @@ def cmd_special(args) -> int:
         val = elliptic.ellint_E(mc)
     elif args.function == "Pi":
         val = elliptic.ellint_Pi(args.n, mc)
-    elif args.function == "lambda0":
+    else:  # "lambda0", the last of the argparse choices
         val = elliptic.heuman_lambda0(args.phi, mc)
-    else:
-        raise ValueError(args.function)
-    _emit(repr(val), args.output)
+    print(repr(val))
     return 0
 
 
@@ -245,7 +238,9 @@ def _suite_averaging() -> tuple[bool, list[str]]:
     rep = normalform.canonical_pt_cross_check()
     return rep.passed, [f"average matches: {rep.average_ok}",
                         f"first order agreement: {rep.first_order_ok}",
-                        rep.observed_relation]
+                        "integral of the oscillating part equals the Lie "
+                        "generator (+W4); the mixed-variable generating "
+                        "function is its negative"]
 
 
 _SUITES = {
@@ -266,7 +261,7 @@ def cmd_verify(args) -> int:
         all_ok &= ok
         output.append(f"[{'PASS' if ok else 'FAIL'}] suite {name}")
         output.extend("    " + line for line in lines)
-    _emit("\n".join(output), args.output)
+    print("\n".join(output))
     return 0 if all_ok else 1
 
 
@@ -277,40 +272,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "spherical pendulum")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *formats):
-        if formats:
-            p.add_argument("--format", choices=formats, default="pretty")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+    def add_format(p, *formats):
+        p.add_argument("--format", choices=formats, default="pretty")
 
     p = sub.add_parser("nf", help="Birkhoff normal form, both routes")
     p.add_argument("--order", type=int, default=10, help="maximum grade (default 10)")
-    common(p, "pretty", "json")
+    add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("invariants", help="fit the symplectic invariant")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--precision", type=int, default=256)
     p.add_argument("--samples", type=int, default=160)
-    common(p, "pretty", "json")
+    add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("action", help="action values at one point")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--j2", type=float, default=0.0)
-    p.add_argument("--method", default="lambda0",
-                   choices=("lambda0", "quadrature"))
-    common(p, "pretty", "json", "csv")
+    add_format(p, "pretty", "json", "csv")
     p.set_defaults(func=cmd_action)
 
     p = sub.add_parser("rotation", help="rotation number, elliptic vs model")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--j2", type=float, required=True)
-    common(p, "pretty", "json")
+    add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_rotation)
 
     p = sub.add_parser("twist", help="twistless circle data at radius r")
     p.add_argument("--r", type=float, required=True)
-    common(p, "pretty", "json")
+    add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("pendulum", help="planar pendulum values and series")
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "theta"))
     p.add_argument("--order", type=int, default=7)
     p.add_argument("--true-pendulum", action="store_true")
-    common(p, "pretty", "json", "csv")
+    add_format(p, "pretty", "json", "csv")
     p.set_defaults(func=cmd_pendulum)
 
     p = sub.add_parser("orbit", help="periodic orbit with rotation number p/q")
@@ -328,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.75)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--trace", default=None, help="CSV path for the orbit trace")
-    common(p)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("special", help="evaluate a special function")
@@ -336,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("msq", type=float, help="the parameter m = k^2")
     p.add_argument("--n", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=math.pi / 2)
-    common(p)
     p.set_defaults(func=cmd_special)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("--suite", default="all",
                    choices=tuple(_SUITES) + ("all",))
-    common(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -224,9 +224,7 @@ def _brackets(f, grid):
 
 @dataclass
 class OrbitSearchResult:
-    target: Fraction
     s: float
-    j1: float
     j2: float
     h: float
     closure_error: float
@@ -273,8 +271,8 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
     if closure > 1e-6:
         raise IntegrationError(
             f"orbit failed to close: |final - initial| = {closure:.3e}")
-    return OrbitSearchResult(target=Fraction(w_target), s=s_root, j1=j1, j2=j2,
-                             h=h, closure_error=closure, record=record)
+    return OrbitSearchResult(s=s_root, j2=j2, h=h, closure_error=closure,
+                             record=record)
 
 
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:

@@ -245,7 +245,6 @@ class AveragingCrossCheck:
     w4: Series                        # Lie generator at grade 4
     average_ok: bool
     first_order_ok: bool
-    observed_relation: str
 
     @property
     def passed(self) -> bool:
@@ -259,8 +258,7 @@ def canonical_pt_cross_check() -> AveragingCrossCheck:
     that the transformed Hamiltonian at first order agrees between the two
     schemes.  The Lie generator W4 is by construction the integral in
     theta1 of the oscillating part; the mixed-variable generating function
-    carries the opposite sign (S1 = -W4 for new-momenta conventions), which
-    is recorded in `observed_relation`.
+    carries the opposite sign (S1 = -W4 for new-momenta conventions).
     """
     h4 = seed_hamiltonian(4).grade_part(4)
     average, w4 = homological_solve(h4)
@@ -273,9 +271,5 @@ def canonical_pt_cross_check() -> AveragingCrossCheck:
     # route removes the oscillating part.  Both leave exactly the average.
     lie_k4 = h4 + poisson_bracket(monomial(1, 0, 0, 4), w4)
     first_order_ok = lie_k4 == average
-
-    relation = ("integral of the oscillating part equals the Lie generator "
-                "(+W4); the mixed-variable generating function is its negative")
     return AveragingCrossCheck(average=average, w4=w4, average_ok=average_ok,
-                               first_order_ok=first_order_ok,
-                               observed_relation=relation)
+                               first_order_ok=first_order_ok)

@@ -144,11 +144,11 @@ def test_quadrature_rejects_wandering_differences_on_the_axis():
     assert abs(value - two_pi_I1_closed(0.5, 0.0, prec=80)) > 1e-11
 
 
-def test_quadrature_action_raises_where_quadrature_is_unconverged():
-    with pytest.raises(ConsistencyError, match="unconverged"):
-        action_I1(EnergyMomentum(0.2, 0.0), method="quadrature")
-    act = action_I1(EnergyMomentum(0.2, 0.1), method="quadrature")
-    assert abs(act.two_pi - float(two_pi_I1_closed(0.2, 0.1, prec=80))) <= 1e-10
+def test_quadrature_reports_where_it_is_unconverged_at_53_bits():
+    assert two_pi_I1_quadrature(0.2, 0.0, prec=53)[2] is False
+    value, _, converged = two_pi_I1_quadrature(0.2, 0.1, prec=53)
+    assert converged is True
+    assert abs(float(value) - float(two_pi_I1_closed(0.2, 0.1, prec=80))) <= 1e-10
 
 
 def test_quadrature_accepts_differences_at_the_noise_plateau():
@@ -245,7 +245,7 @@ def test_j1_contour_matches_series():
     for (h, j2) in [(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.05, 0.15),
                     (-0.2, 0.1)]:
         val = action_J1_numeric(EnergyMomentum(h, j2)).value
-        ref = j1_of_energy(h, j2, 14)
+        ref = float(J1_series(14).evaluate(h, j2))
         assert val == pytest.approx(ref, abs=1e-9)
 
 

@@ -47,6 +47,18 @@ def test_action_critical_point(capsys):
     assert "2 pi I1 = 8" in out
 
 
+def test_action_json_at_the_critical_value_is_strict(capsys):
+    # W and T are undefined there; JSON has no NaN, so they are null
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    code, out, _ = run(capsys, "action", "--h", "0", "--j2", "0", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["W"] is None and payload["T"] is None
+    assert payload["two_pi_I1"] == 8.0
+
+
 def test_action_csv_schema(capsys):
     code, out, _ = run(capsys, "action", "--h", "0.2", "--j2", "0.1",
                        "--format", "csv")
@@ -152,12 +164,39 @@ def test_exact_outputs_match_the_benchmark_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == golden[key], key
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _offered_formats() -> dict[str, tuple]:
     """Each subcommand's --format choices, read from the parser."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return {name: next((a.choices for a in p._actions if a.dest == "format"), ())
-            for name, p in sub.choices.items()}
+            for name, p in _subparsers().items()}
+
+
+def _offered_options() -> dict[str, set]:
+    """Each subcommand's option strings, read from the parser, without
+    -h/--help."""
+    return {name: {o for a in p._actions for o in a.option_strings}
+            - {"-h", "--help"} for name, p in _subparsers().items()}
+
+
+OPTIONS = {
+    "nf": {"--order", "--format"},
+    "invariants": {"--order", "--precision", "--samples", "--format"},
+    "action": {"--h", "--j2", "--format"},
+    "rotation": {"--h", "--j2", "--format"},
+    "twist": {"--r", "--format"},
+    "pendulum": {"--h", "--series", "--order", "--true-pendulum", "--format"},
+    "orbit": {"--W", "--r", "--tol", "--trace"},
+    "special": {"--n", "--phi"},
+    "verify": {"--suite"},
+}
+
+
+def test_option_census():
+    assert _offered_options() == OPTIONS
 
 
 # one quick invocation per subcommand, and per output of `pendulum`
