@@ -11,7 +11,9 @@ Hamiltonian decomposes into pure even grades and the homological operator
 {H2, .} acts as -m on each exponential, so the normalization proceeds with
 no small denominators; the Deprit triangle grows by one diagonal per
 stage.  Everything is exact rational arithmetic end to end, in
-dimensionless units kappa = nu = 1.
+dimensionless units kappa = nu = 1.  The triangle runs on integer
+numerators over one denominator per entry, kept in lowest terms, with one
+integer bracket kernel; fractions enter with the seed, leave with the result.
 """
 
 from __future__ import annotations
@@ -33,52 +35,72 @@ def monomial(a: int, b: int, m: int, order: int, coeff=1) -> Series:
     return Series(order, VARS, {(a, b, m): coeff}, WEIGHTS)
 
 
-def dtheta(f: Series) -> Series:
-    """Partial derivative with respect to theta1 (multiplies by m)."""
-    return f.map(lambda k, c: c * k[2])
+def _form(f: Series) -> tuple[int, dict]:
+    """f as an integer form (den, {(a, b, m): numerator}) in lowest terms."""
+    den, rows = f._integer_form()
+    return den, {k: n for _, k, n in rows}
 
 
-def kernel_part(f: Series) -> Series:
-    """Terms with m = 0: the theta1-independent component."""
-    return f.map(lambda k, c: c if k[2] == 0 else 0)
+def _series(form: tuple[int, dict], order: int) -> Series:
+    """An integer form as a Series of the algebra, truncated at `order`."""
+    den, terms = form
+    return Series(order, VARS, {k: Fraction(n, den) for k, n in terms.items()}, WEIGHTS)
 
 
-def integrate_theta(f: Series) -> Series:
-    """Antiderivative in theta1 of a function with no m = 0 component."""
-    if not kernel_part(f).is_zero():
-        raise ValueError("cannot integrate a term independent of theta1")
-    return f.map(lambda k, c: c / k[2])
+def _sum(parts) -> tuple[int, dict]:
+    """Sum of c * x over pairs (c, x) of an integer and an integer form,
+    in lowest terms with zeros dropped."""
+    den = math.lcm(*(d for _, (d, _) in parts))
+    acc: dict[tuple, int] = {}
+    for c, (d, terms) in parts:
+        c *= den // d
+        for key, n in terms.items():
+            acc[key] = acc.get(key, 0) + c * n
+    acc = {k: n for k, n in acc.items() if n}
+    common = math.gcd(den, *acc.values())
+    return den // common, {k: n // common for k, n in acc.items()}
 
 
-def poisson_bracket(f: Series, g: Series) -> Series:
-    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1), in one pass.
+def _bracket(f, g) -> tuple[int, dict]:
+    """{f, g} of two integer forms, over den1 den2 and not reduced.
 
     A term pair n1 J1^a1 J2^b1 e^m1, n2 J1^a2 J2^b2 e^m2 adds n1 n2 (m1 a2
-    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), of grade g1 + g2 - 2 <=
-    the smaller order, summed over integer numerators.  On the algebra
-    (grades >= 0) this is the difference of the two truncated products.
+    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), of grade g1 + g2 - 2.
     """
-    order = min(f.order, g.order)
-    (den1, rows1), (den2, rows2) = f._integer_form(), g._integer_form()
+    (den1, terms1), (den2, terms2) = f, g
     acc: dict[tuple, int] = {}
-    for g1, (a1, b1, m1), n1 in rows1:
-        for g2, (a2, b2, m2), n2 in rows2:
-            if g1 + g2 - 2 > order:
-                break
+    for (a1, b1, m1), n1 in terms1.items():
+        for (a2, b2, m2), n2 in terms2.items():
             weight = m1 * a2 - a1 * m2
             if weight:
                 key = (a1 + a2 - 1, b1 + b2, m1 + m2)
                 acc[key] = acc.get(key, 0) + weight * n1 * n2
-    den = den1 * den2
-    return f._like({k: Fraction(n, den) for k, n in acc.items() if n}, order)
+    return den1 * den2, acc
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+def _homological(h: tuple[int, dict]) -> tuple[tuple, tuple]:
+    """(kernel, generator) of an integer form h: the m = 0 part K, and W
+    with dW/dtheta1 = h - K (frequency nu = 1), each e^(m theta1) term
+    divided by m over the lcm of the |m|."""
+    den, terms = h
+    rest = {k: c for k, c in terms.items() if k[2]}
+    lcm_m = math.lcm(*(abs(k[2]) for k in rest))
+    return (_sum([(1, (den, {k: c for k, c in terms.items() if not k[2]}))]),
+            _sum([(1, (den * lcm_m, {k: c * (lcm_m // k[2]) for k, c in rest.items()}))]))
+
+
+def poisson_bracket(f: Series, g: Series) -> Series:
+    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1): the integer
+    kernel `_bracket`, keeping grade g1 + g2 - 2 <= the smaller order.  On
+    the algebra (grades >= 0) this is the difference of the two truncated
+    products."""
+    return _series(_bracket(_form(f), _form(g)), min(f.order, g.order))
+
+
+def homological_solve(h: Series) -> tuple[Series, Series]:
+    """(kernel, generator W) of h, dW/dtheta1 = h - kernel (`_homological`)."""
+    kernel, generator = _homological(_form(h))
+    return _series(kernel, h.order), _series(generator, h.order)
 
 
 def seed_hamiltonian(order: int) -> Series:
@@ -104,73 +126,58 @@ def seed_hamiltonian(order: int) -> Series:
         rho_pow = rho2 * rho2
         n = 2
         while 2 * n <= order:
-            coeff = Fraction(-_double_factorial(2 * n - 3), _double_factorial(2 * n))
+            coeff = Fraction(-math.prod(range(2 * n - 3, 0, -2)),   # double factorials
+                             math.prod(range(2 * n, 0, -2)))
             h = h + rho_pow.scale(coeff)
             rho_pow = rho_pow * rho2
             n += 1
     return h
 
 
-def homological_solve(h: Series) -> tuple[Series, Series]:
-    """Split h into kernel + removable part and return (kernel, generator).
+def _triangle(order: int) -> tuple[Series, list]:
+    """(normal form, generators) of the Deprit triangle through grade `order`.
 
-    The generator W satisfies dW/dtheta1 = h - kernel (frequency nu = 1);
-    on the range the operator just divides each e^{m theta1} coefficient
-    by m.
-    """
-    kernel = kernel_part(h)
-    return kernel, integrate_theta(h - kernel)
-
-
-def lie_normalize(order: int = 10, return_generators: bool = False):
-    """Birkhoff normal form through grade `order` via the Deprit triangle.
-
-    Returns H(J1, J2) as a Series in (j1, j2) of total degree order/2;
-    the output depends on J1 and J2^2 only.  With return_generators=True
-    also returns the list of generators (grade 2n + 2 for stage n).
-
-    Stage n adds only the diagonal i + j = n; earlier entries are final.
-    It is built with W_n unknown, so each entry with j >= 1 lacks the same
-    {H_0, W_n}: the kernel minus the top entry, added back once W_n is
-    solved for.
+    Entries H_i^j and generators are integer forms in lowest terms;
+    generators[n - 1] is W_n, of grade 2n + 2.  Stage n adds only the
+    diagonal i + j = n; earlier entries are final.  It is built with W_n
+    unknown, so each entry with j >= 1 lacks the same {H_0, W_n}: the
+    kernel minus the top entry, added back once W_n is solved for.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     nmax = (order - 2) // 2
-    seed = seed_hamiltonian(2 * nmax + 2)
+    den, seed = seed_hamiltonian(2 * nmax + 2)._integer_form()
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
-    # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n;
-    # generators[k] is W_(k+1).
-    parts: dict[int, dict] = {}
-    for key, c in seed.terms().items():
-        parts.setdefault(seed.grade(key), {})[key] = c
-    rows = {(i, 0): seed._like(parts.get(2 * i + 2, {})).scale(math.factorial(i))
+    # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n.
+    rows = {(i, 0): _sum([(math.factorial(i),
+                           (den, {k: c for g, k, c in seed if g == 2 * i + 2}))])
             for i in range(nmax + 1)}
-    generators: list[Series] = []
+    generators: list[tuple[int, dict]] = []
     for n in range(1, nmax + 1):
         for j in range(1, n + 1):
             i = n - j
-            acc = rows[(i + 1, j - 1)]
-            for k in range(min(i + 1, n - 1)):
-                term = poisson_bracket(rows[(i - k, j - 1)], generators[k])
-                acc = acc + term.scale(math.comb(i, k))
-            rows[(i, j)] = acc
-        kernel, generator = homological_solve(rows[(0, n)])
-        delta = kernel - rows[(0, n)]
+            rows[(i, j)] = _sum(
+                [(1, rows[(i + 1, j - 1)])]
+                + [(math.comb(i, k), _bracket(rows[(i - k, j - 1)], generators[k]))
+                   for k in range(min(i + 1, n - 1))])
+        kernel, generator = _homological(rows[(0, n)])
+        delta = _sum([(1, kernel), (-1, rows[(0, n)])])
         for j in range(1, n + 1):
-            rows[(n - j, j)] = rows[(n - j, j)] + delta
+            rows[(n - j, j)] = _sum([(1, rows[(n - j, j)]), (1, delta)])
         generators.append(generator)
+    normal = {(a, b): Fraction(c, rows[(0, n)][0] * math.factorial(n))
+              for n in range(nmax + 1) for (a, b, _), c in rows[(0, n)][1].items()}
+    return Series(order // 2, ("j1", "j2"), normal), generators
 
-    normal = Series(seed.order, VARS, None, WEIGHTS)
-    for n in range(nmax + 1):
-        normal = normal + rows[(0, n)].scale(Fraction(1, math.factorial(n)))
-    if not dtheta(normal).is_zero():
-        raise ArithmeticError("normal form still depends on theta1")
-    series = Series(order // 2, ("j1", "j2"),
-                    {(a, b): c for (a, b, _), c in normal.terms().items()})
-    if return_generators:
-        return series, generators
-    return series
+
+def lie_normalize(order: int = 10) -> Series:
+    """Birkhoff normal form through grade `order` via the Deprit triangle.
+
+    Returns H(J1, J2) as a Series in (j1, j2) of total degree order/2;
+    the output depends on J1 and J2^2 only.  The triangle runs on integer
+    numerators over one denominator per entry (`_triangle`).
+    """
+    return _triangle(order)[0]
 
 
 # -- linear normal form ------------------------------------------------------

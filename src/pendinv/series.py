@@ -227,12 +227,10 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self.order, self.vars, self.weights)
         order = self._check_compatible(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
+        out = dict(self.truncate(order)._terms)
+        for k, c in other.truncate(order)._terms.items():
             out[k] = out.get(k, 0) + c
-        if self.order == other.order:       # nothing to truncate
-            return self._like({k: c for k, c in out.items() if c})
-        return Series(order, self.vars, out, self.weights)
+        return self._like({k: c for k, c in out.items() if c}, order)
 
     __radd__ = __add__
 
@@ -301,7 +299,10 @@ class Series:
 
     def truncate(self, order: int) -> "Series":
         """The same terms under another order (a larger one keeps them all)."""
-        return Series(order, self.vars, self._terms, self.weights)
+        if order >= self.order:
+            return self._like(self._terms, order)
+        return self._like({k: c for k, c in self._terms.items()
+                           if self.grade(k) <= order}, order)
 
     def relabel(self, vars: tuple) -> "Series":
         return Series(self.order, vars, self._terms, self.weights)
@@ -386,8 +387,10 @@ class Series:
         Requires f = x1 + (higher order): unit linear coefficient in the
         first variable, zero constant term and no linear term in another
         variable.  Newton iteration with order doubling: the step at working
-        order p truncates f, f' and g to p.  The result is certified once,
-        by the exact round-trip f(g, x2, ...) = x1 at the full order.
+        order p truncates f, f' and g to p.  1/f'(g) is one reciprocal at
+        the first working order, then carried forward by one Newton step
+        r <- r (2 - f'(g) r) per order.  The result is certified once, by
+        the exact round-trip f(g, x2, ...) = x1 at the full order.
         """
         n = len(self.vars)
         units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -399,15 +402,20 @@ class Series:
             raise InversionError("pure linear term in another variable")
         x = Series.variable(0, self.order, self.vars, self.weights)
         fprime = self.partial(0)
-        g = x
+        g, r = x, None
         for p in _doubling(self.order):
             g = g.truncate(p)
             err = self.truncate(p).compose(g) - x.truncate(p)
             slope = fprime.truncate(p).compose(g)
-            try:
-                g = g - err * slope.reciprocal()
-            except ValueError as exc:       # non-constant grade-0 part
-                raise InversionError(f"no polynomial inverse: {exc}") from exc
+            if r is None:
+                try:
+                    r = slope.reciprocal()
+                except ValueError as exc:       # non-constant grade-0 part
+                    raise InversionError(f"no polynomial inverse: {exc}") from exc
+            else:
+                r = r.truncate(p)
+                r = r * (2 - slope * r)
+            g = g - err * r
         if self.compose(g) != x:
             raise InversionError("Newton iteration did not close the round-trip")
         return g

@@ -50,10 +50,11 @@ def test_birkhoff_inversion_identity():
     assert comp == Series.variable(0, 10, ("j1", "j2"))
 
 
-@pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("order", [4, 6, 8, 10, 12, 30])
 def test_lie_equals_inversion(order):
     # grade 12 exercises degree-6 coefficients with no reference values at
-    # all: two independent derivations must coincide exactly
+    # all: two independent derivations must coincide exactly; grade 30 pins
+    # the triangle beyond the golden grade 20
     assert lie_normalize(order) == birkhoff_series(order // 2)
 
 

@@ -8,9 +8,8 @@ import pytest
 
 from pendinv import normalform
 from pendinv.normalform import (VARS, WEIGHTS, canonical_pt_cross_check,
-                                dtheta, homological_solve, kernel_part,
-                                lie_normalize, monomial, poisson_bracket,
-                                seed_hamiltonian, verify_linear_nf)
+                                homological_solve, lie_normalize, monomial,
+                                poisson_bracket, seed_hamiltonian, verify_linear_nf)
 from pendinv.series import Series
 
 J2SQ = [(0, 2, 0), (2, 0, 0)]
@@ -23,6 +22,16 @@ def pc(terms):
 
 def grades(f):
     return {f.grade(k) for k in f.terms()}
+
+
+def dtheta(f):
+    """Partial derivative with respect to theta1 (multiplies by m)."""
+    return f.map(lambda k, c: c * k[2])
+
+
+def kernel_part(f):
+    """Terms with m = 0: the theta1-independent component."""
+    return f.map(lambda k, c: c if k[2] == 0 else 0)
 
 
 def test_seed_grade2_is_j1():
@@ -139,10 +148,16 @@ def test_lie_normalize_deterministic_and_storage_order_independent():
     assert k1 == k2 and w1 == w2
 
 
+def as_series(form):
+    """The triangle's integer form (den, {exponents: numerator}) as a Series."""
+    den, terms = form
+    return pc({k: F(n, den) for k, n in terms.items()})
+
+
 def test_generators_live_in_the_range():
     # each stage generator is theta1-dependent only and of pure grade 2n+2
-    _, generators = lie_normalize(10, return_generators=True)
-    for n, w in enumerate(generators, start=1):
+    _, generators = normalform._triangle(10)
+    for n, w in enumerate(map(as_series, generators), start=1):
         assert kernel_part(w).is_zero()
         assert grades(w) == {2 * n + 2}
 
@@ -216,7 +231,8 @@ def test_incremental_triangle_matches_the_rebuilt_one():
     # odd orders share nmax with the even order below them
     rebuilt = {}
     for order in range(4, 21):
-        series, generators = lie_normalize(order, return_generators=True)
+        series, forms = normalform._triangle(order)
+        generators = [as_series(w) for w in forms]
         nmax = (order - 2) // 2
         if nmax not in rebuilt:
             rebuilt[nmax] = lie_normalize_rebuilt(order)
@@ -274,16 +290,38 @@ def bracket_count(order):
     return math.comb(nmax + 1, 3) + nmax * (nmax - 1) // 2
 
 
+def spy_brackets(monkeypatch):
+    """Operand pairs of every call to the integer bracket kernel."""
+    seen = []
+    kernel = normalform._bracket
+
+    def spy(f, g):
+        seen.append((f, g))
+        return kernel(f, g)
+
+    monkeypatch.setattr(normalform, "_bracket", spy)
+    return seen
+
+
 @pytest.mark.parametrize("order, calls", [(10, 16), (20, 156)])
 def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
     # the bracket count of the incremental triangle; a rebuild per stage
     # makes 486 at order 20
-    seen = []
-
-    def spy(f, g):
-        seen.append(1)
-        return poisson_bracket(f, g)
-
-    monkeypatch.setattr(normalform, "poisson_bracket", spy)
+    seen = spy_brackets(monkeypatch)
     lie_normalize(order)
     assert len(seen) == bracket_count(order) == calls
+
+
+def in_lowest_terms(form):
+    den, terms = form
+    return den > 0 and all(terms.values()) and math.gcd(den, *terms.values()) == 1
+
+
+def test_triangle_entries_stay_in_lowest_terms(monkeypatch):
+    # every entry H_i^j that enters a bracket and every generator is reduced
+    # after its step, so numerators and denominators cannot grow unreduced
+    seen = spy_brackets(monkeypatch)
+    _, generators = normalform._triangle(20)
+    assert len(seen) == 156
+    assert all(in_lowest_terms(f) and in_lowest_terms(w) for f, w in seen)
+    assert all(map(in_lowest_terms, generators))

@@ -192,6 +192,44 @@ def test_invert_requires_unit_linear():
         log.invert()
 
 
+def test_invert_takes_one_reciprocal(monkeypatch):
+    # 1/f'(g) is carried from order to order by Newton steps
+    calls = []
+    reciprocal = Series.reciprocal
+
+    def spy(self):
+        calls.append(self.order)
+        return reciprocal(self)
+
+    monkeypatch.setattr(Series, "reciprocal", spy)
+    rng = random.Random(3)
+    for order in (1, 5, 13):
+        f = random_series(rng, order=order, unit_linear=True)
+        g = f.invert()
+        assert calls == [1] and f.compose(g) == Series.variable(0, order, ("x", "y"))
+        calls.clear()
+
+
+def test_truncate_and_add_match_the_constructor():
+    rng = random.Random(4)
+    for vars_, weights in ((("x", "y"), (1, 1)), (("J1", "J2", "e"), (2, 2, 1)),
+                           (("t", "L"), (1, 0))):
+        for _ in range(10):
+            f_order, g_order = rng.randint(0, 8), rng.randint(0, 8)
+            f = random_weighted(rng, f_order, vars_, weights, zero_constant=False)
+            g = random_weighted(rng, g_order, vars_, weights, zero_constant=False)
+            for p in range(f_order + 3):
+                t = f.truncate(p)
+                ref = Series(p, vars_, f.terms(), weights)
+                assert (t.terms(), t.order) == (ref.terms(), ref.order)
+            total = f.terms()
+            for k, c in g.terms().items():
+                total[k] = total.get(k, 0) + c
+            ref = Series(min(f_order, g_order), vars_, total, weights)
+            for s in (f + g, g + f, f - g.scale(-1)):
+                assert (s.terms(), s.order) == (ref.terms(), ref.order)
+
+
 def test_partial_derivatives():
     order = 3
     j1 = Series.variable(0, order, ("j1", "j2"))
