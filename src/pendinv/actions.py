@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, fzero, mpf_div, mpf_mul, mpf_shift, mpf_sqrt,
+                          mpf_sub, round_nearest as RND)
 from scipy.optimize import brentq
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
@@ -238,19 +240,23 @@ def two_pi_I1_quadrature(h, j2, prec: int, max_level: int = 12):
     The real cycle covers [zeta0, zeta1] twice, so 2 pi I1 equals twice the
     plain integral of sqrt(P)/(1 - zeta^2).  Endpoint inverse square roots
     and the near-axis pole just outside the interval are resolved by the
-    double-exponential transform.  Returns (value, error_estimate,
-    converged) from `tanh_sinh`, the first two as mpf.
+    double-exponential transform.  The integrand runs on raw mpf tuples in
+    the operation order of `cubic_value`, bit-identical to the mpf form.
+    Returns (value, error_estimate, converged) from `tanh_sinh`.
     """
     d = _cubic_roots_mp(h, j2, prec)
-    with mp.workprec(prec + 20):
-        hh = mp.mpf(h)
-        jj = mp.mpf(j2)
+    wp = prec + 20
+    with mp.workprec(wp):
+        h1, j2_sq = (mp.mpf(h) + 1)._mpf_, (mp.mpf(j2) ** 2)._mpf_
 
         def integrand(z):
-            p = cubic_value(z, hh, jj)
-            if p <= 0:
+            z = z._mpf_
+            c = mpf_sub(fone, mpf_mul(z, z, wp, RND), wp, RND)     # 1 - z z
+            p = mpf_sub(mpf_mul(mpf_shift(c, 1), mpf_sub(h1, z, wp, RND), wp, RND),
+                        j2_sq, wp, RND)           # 2 (1 - z z)(h + 1 - z) - j2 j2
+            if p[0] or p == fzero:                    # p <= 0
                 return mp.mpf(0)
-            return mp.sqrt(p) / (1 - z * z)
+            return mp.make_mpf(mpf_div(mpf_sqrt(p, wp, RND), c, wp, RND))
 
         val, err, converged = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec,
                                         max_level=max_level)
@@ -602,7 +608,7 @@ def _harmonic_lsq(radii, values, order: int):
 
 def fit_invariant_S(order: int = 10, precision: int = 256,
                     samples: int = 160, radii: tuple | None = None,
-                    h_degree: int = 14, max_level: int = 12) -> InvariantSeries:
+                    h_degree: int = 14) -> InvariantSeries:
     """Fit the polynomial invariant from high-precision action values.
 
     Samples (j1, j2) at the uniform midpoint angles of concentric circles,
@@ -613,8 +619,8 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     monomials by harmonics (`_harmonic_lsq`) at the same precision.  On
     each circle the sample nearest the axis with |j2| >= 1e-3 (quadrature
     does not converge on the axis) is also integrated by tanh-sinh
-    quadrature (`precision` bits, `max_level`); a quadrature that stops at
-    `max_level` unconverged, or a difference above its own stopping
+    quadrature (`precision` bits); a quadrature that stops at its last
+    level unconverged, or a difference above its own stopping
     tolerance 2^(10 - precision) (1 + |2 pi I1|), raises ConsistencyError,
     and the number of checked samples and the largest difference are
     reported.  Raises FitQualityError when the residual exceeds 1e-3 times
@@ -652,11 +658,10 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
                 h = h_series.evaluate(j1m, j2m, prec=precision + 20)
                 two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
                 if point is checked:
-                    quad, _, converged = two_pi_I1_quadrature(
-                        h, j2m, prec=precision, max_level=max_level)
+                    quad, _, converged = two_pi_I1_quadrature(h, j2m, prec=precision)
                     if not converged:
                         raise ConsistencyError(
-                            f"quadrature oracle unconverged at level {max_level} "
+                            "quadrature oracle unconverged "
                             f"at (j1, j2) = ({float(j1m)!r}, {float(j2m)!r})")
                     diff = abs(two_pi_i1 - quad)
                     if diff > mp.mpf(2) ** (10 - precision) * (1 + abs(quad)):

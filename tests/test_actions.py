@@ -1,5 +1,6 @@
 """Action integrals, series identities, invariant fit, twist, monodromy."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -116,6 +117,41 @@ def test_quadrature_value_is_pinned_bitwise(monkeypatch):
     with mp.workdps(50):
         assert repr(value) == "mpf('8.0722512719197606135904782982296526254953518303169817')"
         assert repr(err) == "mpf('6.3680383205022695000326619386293622283319218844725682e-39')"
+
+
+@pytest.mark.parametrize("h, j2, prec, converged, value, err", [
+    (0.01, 0.003, 80, True,
+     "mpf('8.072251271919760613590478298122380568329350800075195')",
+     "mpf('3.7865323450608566659762971133573739024313908885233104e-29')"),
+    (0.01, 0.003, 256, True,
+     "mpf('8.0722512719197606135904782982296526254953517697425926')",
+     "mpf('7.9152864708626269282283811513157736276069133863840589e-76')"),
+    (-1.2, 0.6, 128, True,                      # zeta0 < zeta1 < 0
+     "mpf('0.49707016172759681801652224459762136148113059325193856')",
+     "mpf('4.9231818947123798152763391449724623440269442803947629e-41')"),
+    (0.5, 0.0, 53, False,                       # the axis, unconverged
+     "mpf('10.540734326313998817627534546406686821740095183486119')",
+     "mpf('0.00000000000068238150928976760989375094368369900621473789215087891')"),
+], ids=["80-bit", "256-bit", "negative-zeta1", "axis-53-bit"])
+def test_quadrature_values_are_pinned_bitwise(monkeypatch, h, j2, prec, converged,
+                                              value, err):
+    # 50-digit prints of the working values, as computed with mpf operators
+    monkeypatch.setattr(quadrature, "_node_cache", {})
+    result = two_pi_I1_quadrature(h, j2, prec=prec)
+    with mp.workdps(50):
+        assert (repr(result[0]), repr(result[1]), result[2]) == (value, err, converged)
+
+
+def test_quadrature_node_tables_are_pinned_bitwise(monkeypatch):
+    # sign, mantissa, exponent and bit count of every (d, w) at 128 bits,
+    # as computed with mpf operators and separate sinh and cosh calls
+    monkeypatch.setattr(quadrature, "_node_cache", {})
+    digest = hashlib.sha256()
+    for level in range(8):
+        for d, w in quadrature._nodes(128, level):
+            digest.update(repr([int(v) for v in d + w]).encode())
+    assert digest.hexdigest() \
+        == "dc17811b5176049e255c14f3b531932c7465bd57507faef9563aabd6651c2f3d"
 
 
 def test_quadrature_evaluates_each_node_once(monkeypatch):
@@ -412,7 +448,7 @@ def test_invariant_polynomial_table():
 
 
 REDUCED_FIT = dict(order=8, precision=128, samples=80,
-                   radii=(0.08, 0.14, 0.2, 0.26), h_degree=12, max_level=11)
+                   radii=(0.08, 0.14, 0.2, 0.26), h_degree=12)
 
 
 def test_fit_invariant_reduced(monkeypatch):
@@ -474,9 +510,13 @@ def test_harmonic_solve_equals_dense_qr(monkeypatch, fit):
         assert max(abs(coeffs[mono] - dense[i]) for i, mono in enumerate(monos)) < 1e-30
 
 
-def test_fit_raises_on_an_unconverged_oracle():
+def test_fit_raises_on_an_unconverged_oracle(monkeypatch):
+    def truncated(h, j2, prec):
+        return two_pi_I1_quadrature(h, j2, prec, max_level=4)
+
+    monkeypatch.setattr(actions, "two_pi_I1_quadrature", truncated)
     with pytest.raises(ConsistencyError, match="unconverged"):
-        fit_invariant_S(**{**REDUCED_FIT, "max_level": 4})
+        fit_invariant_S(**REDUCED_FIT)
 
 
 def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
