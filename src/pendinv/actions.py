@@ -234,7 +234,7 @@ def two_pi_I1_closed(h, j2, prec: int = 53):
         return _two_pi_I1(mp.mpf(h), mp.mpf(j2), d, mp, _complete_mp, _lambda0_mp)
 
 
-def two_pi_I1_quadrature(h, j2, prec: int, max_level: int = 12):
+def two_pi_I1_quadrature(h, j2, prec: int):
     """2*pi*I1 by tanh-sinh quadrature of the defining integral.
 
     The real cycle covers [zeta0, zeta1] twice, so 2 pi I1 equals twice the
@@ -258,8 +258,7 @@ def two_pi_I1_quadrature(h, j2, prec: int, max_level: int = 12):
                 return mp.mpf(0)
             return mp.make_mpf(mpf_div(mpf_sqrt(p, wp, RND), c, wp, RND))
 
-        val, err, converged = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec,
-                                        max_level=max_level)
+        val, err, converged = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec)
         return 2 * val, 2 * err, converged
 
 
@@ -523,9 +522,10 @@ def j1_of_energy(h: float, j2: float) -> float:
     """Local normal-form coordinate j1 = J1(h, j2) from the exact series
     through degree 12.
 
-    Raises DomainError outside the image of the momentum map.
+    Raises DomainError outside the image of the momentum map, which the
+    exact discriminant decides without solving the cubic.
     """
-    cubic_roots(EnergyMomentum(h, j2))
+    _discriminant(h, j2)
     return float(J1_series(12).evaluate(h, j2))
 
 

@@ -335,9 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first `main`: parsing leaves it
+# unchanged, and a fresh one per call leaves ~800 objects in reference cycles
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, DivergenceError) as exc:

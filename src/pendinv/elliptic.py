@@ -288,14 +288,17 @@ class EnergyMomentum:
     """Scaled energy (zero at the unstable equilibrium) and angular momentum.
 
     Any pair is accepted here; `cubic_roots` decides whether it lies in
-    the image of the momentum map.
+    the image of the momentum map.  Its roots are solved once per object:
+    `cubic_roots` keeps them on the instance, outside the fields, so they
+    take no part in equality, hashing or the repr.  Equal pairs built
+    apart are solved apart.
     """
 
     h: float
     j2: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticData:
     """Roots of the defining cubic, their gaps, span and k'^2.
 
@@ -435,16 +438,26 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
 def cubic_roots(em: EnergyMomentum) -> EllipticData:
     """Ordered roots -1 <= zeta0 <= zeta1 <= 1 <= zeta2, gaps and derived data.
 
-    This is the one place that solves P and the one place that decides,
-    exactly, whether (h, j2) lies in the image of the momentum map; it
-    raises DomainError outside (non-finite input, h < -2, or h below the
-    relative equilibrium energy).  eps2 starts from the root of the
-    quadratic approximation 4e(e - h) = j2^2, which lies above it.
+    This is the one place that solves P.  Before solving, the exact test
+    `_discriminant` decides whether (h, j2) lies in the image of the
+    momentum map; it raises DomainError outside (non-finite input,
+    h < -2, or h below the relative equilibrium energy).  eps2 starts from
+    the root of the quadratic approximation 4e(e - h) = j2^2, which lies
+    above it.
+
+    The roots are solved once per `em` object: the result is stored on
+    it, and later calls with the same object return it.  A refused pair
+    stores nothing and raises on every call.
     """
+    data = em.__dict__.get("_roots")
+    if data is not None:
+        return data
     h, j2 = em.h, em.j2
     disc = _discriminant(h, j2)
     jsq = j2 * j2
     s = math.hypot(h, j2)
     start = h / 2 + s / 2 if h >= 0 else jsq / (2 * (s - h))   # h + s may overflow
-    return EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc,
+    data = EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc,
                                          lambda n, d: math.sqrt(n / d)))
+    object.__setattr__(em, "_roots", data)     # em is frozen; _roots is no field
+    return data

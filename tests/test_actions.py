@@ -1,5 +1,6 @@
 """Action integrals, series identities, invariant fit, twist, monodromy."""
 
+import functools
 import hashlib
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import mpmath as mp
 
-from pendinv import actions, quadrature
+from pendinv import actions, dynamics, elliptic, quadrature
 from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              action_I1, action_J1_numeric,
                              birkhoff_series,
@@ -188,10 +189,12 @@ def test_quadrature_reports_where_it_is_unconverged_at_53_bits():
     assert abs(float(value) - float(two_pi_I1_closed(0.2, 0.1, prec=80))) <= 1e-10
 
 
-def test_quadrature_accepts_differences_at_the_noise_plateau():
+def test_quadrature_accepts_differences_at_the_noise_plateau(monkeypatch):
     # next to the critical value the differences fall doubly exponentially
     # to a rounding plateau near 2^(4 - prec) at level 9 and stay there
-    value, _, converged = two_pi_I1_quadrature(1e-9, 1e-9, prec=128, max_level=9)
+    monkeypatch.setattr(actions, "tanh_sinh",
+                        functools.partial(quadrature.tanh_sinh, max_level=9))
+    value, _, converged = two_pi_I1_quadrature(1e-9, 1e-9, prec=128)
     assert converged is True
     assert abs(value - two_pi_I1_closed(1e-9, 1e-9, prec=148)) <= 2.0 ** (10 - 128)
 
@@ -249,6 +252,113 @@ def test_relative_equilibrium_edge_at_large_h_is_in_range():
     assert rotation_W_numeric(em) == pytest.approx(1.0, abs=1e-15)
     assert period_T_numeric(em) == pytest.approx(math.sqrt(2) * math.pi / math.sqrt(d.span),
                                                  rel=1e-15)
+
+
+@pytest.mark.parametrize("h, j2, bits", [
+    ("0x1.0000000000000p-1", "0x0.0p+0",                 # the axis, h > 0
+     ["0x1.ad77d8dc97747p+0", "0x1.0000000000000p+0",
+      "0x1.026b818341756p+2", "0x1.f1548f6594b31p-2"]),
+    ("-0x1.0000000000000p-1", "0x0.0p+0",                # the axis, h < 0
+     ["0x1.b60743c019f57p-1", "0x1.0000000000000p-1",
+      "0x1.1408b469a95fap+2", "-0x1.08dd9e23fa7e3p-1"]),
+    ("0x1.12e0be826d695p-30", "0x1.12e0be826d695p-30",   # (1e-9, 1e-9)
+     ["0x1.45f306e9d5b40p+0", "0x1.c000000b4892cp-1",
+      "0x1.7d7a95efbba96p+4", "0x1.12e0be8146438p-30"]),
+    ("-0x1.e666666666666p+0", "0x1.999999999999ap-5",    # h = -1.9
+     ["0x1.9ada92a6c6ca5p-6", "0x1.04f47ef62ad4cp-1",
+      "0x1.973b83a050fe1p+1", "-0x1.28cc6f89681cbp+1"]),
+    ("-0x1.3333333333333p+0", "0x1.3333333333333p-1",    # zeta1 < 0
+     ["0x1.440a13e150758p-4", "0x1.48f4565a2e8eap-1",
+      "0x1.b51f6fe12dba6p+1", "-0x1.756cd1696c4f7p+0"]),
+    ("0x1.3333333333333p-2", "0x1.b4e56b5e2d6bcp+0",     # 2 ulp below jmax(0.3)
+     ["0x1.a000000000001p-50", "0x1.c9fcc5ebab5c6p-1",
+      "0x1.827089f3a0e29p+1", "-0x1.813eed276199fp-2"]),
+    ("0x1.e848000000000p+19", "0x1.4000000000000p+3",    # h = 1e6
+     ["0x1.5f0db69755dd8p+10", "0x1.fffffffffffe7p-1",
+      "0x1.232b2b60dad09p-8", "-0x1.5dbe3d48ed2bbp+219"]),
+    ("0x1.999999999999ap-3", "0x1.999999999999ap-4",     # (0.2, 0.1)
+     ["0x1.5e3d07db5c504p+0", "0x1.e3b291fba6b57p-1",
+      "0x1.3987c032510c0p+2", "0x1.910a8c835c83fp-3"]),
+    ("-0x1.999999999999ap-4", "-0x1.999999999999ap-5",   # (-0.1, -0.05)
+     ["0x1.234b32a5775b0p+0", "-0x1.2bece5256b3bap-1",
+      "0x1.6ce6aeadc35b8p+2", "-0x1.9e3141b71ef21p-4"]),
+])
+def test_point_physics_is_pinned_bitwise(h, j2, bits):
+    # the float results of the per-point functions, as computed when each
+    # function solved the cubic on its own
+    h, j2 = float.fromhex(h), float.fromhex(j2)
+    em = EnergyMomentum(h, j2)
+    assert [action_I1(em).value.hex(), rotation_W_numeric(em).hex(),
+            period_T_numeric(em).hex(), j1_of_energy(h, j2).hex()] == bits
+
+
+def _raises_domain_error(call) -> bool:
+    try:
+        call()
+    except DomainError:
+        return True
+    return False
+
+
+def _edge_j2(h: float) -> float:
+    """The largest float j2 >= 0 with (h, j2) in the image, by bisection."""
+    lo, hi = 0.0, 4 * (abs(h) + 2)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if _raises_domain_error(lambda: cubic_roots(EnergyMomentum(h, mid))):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def test_j1_of_energy_refuses_exactly_what_cubic_roots_refuses():
+    rng = random.Random(1818)
+    points = [(math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (-math.inf, 0.0),
+              (0.1, math.inf), (0.1, -math.inf), (-2.5, 0.0), (-3.0, 0.1),
+              (math.nextafter(-2.0, -3.0), 0.0), (-2.0, 0.0), (-2.0, 1e-300)]
+    points += [(rng.uniform(-2.5, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(200)]
+    for _ in range(12):                          # both sides of a relative equilibrium
+        h = rng.choice([rng.uniform(-2.0, 0.0), rng.uniform(0.0, 5.0), rng.uniform(5.0, 1e6)])
+        j2 = _edge_j2(h)
+        for ulps in range(-3, 4):
+            edge = j2
+            for _ in range(abs(ulps)):
+                edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+            points += [(h, edge), (h, -edge)]
+    outcomes = set()
+    for h, j2 in points:
+        refused = _raises_domain_error(lambda: cubic_roots(EnergyMomentum(h, j2)))
+        assert _raises_domain_error(lambda: j1_of_energy(h, j2)) == refused, (h, j2)
+        outcomes.add(refused)
+    assert outcomes == {True, False}
+
+
+def test_each_energy_momentum_solves_its_cubic_once(monkeypatch):
+    solves = []
+    gaps = elliptic._gaps
+
+    def counting(*args):
+        solves.append(args[:2])
+        return gaps(*args)
+
+    monkeypatch.setattr(elliptic, "_gaps", counting)
+    em = EnergyMomentum(0.2, 0.1)
+    action_I1(em), rotation_W_numeric(em), period_T_numeric(em)
+    dynamics.initial_condition(em)
+    assert solves == [(0.2, 0.1)]
+    # the stored roots are no field: equal, hashed and printed as a fresh pair
+    fresh = EnergyMomentum(0.2, 0.1)
+    assert (fresh, hash(fresh), repr(fresh)) == (em, hash(em), repr(em))
+    # equal pairs built apart are solved apart: no cache keyed by value
+    period_T_numeric(fresh), period_T_numeric(EnergyMomentum(0.2, 0.1))
+    assert len(solves) == 3
+    # a refused pair stores nothing and raises on every call
+    outside = EnergyMomentum(-1.9, 1.5)
+    for _ in range(2):
+        for call in (action_I1, rotation_W_numeric, period_T_numeric):
+            with pytest.raises(DomainError):
+                call(outside)
+    assert len(solves) == 3
 
 
 def test_action_even_in_j2():
@@ -511,10 +621,8 @@ def test_harmonic_solve_equals_dense_qr(monkeypatch, fit):
 
 
 def test_fit_raises_on_an_unconverged_oracle(monkeypatch):
-    def truncated(h, j2, prec):
-        return two_pi_I1_quadrature(h, j2, prec, max_level=4)
-
-    monkeypatch.setattr(actions, "two_pi_I1_quadrature", truncated)
+    monkeypatch.setattr(actions, "tanh_sinh",
+                        functools.partial(quadrature.tanh_sinh, max_level=4))
     with pytest.raises(ConsistencyError, match="unconverged"):
         fit_invariant_S(**REDUCED_FIT)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pendinv import cli
 from pendinv.cli import build_parser, main
 
 
@@ -93,6 +94,24 @@ def test_deterministic_output(capsys):
     payload = json.loads(first)
     assert payload["quadrature_checked_samples"] == 5     # one per circle
     assert 0 <= payload["quadrature_max_abs_diff"] <= 2.0 ** (10 - 80) * 11
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first = run(capsys, "action", "--h", "0.2", "--j2", "0.1")
+    with pytest.raises(SystemExit):
+        main(["action", "--h", "0.2", "--bogus"])
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert run(capsys, "action", "--h", "0.2", "--j2", "0.1") == first
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
 
 
 def test_pendulum_scalar_json(capsys):

@@ -1,5 +1,6 @@
 """Special functions and curve geometry against independent oracles."""
 
+import dataclasses
 import math
 import random
 
@@ -156,6 +157,13 @@ def test_cubic_roots_residuals_and_fields():
         assert abs(cubic_value(z, em.h, em.j2)) < 1e-14
     assert d.span == pytest.approx(d.zeta2 - d.zeta0)
     assert d.kcsq == pytest.approx((d.zeta2 - d.zeta1) / (d.zeta2 - d.zeta0))
+
+
+def test_elliptic_data_is_frozen():
+    # one instance is shared by every caller holding the same EnergyMomentum
+    d = cubic_roots(EnergyMomentum(0.3, 0.2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.kcsq = 0.5
 
 
 def test_cubic_roots_small_parameter_expansion():
