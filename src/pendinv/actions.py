@@ -606,9 +606,16 @@ def _harmonic_lsq(radii, values, order: int):
     return coeffs, residuals
 
 
+# the fit's circles: five up to 0.32 from degree 7 on; below it four
+# tighter ones, or the truncation tail of the invariant itself dominates
+# the residual.  The energy comes from the degree-14 normal form.
+_FIT_RADII = (0.08, 0.14, 0.2, 0.26, 0.32)
+_LOW_ORDER_RADII = (0.05, 0.09, 0.13, 0.17)
+_FIT_H_DEGREE = 14
+
+
 def fit_invariant_S(order: int = 10, precision: int = 256,
-                    samples: int = 160, radii: tuple | None = None,
-                    h_degree: int = 14) -> InvariantSeries:
+                    samples: int = 160) -> InvariantSeries:
     """Fit the polynomial invariant from high-precision action values.
 
     Samples (j1, j2) at the uniform midpoint angles of concentric circles,
@@ -629,18 +636,13 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     Polynomials of the form j1 * prod_i (j1^2 + j2^2 - r_i^2) respect the
     parity of the column set and vanish on every sampled circle, so the
     system is rank-deficient unless order <= 2 * len(radii); five circles
-    cover the default order 10.
+    cover order 10.  Below order 4 the reference terms are not fitted.
+    Orders outside 4 to 10 raise ValueError.
     """
-    if radii is None:
-        # low-order fits need tighter circles or the truncation tail of the
-        # invariant itself dominates the residual
-        radii = (0.08, 0.14, 0.2, 0.26, 0.32) if order >= 7 \
-            else (0.05, 0.09, 0.13, 0.17)
-    h_series = birkhoff_series(h_degree)
-    if order > 2 * len(radii):
-        raise ValueError(
-            f"{len(radii)} circles leave a kernel for degree {order}; "
-            f"need at least {math.ceil(order / 2)} distinct radii")
+    radii = _FIT_RADII if order >= 7 else _LOW_ORDER_RADII
+    if not 4 <= order <= 2 * len(radii):
+        raise ValueError(f"fit order {order} outside 4 to {2 * len(_FIT_RADII)}")
+    h_series = birkhoff_series(_FIT_H_DEGREE)
     # more than 2 order angles keep the harmonics up to order orthogonal
     per_circle = max(2 * order + 3, samples // len(radii))
 

@@ -23,6 +23,20 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _within(kind, low=-math.inf, high=math.inf):
+    """An argparse type: `kind` of the text, refused outside [low, high]."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ZeroDivisionError:             # Fraction("1/0")
+            raise ValueError(text) from None
+        if not low <= value <= high:          # NaN is refused too
+            raise argparse.ArgumentTypeError(f"{text} lies outside [{low}, {high}]")
+        return value
+    parse.__name__ = kind.__name__            # argparse names it in errors
+    return parse
+
+
 def _emit_payload(payload: dict, args) -> None:
     """Print `payload` as indented JSON, a CSV header and row, or
     `key = value` lines, by --format."""
@@ -163,9 +177,8 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    target = Fraction(args.W)
-    res = dynamics.periodic_orbit_search(target, args.r, tol=args.tol)
-    payload = {"target": str(target), "s": res.s, "h": res.h, "j2": res.j2,
+    res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
+    payload = {"target": str(args.W), "s": res.s, "h": res.h, "j2": res.j2,
                "closure_error": res.closure_error}
     print(_json(payload))
     if args.trace:
@@ -276,12 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="pretty")
 
     p = sub.add_parser("nf", help="Birkhoff normal form, both routes")
-    p.add_argument("--order", type=int, default=10, help="maximum grade (default 10)")
+    p.add_argument("--order", type=_within(int, 2), default=10,
+                   help="maximum grade (default 10)")
     add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("invariants", help="fit the symplectic invariant")
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_within(int, 4, 10), default=10)
     p.add_argument("--precision", type=int, default=256)
     p.add_argument("--samples", type=int, default=160)
     add_format(p, "pretty", "json")
@@ -309,15 +323,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series",
                    choices=("invariant", "nome", "nome-inverse", "reciprocal",
                             "theta"))
-    p.add_argument("--order", type=int, default=7)
+    p.add_argument("--order", type=_within(int, 1), default=7)
     p.add_argument("--true-pendulum", action="store_true")
     add_format(p, "pretty", "json", "csv")
     p.set_defaults(func=cmd_pendulum)
 
     p = sub.add_parser("orbit", help="periodic orbit with rotation number p/q")
-    p.add_argument("--W", required=True, help="rational target, e.g. 3/4")
+    p.add_argument("--W", type=_within(Fraction), required=True,
+                   help="rational target, e.g. 3/4")
     p.add_argument("--r", type=float, default=0.75)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_within(float, 1e-13, 1e-6), default=1e-10)
     p.add_argument("--trace", default=None, help="CSV path for the orbit trace")
     p.set_defaults(func=cmd_orbit)
 

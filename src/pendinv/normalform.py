@@ -11,9 +11,8 @@ Hamiltonian decomposes into pure even grades and the homological operator
 {H2, .} acts as -m on each exponential, so the normalization proceeds with
 no small denominators; the Deprit triangle grows by one diagonal per
 stage.  Everything is exact rational arithmetic end to end, in
-dimensionless units kappa = nu = 1.  The triangle runs on integer
-numerators over one denominator per entry, kept in lowest terms, with one
-integer bracket kernel; fractions enter with the seed, leave with the result.
+dimensionless units kappa = nu = 1.  The triangle's entries and generators
+are Series; the bracket runs in one pass over their integer numerators.
 """
 
 from __future__ import annotations
@@ -35,72 +34,36 @@ def monomial(a: int, b: int, m: int, order: int, coeff=1) -> Series:
     return Series(order, VARS, {(a, b, m): coeff}, WEIGHTS)
 
 
-def _form(f: Series) -> tuple[int, dict]:
-    """f as an integer form (den, {(a, b, m): numerator}) in lowest terms."""
-    den, rows = f._integer_form()
-    return den, {k: n for _, k, n in rows}
-
-
-def _series(form: tuple[int, dict], order: int) -> Series:
-    """An integer form as a Series of the algebra, truncated at `order`."""
-    den, terms = form
-    return Series(order, VARS, {k: Fraction(n, den) for k, n in terms.items()}, WEIGHTS)
-
-
-def _sum(parts) -> tuple[int, dict]:
-    """Sum of c * x over pairs (c, x) of an integer and an integer form,
-    in lowest terms with zeros dropped."""
-    den = math.lcm(*(d for _, (d, _) in parts))
-    acc: dict[tuple, int] = {}
-    for c, (d, terms) in parts:
-        c *= den // d
-        for key, n in terms.items():
-            acc[key] = acc.get(key, 0) + c * n
-    acc = {k: n for k, n in acc.items() if n}
-    common = math.gcd(den, *acc.values())
-    return den // common, {k: n // common for k, n in acc.items()}
-
-
-def _bracket(f, g) -> tuple[int, dict]:
-    """{f, g} of two integer forms, over den1 den2 and not reduced.
+def poisson_bracket(f: Series, g: Series) -> Series:
+    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1) in one pass over
+    the integer numerators.
 
     A term pair n1 J1^a1 J2^b1 e^m1, n2 J1^a2 J2^b2 e^m2 adds n1 n2 (m1 a2
-    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), of grade g1 + g2 - 2.
+    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), over den1 den2; the
+    sums whose grade 2(a+b)+m is within the smaller order are kept.  On
+    the algebra (grades >= 0) this is the difference of the two truncated
+    products.
     """
-    (den1, terms1), (den2, terms2) = f, g
+    order = f._check_compatible(g)
     acc: dict[tuple, int] = {}
-    for (a1, b1, m1), n1 in terms1.items():
-        for (a2, b2, m2), n2 in terms2.items():
+    for (a1, b1, m1), n1 in f._num.items():
+        for (a2, b2, m2), n2 in g._num.items():
             weight = m1 * a2 - a1 * m2
             if weight:
                 key = (a1 + a2 - 1, b1 + b2, m1 + m2)
                 acc[key] = acc.get(key, 0) + weight * n1 * n2
-    return den1 * den2, acc
-
-
-def _homological(h: tuple[int, dict]) -> tuple[tuple, tuple]:
-    """(kernel, generator) of an integer form h: the m = 0 part K, and W
-    with dW/dtheta1 = h - K (frequency nu = 1), each e^(m theta1) term
-    divided by m over the lcm of the |m|."""
-    den, terms = h
-    rest = {k: c for k, c in terms.items() if k[2]}
-    lcm_m = math.lcm(*(abs(k[2]) for k in rest))
-    return (_sum([(1, (den, {k: c for k, c in terms.items() if not k[2]}))]),
-            _sum([(1, (den * lcm_m, {k: c * (lcm_m // k[2]) for k, c in rest.items()}))]))
-
-
-def poisson_bracket(f: Series, g: Series) -> Series:
-    """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1): the integer
-    kernel `_bracket`, keeping grade g1 + g2 - 2 <= the smaller order.  On
-    the algebra (grades >= 0) this is the difference of the two truncated
-    products."""
-    return _series(_bracket(_form(f), _form(g)), min(f.order, g.order))
+    return f._like({k: n for k, n in acc.items() if 2 * (k[0] + k[1]) + k[2] <= order},
+                  f.den * g.den, order)
 
 
 def homological_solve(h: Series) -> tuple[Series, Series]:
-    """(kernel, generator W) of h, dW/dtheta1 = h - kernel (`_homological`)."""
-    kernel, generator = _homological(_form(h))
-    return _series(kernel, h.order), _series(generator, h.order)
+    """(kernel, generator W) of h: the m = 0 part K, and W with dW/dtheta1
+    = h - K (frequency nu = 1), each e^(m theta1) term divided by m over
+    the lcm of the |m|."""
+    rest = {k: n for k, n in h._num.items() if k[2]}
+    lcm_m = math.lcm(*(abs(k[2]) for k in rest))
+    return (h._like({k: n for k, n in h._num.items() if not k[2]}, h.den),
+            h._like({k: n * (lcm_m // k[2]) for k, n in rest.items()}, h.den * lcm_m))
 
 
 def seed_hamiltonian(order: int) -> Series:
@@ -134,10 +97,9 @@ def seed_hamiltonian(order: int) -> Series:
     return h
 
 
-def _triangle(order: int) -> tuple[Series, list]:
+def _triangle(order: int) -> tuple[Series, list[Series]]:
     """(normal form, generators) of the Deprit triangle through grade `order`.
 
-    Entries H_i^j and generators are integer forms in lowest terms;
     generators[n - 1] is W_n, of grade 2n + 2.  Stage n adds only the
     diagonal i + j = n; earlier entries are final.  It is built with W_n
     unknown, so each entry with j >= 1 lacks the same {H_0, W_n}: the
@@ -146,27 +108,27 @@ def _triangle(order: int) -> tuple[Series, list]:
     if order < 2:
         raise ValueError("order must be at least 2")
     nmax = (order - 2) // 2
-    den, seed = seed_hamiltonian(2 * nmax + 2)._integer_form()
+    seed = seed_hamiltonian(2 * nmax + 2)
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
     # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n.
-    rows = {(i, 0): _sum([(math.factorial(i),
-                           (den, {k: c for g, k, c in seed if g == 2 * i + 2}))])
+    rows = {(i, 0): seed.grade_part(2 * i + 2).scale(math.factorial(i))
             for i in range(nmax + 1)}
-    generators: list[tuple[int, dict]] = []
+    generators: list[Series] = []
     for n in range(1, nmax + 1):
         for j in range(1, n + 1):
             i = n - j
-            rows[(i, j)] = _sum(
-                [(1, rows[(i + 1, j - 1)])]
-                + [(math.comb(i, k), _bracket(rows[(i - k, j - 1)], generators[k]))
-                   for k in range(min(i + 1, n - 1))])
-        kernel, generator = _homological(rows[(0, n)])
-        delta = _sum([(1, kernel), (-1, rows[(0, n)])])
+            entry = rows[(i + 1, j - 1)]
+            for k in range(min(i + 1, n - 1)):
+                bracket = poisson_bracket(rows[(i - k, j - 1)], generators[k])
+                entry = entry + bracket.scale(math.comb(i, k))
+            rows[(i, j)] = entry
+        kernel, generator = homological_solve(rows[(0, n)])
+        delta = kernel - rows[(0, n)]
         for j in range(1, n + 1):
-            rows[(n - j, j)] = _sum([(1, rows[(n - j, j)]), (1, delta)])
+            rows[(n - j, j)] = rows[(n - j, j)] + delta
         generators.append(generator)
-    normal = {(a, b): Fraction(c, rows[(0, n)][0] * math.factorial(n))
-              for n in range(nmax + 1) for (a, b, _), c in rows[(0, n)][1].items()}
+    normal = {(a, b): c for n in range(nmax + 1) for (a, b, _), c in
+              rows[(0, n)].scale(Fraction(1, math.factorial(n))).terms().items()}
     return Series(order // 2, ("j1", "j2"), normal), generators
 
 
@@ -174,8 +136,7 @@ def lie_normalize(order: int = 10) -> Series:
     """Birkhoff normal form through grade `order` via the Deprit triangle.
 
     Returns H(J1, J2) as a Series in (j1, j2) of total degree order/2;
-    the output depends on J1 and J2^2 only.  The triangle runs on integer
-    numerators over one denominator per entry (`_triangle`).
+    the output depends on J1 and J2^2 only (`_triangle`).
     """
     return _triangle(order)[0]
 

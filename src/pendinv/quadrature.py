@@ -23,6 +23,7 @@ from mpmath.libmp import (fone, from_int, ftwo, fzero, mpf_add, mpf_cosh,
                           round_nearest as RND)
 
 _node_cache: dict[tuple[int, int], list[tuple[tuple, tuple]]] = {}
+MAX_LEVEL = 12          # the finest level `tanh_sinh` tries
 
 
 def _nodes(prec: int, level: int):
@@ -70,7 +71,7 @@ def _entry(prec: int, level: int, k: int) -> tuple:
     return d, mpf_shift(w, -1)                    # exact
 
 
-def tanh_sinh(f: Callable, a, b, prec: int, max_level: int = 12) -> tuple:
+def tanh_sinh(f: Callable, a, b, prec: int) -> tuple:
     """Integrate f over [a, b]; returns (value, error_estimate, converged).
 
     f takes and returns an mpf and is evaluated strictly inside (a, b);
@@ -89,7 +90,7 @@ def tanh_sinh(f: Callable, a, b, prec: int, max_level: int = 12) -> tuple:
     up to about 2^(5.4-prec), and below the 2^(6.9-prec) that the axis
     differences come down to at (0.5, 0) and 53 bits.)
     Value and error estimate are mpf, and `converged` is False when
-    `max_level` was reached first.
+    `MAX_LEVEL` was reached first.
     """
     wp = prec + 20
     with mp.workprec(wp):
@@ -100,7 +101,7 @@ def tanh_sinh(f: Callable, a, b, prec: int, max_level: int = 12) -> tuple:
         tol = mp.mpf(2) ** (10 - prec)
         floor = mp.mpf(2) ** (6 - prec)           # above the noise plateau
         running = value = mp.mpf(0)
-        for level in range(max(max_level, 0) + 1):      # level 0 always runs
+        for level in range(MAX_LEVEL + 1):
             # level 0 is the trapezoid with h = 1, its t = 0 node of weight pi/2
             add = (mp.pi / 2 * f(mid))._mpf_ if level == 0 else fzero
             for d, w in _nodes(prec, level):

@@ -1,8 +1,8 @@
 """Truncated graded power series with exact rational coefficients.
 
 One carrier, :class:`Series`, serves all of the exact algebra.  Terms are
-stored sparsely as ``{exponent tuple: Fraction}`` and each variable carries
-an integer weight.  The grade of a term is the weighted sum of its
+stored sparsely by exponent tuple and each variable carries an integer
+weight.  The grade of a term is the weighted sum of its
 exponents; a series of order N keeps the terms of grade <= N and drops the
 rest, so sums, products and compositions of order-N series are again
 order-N series.  The grade is linear, so a product term's grade is the sum
@@ -14,11 +14,15 @@ of its factors' grades.  The weights in use:
 * ``(1, 0)``: a series in t times powers of a logarithm symbol L of
   weight 0, for the expansions at the separatrix.
 
-Coefficients are :class:`fractions.Fraction`; floating point only enters
-at the evaluation boundary.  Values are immutable after construction:
-derived data (partials, float and per-precision mpf coefficients, integer
-numerators) is computed once and cached on the instance, so values can be
-shared freely between threads.
+Coefficients are exact rationals, held as integer numerators over one
+common denominator in lowest terms, with no zero numerators: the form is
+canonical, so equal values compare and hash equal.  Sums, products and
+derivatives run on the numerators and reduce once; a coefficient becomes a
+:class:`fractions.Fraction` only when it is read, and floating point only
+enters at the evaluation boundary.  Values are immutable after
+construction: derived data (partials, float and per-precision mpf
+coefficients) is computed once and cached on the instance, so values can
+be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Callable, Mapping
 
 import mpmath as mp
@@ -114,9 +118,14 @@ class Series:
     zero coefficients are dropped.  `weights` defaults to 1 per variable.
     Binary operations require the same variables and weights and truncate
     at the smaller order.
+
+    The terms are ``_num`` (``{exponent tuple: integer numerator}``) over
+    the positive denominator ``den``, with ``gcd(den, *numerators) = 1``
+    and no zero numerator; ``den`` is then the lcm of the coefficients'
+    reduced denominators.  `normalform` reads both in its bracket kernel.
     """
 
-    __slots__ = ("order", "vars", "weights", "_terms", "_cache")
+    __slots__ = ("order", "vars", "weights", "den", "_num", "_cache")
 
     def __init__(self, order: int, vars: tuple = ("j1", "j2"),
                  terms: Mapping[tuple, Fraction] | None = None,
@@ -138,14 +147,25 @@ class Series:
             c = _coerce(c)
             if c != 0:
                 clean[key] = c
-        self._terms = clean
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it: each prime power of the lcm is some term's own
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {k: c.numerator * (self.den // c.denominator) for k, c in clean.items()}
         self._cache: dict = {}
 
-    def _like(self, terms: dict, order: int | None = None) -> "Series":
-        """Same variables and weights; `terms` must already be clean."""
+    def _like(self, num: dict, den: int, order: int | None = None) -> "Series":
+        """Same variables and weights, from integer numerators over `den`
+        whose grades are within the order: zeros dropped, reduced once."""
+        if 0 in num.values():
+            num = {k: n for k, n in num.items() if n}
+        common = math.gcd(den, *num.values())
+        if common != 1:
+            den //= common
+            num = {k: n // common for k, n in num.items()}
         out = object.__new__(Series)
         out.order = self.order if order is None else order
-        out.vars, out.weights, out._terms, out._cache = self.vars, self.weights, terms, {}
+        out.vars, out.weights, out.den, out._num, out._cache = \
+            self.vars, self.weights, den, num, {}
         return out
 
     # -- constructors -------------------------------------------------
@@ -162,20 +182,20 @@ class Series:
     # -- inspection ----------------------------------------------------
 
     def grade(self, exponents: tuple) -> int:
-        return sum(w * e for w, e in zip(self.weights, exponents))
+        return sum(map(mul, self.weights, exponents))
 
     def coeff(self, *exponents: int) -> Fraction:
-        return self._terms.get(exponents, Fraction(0))
+        return Fraction(self._num.get(exponents, 0), self.den)
 
     def coeffs(self) -> list[Fraction]:
         """Coefficients of a one-variable series, exponents 0 to order."""
         return [self.coeff(a) for a in range(self.order + 1)]
 
     def terms(self) -> dict[tuple, Fraction]:
-        return dict(self._terms)
+        return {k: Fraction(n, self.den) for k, n in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def _const(self) -> Fraction:
         return self.coeff(*(0,) * len(self.vars))
@@ -183,21 +203,21 @@ class Series:
     def _require_constant_grade0(self, what: str) -> None:
         """Refuse grade-0 terms besides the constant (a weight-0 variable):
         truncated Newton steps and power series would drop terms silently."""
-        if any(any(k) and self.grade(k) == 0 for k in self._terms):
+        if any(any(k) and self.grade(k) == 0 for k in self._num):
             raise ValueError(f"{what} needs a constant grade-0 part")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
         return (self.vars == other.vars and self.weights == other.weights
-                and self._terms == other._terms)
+                and self.den == other.den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.vars, self.weights, frozenset(self._terms.items())))
+        return hash((self.vars, self.weights, self.den, frozenset(self._num.items())))
 
     def __repr__(self):
         return (f"Series(order={self.order}, vars={self.vars}, "
-                f"weights={self.weights}, terms={len(self._terms)})")
+                f"weights={self.weights}, terms={len(self._num)})")
 
     def _sort_key(self, key: tuple):
         """By grade, then by the exponents read from the last variable."""
@@ -205,13 +225,13 @@ class Series:
 
     def pretty(self) -> str:
         """Human-readable polynomial, graded."""
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for key in sorted(self._terms, key=self._sort_key):
+        for key in sorted(self._num, key=self._sort_key):
             mono = "*".join(v if e == 1 else f"{v}^{e}"
                             for v, e in zip(self.vars, key) if e)
-            c = self._terms[key]
+            c = Fraction(self._num[key], self.den)
             parts.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(parts)
 
@@ -227,15 +247,18 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self.order, self.vars, self.weights)
         order = self._check_compatible(other)
-        out = dict(self.truncate(order)._terms)
-        for k, c in other.truncate(order)._terms.items():
-            out[k] = out.get(k, 0) + c
-        return self._like({k: c for k, c in out.items() if c}, order)
+        a, b = self.truncate(order), other.truncate(order)
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        out = {k: n * fa for k, n in a._num.items()}
+        for k, n in b._num.items():
+            out[k] = out.get(k, 0) + n * fb
+        return self._like(out, den, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._terms.items()})
+        return self._like({k: -n for k, n in self._num.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,34 +268,24 @@ class Series:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _integer_form(self):
-        """(D, rows): common denominator D and rows (grade, exponents,
-        coefficient * D) sorted by grade; cached."""
-        form = self._cache.get("int")
-        if form is None:
-            den = math.lcm(*(c.denominator for c in self._terms.values()))
-            rows = sorted(((self.grade(k), k, c.numerator * (den // c.denominator))
-                           for k, c in self._terms.items()), key=lambda r: r[0])
-            form = self._cache["int"] = (den, rows)
-        return form
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = self._check_compatible(other)
-        den1, rows1 = self._integer_form()
-        den2, rows2 = other._integer_form()
-        # integer products over the common denominators: one Fraction per
-        # result term instead of one per pair
+
+        def by_grade(f):              # so the inner loop can stop at the order
+            return sorted(((f.grade(k), k, n) for k, n in f._num.items()),
+                          key=lambda r: r[0])
+
+        rows2 = by_grade(other)
         acc: dict[tuple, int] = {}
-        for g1, k1, n1 in rows1:
+        for g1, k1, n1 in by_grade(self):
             for g2, k2, n2 in rows2:
                 if g1 + g2 > order:
                     break
                 key = tuple(map(add, k1, k2))
                 acc[key] = acc.get(key, 0) + n1 * n2
-        den = den1 * den2
-        return self._like({k: Fraction(n, den) for k, n in acc.items() if n}, order)
+        return self._like(acc, self.den * other.den, order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,9 +294,11 @@ class Series:
 
     def scale(self, factor) -> "Series":
         factor = _coerce(factor)
-        if factor == 0:
-            return self._like({})
-        return self._like({k: factor * c for k, c in self._terms.items()})
+        if factor == 1:
+            return self
+        p = factor.numerator
+        return self._like({k: p * n for k, n in self._num.items()},
+                          self.den * factor.denominator)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -299,21 +314,24 @@ class Series:
 
     def truncate(self, order: int) -> "Series":
         """The same terms under another order (a larger one keeps them all)."""
-        if order >= self.order:
-            return self._like(self._terms, order)
-        return self._like({k: c for k, c in self._terms.items()
-                           if self.grade(k) <= order}, order)
+        if order == self.order:
+            return self
+        if order > self.order:
+            return self._like(self._num, self.den, order)
+        return self._like({k: n for k, n in self._num.items()
+                           if self.grade(k) <= order}, self.den, order)
 
     def relabel(self, vars: tuple) -> "Series":
-        return Series(self.order, vars, self._terms, self.weights)
+        return Series(self.order, vars, self.terms(), self.weights)
 
     def map(self, fn: Callable[[tuple, Fraction], object]) -> "Series":
         """Each coefficient c at exponents k replaced by fn(k, c)."""
         return Series(self.order, self.vars,
-                      {k: fn(k, c) for k, c in self._terms.items()}, self.weights)
+                      {k: fn(k, c) for k, c in self.terms().items()}, self.weights)
 
     def grade_part(self, grade: int) -> "Series":
-        return self.map(lambda k, c: c if self.grade(k) == grade else 0)
+        return self._like({k: n for k, n in self._num.items()
+                           if self.grade(k) == grade}, self.den)
 
     # -- calculus ------------------------------------------------------
 
@@ -324,14 +342,10 @@ class Series:
         """
         out = self._cache.get(("partial", which))
         if out is None:
-            terms = {}
-            for k, c in self._terms.items():
-                e = k[which]
-                if e:
-                    terms[k[:which] + (e - 1,) + k[which + 1:]] = c * e
-            out = Series(max(self.order - self.weights[which], 0), self.vars,
-                         terms, self.weights)
-            self._cache[("partial", which)] = out
+            num = {k[:which] + (k[which] - 1,) + k[which + 1:]: n * k[which]
+                   for k, n in self._num.items() if k[which]}
+            out = self._cache[("partial", which)] = self._like(
+                num, self.den, max(self.order - self.weights[which], 0))
         return out
 
     def reciprocal(self) -> "Series":
@@ -375,9 +389,11 @@ class Series:
         # variables than k, so pad the remaining exponents to its length
         pad = len(head.vars) - (len(self.vars) - k)
         leaves: dict[tuple, dict] = {}
-        for key, c in self._terms.items():
-            leaves.setdefault(key[:k], {})[(0,) * pad + key[k:]] = c
-        table = _horner_table({key: Series(order, head.vars, rest, head.weights)
+        for key, n in self._num.items():
+            rest = (0,) * pad + key[k:]
+            if head.grade(rest) <= order:
+                leaves.setdefault(key[:k], {})[rest] = n
+        table = _horner_table({key: head._like(rest, self.den, order)
                                for key, rest in leaves.items()})
         return _horner(table, [g.truncate(order) for g in gs])
 
@@ -440,12 +456,12 @@ class Series:
         if prec is None:
             if table is None:
                 table = self._cache[("horner", prec)] = _horner_table(
-                    {k: c.numerator / c.denominator for k, c in self._terms.items()})
+                    {k: c.numerator / c.denominator for k, c in self.terms().items()})
             return _horner(table, [float(x) for x in point])
         with mp.workprec(prec):
             if table is None:
                 table = self._cache[("horner", prec)] = _horner_table(
-                    {k: _to_mpf(c) for k, c in self._terms.items()})
+                    {k: _to_mpf(c) for k, c in self.terms().items()})
             return _horner(table, [_to_mpf(x) for x in point])
 
     # -- serialization ---------------------------------------------------
@@ -459,7 +475,7 @@ class Series:
         """
         terms = [dict(zip(_EXPONENT_NAMES, key),
                       num=str(c.numerator), den=str(c.denominator))
-                 for key, c in sorted(self._terms.items(),
+                 for key, c in sorted(self.terms().items(),
                                       key=lambda kv: self._sort_key(kv[0]))]
         data = {"order": self.order, "vars": list(self.vars), "terms": terms}
         if any(w != 1 for w in self.weights):

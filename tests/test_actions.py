@@ -1,6 +1,5 @@
 """Action integrals, series identities, invariant fit, twist, monodromy."""
 
-import functools
 import hashlib
 import math
 import random
@@ -192,8 +191,7 @@ def test_quadrature_reports_where_it_is_unconverged_at_53_bits():
 def test_quadrature_accepts_differences_at_the_noise_plateau(monkeypatch):
     # next to the critical value the differences fall doubly exponentially
     # to a rounding plateau near 2^(4 - prec) at level 9 and stay there
-    monkeypatch.setattr(actions, "tanh_sinh",
-                        functools.partial(quadrature.tanh_sinh, max_level=9))
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 9)
     value, _, converged = two_pi_I1_quadrature(1e-9, 1e-9, prec=128)
     assert converged is True
     assert abs(value - two_pi_I1_closed(1e-9, 1e-9, prec=148)) <= 2.0 ** (10 - 128)
@@ -557,8 +555,8 @@ def test_invariant_polynomial_table():
     assert all(b % 2 == 0 for (_, b) in poly.terms())
 
 
-REDUCED_FIT = dict(order=8, precision=128, samples=80,
-                   radii=(0.08, 0.14, 0.2, 0.26), h_degree=12)
+# the command line's reduced fit: 19 angles per circle, one on the axis
+CLI_FIT = dict(order=8, precision=128, samples=80)
 
 
 def test_fit_invariant_reduced(monkeypatch):
@@ -569,22 +567,19 @@ def test_fit_invariant_reduced(monkeypatch):
         return two_pi_I1_quadrature(*args, **kwargs)
 
     monkeypatch.setattr(actions, "two_pi_I1_quadrature", counted)
-    res = fit_invariant_S(**REDUCED_FIT)
+    res = fit_invariant_S(**CLI_FIT)
     assert res.residual_max < 1e-9
     assert res.ln32_error < 1e-8
     for err in res.reference_errors.values():
         assert err < 1e-6
     # the closed form is the production route; quadrature checks exactly
     # one sample per circle, and the largest difference is reported
-    assert len(quadratures) == res.oracle_samples == 4
+    assert len(quadratures) == res.oracle_samples == 5
     assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
 
 
-# the command line's reduced fit: 19 angles per circle, one on the axis
-CLI_FIT = dict(order=8, precision=128, samples=80)
-
-
-@pytest.mark.parametrize("fit", [CLI_FIT, REDUCED_FIT], ids=["odd-grid", "even-grid"])
+@pytest.mark.parametrize("fit", [CLI_FIT, {**CLI_FIT, "samples": 100}],
+                         ids=["odd-grid", "even-grid"])
 def test_harmonic_solve_equals_dense_qr(monkeypatch, fit):
     solves, qr_rows = [], []
     harmonic_lsq, qr_solve = actions._harmonic_lsq, mp.qr_solve
@@ -621,10 +616,9 @@ def test_harmonic_solve_equals_dense_qr(monkeypatch, fit):
 
 
 def test_fit_raises_on_an_unconverged_oracle(monkeypatch):
-    monkeypatch.setattr(actions, "tanh_sinh",
-                        functools.partial(quadrature.tanh_sinh, max_level=4))
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
     with pytest.raises(ConsistencyError, match="unconverged"):
-        fit_invariant_S(**REDUCED_FIT)
+        fit_invariant_S(**CLI_FIT)
 
 
 def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
@@ -633,19 +627,22 @@ def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
 
     monkeypatch.setattr(actions, "two_pi_I1_closed", perturbed)
     with pytest.raises(ConsistencyError):
-        fit_invariant_S(**REDUCED_FIT)
+        fit_invariant_S(**CLI_FIT)
 
 
 def test_fit_stability_under_sample_doubling():
-    a = fit_invariant_S(**REDUCED_FIT)
-    b = fit_invariant_S(**{**REDUCED_FIT, "samples": 160})
+    a = fit_invariant_S(**CLI_FIT)
+    b = fit_invariant_S(**{**CLI_FIT, "samples": 160})
     for mono in [(1, 0), (2, 0), (0, 2), (3, 0), (1, 2), (4, 0), (2, 2), (0, 4)]:
         assert abs(a.coefficients[mono] - b.coefficients[mono]) < 1e-9
 
 
 def test_fit_rank_guard():
-    with pytest.raises(ValueError):
-        fit_invariant_S(order=8, radii=(0.1, 0.3))
+    # five circles leave a kernel above degree 10; below 4 the reference
+    # terms are not fitted.  The command line refuses the same orders.
+    for order in (1, 3, 11):
+        with pytest.raises(ValueError, match="outside 4 to 10"):
+            fit_invariant_S(order=order)
 
 
 # -- twist -----------------------------------------------------------------------

@@ -165,6 +165,24 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     assert err.startswith("domain error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--order", "1"), ("invariants", "--order", "3"),
+    ("invariants", "--order", "11"), ("nf", "--order", "1"),
+    ("pendulum", "--series", "nome", "--order", "0"),
+    ("pendulum", "--series", "nome-inverse", "--order", "0"),
+    ("pendulum", "--series", "reciprocal", "--order", "0"),
+    ("orbit", "--W", "3/4", "--tol", "1e-3"), ("orbit", "--W", "3/4", "--tol", "nan"),
+    ("orbit", "--W", "abc"), ("orbit", "--W", "1/0")])
+def test_out_of_range_arguments_are_refused_by_the_parser(capsys, argv):
+    # exit 1 means a verification failure, so these never reach a command
+    with pytest.raises(SystemExit) as refused:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert refused.value.code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"pendinv {argv[0]}: error: argument {argv[-2]}:")
+    assert "Traceback" not in err
+
+
 def test_pendulum_next_to_the_critical_energy(capsys):
     code, out, _ = run(capsys, "pendulum", "--h", "1e-17", "--format", "json")
     assert code == 0

@@ -148,16 +148,11 @@ def test_lie_normalize_deterministic_and_storage_order_independent():
     assert k1 == k2 and w1 == w2
 
 
-def as_series(form):
-    """The triangle's integer form (den, {exponents: numerator}) as a Series."""
-    den, terms = form
-    return pc({k: F(n, den) for k, n in terms.items()})
-
-
 def test_generators_live_in_the_range():
     # each stage generator is theta1-dependent only and of pure grade 2n+2
     _, generators = normalform._triangle(10)
-    for n, w in enumerate(map(as_series, generators), start=1):
+    for n, w in enumerate(generators, start=1):
+        assert isinstance(w, Series) and (w.vars, w.weights) == (VARS, WEIGHTS)
         assert kernel_part(w).is_zero()
         assert grades(w) == {2 * n + 2}
 
@@ -231,8 +226,7 @@ def test_incremental_triangle_matches_the_rebuilt_one():
     # odd orders share nmax with the even order below them
     rebuilt = {}
     for order in range(4, 21):
-        series, forms = normalform._triangle(order)
-        generators = [as_series(w) for w in forms]
+        series, generators = normalform._triangle(order)
         nmax = (order - 2) // 2
         if nmax not in rebuilt:
             rebuilt[nmax] = lie_normalize_rebuilt(order)
@@ -291,15 +285,14 @@ def bracket_count(order):
 
 
 def spy_brackets(monkeypatch):
-    """Operand pairs of every call to the integer bracket kernel."""
+    """Operand pairs of every call to `poisson_bracket`."""
     seen = []
-    kernel = normalform._bracket
 
     def spy(f, g):
         seen.append((f, g))
-        return kernel(f, g)
+        return poisson_bracket(f, g)
 
-    monkeypatch.setattr(normalform, "_bracket", spy)
+    monkeypatch.setattr(normalform, "poisson_bracket", spy)
     return seen
 
 
@@ -312,9 +305,11 @@ def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
     assert len(seen) == bracket_count(order) == calls
 
 
-def in_lowest_terms(form):
-    den, terms = form
-    return den > 0 and all(terms.values()) and math.gcd(den, *terms.values()) == 1
+def in_lowest_terms(s):
+    """Integer numerators over a positive denominator, none zero, no common
+    factor: the one form a Series holds."""
+    nums = s._num.values()
+    return s.den > 0 and all(nums) and math.gcd(s.den, *nums) == 1
 
 
 def test_triangle_entries_stay_in_lowest_terms(monkeypatch):
@@ -325,3 +320,45 @@ def test_triangle_entries_stay_in_lowest_terms(monkeypatch):
     assert len(seen) == 156
     assert all(in_lowest_terms(f) and in_lowest_terms(w) for f, w in seen)
     assert all(map(in_lowest_terms, generators))
+
+
+def two_variable(rng, order, unit_linear=False):
+    """A random (x, y) series; with `unit_linear`, x + (degree >= 2)."""
+    terms = {(a, b): F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9)))
+             for a in range(order + 1) for b in range(order + 1 - a)
+             if a + b >= (2 if unit_linear else 0) and rng.random() < 0.5}
+    if unit_linear:
+        terms[(1, 0)] = F(1)
+    return Series(order, ("x", "y"), terms)
+
+
+def test_every_result_is_in_the_one_canonical_form():
+    # integer numerators over one denominator, reduced, no zeros: after
+    # each operation, whichever way the value was built
+    rng = random.Random(23)
+    one, x = Series.constant(1, 6, ("x", "y")), Series.variable(0, 6, ("x", "y"))
+    for _ in range(25):
+        f = random_algebra_element(rng, 12, rng.randint(1, 10))
+        g = random_algebra_element(rng, rng.randint(4, 14), rng.randint(1, 10))
+        u, v = two_variable(rng, 6), two_variable(rng, 5)
+        w = two_variable(rng, 6, unit_linear=True)
+        factor = F(rng.randint(-9, 9), rng.randint(1, 12))
+        p = rng.randint(0, 12)
+        results = [f + g, f - g, f * g, f.scale(factor), f.truncate(p),
+                   f.partial(0), f.partial(2), f.grade_part(p),
+                   poisson_bracket(f, g), *homological_solve(f),
+                   u + v, u - u, u * v, u.scale(factor), u.truncate(3),
+                   u.partial(1), u.grade_part(3), (1 + w).reciprocal(),
+                   u.compose(w - x, w), w.invert()]
+        for s in results:
+            assert in_lowest_terms(s)
+            rebuilt = Series(s.order, s.vars, s.terms(), s.weights)
+            assert rebuilt == s and hash(rebuilt) == hash(s)
+            assert Series.from_json(s.to_json()) == s
+        # the same values by other routes: cancellation, reordering, scaling back
+        routes = [((f + g) - g, f.truncate(min(f.order, g.order))), (f + g, g + f),
+                  (f * g, g * f), (f.scale(factor).scale(1 / factor) if factor else f, f),
+                  ((u + v) - v, u.truncate(5)), ((1 + w) * (1 + w).reciprocal(), one),
+                  (w.invert().compose(w), x)]
+        for a, b in routes:
+            assert a == b and hash(a) == hash(b)
