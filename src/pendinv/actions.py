@@ -547,10 +547,23 @@ class InvariantSeries:
 
 def _midpoint_circle(r, n: int) -> list:
     """The n points r (cos theta_i, sin theta_i), theta_i = pi (2i + 1) / n,
-    in mpf at the working precision."""
+    in mpf at the working precision, in order of i.
+
+    Only the lower half, theta in [pi, 2 pi) (with the axis sample theta =
+    pi when n is odd), is computed; each upper sample i is the mirror
+    (j1, -j2) of sample n - 1 - i, so mirror pairs are exact.
+    """
     r = mp.mpf(r)
-    return [(r * mp.cospi(mp.mpf(2 * i + 1) / n), r * mp.sinpi(mp.mpf(2 * i + 1) / n))
-            for i in range(n)]
+    lower = [(r * mp.cospi(mp.mpf(2 * i + 1) / n), r * mp.sinpi(mp.mpf(2 * i + 1) / n))
+             for i in range(n // 2, n)]
+    return [(j1, -j2) for j1, j2 in reversed(lower[n % 2:])] + lower
+
+
+def _singular_terms_mp(j1, j2):
+    """The universal terms of 2 pi I1, 8 - 2 pi |j2| + j2 arg(j1 + i j2)
+    - j1 ln |j| + j1, in mpf at the working precision."""
+    rho = mp.sqrt(j1 * j1 + j2 * j2)
+    return 8 - 2 * mp.pi * abs(j2) + j2 * mp.atan2(j2, j1) - j1 * mp.log(rho) + j1
 
 
 def _harmonic_monomials(d: int, m: int) -> dict[tuple[int, int], int]:
@@ -606,9 +619,10 @@ def _harmonic_lsq(radii, values, order: int):
     return coeffs, residuals
 
 
-# the fit's circles: five up to 0.32 from degree 7 on; below it four
+# the fit's circles: five up to 0.32 from degree 8 on; below it four
 # tighter ones, or the truncation tail of the invariant itself dominates
-# the residual.  The energy comes from the degree-14 normal form.
+# the residual (at degree 7 the unfitted degree-8 tail biases (2, 2)).
+# The energy comes from the degree-14 normal form.
 _FIT_RADII = (0.08, 0.14, 0.2, 0.26, 0.32)
 _LOW_ORDER_RADII = (0.05, 0.09, 0.13, 0.17)
 _FIT_H_DEGREE = 14
@@ -623,8 +637,11 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     maps to energy through the high-order normal form, evaluates 2 pi I1 in
     closed form (`two_pi_I1_closed`) at `precision` bits, subtracts the
     universal singular terms exactly, and solves the least squares in the
-    monomials by harmonics (`_harmonic_lsq`) at the same precision.  On
-    each circle the sample nearest the axis with |j2| >= 1e-3 (quadrature
+    monomials by harmonics (`_harmonic_lsq`) at the same precision.  The
+    energy, the closed form and the singular terms are all even in j2, and
+    the samples come in exact mirror pairs (j1, +-j2) (`_midpoint_circle`),
+    so each pair is evaluated once, at its j2 <= 0 sample.  On each circle
+    the lower-half sample nearest the axis with |j2| >= 1e-3 (quadrature
     does not converge on the axis) is also integrated by tanh-sinh
     quadrature (`precision` bits); a quadrature that stops at its last
     level unconverged, or a difference above its own stopping
@@ -639,7 +656,7 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     cover order 10.  Below order 4 the reference terms are not fitted.
     Orders outside 4 to 10 raise ValueError.
     """
-    radii = _FIT_RADII if order >= 7 else _LOW_ORDER_RADII
+    radii = _FIT_RADII if order >= 8 else _LOW_ORDER_RADII
     if not 4 <= order <= 2 * len(radii):
         raise ValueError(f"fit order {order} outside 4 to {2 * len(_FIT_RADII)}")
     h_series = birkhoff_series(_FIT_H_DEGREE)
@@ -650,12 +667,14 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         values = []
         oracle_diff = mp.mpf(0)
         for r in radii:
-            circle = _midpoint_circle(r, per_circle)
-            # ties between mirror samples go to the last, below the j1 > 0 axis
-            checked = min(reversed([p for p in circle if abs(p[1]) >= 1e-3]),
+            # both sides are even in j2: the lower half is evaluated, and each
+            # upper sample, its exact mirror, takes the same value
+            lower = _midpoint_circle(r, per_circle)[per_circle // 2:]
+            # ties go to the last, below the j1 > 0 axis
+            checked = min(reversed([p for p in lower if abs(p[1]) >= 1e-3]),
                           key=lambda p: float(abs(p[1])))
-            values.append([])
-            for point in circle:
+            lower_values = []
+            for point in lower:
                 j1m, j2m = point
                 h = h_series.evaluate(j1m, j2m, prec=precision + 20)
                 two_pi_i1 = two_pi_I1_closed(h, j2m, prec=precision)
@@ -671,10 +690,8 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
                             f"closed-form action off quadrature by {float(diff):.3e} "
                             f"at (j1, j2) = ({float(j1m)!r}, {float(j2m)!r})")
                     oracle_diff = max(oracle_diff, diff)
-                rho = mp.sqrt(j1m * j1m + j2m * j2m)
-                singular = (8 - 2 * mp.pi * abs(j2m) + j2m * mp.atan2(j2m, j1m)
-                            - j1m * mp.log(rho) + j1m)
-                values[-1].append(two_pi_i1 - singular)
+                lower_values.append(two_pi_i1 - _singular_terms_mp(j1m, j2m))
+            values.append(lower_values[per_circle % 2:][::-1] + lower_values)
         coeffs, resid = _harmonic_lsq(radii, values, order)
         residual_max = float(max(abs(x) for x in resid))
         residual_rms = float(mp.sqrt(sum(x * x for x in resid) / len(resid)))

@@ -566,16 +566,68 @@ def test_fit_invariant_reduced(monkeypatch):
         quadratures.append(args)
         return two_pi_I1_quadrature(*args, **kwargs)
 
+    closed = []
+
+    def counted_closed(*args, **kwargs):
+        closed.append(args)
+        return two_pi_I1_closed(*args, **kwargs)
+
     monkeypatch.setattr(actions, "two_pi_I1_quadrature", counted)
+    monkeypatch.setattr(actions, "two_pi_I1_closed", counted_closed)
     res = fit_invariant_S(**CLI_FIT)
     assert res.residual_max < 1e-9
     assert res.ln32_error < 1e-8
     for err in res.reference_errors.values():
         assert err < 1e-6
-    # the closed form is the production route; quadrature checks exactly
-    # one sample per circle, and the largest difference is reported
+    # the closed form is the production route, run once per mirror pair:
+    # the axis sample and the 9 below it on each of the 5 circles of 19
+    assert res.samples == 95 and len(closed) == 5 * (1 + 9)
+    assert all(j2 <= 0 for _, j2 in closed)
+    # quadrature checks exactly one sample per circle, and the largest
+    # difference is reported
     assert len(quadratures) == res.oracle_samples == 5
     assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
+
+
+@pytest.mark.parametrize("n", [19, 20, 23, 32])
+@pytest.mark.parametrize("prec", [148, 276])
+def test_midpoint_circle_mirror_pairs_are_exact(n, prec):
+    # the fit evaluates each mirror pair once, so sample n - 1 - i must be
+    # (j1, -j2) of sample i bit for bit; the lower half is the direct formula
+    with mp.workprec(prec):
+        for r in (0.08, 0.32):
+            circle = actions._midpoint_circle(r, n)
+            assert len(circle) == n
+            for i, (j1, j2) in enumerate(circle):
+                mirror = circle[n - 1 - i]
+                assert (mirror[0]._mpf_, mirror[1]._mpf_) == (j1._mpf_, (-j2)._mpf_)
+                theta = mp.mpf(2 * i + 1) / n
+                direct = (r * mp.cospi(theta), r * mp.sinpi(theta))
+                if i >= n // 2:
+                    assert (j1, j2) == direct
+                else:
+                    assert abs(j1 - direct[0]) <= mp.eps and abs(j2 - direct[1]) <= mp.eps
+            if n % 2:
+                assert circle[n // 2][1] == 0 and circle[n // 2][0] == -r
+
+
+@pytest.mark.parametrize("precision", [128, 256])
+def test_fit_terms_are_even_in_j2_bitwise(precision):
+    # the energy, the closed-form action and the singular terms the fit
+    # subtracts take the same bits at (j1, j2) and (j1, -j2)
+    rng = random.Random(20)
+    h_series = birkhoff_series(actions._FIT_H_DEGREE)
+    with mp.workprec(precision + 20):
+        for _ in range(6):
+            r, theta = rng.uniform(0.05, 0.32), rng.uniform(0.0, 1.0)
+            j1, j2 = r * mp.cospi(theta), r * mp.sinpi(theta)
+            h_up = h_series.evaluate(j1, j2, prec=precision + 20)
+            h_down = h_series.evaluate(j1, -j2, prec=precision + 20)
+            assert h_up._mpf_ == h_down._mpf_
+            assert (two_pi_I1_closed(h_up, j2, prec=precision)._mpf_
+                    == two_pi_I1_closed(h_up, -j2, prec=precision)._mpf_)
+            assert (actions._singular_terms_mp(j1, j2)._mpf_
+                    == actions._singular_terms_mp(j1, -j2)._mpf_)
 
 
 @pytest.mark.parametrize("fit", [CLI_FIT, {**CLI_FIT, "samples": 100}],

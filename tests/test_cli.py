@@ -167,7 +167,9 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("invariants", "--order", "1"), ("invariants", "--order", "3"),
-    ("invariants", "--order", "11"), ("nf", "--order", "1"),
+    ("invariants", "--order", "11"), ("invariants", "--precision", "0"),
+    ("invariants", "--precision", "-5"), ("invariants", "--precision", "8"),
+    ("invariants", "--precision", "63"), ("nf", "--order", "1"),
     ("pendulum", "--series", "nome", "--order", "0"),
     ("pendulum", "--series", "nome-inverse", "--order", "0"),
     ("pendulum", "--series", "reciprocal", "--order", "0"),
@@ -199,6 +201,26 @@ def test_exact_outputs_match_the_benchmark_digests(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == golden[key], key
+
+
+# sha256 of the stdout of the benchmark's fit command (perfbench
+# FIT_COMMAND): a change to the fit that moves a printed value changes it
+FIT_COMMAND_SHA256 = "7852fc9cbe44ce098f76cf9f2d72d2660be9ceaddd8ac0236af97a43e1e0df81"
+
+
+def test_fit_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "invariants", "--order", "8", "--precision", "128",
+                       "--samples", "80", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIT_COMMAND_SHA256
+
+
+@pytest.mark.parametrize("order", range(4, 11))
+def test_every_accepted_fit_order_fits(capsys, order):
+    code, out, err = run(capsys, "invariants", "--order", str(order),
+                         "--precision", "80", "--samples", "40", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order"] == order
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
