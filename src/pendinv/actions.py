@@ -1,7 +1,7 @@
 """Action integrals and everything derived from them.
 
 The non-trivial action over the real cycle, the imaginary action over the
-vanishing cycle (numeric contour and exact series), the Birkhoff normal
+vanishing cycle (Carlson closed form and exact series), the Birkhoff normal
 form by series inversion, the semi-global symplectic invariant extracted
 by a high-precision fit, rotation number, reduced period, twist and the
 monodromy continuation.
@@ -13,21 +13,19 @@ normal-form coordinates.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import (fone, fzero, mpf_div, mpf_mul, mpf_shift, mpf_sqrt,
                           mpf_sub, round_nearest as RND)
 from scipy.optimize import brentq
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, _lambda0, carlson_rj, cubic_roots,
-                       cubic_value, ellint_E, ellint_K, ellint_Pi_from_p)
+                       _discriminant, _gaps, _lambda0, carlson_rd, carlson_rf,
+                       carlson_rj, cubic_roots, ellint_E, ellint_K, ellint_Pi_from_p)
 from .quadrature import tanh_sinh
 from .series import Series, binom_frac
 
@@ -39,10 +37,6 @@ class ConsistencyError(ArithmeticError):
     """Two routes that must agree exactly disagreed (build-breaking)."""
 
 
-class ContourGeometryError(ValueError):
-    """Integration contour would touch another branch point."""
-
-
 class FitQualityError(ArithmeticError):
     """Least-squares residual above the acceptable threshold."""
 
@@ -52,7 +46,7 @@ class ActionValue:
     """A computed action and the route that produced it."""
 
     value: float
-    method: str           # lambda0 (action_I1) | contour (action_J1_numeric)
+    method: str           # lambda0 (action_I1) | vanishing_cycle (action_J1_numeric)
 
     @property
     def two_pi(self) -> float:
@@ -223,7 +217,7 @@ def _lambda0_mp(phi, mc, K, E):
     return 2 / mp.pi * (K * E_phi - (K - E) * F)
 
 
-def two_pi_I1_closed(h, j2, prec: int = 53):
+def two_pi_I1_closed(h, j2, prec: int):
     """2*pi*I1 at `prec` bits from the Lambda0 form that `action_I1` uses.
 
     The formula of `_two_pi_I1` runs at `prec + 20` bits on the gaps of
@@ -277,61 +271,36 @@ def action_I1(em: EnergyMomentum) -> ActionValue:
 # -- numeric imaginary action over the vanishing cycle -----------------------
 
 def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
-    """J1 by complex contour quadrature around [zeta1, zeta2].
+    """J1 as the complete elliptic integral over the vanishing cycle.
 
-    A rectangle with clearance delta = min(0.1, zeta1 - zeta0)/4 encloses
-    the doubled vanishing cycle; the square-root branch is tracked by
-    continuity along 16-node Gauss-Legendre panels.  The result times the
-    cycle orientation is real; an imaginary residue above 1e-10 raises.
-    At the relative equilibria of the image, where zeta0 = zeta1 (such as
-    (h, j2) = (0.625, 1.875), roots -1/4, -1/4, 17/8), the rectangle has no
-    room and ContourGeometryError is raised, although sqrt(P) has no
-    branch point at the double root.
+    J1 = -(2/pi) PV int_{zeta1}^{zeta2} sqrt(-P) / (1 - zeta^2) dzeta, the
+    principal value at zeta = 1.  Splitting -P / (1 - zeta^2) = 2 (zeta -
+    h - 1) + j2^2 / (1 - zeta^2) and setting zeta = zeta2 - (zeta2 - zeta1)
+    sin^2 theta gives Carlson forms at the cycle's complementary parameter
+    mc = width / span.  The pole's R_J is the principal value K - Pi(eps2 /
+    span) of DLMF 19.7.9, and both R_J arguments are sums of gaps, so
+    nothing cancels.  At mc = 0 (the relative equilibria, where width == 0
+    exactly) the integral is elementary.  Independent of `J1_series`, which
+    `j1_of_energy` evaluates.
     """
+    d = cubic_roots(em)
     h, j2 = em.h, em.j2
-    data = cubic_roots(em)
-    z1, z2 = data.zeta1, data.zeta2
-    if z2 - z1 < 1e-14:
-        return ActionValue(0.0, "contour")
-    clearance = min(z1 - data.zeta0, z1 + 1)
-    if clearance <= 0:
-        raise ContourGeometryError(
-            f"no room between zeta1 = {z1} and the next branch point")
-    delta = min(0.1, clearance) / 4
-
-    corners = [complex(z2 + delta, 0.0),
-               complex(z2 + delta, delta),
-               complex(z1 - delta, delta),
-               complex(z1 - delta, -delta),
-               complex(z2 + delta, -delta),
-               complex(z2 + delta, 0.0)]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-
-    total = 0.0 + 0.0j
-    w_prev = cmath.sqrt(cubic_value(corners[0], h, j2))  # real positive right of zeta2
-    for start, end in zip(corners[:-1], corners[1:]):
-        seg = end - start
-        length = abs(seg)
-        n_panels = max(4, int(math.ceil(length / (delta / 2))))
-        for p in range(n_panels):
-            a = start + seg * (p / n_panels)
-            b = start + seg * ((p + 1) / n_panels)
-            mid = (a + b) / 2
-            half = (b - a) / 2
-            for x, wq in zip(gl_x, gl_w):
-                z = mid + half * x
-                w = cmath.sqrt(cubic_value(z, h, j2))
-                if abs(w - w_prev) > abs(w + w_prev):
-                    w = -w
-                w_prev = w
-                total += wq * half * w / (1 - z * z)
-    # Doubled cycle: J1 = 2 * contour / (2 pi i); the counterclockwise
-    # orientation with the branch anchored positive right of zeta2 already
-    # gives the sign of h near the origin.
-    value = 2 * total / (2j * math.pi)
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ConsistencyError(f"contour result not real: {value}")
-    return ActionValue(value.real, "contour")
+    delta0, eps1, eps2, width, span = d.delta0, d.eps1, d.eps2, d.width, d.span
+    mc = width / span
+    if mc == 0:
+        g = math.sqrt(span) - math.sqrt(eps2) * eps1 / 2 * math.atanh(math.sqrt(eps2 / span))
+        if delta0:                                    # 0 at (h, j2) = (-2, 0)
+            c = math.sqrt(2 + eps2)
+            g -= c * delta0 / 2 * math.atanh(math.sqrt(span) / c)
+        return ActionValue(-4 * math.sqrt(2.0) / math.pi * g, "vanishing_cycle")
+    K = carlson_rf(0.0, mc, 1.0)
+    D = d.kcsq / 3 * carlson_rd(0.0, mc, 1.0)             # K - E
+    n = (eps1 + eps2) / (2 + eps2)
+    g = (2 * (eps2 * (K - D) - h * K - (2 - delta0) * D)
+         + j2 * j2 / 2 * ((K + n / 3 * carlson_rj(0.0, mc, 1.0, (width + delta0) / (2 + eps2)))
+                          / (2 + eps2)
+                          + carlson_rj(0.0, mc, 1.0, (2 - delta0) / span) / (3 * span)))
+    return ActionValue(-2 / math.pi * math.sqrt(2 / span) * g, "vanishing_cycle")
 
 
 # -- rotation number and period ----------------------------------------------
@@ -913,7 +882,8 @@ def model_error_sweep(radius: float, j1_order: int | None = 4) -> float:
       truncation of the invariant with that of the coordinate series.
     * `j1_order=None`: the exact Eliasson coordinate, the elliptic
       integral over the vanishing cycle computed by `action_J1_numeric`
-      (contour route).  The error is then that of the invariant alone.
+      (its Carlson closed form).  The error is then that of the invariant
+      alone.
 
     The result is in 2 pi units; divide by 2 pi for units of the action.
     Grid points outside the regular region are skipped.

@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="fit the symplectic invariant")
     p.add_argument("--order", type=_within(int, 4, 10), default=10)
     p.add_argument("--precision", type=_within(int, 64), default=256)
-    p.add_argument("--samples", type=int, default=160)
+    p.add_argument("--samples", type=_within(int, 1), default=160,
+                   help="total samples over the circles (default 160); each "
+                        "circle is raised to at least 2 order + 3")
     add_format(p, "pretty", "json")
     p.set_defaults(func=cmd_invariants)
 

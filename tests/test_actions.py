@@ -24,6 +24,7 @@ from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              two_pi_I1_quadrature, W_star, W_star_approx)
 from pendinv.elliptic import DomainError, EnergyMomentum, cubic_roots
 from pendinv.normalform import lie_normalize
+from pendinv.pendulum import pendulum_quadruple
 from pendinv.series import Series
 
 TWO_PI = 2 * math.pi
@@ -386,12 +387,36 @@ def test_action_model_matches_inside_half_disk():
         assert two_pi_I1_model(j1, j2) == pytest.approx(numeric, abs=1e-4)
 
 
-def test_j1_contour_matches_series():
+def test_j1_vanishing_cycle_matches_series():
+    # the closed form and the degree-14 residue series are independent
+    # routes to J1; next to the critical value the series is exact to
+    # rounding, and so must the closed form be, relative to J1
+    near = [(1e-8, 1e-8), (-1e-12, 1e-12), (1e-3, 1e-12), (-0.01, 0.01)]
     for (h, j2) in [(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.05, 0.15),
-                    (-0.2, 0.1)]:
+                    (-0.2, 0.1)] + near:
         val = action_J1_numeric(EnergyMomentum(h, j2)).value
         ref = float(J1_series(14).evaluate(h, j2))
-        assert val == pytest.approx(ref, abs=1e-9)
+        assert abs(val - ref) <= (1e-14 * abs(ref) if (h, j2) in near else 1e-9), (h, j2)
+
+
+def test_j1_at_relative_equilibria_and_far_from_the_origin():
+    # (0.625, 1.875) has the double root -1/4 and (-2, 0) is the stable
+    # equilibrium, where J1 = -8/pi; the other references are 40-digit
+    # principal-value quadratures of the defining integral
+    for (h, j2), ref in [((0.625, 1.875), -0.16673121197741082),
+                         ((-2.0, 0.0), -8 / math.pi),
+                         ((-1.999999, 1e-9), -2.5464732703686903),
+                         ((1e6, 10.0), 12509.83673468677)]:
+        act = action_J1_numeric(EnergyMomentum(h, j2))
+        assert act.method == "vanishing_cycle"
+        assert abs(act.value - ref) <= 1e-14 * (1 + abs(ref)), (h, j2)
+
+
+@pytest.mark.parametrize("h", [-1.999999, -1.5, -0.05, 0.05, 2.0, 1e6])
+def test_j1_on_the_axis_is_the_pendulum_imaginary_action(h):
+    # |h| >= 0.05: the pendulum form itself cancels next to h = 0
+    j1 = action_J1_numeric(EnergyMomentum(h, 0.0)).value
+    assert abs(j1 - pendulum_quadruple(h).imaginary_action) <= 1e-14 * (1 + abs(j1))
 
 
 def test_energy_expansion_pointwise():
@@ -764,8 +789,8 @@ def test_model_error_reproduces_reference_bound():
 
 
 def test_model_error_exact_coordinate_matches_high_order_series():
-    # contour coordinate vs degree-14 J1 series: two independent routes to
-    # j1, both 3.354e-5 in units of the action inside radius 1/2
+    # vanishing-cycle coordinate vs degree-14 J1 series: two independent
+    # routes to j1, both 3.354e-5 in units of the action inside radius 1/2
     exact = model_error_sweep(0.5, j1_order=None)
     series = model_error_sweep(0.5, j1_order=14)
     assert abs(exact - series) < 1e-7

@@ -174,7 +174,8 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     ("pendulum", "--series", "nome-inverse", "--order", "0"),
     ("pendulum", "--series", "reciprocal", "--order", "0"),
     ("orbit", "--W", "3/4", "--tol", "1e-3"), ("orbit", "--W", "3/4", "--tol", "nan"),
-    ("orbit", "--W", "abc"), ("orbit", "--W", "1/0")])
+    ("orbit", "--W", "abc"), ("orbit", "--W", "1/0"),
+    ("invariants", "--samples", "0"), ("invariants", "--samples", "-5")])
 def test_out_of_range_arguments_are_refused_by_the_parser(capsys, argv):
     # exit 1 means a verification failure, so these never reach a command
     with pytest.raises(SystemExit) as refused:
