@@ -21,7 +21,6 @@ from functools import lru_cache
 import mpmath as mp
 from mpmath.libmp import (fone, fzero, mpf_div, mpf_mul, mpf_shift, mpf_sqrt,
                           mpf_sub, round_nearest as RND)
-from scipy.optimize import brentq
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
                        _discriminant, _gaps, _lambda0, carlson_rd, carlson_rf,
@@ -729,6 +728,8 @@ def twistless_curve(r: float) -> float:
     Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by `brentq` to 1e-14;
     raises DomainError if the ends of that interval have the same sign.
     """
+    from scipy.optimize import brentq   # scipy loads only for this root
+
     if not 0 < r <= 1:
         raise DomainError("radius must lie in (0, 1]")
 

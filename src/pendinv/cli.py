@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import actions, dynamics, elliptic, normalform, pendulum
+from . import actions, elliptic, normalform, pendulum
 from .elliptic import DivergenceError, DomainError, EnergyMomentum
 
 
@@ -177,7 +177,12 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
+    from . import dynamics        # numpy and scipy load only for orbits
+    try:
+        res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
+    except dynamics.IntegrationError as exc:     # e.g. no closure at a loose --tol
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     payload = {"target": str(args.W), "s": res.s, "h": res.h, "j2": res.j2,
                "closure_error": res.closure_error}
     print(_json(payload))

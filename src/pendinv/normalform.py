@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .series import Series
 
 VARS = ("J1", "J2", "e")   # e = exp(theta1)
@@ -144,65 +142,55 @@ def lie_normalize(order: int = 10) -> Series:
 # -- linear normal form ------------------------------------------------------
 
 def verify_linear_nf() -> None:
-    """Check the linear normalization exactly in rational arithmetic.
+    """Check the linear normalization exactly in integer arithmetic.
 
     Coordinates are ordered (xi, p_xi, eta, p_eta) for the old chart and
     (q1, p1, q2, p2) for the new one; the transformation is old = M new
-    with M = M0 / sqrt(2), M0 integer, so every congruence M^T A M =
-    M0^T A M0 / 2 is exact on integer matrices of dtype object.  The
-    rotation sqrt(2) xi = q1 - p1, sqrt(2) p_xi = q1 + p1 (likewise for
-    eta) must be symplectic, leave the angular momentum Hessian invariant
-    and carry the Hamiltonian Hessian to nu * D^2(q1 p1 + q2 p2) with
-    nu = 1; J4 D^2H must have the eigenvalues +-nu, each twice, and no
-    elliptic frequency.  Returns nothing: any failed identity raises
-    ArithmeticError.
+    with M = M0 / sqrt(2), M0 integer, so every congruence M^T A M = image
+    reads M0^T A M0 = 2 image on integer matrices.  The rotation sqrt(2) xi
+    = q1 - p1, sqrt(2) p_xi = q1 + p1 (likewise for eta) must be
+    symplectic, leave the angular momentum Hessian invariant and carry the
+    Hamiltonian Hessian to nu * D^2(q1 p1 + q2 p2) with nu = 1; A = J4 D^2H
+    must have A A = nu^2 I and trace 0, so it is diagonalizable with the
+    eigenvalues +-nu, each twice, and no elliptic frequency.  Returns
+    nothing: any failed identity raises ArithmeticError.
     """
-    def mat(rows):
-        return np.array(rows, dtype=object)
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
-    m0 = mat([[1, -1, 0, 0],
-              [1, 1, 0, 0],
-              [0, 0, 1, -1],
-              [0, 0, 1, 1]])
-    j4 = mat([[0, 1, 0, 0],
-              [-1, 0, 0, 0],
-              [0, 0, 0, 1],
-              [0, 0, -1, 0]])
+    m0 = [[1, -1, 0, 0],
+          [1, 1, 0, 0],
+          [0, 0, 1, -1],
+          [0, 0, 1, 1]]
+    j4 = [[0, 1, 0, 0],
+          [-1, 0, 0, 0],
+          [0, 0, 0, 1],
+          [0, 0, -1, 0]]
     # Quadratic Hamiltonian (p_xi^2 + p_eta^2 - xi^2 - eta^2)/2.
-    hess_h = mat([[-1, 0, 0, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, -1, 0],
-                  [0, 0, 0, 1]])
+    hess_h = [[-1, 0, 0, 0],
+              [0, 1, 0, 0],
+              [0, 0, -1, 0],
+              [0, 0, 0, 1]]
     # J2 = xi p_eta - eta p_xi has the same Hessian as q1 p2 - q2 p1.
-    hess_j2 = mat([[0, 0, 0, 1],
-                   [0, 0, -1, 0],
-                   [0, -1, 0, 0],
-                   [1, 0, 0, 0]])
-    hess_j1 = mat([[0, 1, 0, 0],
-                   [1, 0, 0, 0],
-                   [0, 0, 0, 1],
-                   [0, 0, 1, 0]])
+    hess_j2 = [[0, 0, 0, 1],
+               [0, 0, -1, 0],
+               [0, -1, 0, 0],
+               [1, 0, 0, 0]]
+    hess_j1 = [[0, 1, 0, 0],
+               [1, 0, 0, 0],
+               [0, 0, 0, 1],
+               [0, 0, 1, 0]]
+    m0_t = list(zip(*m0))
     for name, a, image in (("symplectic form", j4, j4),
                            ("angular momentum", hess_j2, hess_j2),
                            ("Hamiltonian", hess_h, hess_j1)):
-        if not (m0.T @ a @ m0 * Fraction(1, 2) == image).all():
+        if matmul(matmul(m0_t, a), m0) != [[2 * x for x in row] for row in image]:
             raise ArithmeticError(f"linear normal form: {name} identity failed")
 
-    # Eigenvalues of J4 D^2H: expected (lambda^2 - nu^2)^2 = lambda^4 - 2 lambda^2 + 1.
-    coeffs = _charpoly(j4 @ hess_h)
-    if coeffs != [1, 0, -2, 0, 1]:
-        raise ArithmeticError(f"unexpected characteristic polynomial {coeffs}")
-
-
-def _charpoly(a) -> list[Fraction]:
-    """Characteristic polynomial coefficients, leading first (Faddeev-LeVerrier)."""
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = np.zeros((n, n), dtype=object)
-    for k in range(1, n + 1):
-        m = a @ m + coeffs[-1] * np.identity(n, dtype=object)
-        coeffs.append(Fraction(-np.trace(a @ m), k))
-    return coeffs
+    a = matmul(j4, hess_h)
+    if (matmul(a, a) != [[int(i == k) for k in range(4)] for i in range(4)]
+            or sum(a[i][i] for i in range(4)) != 0):
+        raise ArithmeticError(f"J4 D^2H = {a} is not an involution of trace 0")
 
 
 # -- first-order cross-check against the averaging construction -------------

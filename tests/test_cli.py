@@ -3,6 +3,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -149,6 +152,44 @@ def test_orbit_search_and_trace(tmp_path, capsys):
     assert uv_lines[0] == "u,v"
     float(uv_lines[1].split(",")[0])   # plain numbers, no wrapper reprs
     assert "(" not in uv_lines[1]
+
+
+def test_orbit_that_does_not_close_is_a_verification_failure(capsys):
+    # --tol 1e-6 is accepted, but at it the 3/4 orbit misses the 1e-6
+    # closure check: one line on stderr and exit 1, as for other failures
+    code, out, err = run(capsys, "orbit", "--W", "3/4", "--tol", "1e-6")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: orbit failed to close")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# Run in a fresh interpreter: the test process has numpy and scipy loaded.
+_HEAVY_MODULES_SCRIPT = """
+import json, sys
+from pendinv import cli
+
+def heavy():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+seen = {"import": heavy()}
+for argv in (["nf", "--order", "4"], ["verify", "--suite", "nf"],
+             ["action", "--h", "0.2", "--j2", "0.1"], ["pendulum", "--series", "nome"],
+             ["twist", "--r", "0.1"]):
+    assert cli.main(argv) == 0, argv
+    seen[argv[0]] = heavy()
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_and_scipy_load_only_for_orbits_and_twist():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"import": [], "nf": [], "verify": [], "action": [],
+                    "pendulum": [], "twist": ["numpy", "scipy"]}
 
 
 def test_special_subcommand(capsys):
