@@ -105,8 +105,7 @@ def A_series(order: int = 9) -> Series:
     route_ratio = (num * den.reciprocal()).truncate(order)
 
     dj1 = J1_series(order + 1).partial(1)
-    route_subst = (-dj1.compose(h_series.relabel(("j1", "j2")))
-                   ).truncate(order).relabel(("j1", "j2"))
+    route_subst = (-dj1.compose(h_series)).truncate(order)
     if route_ratio != route_subst:
         raise ConsistencyError("frequency-ratio routes disagree")
     return route_ratio

@@ -180,7 +180,7 @@ def cmd_orbit(args) -> int:
     from . import dynamics        # numpy and scipy load only for orbits
     try:
         res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
-    except dynamics.IntegrationError as exc:     # e.g. no closure at a loose --tol
+    except dynamics.IntegrationError as exc:     # e.g. no closure of 31/32 at --tol 1e-9
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     payload = {"target": str(args.W), "s": res.s, "h": res.h, "j2": res.j2,
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", type=_within(Fraction), required=True,
                    help="rational target, e.g. 3/4")
     p.add_argument("--r", type=float, default=0.75)
-    p.add_argument("--tol", type=_within(float, 1e-13, 1e-6), default=1e-10)
+    p.add_argument("--tol", type=_within(float, 1e-13, 1e-9), default=1e-10)
     p.add_argument("--trace", default=None, help="CSV path for the orbit trace")
     p.set_defaults(func=cmd_orbit)
 

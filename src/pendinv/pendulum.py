@@ -214,17 +214,12 @@ def nome_from_invariant(order: int = 7) -> NomeSeries:
     coefficient is 1 because exp(S') has constant term 1.
     """
     s_prime = invariant_series_exact(order + 1).partial(0).truncate(order)
-    q_of_j = Series.variable(0, order, ("j",)).scale(Fraction(1, 32)) \
-        * exp_series(-s_prime)
-    q_of_l = q_of_j.compose(Series.variable(0, order, ("l",)).scale(32))
+    s_of_l = s_prime.map(lambda k, c: c * 32 ** k[0]).relabel(("l",))    # s'(32 l)
+    q_of_l = Series.variable(0, order, ("l",)) * exp_series(-s_of_l)
     l_of_q = q_of_l.relabel(("q",)).invert()
-
-    # exp(+2 pi dI/dJ) = (32/j) exp(s') = (1/l) * exp-series
-    exp_plus = exp_series(s_prime)
-    # (32/j) * sum_d s_d j^d = 32 s_1 + 32 s_2 j + ... plus the 1/l pole
-    recip_terms = {(d - 1,): exp_plus.coeff(d) * Fraction(32) * Fraction(32) ** (d - 1)
-                   for d in range(1, order + 1)}
-    reciprocal = Series(order - 1 if order > 0 else 0, ("l",), recip_terms)
+    # exp(+2 pi dI/dJ) = (1/l) exp(s'(32 l)): the exponents shift down by one
+    reciprocal = Series(max(order - 1, 0), ("l",),
+                        {(a - 1,): c for (a,), c in exp_series(s_of_l).terms().items() if a})
     return NomeSeries(q_of_l=q_of_l, l_of_q=l_of_q, reciprocal_series=reciprocal)
 
 
@@ -236,18 +231,10 @@ def J_of_q_theta(order: int = 7) -> Series:
     all series arithmetic exact, so the integrality of J/32 comes out of
     the computation itself, not an observation.
     """
-    theta = {(0,): Fraction(1)}
-    dtheta = {}
-    n = 1
-    while n * n <= order:
-        sign = Fraction((-1) ** n)
-        theta[(n * n,)] = 2 * sign
-        dtheta[(n * n,)] = 2 * sign * n * n   # q d/dq picks up n^2
-        n += 1
-    theta4 = Series(order, ("q",), theta)
-    q_dtheta = Series(order, ("q",), dtheta)
-    inv_cubed = theta4.reciprocal() ** 3
-    return q_dtheta.scale(-16) * inv_cubed
+    theta4 = Series(order, ("q",), {(n * n,): 2 * (-1) ** n if n else 1
+                                    for n in range(math.isqrt(order) + 1)})
+    q_dtheta = theta4.map(lambda k, c: k[0] * c)
+    return q_dtheta.scale(-16) * theta4.reciprocal() ** 3
 
 
 def theta_inverse_matches_nome(order: int = 7) -> bool:
@@ -267,34 +254,27 @@ def theta_inverse_matches_nome(order: int = 7) -> bool:
 def complex_nome_series(order: int = 4) -> Series:
     """The singularity-free complex nome as a series in (l, lbar).
 
-    Built as l * exp(-S1 + i S2) with the invariant partials rewritten
-    through j1 = 16 (l + lbar), j2 = -16 i (l - lbar); the imaginary part
-    cancels identically and the coefficients come out integers.  Restricted
-    to the diagonal lbar = l it reduces to the axis nome series.  The order
-    is capped by that of `invariant_polynomial`, which raises ValueError.
+    q_hat = l * exp(-S1 + i S2) with j1 = 16 (l + lbar), j2 = -16 i (l - lbar),
+    where S is `invariant_polynomial`.  In these coordinates -S1 + i S2 is
+    the Wirtinger derivative -(1/16) d/dl of S~(l, lbar) = S(j1, j2).  A term
+    c j1^a j2^b of S carries (-16 i)^b, which is real, 16^b (-1)^(b/2), when
+    b is even; S is even in j2, so q_hat is real and its coefficients come
+    out integers.  An odd power of j2 would leave an imaginary part, and
+    raises ArithmeticError.  Restricted to the diagonal lbar = l it reduces
+    to the axis nome series.  The order is capped by that of
+    `invariant_polynomial`, which raises ValueError.
     """
     vars_ = ("l", "lbar")
     poly = invariant_polynomial(order)
+    if any(b % 2 for _, b in poly.terms()):
+        raise ArithmeticError("complex nome has a nonvanishing imaginary part")
     l_v = Series.variable(0, order, vars_)
     lb_v = Series.variable(1, order, vars_)
-    j1 = (l_v + lb_v).scale(16)
-    d = (l_v - lb_v).scale(-16)            # j2 = i d
-
-    def subst(series: Series) -> list[Series]:
-        """[re, im] of series(j1, i d): i^b is real for even b, imaginary for odd."""
-        parts = [Series(order, vars_), Series(order, vars_)]
-        for (a, b), c in series.terms().items():
-            parts[b % 2] = parts[b % 2] + (j1 ** a * d ** b).scale(c * (-1) ** (b // 2))
-        return parts
-
-    s1_re, s1_im = subst(poly.partial(0))
-    s2_re, s2_im = subst(poly.partial(1))
-    w_re, w_im = -s2_im - s1_re, s2_re - s1_im         # w = i S2 - S1
-    # Im(l exp(w)) = l exp(w_re) sin(w_im) vanishes through `order`
-    # exactly when l * w_im does
-    if not (l_v * w_im).is_zero():
-        raise ArithmeticError("complex nome has a nonvanishing imaginary part")
-    return l_v * exp_series(w_re)
+    s_tilde = poly.map(lambda k, c: c * (-1) ** (k[1] // 2)).compose(
+        (l_v + lb_v).scale(16), (l_v - lb_v).scale(16))
+    # the partial drops the order by one; exp(w) is needed through order - 1
+    w = s_tilde.partial(0).scale(Fraction(-1, 16)).truncate(order)
+    return l_v * exp_series(w)
 
 
 def complex_nome_diagonal_matches(order: int = 4) -> bool:

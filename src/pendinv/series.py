@@ -368,9 +368,11 @@ class Series:
         """Substitute gs for the leading variables: f(g1, ..., gk, x_k+1, ...).
 
         The gs share one set of variables and have zero constant terms, so
-        the truncation stays consistent; the variables of f that are not
-        substituted must match theirs by label and weight.  The result is
-        a series in the gs' variables.  Exponents must be non-negative.
+        the truncation stays consistent.  The variables of f that are not
+        substituted must be the trailing variables of the gs, by label and
+        weight; once all of f's variables are replaced, the gs may be over
+        any variables.  The result is a series in the gs' variables.
+        Exponents must be non-negative.
 
         Nested Horner, as in `evaluate`: one product per exponent of each
         substituted variable.  Every grade is >= 0, so truncating each
@@ -381,13 +383,13 @@ class Series:
             head._check_compatible(g)
             if g._const() != 0:
                 raise SubstitutionError("substituted series has a constant term")
-        if (self.vars[k:], self.weights[k:]) != (head.vars[k:], head.weights[k:]):
-            raise LabelMismatchError(
-                f"remaining variables differ: {self.vars[k:]} vs {head.vars[k:]}")
-        order = min(self.order, *(g.order for g in gs))
-        # one leaf series per exponents of the gs; the head may have fewer
-        # variables than k, so pad the remaining exponents to its length
+        # the gs' leading variables take the place of f's substituted ones
         pad = len(head.vars) - (len(self.vars) - k)
+        if (self.vars[k:], self.weights[k:]) != (head.vars[pad:], head.weights[pad:]):
+            raise LabelMismatchError(
+                f"remaining variables differ: {self.vars[k:]} vs {head.vars[pad:]}")
+        order = min(self.order, *(g.order for g in gs))
+        # one leaf series per exponents of the gs, over the gs' variables
         leaves: dict[tuple, dict] = {}
         for key, n in self._num.items():
             rest = (0,) * pad + key[k:]
@@ -501,10 +503,7 @@ def _power_series(f: Series, what: str, coeff: Callable[[int], Fraction]) -> Ser
     if f._const() != 0:
         raise ValueError(f"{what} requires zero constant term")
     f._require_constant_grade0(what)
-    rest = (0,) * (len(f.vars) - 1)
-    outer = Series(f.order, f.vars, {(k,) + rest: coeff(k) for k in range(f.order + 1)},
-                   (1,) + f.weights[1:])
-    return outer.compose(f)
+    return Series(f.order, ("x",), {(k,): coeff(k) for k in range(f.order + 1)}).compose(f)
 
 
 def exp_series(f: Series) -> Series:

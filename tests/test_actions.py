@@ -68,8 +68,17 @@ def test_birkhoff_by_inversion_low_order():
 # -- numeric actions -------------------------------------------------------------
 
 def test_action_critical_value():
-    act = action_I1(EnergyMomentum(0.0, 0.0))
-    assert act.two_pi == pytest.approx(8.0, abs=1e-13)
+    # the action has the limit 8 there; the period and rotation number do
+    # not exist, numerically at (h, j2) = 0 nor in the model at j = 0
+    em = EnergyMomentum(0.0, 0.0)
+    assert action_I1(em).two_pi == 8.0
+    assert two_pi_I1_model(0.0, 0.0) == 8.0
+    for fn in (rotation_W_numeric, period_T_numeric):
+        with pytest.raises(DomainError):
+            fn(em)
+    for fn in (rotation_W_model, period_T_model, twist):
+        with pytest.raises(DomainError):
+            fn(0.0, 0.0)
 
 
 def test_action_forms_agree_with_quadrature():

@@ -8,9 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from pendinv import cli
+from pendinv import cli, pendulum
 from pendinv.cli import build_parser, main
 
 
@@ -131,6 +132,23 @@ def test_pendulum_series_csv(capsys):
     assert rows[2] == "2,-6,1"
 
 
+@pytest.mark.parametrize("kind, library, head", [
+    ("invariant", pendulum.invariant_series_exact, ["2,3,32", "3,-5,512", "4,55,32768"]),
+    ("nome-inverse", lambda n: pendulum.nome_from_invariant(n).l_of_q,
+     ["1,1,1", "2,6,1", "3,24,1"]),
+    ("reciprocal", lambda n: pendulum.nome_from_invariant(n).reciprocal_series,
+     ["0,6,1", "1,-12,1", "2,76,1"]),
+    ("theta", pendulum.J_of_q_theta, ["1,32,1", "2,192,1", "3,768,1"])])
+def test_pendulum_series_csv_rows_are_the_library_series(capsys, kind, library, head):
+    code, out, _ = run(capsys, "pendulum", "--series", kind, "--order", "7",
+                       "--format", "csv")
+    rows = out.strip().splitlines()
+    assert code == 0 and rows[0] == "exponent,numerator,denominator"
+    assert rows[1:4] == head
+    assert rows[1:] == [f"{a},{c.numerator},{c.denominator}"
+                        for (a,), c in sorted(library(7).terms().items())]
+
+
 def test_twist_json(capsys):
     code, out, _ = run(capsys, "twist", "--r", "0.1", "--format", "json")
     payload = json.loads(out)
@@ -155,9 +173,10 @@ def test_orbit_search_and_trace(tmp_path, capsys):
 
 
 def test_orbit_that_does_not_close_is_a_verification_failure(capsys):
-    # --tol 1e-6 is accepted, but at it the 3/4 orbit misses the 1e-6
-    # closure check: one line on stderr and exit 1, as for other failures
-    code, out, err = run(capsys, "orbit", "--W", "3/4", "--tol", "1e-6")
+    # --tol 1e-9 is accepted, but over its 32 periods the 31/32 orbit
+    # closes only to about 6e-6 and misses the 1e-6 closure check: one
+    # line on stderr and exit 1, as for other failures
+    code, out, err = run(capsys, "orbit", "--W", "31/32", "--tol", "1e-9")
     assert code == 1 and out == ""
     assert err.startswith("verification failure: orbit failed to close")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -198,6 +217,21 @@ def test_special_subcommand(capsys):
     assert float(out) == pytest.approx(1.5707963267948966)
 
 
+def test_special_E_and_lambda0_against_mpmath(capsys):
+    # Heuman's Lambda0 at m = k^2 = 1/2 from its definition, at 50 digits:
+    # (2/pi) (E F(phi|k'^2) + K E(phi|k'^2) - K F(phi|k'^2))
+    with mp.workdps(50):
+        m, phi = mp.mpf("0.5"), mp.mpf("1.0")
+        K, E = mp.ellipk(m), mp.ellipe(m)
+        F_inc, E_inc = mp.ellipf(phi, 1 - m), mp.ellipe(phi, 1 - m)
+        refs = {("E", "0.5"): float(E),
+                ("lambda0", "0.5", "--phi", "1.0"):
+                    float(2 / mp.pi * (E * F_inc + K * E_inc - K * F_inc))}
+    for argv, ref in refs.items():
+        code, out, _ = run(capsys, "special", *argv)
+        assert code == 0 and float(out) == pytest.approx(ref, rel=1e-15), argv
+
+
 @pytest.mark.parametrize("argv", [("special", "K", "1.0"),
                                   ("special", "Pi", "0.5", "--n", "1.0")])
 def test_divergence_is_a_domain_error_exit(capsys, argv):
@@ -215,6 +249,7 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     ("pendulum", "--series", "nome-inverse", "--order", "0"),
     ("pendulum", "--series", "reciprocal", "--order", "0"),
     ("orbit", "--W", "3/4", "--tol", "1e-3"), ("orbit", "--W", "3/4", "--tol", "nan"),
+    ("orbit", "--W", "3/4", "--tol", "1e-8"),
     ("orbit", "--W", "abc"), ("orbit", "--W", "1/0"),
     ("invariants", "--samples", "0"), ("invariants", "--samples", "-5")])
 def test_out_of_range_arguments_are_refused_by_the_parser(capsys, argv):

@@ -126,6 +126,29 @@ def test_compose_matches_term_by_term_reference(vars_, weights, k, head_vars):
             assert f.compose(*gs) == compose_reference(f, *gs)
 
 
+@pytest.mark.parametrize("vars_, weights", [(("x", "y"), (1, 1)), (("t", "L"), (1, 0))])
+def test_compose_substitutes_a_one_variable_series_into_other_variables(vars_, weights):
+    # the same as padding f to the gs' variables with exponents (k, 0)
+    rng = random.Random(13)
+    for order in (1, 4, 7):
+        f = random_weighted(rng, order, ("s",), (1,), zero_constant=False)
+        g = random_weighted(rng, order, vars_, weights)
+        padded = Series(order, vars_, {(k, 0): c for (k,), c in f.terms().items()},
+                        (1,) + weights[1:])
+        assert f.compose(g) == padded.compose(g) == compose_reference(f, g)
+
+
+def test_compose_refuses_remaining_variables_unlike_the_gs_trailing_ones():
+    f = Series.variable(0, 3, ("x", "y")) * Series.variable(1, 3, ("x", "y"))
+    with pytest.raises(LabelMismatchError):
+        f.compose(Series.variable(0, 3, ("u", "v")))          # y is not v
+    with pytest.raises(LabelMismatchError):
+        f.compose(Series.variable(0, 3, ("x",)))              # no y at all
+    log = Series.variable(1, 3, ("t", "L"), (1, 0))
+    with pytest.raises(LabelMismatchError):
+        log.compose(Series.variable(0, 3, ("t", "L")))        # L of weight 1
+
+
 @pytest.mark.parametrize("order", [1, 2, 3, 5, 13, 21])
 def test_invert_round_trip_at_orders_off_the_doubling(order):
     rng = random.Random(order)
