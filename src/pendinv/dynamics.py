@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import DOP853
+import scipy.integrate
 from scipy.optimize import brentq
 
 from .actions import energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
@@ -47,38 +47,192 @@ class PhaseState:
         return float(self.angular_momentum[2])
 
 
-def _rhs(_t: float, y: np.ndarray) -> np.ndarray:
+def _rhs(_t: float, y) -> tuple:
     """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3.
 
-    Scalar cross products on Python floats: the solver calls this about 14
-    times per step, and numpy's cross on 3-vectors spends its time on axis
-    handling rather than arithmetic.
+    Scalar cross products on Python floats, on any sequence of six: an
+    accepted step calls this 13 times (12 stage evaluations, then the
+    restart from the projected state), and a 6-vector is too short for
+    numpy to pay off.
     """
-    rx, ry, rz, px, py, pz = y.tolist()
+    rx, ry, rz, px, py, pz = y
     lx = ry * pz - rz * py
     ly = rz * px - rx * pz
     lz = rx * py - ry * px
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     c = rz / norm ** 3
-    return np.array([ly * rz - lz * ry, lz * rx - lx * rz, lx * ry - ly * rx,
-                     ly * pz - lz * py + c * rx, lz * px - lx * pz + c * ry,
-                     lx * py - ly * px - 1.0 / norm + c * rz])
+    return (ly * rz - lz * ry, lz * rx - lx * rz, lx * ry - ly * rx,
+            ly * pz - lz * py + c * rx, lz * px - lx * pz + c * ry,
+            lx * py - ly * px - 1.0 / norm + c * rz)
 
 
-def _zdot(y: np.ndarray) -> float:
+def _zdot(y) -> float:
     """dz/dt = (L x r)_z; it falls through zero at a maximum of z."""
-    rx, ry, rz, px, py, pz = y.tolist()
+    rx, ry, rz, px, py, pz = y
     return (ry * pz - rz * py) * ry - (rz * px - rx * pz) * rx
 
 
-def _project(y: np.ndarray) -> np.ndarray:
+def _project(y) -> tuple:
     """Back onto (r, r) = 1, (r, p) = 0: r scaled to unit length, then the
     radial part of p removed."""
-    rx, ry, rz, px, py, pz = y.tolist()
+    rx, ry, rz, px, py, pz = y
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)
     rx, ry, rz = rx / norm, ry / norm, rz / norm
     rp = rx * px + ry * py + rz * pz
-    return np.array([rx, ry, rz, px - rp * rx, py - rp * ry, pz - rp * rz])
+    return (rx, ry, rz, px - rp * rx, py - rp * ry, pz - rp * rz)
+
+
+def _nonzero(rows) -> tuple:
+    """Each tableau row as the tuple of its nonzero (index, coefficient)
+    pairs, coefficients as Python floats."""
+    return tuple(tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+                 for row in rows)
+
+
+# Dormand-Prince 8(5,3), taken from scipy's class attributes so that no
+# constant is typed twice: 12 stages, the 13th is f at the new point
+_TABLEAU = scipy.integrate.DOP853
+_STAGES = tuple(zip(_nonzero(_TABLEAU.A[1:]), map(float, _TABLEAU.C[1:])))
+_B, _E3, _E5 = _nonzero([_TABLEAU.B, _TABLEAU.E3, _TABLEAU.E5])
+_D = _nonzero(_TABLEAU.D)
+_EXTRA_STAGES = tuple(zip(_nonzero(_TABLEAU.A_EXTRA), map(float, _TABLEAU.C_EXTRA)))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 8           # error estimator of order 7
+
+
+def _combine(stages, row) -> tuple:
+    """sum_j a_j k_j over the row's nonzero (j, a_j), on six floats."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for j, a in row:
+        k0, k1, k2, k3, k4, k5 = stages[j]
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+        s4 += a * k4
+        s5 += a * k5
+    return s0, s1, s2, s3, s4, s5
+
+
+def _rms(values) -> float:
+    return math.sqrt(math.fsum(v * v for v in values) / len(values))
+
+
+class DOP853:
+    """scipy's DOP853 on a 6-vector of Python floats, forward in time.
+
+    Same tableau, initial step selection, step controller (safety 0.9,
+    factors 0.2 to 10, exponent -1/8, a minimum step of 10 ulp of t),
+    hybrid E5/E3 error norm and dense output as
+    ``scipy.integrate.DOP853``; only the summation order differs, so
+    results agree with scipy's to rounding.  Every evaluation of the
+    right-hand side goes through ``fun``.  ``y`` and ``f`` are sequences
+    of six floats and may be reassigned between steps.
+    """
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, fun, t0: float, y0, t_bound: float, *, rtol: float,
+                 atol: float):
+        y0 = tuple(float(v) for v in y0)
+        if not all(map(math.isfinite, y0)):
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        if not t_bound > t0:
+            raise ValueError("DOP853 integrates forward: t_bound must exceed t0")
+        self.fun, self.t, self.y, self.t_bound = fun, t0, y0, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.status = "running"
+        self.f = fun(t0, y0)
+        self.h_abs = self._initial_step()
+
+    def _initial_step(self) -> float:
+        """Hairer-Norsett-Wanner's starting step, as scipy selects it."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval = self.t_bound - t0
+        scale = [self.atol + abs(v) * self.rtol for v in y0]
+        d0 = _rms([v / s for v, s in zip(y0, scale)])
+        d1 = _rms([v / s for v, s in zip(f0, scale)])
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self.fun(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+        d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        return min(100 * h0, h1, interval)
+
+    def step(self):
+        """One accepted step; returns None, or the message of a failure."""
+        t, y, fun = self.t, self.y, self.fun
+        y0, y1, y2, y3, y4, y5 = y
+        rtol, atol = self.rtol, self.atol
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+            stages = [self.f]
+            for row, c in _STAGES:
+                s0, s1, s2, s3, s4, s5 = _combine(stages, row)
+                stages.append(fun(t + c * h, (y0 + s0 * h, y1 + s1 * h, y2 + s2 * h,
+                                              y3 + s3 * h, y4 + s4 * h, y5 + s5 * h)))
+            s0, s1, s2, s3, s4, s5 = _combine(stages, _B)
+            y_new = (y0 + h * s0, y1 + h * s1, y2 + h * s2,
+                     y3 + h * s3, y4 + h * s4, y5 + h * s5)
+            f_new = fun(t_new, y_new)
+            stages.append(f_new)
+            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            e5 = math.fsum((e / s) ** 2 for e, s in zip(_combine(stages, _E5), scale))
+            e3 = math.fsum((e / s) ** 2 for e, s in zip(_combine(stages, _E3), scale))
+            error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * 6) if e5 or e3 else 0.0
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else \
+                    min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        self.t_old, self.y_old, self.stages = t, y, stages
+        self.t, self.y, self.f = t_new, y_new, f_new
+        if t_new >= self.t_bound:
+            self.status = "finished"
+        return None
+
+    def dense_output(self):
+        """The step's interpolant t -> y, a list of six floats.
+
+        Three extra stages, then the 7-row Horner form in alternating
+        x and 1 - x, x the fraction of the step.
+        """
+        t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
+        stages = list(self.stages)
+        for row, c in _EXTRA_STAGES:
+            s = _combine(stages, row)
+            stages.append(self.fun(t_old + c * h,
+                                   [v + d * h for v, d in zip(y_old, s)]))
+        f_old = stages[0]
+        dy = [a - b for a, b in zip(self.y, y_old)]
+        rows = [dy, [h * f - d for f, d in zip(f_old, dy)],
+                [2 * d - h * (f + g) for d, f, g in zip(dy, self.f, f_old)]]
+        rows += [[h * v for v in _combine(stages, row)] for row in _D]
+        columns = list(zip(*reversed(rows)))
+
+        def dense(s: float) -> list:
+            x = (s - t_old) / h
+            factors = (x, 1 - x) * 3 + (x,)
+            out = []
+            for col, v0 in zip(columns, y_old):
+                v = 0.0
+                for c, m in zip(col, factors):
+                    v = (v + c) * m
+                out.append(v + v0)
+            return out
+        return dense
 
 
 @dataclass
@@ -107,25 +261,31 @@ class IntegrationError(RuntimeError):
 def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitRecord:
     """Adaptive eighth-order integration with per-step constraint projection.
 
-    Records every accepted step, tracks the continuous azimuth, and refines
-    each inclination turning point (maximum of z, the pericenter of the
-    reduced motion) as the root of z' on the dense interpolant of its step,
-    by `brentq` to 1e-13 max(1, t); the interpolant is built for those
-    steps only.  The record keeps the turning times, whose spacing is the
-    reduced period, and the rotation number: the mean azimuth advance
-    between successive turning points over 2 pi, or None with fewer than
-    two.  Energy, angular-momentum and constraint drift are reported; the
-    tests hold them within 10 * tol * t_end.
+    Steps the in-module `DOP853` from t = 0 to t_end > 0, projects every
+    accepted state back onto the constraint set and restarts the next step
+    from it.  Records every accepted step, tracks the continuous azimuth,
+    and refines each inclination turning point (maximum of z, the
+    pericenter of the reduced motion) as the root of z' on the dense
+    interpolant of its step, by `brentq` to 1e-13 max(1, t); the
+    interpolant is built for those steps only.  The record keeps the
+    turning times, whose spacing is the reduced period, and the rotation
+    number: the mean azimuth advance between successive turning points
+    over 2 pi, or None with fewer than two.  Energy, angular-momentum and
+    constraint drift are reported; the tests hold them within
+    10 * tol * t_end.  A t_end that is not finite and positive, or a
+    non-finite state, raises ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
-    y0 = _project(np.concatenate([state0.r, state0.p]))
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and positive")
+    y0 = _project(np.concatenate([state0.r, state0.p]).tolist())
     solver = DOP853(_rhs, 0.0, y0, t_end, rtol=tol, atol=tol)
     h0 = state0.energy
     j20 = state0.j2
 
     times = [0.0]
-    states = [y0.copy()]
+    states = [y0]
     phis = [math.atan2(y0[1], y0[0])]
     turning: list[tuple[float, float]] = []   # (time, unwrapped phi)
     prev_zdot = _zdot(y0)
@@ -139,7 +299,7 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
         cur_zdot = _zdot(y)
         if prev_zdot > 0.0 and cur_zdot <= 0.0 and len(times) > 1:
             # z-maximum inside (t_prev, t]: a root of z' on the step's
-            # interpolant, built before the projection below rewrites
+            # interpolant, built before the projection below replaces
             # solver.y and solver.f.  The interpolant starts at the projected
             # previous state, where z' > 0, and ends at the unprojected
             # state, whose z' may keep its sign; the maximum is then t
@@ -149,8 +309,8 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
             y_star = dense(t_star)
             phi_star = unwrap(phis[-1], math.atan2(y_star[1], y_star[0]))
             turning.append((t_star, phi_star))
-        solver.y[:] = y
-        solver.f = solver.fun(t, solver.y)
+        solver.y = y
+        solver.f = solver.fun(t, y)
         prev_zdot = cur_zdot
         times.append(t)
         states.append(y)

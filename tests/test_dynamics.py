@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from pendinv import dynamics
 from pendinv.actions import period_T_numeric, rotation_W_numeric
@@ -17,7 +18,7 @@ from pendinv.elliptic import DomainError, EnergyMomentum
 
 def field(r, p):
     """(dr/dt, dp/dt) from the integrator's right-hand side."""
-    y = _rhs(0.0, np.concatenate([r, p]))
+    y = np.asarray(_rhs(0.0, np.concatenate([r, p])))
     return y[:3], y[3:]
 
 
@@ -69,7 +70,7 @@ def test_projection_lands_on_the_constraint_set():
     # residuals of the stored floats, in exact arithmetic; u = 2^-53
     u = F(1, 2 ** 53)
     for y in near_constraint_states():
-        out = [F(v) for v in _project(y).tolist()]
+        out = [F(v) for v in _project(y)]
         r, p = out[:3], out[3:]
         assert abs(sum(a * a for a in r) - 1) <= 6 * u
         assert abs(sum(a * b for a, b in zip(r, p))) \
@@ -148,6 +149,54 @@ def test_tolerance_validation():
     state = initial_condition(EnergyMomentum(0.1, 0.1))
     with pytest.raises(ValueError):
         integrate(state, 1.0, tol=1e-3)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0, 0.0])
+def test_end_time_validation(t_end):
+    state = initial_condition(EnergyMomentum(0.1, 0.1))
+    with pytest.raises(ValueError, match="t_end"):
+        integrate(state, t_end)
+
+
+def test_non_finite_state_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        integrate(PhaseState([0.6, 0.0, math.nan], [0.0, 0.1, 0.0]), 1.0)
+
+
+class ScipyDOP853(scipy.integrate.DOP853):
+    """scipy's solver, the oracle: `integrate` assigns y and f as tuples."""
+
+    def __setattr__(self, name, value):
+        if name in ("y", "f"):
+            value = np.asarray(value, dtype=float)
+        super().__setattr__(name, value)
+
+
+def test_stepper_matches_scipy_dop853(monkeypatch):
+    state = initial_condition(EnergyMomentum(0.1, 0.1))
+    y0 = _project(np.concatenate([state.r, state.p]).tolist())
+    for tol in (1e-8, 1e-10, 1e-12):
+        ours = dynamics.DOP853(_rhs, 0.0, y0, 40.0, rtol=tol, atol=tol)
+        oracle = ScipyDOP853(_rhs, 0.0, y0, 40.0, rtol=tol, atol=tol)
+        ours.step()
+        oracle.step()
+        assert ours.t == oracle.t
+        # only the summation order differs: a few ulps
+        assert all(abs(a - b) <= 16 * np.spacing(abs(b))
+                   for a, b in zip(ours.y, oracle.y))
+        t_mid = 0.5 * (ours.t_old + ours.t)
+        mid = np.asarray(ours.dense_output()(t_mid))
+        assert np.max(np.abs(mid - oracle.dense_output()(t_mid))) <= 1e-14
+
+    runs = []
+    for solver in (dynamics.DOP853, ScipyDOP853):
+        monkeypatch.setattr(dynamics, "DOP853", solver)
+        runs.append(periodic_orbit_search(F(3, 4), 0.75, tol=1e-10).record)
+    ours, oracle = runs
+    assert len(ours.times) == len(oracle.times)
+    assert len(ours.turning_times) == len(oracle.turning_times) >= 2
+    assert np.max(np.abs(np.subtract(ours.turning_times, oracle.turning_times))) <= 1e-12
+    assert abs(ours.rotation_number - oracle.rotation_number) <= 1e-13
 
 
 def test_rotation_number_matches_elliptic():
