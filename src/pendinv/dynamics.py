@@ -272,13 +272,19 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
     number: the mean azimuth advance between successive turning points
     over 2 pi, or None with fewer than two.  Energy, angular-momentum and
     constraint drift are reported; the tests hold them within
-    10 * tol * t_end.  A t_end that is not finite and positive, or a
-    non-finite state, raises ValueError.
+    10 * tol * t_end.  A t_end that is not finite and positive, a
+    non-finite state, or an r of zero or non-finite length, which cannot
+    be projected, raises ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")
+    rx, ry, rz = map(float, state0.r)
+    norm = math.sqrt(rx * rx + ry * ry + rz * rz)      # as `_project` computes it
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"|r| = {norm} is not finite and nonzero, so r cannot be "
+                         f"projected onto the constraint set (r, r) = 1")
     y0 = _project(np.concatenate([state0.r, state0.p]).tolist())
     solver = DOP853(_rhs, 0.0, y0, t_end, rtol=tol, atol=tol)
     h0 = state0.energy

@@ -21,8 +21,14 @@ derivatives run on the numerators and reduce once; a coefficient becomes a
 :class:`fractions.Fraction` only when it is read, and floating point only
 enters at the evaluation boundary.  Values are immutable after
 construction: derived data (partials, float and per-precision mpf
-coefficients) is computed once and cached on the instance, so values can
-be shared freely between threads.
+coefficients, grade-sorted product rows) is computed once and cached on
+the instance, so values can be shared freely between threads.
+
+Products run on packed exponent keys: `_pack` turns an exponent tuple into
+one integer, e0 + e1 R + e2 R^2 + ... with balanced digits, so that
+multiplying two monomials is one integer addition; the product decodes
+each of its terms once.  The Lie triangle in `normalform` uses the same
+keys.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import add, mul
+from operator import itemgetter, mul
 from typing import Callable, Mapping
 
 import mpmath as mp
@@ -75,13 +81,65 @@ def _doubling(order: int):
 
 
 def binom_frac(alpha: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(alpha, k) for rational alpha."""
+    """Generalized binomial coefficient C(alpha, k) for rational alpha.
+
+    With alpha = p/q, C(alpha, k) = prod_{i<k} (p - i q) / (q^k k!): two
+    integer products and one Fraction, reduced once.
+    """
     alpha = _coerce(alpha)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (alpha - i)
-        out /= (i + 1)
-    return out
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction(math.prod(p - i * q for i in range(k)), q ** k * math.factorial(k))
+
+
+def _reduced(num: dict, den: int) -> tuple[dict, int]:
+    """Integer numerators over `den` with zeros dropped and the common
+    factor divided out: the form a Series holds."""
+    if 0 in num.values():
+        num = {k: n for k, n in num.items() if n}
+    common = math.gcd(den, *num.values())
+    if common != 1:
+        den //= common
+        num = {k: n // common for k, n in num.items()}
+    return num, den
+
+
+def _sum(a, b) -> tuple[dict, int]:
+    """Numerators of a + b over lcm(a.den, b.den), not reduced, for two
+    values holding ``_num`` over ``den`` on keys of one kind."""
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    out = {k: n * fa for k, n in a._num.items()}
+    for k, n in b._num.items():
+        out[k] = out.get(k, 0) + n * fb
+    return out, den
+
+
+def _digits(bound: int) -> int:
+    """Bits per digit of a packed exponent key whose exponents all have
+    magnitude <= `bound`."""
+    return bound.bit_length() + 1
+
+
+def _pack(keys, n: int, bits: int) -> list[int]:
+    """Each exponent tuple (e0, ..., e_n-1) of `keys` as the integer e0 +
+    e1 R + e2 R^2 + ..., R = 2^bits.  The digits are balanced, in [-R/2,
+    R/2), so negative exponents pack too, and the product of two monomials
+    is the sum of their keys while the exponent sums stay in that range."""
+    codes = [0] * len(keys)
+    for i in reversed(range(n)):
+        codes = [(code << bits) + key[i] for code, key in zip(codes, keys)]
+    return codes
+
+
+def _unpack(codes, n: int, bits: int) -> list[tuple]:
+    """The exponent tuples of keys made by `_pack` with the same `bits`:
+    adding R/2 to each lower digit makes them the plain base-R digits."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    lift = sum(half << (bits * i) for i in range(n - 1))
+    lifted = [code + lift for code in codes]
+    digits = [[(code >> (bits * i) & mask) - half for code in lifted] for i in range(n - 1)]
+    digits.append([code >> (bits * (n - 1)) for code in lifted])
+    return list(zip(*digits))
 
 
 def _horner_table(terms: Mapping[tuple, object]) -> list:
@@ -122,7 +180,7 @@ class Series:
     The terms are ``_num`` (``{exponent tuple: integer numerator}``) over
     the positive denominator ``den``, with ``gcd(den, *numerators) = 1``
     and no zero numerator; ``den`` is then the lcm of the coefficients'
-    reduced denominators.  `normalform` reads both in its bracket kernel.
+    reduced denominators.  `normalform` packs both for its bracket kernel.
     """
 
     __slots__ = ("order", "vars", "weights", "den", "_num", "_cache")
@@ -156,12 +214,7 @@ class Series:
     def _like(self, num: dict, den: int, order: int | None = None) -> "Series":
         """Same variables and weights, from integer numerators over `den`
         whose grades are within the order: zeros dropped, reduced once."""
-        if 0 in num.values():
-            num = {k: n for k, n in num.items() if n}
-        common = math.gcd(den, *num.values())
-        if common != 1:
-            den //= common
-            num = {k: n // common for k, n in num.items()}
+        num, den = _reduced(num, den)
         out = object.__new__(Series)
         out.order = self.order if order is None else order
         out.vars, out.weights, out.den, out._num, out._cache = \
@@ -247,13 +300,7 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self.order, self.vars, self.weights)
         order = self._check_compatible(other)
-        a, b = self.truncate(order), other.truncate(order)
-        den = math.lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        out = {k: n * fa for k, n in a._num.items()}
-        for k, n in b._num.items():
-            out[k] = out.get(k, 0) + n * fb
-        return self._like(out, den, order)
+        return self._like(*_sum(self.truncate(order), other.truncate(order)), order)
 
     __radd__ = __add__
 
@@ -272,25 +319,43 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = self._check_compatible(other)
-
-        def by_grade(f):              # so the inner loop can stop at the order
-            return sorted(((f.grade(k), k, n) for k, n in f._num.items()),
-                          key=lambda r: r[0])
-
-        rows2 = by_grade(other)
-        acc: dict[tuple, int] = {}
-        for g1, k1, n1 in by_grade(self):
+        bits = _digits(self._span() + other._span())
+        rows2 = other._rows(bits)
+        acc: dict[int, int] = {}
+        for g1, k1, n1 in self._rows(bits):
+            room = order - g1
             for g2, k2, n2 in rows2:
-                if g1 + g2 > order:
+                if g2 > room:
                     break
-                key = tuple(map(add, k1, k2))
+                key = k1 + k2
                 acc[key] = acc.get(key, 0) + n1 * n2
-        return self._like(acc, self.den * other.den, order)
+        return self._like(dict(zip(_unpack(acc, len(self.vars), bits), acc.values())),
+                          self.den * other.den, order)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+    def _span(self) -> int:
+        """Largest exponent magnitude of any term, cached on the instance."""
+        out = self._cache.get("span")
+        if out is None:
+            keys = self._num.keys()
+            out = self._cache["span"] = max(max(map(max, keys), default=0),
+                                            -min(map(min, keys), default=0))
+        return out
+
+    def _rows(self, bits: int) -> list:
+        """(grade, packed key, numerator) of every term, sorted by grade so
+        a product can stop at its order; cached on the instance per `bits`."""
+        rows = self._cache.get(("rows", bits))
+        if rows is None:
+            keys = list(self._num)
+            rows = self._cache[("rows", bits)] = sorted(
+                zip(map(self.grade, keys), _pack(keys, len(self.vars), bits),
+                    self._num.values()), key=itemgetter(0))
+        return rows
 
     def scale(self, factor) -> "Series":
         factor = _coerce(factor)

@@ -163,6 +163,15 @@ def test_non_finite_state_is_refused():
         integrate(PhaseState([0.6, 0.0, math.nan], [0.0, 0.1, 0.0]), 1.0)
 
 
+@pytest.mark.parametrize("r", [[0.0, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e200, 0.0, 0.0],
+                               [math.inf, 0.0, 0.0]])
+def test_state_that_cannot_be_projected_is_refused(r):
+    # |r| = 0 divided by zero in the first projection; a square that
+    # underflows or overflows gives the same 0 or inf there
+    with pytest.raises(ValueError, match=r"\(r, r\) = 1"):
+        integrate(PhaseState(r, [0.0, 0.1, 0.0]), 1.0)
+
+
 class ScipyDOP853(scipy.integrate.DOP853):
     """scipy's solver, the oracle: `integrate` assigns y and f as tuples."""
 

@@ -10,7 +10,7 @@ from pendinv import normalform
 from pendinv.normalform import (VARS, WEIGHTS, canonical_pt_cross_check,
                                 homological_solve, lie_normalize, monomial,
                                 poisson_bracket, seed_hamiltonian, verify_linear_nf)
-from pendinv.series import Series
+from pendinv.series import Series, _digits, _pack, _unpack
 
 J2SQ = [(0, 2, 0), (2, 0, 0)]
 ORDER = 40      # above every grade these tests build
@@ -266,6 +266,34 @@ def test_one_pass_bracket_matches_the_two_products():
     assert bracket_two_products(f.truncate(10), g).is_zero()
 
 
+def test_bracket_kernel_adds_scaled_brackets_as_defined():
+    # the triangle's use of `_bracket`: several brackets, each with an
+    # integer factor, summed into one accumulator that already holds an
+    # entry, over one common denominator; at an order no grade reaches, so
+    # nothing is truncated, against dtheta(f) f_J1-products of the definition
+    rng = random.Random(25)
+    bits = _digits(ORDER)
+
+    def element(n_terms):                   # grades <= 14, order 40
+        return random_algebra_element(rng, 14, n_terms).truncate(ORDER)
+
+    for _ in range(40):
+        h = element(rng.randint(0, 8))
+        pairs = [(rng.randint(1, 20), element(rng.randint(1, 10)), element(rng.randint(1, 10)))
+                 for _ in range(rng.randint(1, 3))]
+        den = math.lcm(h.den, *(f.den * g.den for _, f, g in pairs))
+        acc = {key: n * (den // h.den)
+               for key, n in zip(_pack(list(h._num), 3, bits), h._num.values())}
+        expected = h
+        for c, f, g in pairs:
+            normalform._bracket(acc, normalform._Packed.of(f, bits),
+                                normalform._Packed.of(g, bits), c * (den // (f.den * g.den)))
+            expected = expected + bracket_two_products(f, g).scale(c)
+        got = Series(ORDER, VARS, {k: F(n, den) for k, n in
+                                   zip(_unpack(acc, 3, bits), acc.values())}, WEIGHTS)
+        assert got == expected
+
+
 def test_one_pass_bracket_cancels_to_zero():
     rng = random.Random(21)
     for _ in range(20):
@@ -285,14 +313,15 @@ def bracket_count(order):
 
 
 def spy_brackets(monkeypatch):
-    """Operand pairs of every call to `poisson_bracket`."""
+    """Operand pairs of every call to the bracket kernel `_bracket`."""
     seen = []
+    kernel = normalform._bracket
 
-    def spy(f, g):
+    def spy(acc, f, g, factor):
         seen.append((f, g))
-        return poisson_bracket(f, g)
+        return kernel(acc, f, g, factor)
 
-    monkeypatch.setattr(normalform, "poisson_bracket", spy)
+    monkeypatch.setattr(normalform, "_bracket", spy)
     return seen
 
 
@@ -307,7 +336,7 @@ def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
 
 def in_lowest_terms(s):
     """Integer numerators over a positive denominator, none zero, no common
-    factor: the one form a Series holds."""
+    factor: the one form a Series, and a packed triangle value, holds."""
     nums = s._num.values()
     return s.den > 0 and all(nums) and math.gcd(s.den, *nums) == 1
 

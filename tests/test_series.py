@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from pendinv.pendulum import LOG_WEIGHTS
 from pendinv.series import (InversionError, LabelMismatchError, Series,
-                            SubstitutionError, exp_series, log1p_series)
+                            SubstitutionError, binom_frac, exp_series, log1p_series)
 
 
 def random_series(rng, order=5, vars=("x", "y"), zero_constant=False,
@@ -372,6 +373,84 @@ def test_weighted_grades_truncate_products_and_round_trip_json():
     assert log.coeff(2, 3) == 1 and log.partial(1).order == 2
     with pytest.raises(LabelMismatchError):
         _ = f + Series(6, vars_, {(1, 0, 0): F(1)})
+
+
+def product_reference(f, g):
+    """f * g term pair by term pair over exponent tuples, within the smaller order."""
+    order = min(f.order, g.order)
+    terms = {}
+    for k1, c1 in f.terms().items():
+        for k2, c2 in g.terms().items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            if f.grade(key) <= order:
+                terms[key] = terms.get(key, 0) + c1 * c2
+    return Series(order, f.vars, terms, f.weights)
+
+
+def random_box(rng, order, vars, weights, box, n_terms):
+    """Up to `n_terms` terms with exponent i drawn from the range box[i]."""
+    return Series(order, vars,
+                  {tuple(rng.choice(r) for r in box):
+                   F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 16)))
+                   for _ in range(n_terms)}, weights)
+
+
+def corners(span, n):
+    """Every exponent at -span or +span: packed digits at both ends."""
+    return [range(-span, span + 1, 2 * span)] * n
+
+
+@pytest.mark.parametrize("vars_, weights, box", [
+    (("x",), (1,), [range(0, 13)]),
+    (("x", "y"), (1, 1), [range(0, 9), range(0, 9)]),
+    (("J1", "J2", "e"), (2, 2, 1), [range(0, 6), range(0, 5), range(-12, 9)]),
+    (("t", "Lam"), LOG_WEIGHTS, [range(0, 9), range(0, 7)]),
+])
+def test_product_matches_the_tuple_key_reference(vars_, weights, box):
+    rng = random.Random(25)
+    for _ in range(40):
+        f = random_box(rng, rng.randint(0, 14), vars_, weights, box, rng.randint(1, 12))
+        g = random_box(rng, rng.randint(0, 14), vars_, weights, box, rng.randint(1, 12))
+        for a, b in ((f, g), (g, f), (f, f)):
+            prod = a * b
+            assert prod == product_reference(a, b)
+            assert prod.order == min(a.order, b.order)
+
+
+@pytest.mark.parametrize("vars_, weights", [
+    (("x",), (1,)), (("x", "y"), (1, 1)), (("J1", "J2", "e"), (2, 2, 1)),
+    (("t", "Lam"), LOG_WEIGHTS)])
+@pytest.mark.parametrize("span1, span2", [(1, 1), (7, 7), (7, 8), (8, 8), (31, 1)])
+def test_product_decodes_exponent_sums_beyond_each_operands_range(vars_, weights,
+                                                                  span1, span2):
+    # sums up to span1 + span2 in magnitude, in every variable and of either
+    # sign, need more digit bits than either operand alone; a factor shared
+    # by products of different spans keeps one packed row list per width
+    rng = random.Random(span1 * 100 + span2)
+    n = len(vars_)
+    f = random_box(rng, 10 ** 3, vars_, weights, corners(span1, n), 2 ** n)
+    g = random_box(rng, 10 ** 3, vars_, weights, corners(span2, n), 2 ** n)
+    small = random_box(rng, 10 ** 3, vars_, weights, corners(1, n), 2 ** n)
+    for a, b in ((f, g), (g, f), (f, small), (f, g), (g, g)):
+        assert a * b == product_reference(a, b)
+    cut = f.truncate(span1)         # truncation with negative grades present
+    assert cut * g == product_reference(cut, g)
+
+
+def binom_loop(alpha, k):
+    """C(alpha, k) one factor at a time, as Fractions."""
+    out = F(1)
+    for i in range(k):
+        out *= (alpha - i)
+        out /= (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [F(1, 2), F(-1, 2), F(-3, 2), F(-7, 2), F(5), F(-2)])
+def test_binom_frac_matches_the_fraction_loop(alpha):
+    for k in range(31):
+        assert binom_frac(alpha, k) == binom_loop(alpha, k)
+    assert binom_frac(F(5), 6) == 0 and binom_frac(F(-2), 3) == -4
 
 
 def test_partials_and_float_coefficients_are_built_once():
