@@ -700,9 +700,11 @@ def twist(j1: float, j2: float) -> float:
     T = -A W1 + W2 with Wi the partials of the rotation number; the
     singular pieces differentiate in closed form, the series pieces
     symbolically.  Like the model rotation number it is restricted to
-    |j| <= 1.
+    |j| <= 1; it grows like 1/|j|, which overflows at subnormal |j|.
     """
     rho = _disk_radius(j1, j2, "twist")
+    if rho < 2.0 ** -1022:
+        raise DomainError(f"twist overflows at subnormal |j| = {rho}")
     a_ser = A_series(9)
     a = float(a_ser.evaluate(j1, j2))
     a1 = float(a_ser.partial(0).evaluate(j1, j2))
@@ -712,12 +714,11 @@ def twist(j1: float, j2: float) -> float:
     s11 = float(poly.partial(0).partial(0).evaluate(j1, j2))
     s12 = float(poly.partial(0).partial(1).evaluate(j1, j2))
     s22 = float(poly.partial(1).partial(1).evaluate(j1, j2))
-    rho_sq = j1 * j1 + j2 * j2
+    # j / |j|^2 as (j / |j|) / |j|: |j|^2 underflows below |j| ~ 1e-154
+    u1, u2 = j1 / rho / rho, j2 / rho / rho
     lnr = math.log(rho)
-    two_pi_w1 = (j2 / rho_sq - a1 * lnr - a * j1 / rho_sq
-                 + a1 * s1 + a * s11 - s12)
-    two_pi_w2 = (-j1 / rho_sq - a2 * lnr - a * j2 / rho_sq
-                 + a2 * s1 + a * s12 - s22)
+    two_pi_w1 = u2 - a1 * lnr - a * u1 + a1 * s1 + a * s11 - s12
+    two_pi_w2 = -u1 - a2 * lnr - a * u2 + a2 * s1 + a * s12 - s22
     return (-a * two_pi_w1 + two_pi_w2) / TWO_PI
 
 
@@ -725,7 +726,8 @@ def twistless_curve(r: float) -> float:
     """Polar angle s (from the positive j2 axis) where the twist vanishes.
 
     Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by `brentq` to 1e-14;
-    raises DomainError if the ends of that interval have the same sign.
+    raises DomainError for a subnormal r, where `twist` overflows, and if
+    the ends of that interval have the same sign.
     """
     from scipy.optimize import brentq   # scipy loads only for this root
 
@@ -749,7 +751,8 @@ def W_star(r: float) -> float:
 
 def W_star_approx(r: float) -> float:
     """Leading small-radius approximation 3/4 + 3r/(8 pi) (ln(32/r) - 5/2)."""
-    return 0.75 + 3 * r / (8 * math.pi) * (math.log(32 / r) - 2.5)
+    # ln 32 - ln r: 32/r overflows below r ~ 1.8e-307
+    return 0.75 + 3 * r / (8 * math.pi) * (LN32 - math.log(r) - 2.5)
 
 
 # -- monodromy -----------------------------------------------------------------

@@ -217,6 +217,8 @@ def ellint_Pi(n: float, mc: float) -> float:
 
     both terms are non-negative and nothing overflows, down to n = -1.7e308.
     """
+    if not math.isfinite(n):
+        raise DomainError(f"non-finite characteristic n = {n}")
     if n >= 1:
         raise DivergenceError(f"Pi has a pole at characteristic n = {n} >= 1")
     if n >= -1:
@@ -271,6 +273,8 @@ def heuman_lambda0(phi: float, mc: float) -> float:
     Normalized so Lambda0(pi/2, k) = 1.  Angles beyond pi/2 reduce through
     Lambda0(pi - x) = 2 - Lambda0(x); at mc = 0 (k = 1) it is 2 phi / pi.
     """
+    if not math.isfinite(phi):
+        raise DomainError(f"non-finite angle phi = {phi}")
     _check_mc(mc)
     if phi < 0:
         return -heuman_lambda0(-phi, mc)

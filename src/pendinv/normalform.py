@@ -13,12 +13,12 @@ no small denominators; the Deprit triangle grows by one diagonal per
 stage.  Everything is exact rational arithmetic end to end, in
 dimensionless units kappa = nu = 1.
 
-The triangle keeps its entries and generators on packed exponent keys
-(`series._pack`): J1^a J2^b e^m is the integer a + b R + m R^2, so the
-exponents of a bracket's term pair add as two integers.  Each entry sums
-its brackets into one integer accumulator over one common denominator and
-is reduced once.  `poisson_bracket` is the same kernel, `_bracket`, on
-packed Series.
+The triangle's entries and generators are Series.  Its bracket kernel,
+`_bracket`, reads them on packed exponent keys (`series._pack`): J1^a
+J2^b e^m is the integer a + b R + m R^2, so the exponents of a bracket's
+term pair add as two integers.  Each entry sums its brackets into one
+integer accumulator over one common denominator and is decoded and
+reduced once.  `poisson_bracket` is the same kernel on two Series.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import Series, _digits, _pack, _reduced, _sum, _unpack
+from .series import Series, _digits, _pack, _unpack
 
 VARS = ("J1", "J2", "e")   # e = exp(theta1)
 WEIGHTS = (2, 2, 1)
@@ -38,48 +38,28 @@ def monomial(a: int, b: int, m: int, order: int, coeff=1) -> Series:
     return Series(order, VARS, {(a, b, m): coeff}, WEIGHTS)
 
 
-class _Packed:
-    """A value of the algebra with packed exponent keys (`series._pack`):
-    integer numerators ``_num`` over ``den``, in the lowest terms a Series
-    holds.  `rows` lists (key, a, m, numerator) per term for `_bracket`,
-    decoded on first use."""
-
-    __slots__ = ("den", "_num", "bits", "_rows")
-
-    def __init__(self, num: dict, den: int, bits: int):
-        self._num, self.den = _reduced(num, den)
-        self.bits, self._rows = bits, None
-
-    @property
-    def rows(self) -> list:
-        if self._rows is None:
-            self._rows = [(key, a, m, n) for (a, _, m), key, n in
-                          zip(_unpack(self._num, 3, self.bits), self._num, self._num.values())]
-        return self._rows
-
-    @classmethod
-    def of(cls, f: Series, bits: int) -> "_Packed":
-        return cls(dict(zip(_pack(list(f._num), 3, bits), f._num.values())), f.den, bits)
-
-    def series(self, like: Series) -> Series:
-        """The same value as a Series with the order, variables and weights of `like`."""
-        return like._like(dict(zip(_unpack(self._num, 3, self.bits), self._num.values())),
-                          self.den)
-
-    def __add__(self, other: "_Packed") -> "_Packed":
-        return _Packed(*_sum(self, other), self.bits)
+def _bracket_rows(f: Series, bits: int) -> list:
+    """(packed key, a, m, numerator) of every term of f, for `_bracket`;
+    cached on the instance per `bits`."""
+    rows = f._cache.get(("bracket", bits))
+    if rows is None:
+        rows = f._cache[("bracket", bits)] = [
+            (key, a, m, n) for (a, _, m), key, n in
+            zip(f._num, _pack(list(f._num), 3, bits), f._num.values())]
+    return rows
 
 
-def _bracket(acc: dict, f: _Packed, g: _Packed, factor: int) -> None:
-    """Add factor * den_f * den_g * {f, g} to `acc`, packed key -> integer.
+def _bracket(acc: dict, f: Series, g: Series, factor: int, bits: int) -> None:
+    """Add factor * den_f * den_g * {f, g} to `acc`, packed key -> integer,
+    with `bits` per digit (`series._pack`).
 
     A term pair n1 J1^a1 J2^b1 e^m1, n2 J1^a2 J2^b2 e^m2 adds n1 n2 (m1 a2
     - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), whose packed key is
-    key1 + key2 - 1.  Nothing is truncated.
+    key1 + key2 - 1.  Nothing is truncated.  Each operand is packed once
+    per width, however many brackets use it.
     """
-    rows2 = g.rows
-    # f's terms are decoded per call: caching rows on every entry costs memory
-    for (a1, _, m1), key1, n1 in zip(_unpack(f._num, 3, f.bits), f._num, f._num.values()):
+    rows2 = _bracket_rows(g, bits)
+    for key1, a1, m1, n1 in _bracket_rows(f, bits):
         key1 -= 1
         n1 *= factor
         for key2, a2, m2, n2 in rows2:
@@ -93,14 +73,14 @@ def poisson_bracket(f: Series, g: Series) -> Series:
     """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1), the terms of
     grade 2(a+b)+m within the smaller order.
 
-    The triangle's kernel `_bracket` on both operands packed, over den_f
-    den_g.  On the algebra (grades >= 0) this is the difference of the two
-    truncated products.
+    The triangle's kernel `_bracket` over den_f den_g, decoded once.  On
+    the algebra (grades >= 0) this is the difference of the two truncated
+    products.
     """
     order = f._check_compatible(g)
     bits = _digits(f._span() + g._span())
     acc: dict[int, int] = {}
-    _bracket(acc, _Packed.of(f, bits), _Packed.of(g, bits), 1)
+    _bracket(acc, f, g, 1, bits)
     return f._like({k: n for k, n in zip(_unpack(acc, 3, bits), acc.values())
                     if 2 * (k[0] + k[1]) + k[2] <= order}, f.den * g.den, order)
 
@@ -154,10 +134,10 @@ def _triangle(order: int) -> tuple[Series, list[Series]]:
     unknown, so each entry with j >= 1 lacks the same {H_0, W_n}: the
     kernel minus the top entry, added back once W_n is solved for.
 
-    Entries and generators stay packed (`_Packed`) for the whole triangle.
-    Each entry sums its brackets into one integer accumulator over one
-    common denominator, reduced once; keys are decoded only for
-    `homological_solve`, whose kernels make up the normal form.
+    Entries and generators are Series over (J1, J2, e) at the seed's
+    order.  Each entry sums its brackets into one integer accumulator on
+    packed keys over one common denominator, and is decoded and reduced
+    once; `_bracket` packs each operand once.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -170,28 +150,29 @@ def _triangle(order: int) -> tuple[Series, list[Series]]:
     bits = _digits(seed.order + 2)
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
     # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n.
-    rows = {(i, 0): _Packed.of(seed.grade_part(2 * i + 2).scale(math.factorial(i)), bits)
+    rows = {(i, 0): seed.grade_part(2 * i + 2).scale(math.factorial(i))
             for i in range(nmax + 1)}
-    kernels, generators, packed_generators = [seed.grade_part(2)], [], []
+    kernels, generators = [seed.grade_part(2)], []
     for n in range(1, nmax + 1):
         for j in range(1, n + 1):
             i = n - j
             entry = rows[(i + 1, j - 1)]
-            pairs = [(math.comb(i, k), rows[(i - k, j - 1)], packed_generators[k])
+            pairs = [(math.comb(i, k), rows[(i - k, j - 1)], generators[k])
                      for k in range(min(i + 1, n - 1))]
             den = math.lcm(entry.den, *(f.den * w.den for _, f, w in pairs))
-            acc = {k: v * (den // entry.den) for k, v in entry._num.items()}
+            # packed uncached: for j >= 2 the base lacks {H_0, W_n} and is dropped
+            acc = dict(zip(_pack(list(entry._num), 3, bits),
+                           [v * (den // entry.den) for v in entry._num.values()]))
             for c, f, w in pairs:
-                _bracket(acc, f, w, c * (den // (f.den * w.den)))
-            rows[(i, j)] = _Packed(acc, den, bits)
-        top = rows[(0, n)].series(seed)
+                _bracket(acc, f, w, c * (den // (f.den * w.den)), bits)
+            rows[(i, j)] = seed._like(dict(zip(_unpack(acc, 3, bits), acc.values())), den)
+        top = rows[(0, n)]
         kernel, generator = homological_solve(top)
-        delta = _Packed.of(kernel - top, bits)
+        delta = kernel - top
         for j in range(1, n + 1):
             rows[(n - j, j)] = rows[(n - j, j)] + delta
         kernels.append(kernel)
         generators.append(generator)
-        packed_generators.append(_Packed.of(generator, bits))
     normal = {(a, b): c for n, kernel in enumerate(kernels) for (a, b, _), c in
               kernel.scale(Fraction(1, math.factorial(n))).terms().items()}
     return Series(order // 2, ("j1", "j2"), normal), generators

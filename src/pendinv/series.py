@@ -27,8 +27,8 @@ the instance, so values can be shared freely between threads.
 Products run on packed exponent keys: `_pack` turns an exponent tuple into
 one integer, e0 + e1 R + e2 R^2 + ... with balanced digits, so that
 multiplying two monomials is one integer addition; the product decodes
-each of its terms once.  The Lie triangle in `normalform` uses the same
-keys.
+each of its terms once.  The Lie triangle in `normalform` holds its
+entries as Series too and brackets them on the same keys.
 """
 
 from __future__ import annotations
@@ -89,29 +89,6 @@ def binom_frac(alpha: Fraction, k: int) -> Fraction:
     alpha = _coerce(alpha)
     p, q = alpha.numerator, alpha.denominator
     return Fraction(math.prod(p - i * q for i in range(k)), q ** k * math.factorial(k))
-
-
-def _reduced(num: dict, den: int) -> tuple[dict, int]:
-    """Integer numerators over `den` with zeros dropped and the common
-    factor divided out: the form a Series holds."""
-    if 0 in num.values():
-        num = {k: n for k, n in num.items() if n}
-    common = math.gcd(den, *num.values())
-    if common != 1:
-        den //= common
-        num = {k: n // common for k, n in num.items()}
-    return num, den
-
-
-def _sum(a, b) -> tuple[dict, int]:
-    """Numerators of a + b over lcm(a.den, b.den), not reduced, for two
-    values holding ``_num`` over ``den`` on keys of one kind."""
-    den = math.lcm(a.den, b.den)
-    fa, fb = den // a.den, den // b.den
-    out = {k: n * fa for k, n in a._num.items()}
-    for k, n in b._num.items():
-        out[k] = out.get(k, 0) + n * fb
-    return out, den
 
 
 def _digits(bound: int) -> int:
@@ -180,7 +157,8 @@ class Series:
     The terms are ``_num`` (``{exponent tuple: integer numerator}``) over
     the positive denominator ``den``, with ``gcd(den, *numerators) = 1``
     and no zero numerator; ``den`` is then the lcm of the coefficients'
-    reduced denominators.  `normalform` packs both for its bracket kernel.
+    reduced denominators.  Packed rows for products (`_rows`) and for the
+    bracket kernel of `normalform` are cached in ``_cache`` per digit width.
     """
 
     __slots__ = ("order", "vars", "weights", "den", "_num", "_cache")
@@ -214,7 +192,12 @@ class Series:
     def _like(self, num: dict, den: int, order: int | None = None) -> "Series":
         """Same variables and weights, from integer numerators over `den`
         whose grades are within the order: zeros dropped, reduced once."""
-        num, den = _reduced(num, den)
+        if 0 in num.values():
+            num = {k: n for k, n in num.items() if n}
+        common = math.gcd(den, *num.values())
+        if common != 1:
+            den //= common
+            num = {k: n // common for k, n in num.items()}
         out = object.__new__(Series)
         out.order = self.order if order is None else order
         out.vars, out.weights, out.den, out._num, out._cache = \
@@ -300,7 +283,13 @@ class Series:
         if isinstance(other, (int, Fraction)):
             other = Series.constant(other, self.order, self.vars, self.weights)
         order = self._check_compatible(other)
-        return self._like(*_sum(self.truncate(order), other.truncate(order)), order)
+        a, b = self.truncate(order), other.truncate(order)
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        out = {k: n * fa for k, n in a._num.items()}
+        for k, n in b._num.items():
+            out[k] = out.get(k, 0) + n * fb
+        return self._like(out, den, order)
 
     __radd__ = __add__
 

@@ -749,9 +749,12 @@ def test_twist_model_restricted_to_the_unit_disk():
 
 
 def test_twistless_angle_vanishes_with_radius():
-    s_values = [twistless_curve(r) for r in (0.02, 0.05, 0.1)]
-    assert all(s > 0 for s in s_values)
-    assert s_values[0] < s_values[1] < s_values[2] < 0.12
+    # at r = 1e-200, |j|^2 underflows; the twist is formed without it
+    s_values = [twistless_curve(r) for r in (1e-200, 0.02, 0.05, 0.1)]
+    assert s_values[0] == pytest.approx(0.0, abs=1e-14)
+    assert W_star(1e-200) == 0.75
+    assert all(s > 0 for s in s_values[1:])
+    assert s_values[0] < s_values[1] < s_values[2] < s_values[3] < 0.12
 
 
 def test_w_star_approximation():

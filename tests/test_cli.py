@@ -150,10 +150,11 @@ def test_pendulum_series_csv_rows_are_the_library_series(capsys, kind, library, 
 
 
 def test_twist_json(capsys):
-    code, out, _ = run(capsys, "twist", "--r", "0.1", "--format", "json")
-    payload = json.loads(out)
-    assert payload["W_on_curve"] == pytest.approx(payload["W_star_approx"],
-                                                  rel=0.05)
+    for r in ("0.1", "1e-307"):                 # at 1e-307, 32/r overflows
+        code, out, _ = run(capsys, "twist", "--r", r, "--format", "json")
+        payload = json.loads(out)
+        assert payload["W_on_curve"] == pytest.approx(payload["W_star_approx"],
+                                                      rel=0.05)
 
 
 def test_orbit_search_and_trace(tmp_path, capsys):
@@ -233,7 +234,11 @@ def test_special_E_and_lambda0_against_mpmath(capsys):
 
 
 @pytest.mark.parametrize("argv", [("special", "K", "1.0"),
-                                  ("special", "Pi", "0.5", "--n", "1.0")])
+                                  ("special", "Pi", "0.5", "--n", "1.0"),
+                                  ("special", "Pi", "0.5", "--n", "nan"),
+                                  ("special", "Pi", "0.5", "--n=-inf"),
+                                  ("special", "lambda0", "0.5", "--phi", "nan"),
+                                  ("twist", "--r", "1e-320")])
 def test_divergence_is_a_domain_error_exit(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -286,12 +286,25 @@ def test_bracket_kernel_adds_scaled_brackets_as_defined():
                for key, n in zip(_pack(list(h._num), 3, bits), h._num.values())}
         expected = h
         for c, f, g in pairs:
-            normalform._bracket(acc, normalform._Packed.of(f, bits),
-                                normalform._Packed.of(g, bits), c * (den // (f.den * g.den)))
+            normalform._bracket(acc, f, g, c * (den // (f.den * g.den)), bits)
             expected = expected + bracket_two_products(f, g).scale(c)
         got = Series(ORDER, VARS, {k: F(n, den) for k, n in
                                    zip(_unpack(acc, 3, bits), acc.values())}, WEIGHTS)
         assert got == expected
+
+
+def test_bracket_packs_an_operand_at_each_width_it_meets():
+    # one f against partners of small and large exponent spans is packed at
+    # two digit widths; its rows at one width must not serve the other
+    rng = random.Random(26)
+    f = random_algebra_element(rng, 14, 8)
+    narrow = pc({(1, 0, 0): 1, (0, 1, 2): F(1, 3), (1, 1, -2): -2})
+    wide = pc({(0, 100, -200): F(5, 7), (1, 0, 30): 3, (2, 3, -8): 1})
+    partners = [narrow, wide, narrow, wide]
+    assert len({_digits(f._span() + p._span()) for p in partners}) == 2
+    for p in partners:
+        assert poisson_bracket(f, p) == bracket_two_products(f, p)
+        assert poisson_bracket(p, f) == bracket_two_products(p, f)
 
 
 def test_one_pass_bracket_cancels_to_zero():
@@ -317,9 +330,9 @@ def spy_brackets(monkeypatch):
     seen = []
     kernel = normalform._bracket
 
-    def spy(acc, f, g, factor):
+    def spy(acc, f, g, factor, bits):
         seen.append((f, g))
-        return kernel(acc, f, g, factor)
+        return kernel(acc, f, g, factor, bits)
 
     monkeypatch.setattr(normalform, "_bracket", spy)
     return seen
@@ -336,7 +349,7 @@ def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
 
 def in_lowest_terms(s):
     """Integer numerators over a positive denominator, none zero, no common
-    factor: the one form a Series, and a packed triangle value, holds."""
+    factor: the one form a Series holds."""
     nums = s._num.values()
     return s.den > 0 and all(nums) and math.gcd(s.den, *nums) == 1
 
