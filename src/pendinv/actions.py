@@ -19,13 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import (fone, fzero, mpf_div, mpf_mul, mpf_shift, mpf_sqrt,
-                          mpf_sub, round_nearest as RND)
+from mpmath.libmp import to_fixed
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
                        _discriminant, _gaps, _lambda0, carlson_rd, carlson_rf,
                        carlson_rj, cubic_roots, ellint_E, ellint_K, ellint_Pi_from_p)
-from .quadrature import tanh_sinh
+from .quadrature import fraction_bits, tanh_sinh
 from .series import Series, binom_frac
 
 LN32 = math.log(32.0)
@@ -232,23 +231,25 @@ def two_pi_I1_quadrature(h, j2, prec: int):
     The real cycle covers [zeta0, zeta1] twice, so 2 pi I1 equals twice the
     plain integral of sqrt(P)/(1 - zeta^2).  Endpoint inverse square roots
     and the near-axis pole just outside the interval are resolved by the
-    double-exponential transform.  The integrand runs on raw mpf tuples in
-    the operation order of `cubic_value`, bit-identical to the mpf form.
-    Returns (value, error_estimate, converged) from `tanh_sinh`.
+    double-exponential transform.  The integrand runs in the fixed point of
+    `tanh_sinh` (`fraction_bits` fraction bits, prec + 40 or more): P from
+    the exact h + 1 and the truncated j2^2, one `math.isqrt` and one
+    integer division by 1 - zeta^2.  Returns (value, error_estimate,
+    converged) from `tanh_sinh`.
     """
     d = _cubic_roots_mp(h, j2, prec)
-    wp = prec + 20
-    with mp.workprec(wp):
-        h1, j2_sq = (mp.mpf(h) + 1)._mpf_, (mp.mpf(j2) ** 2)._mpf_
+    with mp.workprec(prec + 20):
+        frac = fraction_bits(prec, d.zeta0, d.zeta1)
+        one = 1 << frac
+        h1 = to_fixed(mp.mpf(h)._mpf_, frac) + one
+        j2_sq = to_fixed(mp.mpf(j2)._mpf_, frac) ** 2 >> frac
 
         def integrand(z):
-            z = z._mpf_
-            c = mpf_sub(fone, mpf_mul(z, z, wp, RND), wp, RND)     # 1 - z z
-            p = mpf_sub(mpf_mul(mpf_shift(c, 1), mpf_sub(h1, z, wp, RND), wp, RND),
-                        j2_sq, wp, RND)           # 2 (1 - z z)(h + 1 - z) - j2 j2
-            if p[0] or p == fzero:                    # p <= 0
-                return mp.mpf(0)
-            return mp.make_mpf(mpf_div(mpf_sqrt(p, wp, RND), c, wp, RND))
+            c = one - (z * z >> frac)                       # 1 - z z
+            p = (c * (h1 - z) >> (frac - 1)) - j2_sq        # 2 (1 - z z)(h + 1 - z) - j2 j2
+            if p <= 0:                                      # also where c == 0
+                return 0
+            return (math.isqrt(p << frac) << frac) // c
 
         val, err, converged = tanh_sinh(integrand, d.zeta0, d.zeta1, prec=prec)
         return 2 * val, 2 * err, converged
@@ -608,8 +609,9 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     energy, the closed form and the singular terms are all even in j2, and
     the samples come in exact mirror pairs (j1, +-j2) (`_midpoint_circle`),
     so each pair is evaluated once, at its j2 <= 0 sample.  On each circle
-    the lower-half sample nearest the axis with |j2| >= 1e-3 (quadrature
-    does not converge on the axis) is also integrated by tanh-sinh
+    the lower-half sample nearest the axis with |j2| >= 1e-3 (on the axis
+    the integrand's 1/sqrt ends hold quadrature near 2^(-(precision +
+    40)/2), unconverged from 80 bits up) is also integrated by tanh-sinh
     quadrature (`precision` bits); a quadrature that stops at its last
     level unconverged, or a difference above its own stopping
     tolerance 2^(10 - precision) (1 + |2 pi I1|), raises ConsistencyError,

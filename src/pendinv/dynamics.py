@@ -405,9 +405,12 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
     j2 = r cos s).  The first bracket of `_brackets` on a grid of 80 angles
     is refined by `brentq` on the elliptic-integral rotation number to full
     accuracy, and the orbit is then integrated over q reduced periods and
-    checked to close to 1e-6 in phase space.  Raises DomainError when no
-    angle of the grid brackets the target.
+    checked to close to 1e-6 in phase space.  Raises DomainError for a
+    radius outside (0, 1], the disk of the models that take (j1, j2), and
+    when no angle of the grid brackets the target.
     """
+    if not 0 < radius <= 1:
+        raise DomainError("radius must lie in (0, 1]")
     w_val = float(w_target)
     q = Fraction(w_target).denominator
 

@@ -5,10 +5,11 @@ action integrands produce at the turning points.  Nodes and weights are
 cached per (precision, level); abscissae are stored as distances from the
 nearest endpoint so that the double-exponential clustering near the ends
 does not lose digits.  A level holds only the nodes no coarser level
-has, so each node is computed once.  Tables and sums run on raw mpf tuples
-(`x._mpf_`) through the correctly rounded `mpmath.libmp` operations that
-mpf's operators call, at `prec + 20` bits rounded to nearest: bit for bit
-the mpf formulas, without the operator wrappers.
+has, so each node is computed once.  Tables are raw mpf tuples (`x._mpf_`)
+built through the correctly rounded `mpmath.libmp` operations at
+`prec + 20` bits.  The abscissae, the integrand and the level sums run in
+fixed point on plain integers: a value x is the integer x 2^F, with
+F = `fraction_bits(prec, a, b)` fraction bits, and products are exact.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from itertools import count
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, ftwo, fzero, mpf_add, mpf_cosh,
-                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_lt, mpf_mul,
-                          mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
-                          round_nearest as RND)
+from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_add,
+                          mpf_cosh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_lt,
+                          mpf_mul, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
+                          round_nearest as RND, to_fixed)
 
 _node_cache: dict[tuple[int, int], list[tuple[tuple, tuple]]] = {}
 MAX_LEVEL = 12          # the finest level `tanh_sinh` tries
@@ -71,46 +72,60 @@ def _entry(prec: int, level: int, k: int) -> tuple:
     return d, mpf_shift(w, -1)                    # exact
 
 
-def tanh_sinh(f: Callable, a, b, prec: int) -> tuple:
+def fraction_bits(prec: int, a, b) -> int:
+    """Fraction bits F of the fixed-point numbers `tanh_sinh` hands to f.
+
+    prec + 40, plus two bits for each halving of the width |b - a| below
+    1: where the interval is narrow, as near h = -2, the integrand's terms
+    are of the width's size and its square root halves their bits.
+    """
+    width = mpf_sub(mp.mpf(b)._mpf_, mp.mpf(a)._mpf_)      # exact
+    return prec + 40 + 2 * max(0, -(width[2] + width[3]))   # exp + bc
+
+
+def tanh_sinh(f: Callable[[int], int], a, b, prec: int) -> tuple:
     """Integrate f over [a, b]; returns (value, error_estimate, converged).
 
-    f takes and returns an mpf and is evaluated strictly inside (a, b);
-    integrable endpoint singularities up to 1/sqrt converge at full
-    accuracy.  Abscissae and level sums are formed on raw mpf tuples,
-    bit-identical to the mpf form.  The step is halved, from level 3 on,
-    until two successive refinements agree to relative 2^(10-prec) and the
-    last relative difference d_L still falls doubly exponentially,
-    d_L <= d_(L-1)^1.25, or sits at the noise floor 2^(6-prec).
-    Differences that shrink by a fixed factor per level, as on the j2 = 0
-    axis of the action integrand, can meet the tolerance while the error
-    is a hundred times larger; they do not count.  (The exponent is below
-    2 because near the critical value the descent is still
-    pre-asymptotic, about 1.4, when it reaches the tolerance.  The floor
-    lies above the plateau of rounding noise that differences reach there,
-    up to about 2^(5.4-prec), and below the 2^(6.9-prec) that the axis
-    differences come down to at (0.5, 0) and 53 bits.)
-    Value and error estimate are mpf, and `converged` is False when
-    `MAX_LEVEL` was reached first.
+    f runs in fixed point with F = `fraction_bits(prec, a, b)`: it takes
+    the integer x 2^F of an abscissa strictly inside (a, b), or an end
+    that the abscissa rounds to, and returns the integer f(x) 2^F.
+    Integrable endpoint singularities up to 1/sqrt converge.  The level
+    sums are exact integers; each level's value is rounded to `prec + 20`
+    bits.  The step is halved, from level 3 on, until two successive
+    refinements agree to relative 2^(10-prec) and the last relative
+    difference d_L still falls doubly exponentially, d_L <= d_(L-1)^1.25,
+    or sits at the noise floor 2^(6-prec).  Differences that shrink only
+    by a fixed factor per level can meet the tolerance while the error is
+    a hundred times larger; they do not count.  (The exponent is below 2
+    because near the critical value the descent is still pre-asymptotic,
+    about 1.4, when it reaches the tolerance.  The floor lies above the
+    plateau of rounding noise that differences can reach there.)  Value
+    and error estimate are mpf, and `converged` is False when `MAX_LEVEL`
+    was reached first.
     """
     wp = prec + 20
     with mp.workprec(wp):
         a, b = mp.mpf(a), mp.mpf(b)
         if a == b:
             return mp.mpf(0), mp.mpf(0), True
-        half, mid = (b - a) / 2, (a + b) / 2
+        frac = fraction_bits(prec, a, b)
+        lo, hi = to_fixed(a._mpf_, frac), to_fixed(b._mpf_, frac)
+        width = hi - lo
         tol = mp.mpf(2) ** (10 - prec)
         floor = mp.mpf(2) ** (6 - prec)           # above the noise plateau
-        running = value = mp.mpf(0)
+        total = 0                  # level sum times 2^level, at scale 2^(2 frac)
+        value = mp.mpf(0)
         for level in range(MAX_LEVEL + 1):
             # level 0 is the trapezoid with h = 1, its t = 0 node of weight pi/2
-            add = (mp.pi / 2 * f(mid))._mpf_ if level == 0 else fzero
+            add = (to_fixed(mpf_pi(wp, RND), frac - 1) * f((lo + hi) >> 1)
+                   if level == 0 else 0)
             for d, w in _nodes(prec, level):
-                x = mpf_mul(half._mpf_, d, wp, RND)
-                fa = f(mp.make_mpf(mpf_add(a._mpf_, x, wp, RND)))._mpf_
-                fb = f(mp.make_mpf(mpf_sub(b._mpf_, x, wp, RND)))._mpf_
-                add = mpf_add(add, mpf_mul(w, mpf_add(fa, fb, wp, RND), wp, RND), wp, RND)
-            running = running / 2 + mp.make_mpf(add)
-            new_value = running * half
+                x = width * to_fixed(d, frac) >> (frac + 1)    # half d
+                add += to_fixed(w, frac) * (f(lo + x) + f(hi - x))
+            total += add << level
+            # the level sum times half the width, 2^-(level + 1 + 3 frac)
+            new_value = mp.make_mpf(from_man_exp(total * width,
+                                                 -(level + 1 + 3 * frac), wp, RND))
             err = abs(new_value - value)
             value = new_value
             rel = err / (1 + abs(value))

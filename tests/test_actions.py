@@ -115,9 +115,15 @@ def test_quadrature_reports_whether_it_converged():
         assert two_pi_I1_quadrature(0.1, 0.1, prec=prec)[2] is True
 
 
+def _within_old_pin(value, old: str, prec: int) -> bool:
+    """Whether `value` lies within 2^-prec (1 + |value|) of a print of the
+    working value that the mpf-tuple sums gave before the fixed-point sums."""
+    with mp.workprec(prec + 60):
+        return abs(value - mp.mpf(old)) <= mp.mpf(2) ** -prec * (1 + abs(value))
+
+
 def test_quadrature_value_is_pinned_bitwise(monkeypatch):
-    # the 148-bit working value, printed to 50 digits, as computed when
-    # every level still held its even nodes too
+    # the 148-bit working value of the fixed-point sums, printed to 50 digits
     monkeypatch.setattr(quadrature, "_node_cache", {})
     value, err, converged = two_pi_I1_quadrature(0.01, 0.003, prec=128)
     assert converged is True
@@ -125,31 +131,40 @@ def test_quadrature_value_is_pinned_bitwise(monkeypatch):
     assert [len(quadrature._node_cache[(128, level)]) for level in range(8)] \
         == [5, 5, 10, 20, 39, 78, 156, 311]
     with mp.workdps(50):
-        assert repr(value) == "mpf('8.0722512719197606135904782982296526254953518303169817')"
-        assert repr(err) == "mpf('6.3680383205022695000326619386293622283319218844725682e-39')"
+        assert repr(value) == "mpf('8.0722512719197606135904782982296526254953517854754308')"
+        assert repr(err) == "mpf('6.3677244296462607410087750232027052871185151057975879e-39')"
+    assert _within_old_pin(value, "8.0722512719197606135904782982296526254953518303169817", 128)
 
 
-@pytest.mark.parametrize("h, j2, prec, converged, value, err", [
+@pytest.mark.parametrize("h, j2, prec, converged, value, err, old", [
     (0.01, 0.003, 80, True,
-     "mpf('8.072251271919760613590478298122380568329350800075195')",
-     "mpf('3.7865323450608566659762971133573739024313908885233104e-29')"),
+     "mpf('8.0722512719197606135904782982233547641976403111678962')",
+     "mpf('0.0')",                              # levels 6 and 7 round alike
+     "8.072251271919760613590478298122380568329350800075195"),
     (0.01, 0.003, 256, True,
      "mpf('8.0722512719197606135904782982296526254953517697425926')",
-     "mpf('7.9152864708626269282283811513157736276069133863840589e-76')"),
+     "mpf('7.9152891064121127358591872384592864451116653138744045e-76')",
+     "8.072251271919760613590478298229652625495351769742592612488562779147966022632343759001498"),
     (-1.2, 0.6, 128, True,                      # zeta0 < zeta1 < 0
-     "mpf('0.49707016172759681801652224459762136148113059325193856')",
-     "mpf('4.9231818947123798152763391449724623440269442803947629e-41')"),
-    (0.5, 0.0, 53, False,                       # the axis, unconverged
-     "mpf('10.540734326313998817627534546406686821740095183486119')",
-     "mpf('0.00000000000068238150928976760989375094368369900621473789215087891')"),
+     "mpf('0.49707016172759681801652224459762136148113059044934163')",
+     "mpf('4.9227615051730823701550620260974753691875602018121999e-41')",
+     "0.49707016172759681801652224459762136148113059325193856"),
+    # the axis, converged; the mpf sums stopped unconverged 7e-11 off
+    (0.5, 0.0, 53, True,
+     "mpf('10.540734326382429208313271638310093525348065668367781')",
+     "mpf('0.00000000000008514036372621325288179150447831489145755767822265625')",
+     None),
 ], ids=["80-bit", "256-bit", "negative-zeta1", "axis-53-bit"])
 def test_quadrature_values_are_pinned_bitwise(monkeypatch, h, j2, prec, converged,
-                                              value, err):
-    # 50-digit prints of the working values, as computed with mpf operators
+                                              value, err, old):
+    # 50-digit prints of the working values of the fixed-point sums; the
+    # old 276-bit value is printed to 85 digits
     monkeypatch.setattr(quadrature, "_node_cache", {})
     result = two_pi_I1_quadrature(h, j2, prec=prec)
     with mp.workdps(50):
         assert (repr(result[0]), repr(result[1]), result[2]) == (value, err, converged)
+    if old is not None:
+        assert _within_old_pin(result[0], old, prec)
 
 
 def test_quadrature_node_tables_are_pinned_bitwise(monkeypatch):
@@ -166,11 +181,13 @@ def test_quadrature_node_tables_are_pinned_bitwise(monkeypatch):
 
 def test_quadrature_evaluates_each_node_once(monkeypatch):
     monkeypatch.setattr(quadrature, "_node_cache", {})
+    frac = quadrature.fraction_bits(128, -1, 1)
+    one_sq = 1 << 2 * frac
     calls = []
 
-    def integrand(x):
+    def integrand(x):                           # sqrt(1 - x x), scale 2^frac
         calls.append(x)
-        return mp.sqrt(1 - x * x)
+        return math.isqrt(one_sq - x * x)
 
     value, _, converged = quadrature.tanh_sinh(integrand, -1, 1, prec=128)
     assert converged is True
@@ -183,19 +200,26 @@ def test_quadrature_evaluates_each_node_once(monkeypatch):
     assert len(set(distances)) == len(distances)
 
 
-def test_quadrature_rejects_wandering_differences_on_the_axis():
-    # at 53 bits the axis differences fall under the tolerance and wander
-    # there, down to 2^(6.9 - 53) at level 11, while the value is 7e-11 off
-    value, _, converged = two_pi_I1_quadrature(0.5, 0.0, prec=53)
+@pytest.mark.parametrize("prec", [53, 80, 128])
+def test_converged_quadrature_meets_its_tolerance(prec):
+    # the axis (1/sqrt ends), near the critical value, zeta1 < 0, and the
+    # fit's region; at 53 bits the axis points converge
+    for h, j2 in [(0.5, 0.0), (-0.5, 0.0), (0.2, 0.0), (-1.9, 0.0), (0.2, 0.1),
+                  (0.1, 0.1), (1e-9, 1e-9), (-1.2, 0.6)]:
+        value, _, converged = two_pi_I1_quadrature(h, j2, prec=prec)
+        assert converged or (prec > 53 and j2 == 0.0)
+        if converged:
+            closed = two_pi_I1_closed(h, j2, prec=prec + 40)
+            assert abs(value - closed) <= mp.mpf(2) ** (10 - prec) * (1 + abs(value))
+
+
+def test_quadrature_reports_the_axis_stall():
+    # at 80 bits the axis differences stall near 2^(17 - 80), above the
+    # tolerance 2^(10 - 80), and the value is off by more than it
+    value, _, converged = two_pi_I1_quadrature(0.5, 0.0, prec=80)
     assert converged is False
-    assert abs(value - two_pi_I1_closed(0.5, 0.0, prec=80)) > 1e-11
-
-
-def test_quadrature_reports_where_it_is_unconverged_at_53_bits():
-    assert two_pi_I1_quadrature(0.2, 0.0, prec=53)[2] is False
-    value, _, converged = two_pi_I1_quadrature(0.2, 0.1, prec=53)
-    assert converged is True
-    assert abs(float(value) - float(two_pi_I1_closed(0.2, 0.1, prec=80))) <= 1e-10
+    closed = two_pi_I1_closed(0.5, 0.0, prec=120)
+    assert abs(value - closed) > mp.mpf(2) ** (10 - 80) * (1 + abs(value))
 
 
 def test_quadrature_accepts_differences_at_the_noise_plateau(monkeypatch):

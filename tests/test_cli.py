@@ -238,7 +238,10 @@ def test_special_E_and_lambda0_against_mpmath(capsys):
                                   ("special", "Pi", "0.5", "--n", "nan"),
                                   ("special", "Pi", "0.5", "--n=-inf"),
                                   ("special", "lambda0", "0.5", "--phi", "nan"),
-                                  ("twist", "--r", "1e-320")])
+                                  ("twist", "--r", "1e-320"),
+                                  ("orbit", "--W", "3/4", "--r", "nan"),
+                                  ("orbit", "--W", "3/4", "--r", "-0.5"),
+                                  ("orbit", "--W", "5/7", "--r", "1.1")])
 def test_divergence_is_a_domain_error_exit(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
@@ -287,7 +290,11 @@ def test_exact_outputs_match_the_benchmark_digests(capsys):
 
 # sha256 of the stdout of the benchmark's fit command (perfbench
 # FIT_COMMAND): a change to the fit that moves a printed value changes it
-FIT_COMMAND_SHA256 = "7852fc9cbe44ce098f76cf9f2d72d2660be9ceaddd8ac0236af97a43e1e0df81"
+FIT_COMMAND_SHA256 = "35368a4d1b7a3ab5b7c57252605b542a467c3768a2574015cb05c3f330e3ca85"
+# the same before the quadrature oracle ran in fixed point, which moved
+# only the largest closed-form/quadrature difference
+MPF_ORACLE_SHA256 = "7852fc9cbe44ce098f76cf9f2d72d2660be9ceaddd8ac0236af97a43e1e0df81"
+MPF_ORACLE_MAX_DIFF = "1.793662034335766e-43"
 
 
 def test_fit_output_is_pinned(capsys):
@@ -295,6 +302,13 @@ def test_fit_output_is_pinned(capsys):
                        "--samples", "80", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIT_COMMAND_SHA256
+    # every other byte is as before, and the differences agree within
+    # 2^-128 (1 + |2 pi I1|), |2 pi I1| < 10 on the fit circles
+    diff = json.loads(out)["quadrature_max_abs_diff"]
+    old = out.replace(f'"quadrature_max_abs_diff": {diff!r}',
+                      f'"quadrature_max_abs_diff": {MPF_ORACLE_MAX_DIFF}')
+    assert hashlib.sha256(old.encode()).hexdigest() == MPF_ORACLE_SHA256
+    assert abs(diff - float(MPF_ORACLE_MAX_DIFF)) <= 2.0 ** -128 * 11
 
 
 @pytest.mark.parametrize("order", range(4, 11))

@@ -277,6 +277,13 @@ def test_unattainable_target_raises():
         periodic_orbit_search(F(1, 3), 0.3)
 
 
+@pytest.mark.parametrize("radius", [math.nan, -0.5, 0.0, 1.1, math.inf])
+def test_radius_outside_the_unit_disk_raises(radius):
+    # the energy comes from the normal form, refused beyond |j| = 1
+    with pytest.raises(DomainError, match=r"^radius must lie in \(0, 1\]$"):
+        periodic_orbit_search(F(3, 4), radius)
+
+
 # -- root brackets on a grid ---------------------------------------------------
 
 def test_brackets_at_sign_changes():
