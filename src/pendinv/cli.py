@@ -177,7 +177,7 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from . import dynamics        # numpy and scipy load only for orbits
+    from . import dynamics        # scipy, and with it numpy, loads only for orbits
     try:
         res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
     except dynamics.IntegrationError as exc:     # e.g. no closure of 31/32 at --tol 1e-9
@@ -189,7 +189,7 @@ def cmd_orbit(args) -> int:
     if args.trace:
         lines = ["t,x,y,z,px,py,pz"]
         for t, y in zip(res.record.times, res.record.states):
-            lines.append(",".join(repr(float(v)) for v in [t, *y]))
+            lines.append(",".join(map(repr, [t, *y])))
         with open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         uv = res.record.stereographic_trace()
@@ -197,7 +197,7 @@ def cmd_orbit(args) -> int:
         uv_path = (stem or args.trace) + "_uv." + (ext if dot else "csv")
         with open(uv_path, "w") as fh:
             fh.write("u,v\n")
-            fh.write("\n".join(f"{float(u)!r},{float(v)!r}" for u, v in uv) + "\n")
+            fh.write("\n".join(f"{u!r},{v!r}" for u, v in uv) + "\n")
     return 0
 
 

@@ -4,16 +4,16 @@ Redundant Cartesian coordinates (r, p) in R^3 x R^3 with per-step
 projection back onto the constraint set (r, r) = 1, (r, p) = 0 avoid the
 polar coordinate singularity at the pole, which is exactly where the
 interesting orbits climb.  Scaled units m = g = l = 1 throughout, so the
-unstable equilibrium sits at r = e_z with energy zero.
+unstable equilibrium sits at r = e_z with energy zero.  A state is six
+floats throughout, and `_conserved` alone computes its energy and j2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 import scipy.integrate
 from scipy.optimize import brentq
 
@@ -23,28 +23,21 @@ from .elliptic import DomainError, EnergyMomentum, cubic_roots
 
 @dataclass
 class PhaseState:
-    """Point of the constrained phase space with its conserved quantities."""
+    """Point (r, p), two 3-tuples of floats; energy and j2 by `_conserved`."""
 
-    r: np.ndarray
-    p: np.ndarray
+    r: tuple
+    p: tuple
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-
-    @property
-    def angular_momentum(self) -> np.ndarray:
-        return np.cross(self.r, self.p)
+        self.r, self.p = tuple(map(float, self.r)), tuple(map(float, self.p))
 
     @property
     def energy(self) -> float:
-        norm = float(np.linalg.norm(self.r))
-        ll = self.angular_momentum
-        return 0.5 * float(ll @ ll) + self.r[2] / norm - 1.0
+        return _conserved(self.r + self.p)[0]
 
     @property
     def j2(self) -> float:
-        return float(self.angular_momentum[2])
+        return _conserved(self.r + self.p)[1]
 
 
 def _rhs(_t: float, y) -> tuple:
@@ -80,6 +73,17 @@ def _project(y) -> tuple:
     rx, ry, rz = rx / norm, ry / norm, rz / norm
     rp = rx * px + ry * py + rz * pz
     return (rx, ry, rz, px - rp * rx, py - rp * ry, pz - rp * rz)
+
+
+def _conserved(y) -> tuple:
+    """Energy |L|^2/2 + z/|r| - 1, j2 = L_z, |(r, r) - 1| and |(r, p)|."""
+    rx, ry, rz, px, py, pz = y
+    lx = ry * pz - rz * py
+    ly = rz * px - rx * pz
+    lz = rx * py - ry * px
+    rr = rx * rx + ry * ry + rz * rz
+    return (0.5 * (lx * lx + ly * ly + lz * lz) + rz / math.sqrt(rr) - 1.0, lz,
+            abs(rr - 1.0), abs(rx * px + ry * py + rz * pz))
 
 
 def _nonzero(rows) -> tuple:
@@ -237,21 +241,19 @@ class DOP853:
 
 @dataclass
 class OrbitRecord:
-    """Trajectory samples, turning points and the rotation number."""
+    """Trajectory samples, turning points, rotation number and drifts."""
 
-    times: np.ndarray
-    states: np.ndarray                  # shape (n, 6)
+    times: list                         # floats: 0, then each accepted step
+    states: list                        # 6-tuples: the projected states
     rotation_number: float | None
-    turning_times: list = field(default_factory=list)
-    energy_drift: float = 0.0
-    j2_drift: float = 0.0
-    constraint_drift: float = 0.0
+    turning_times: list
+    energy_drift: float
+    j2_drift: float
+    constraint_drift: float
 
-    def stereographic_trace(self) -> np.ndarray:
-        """Projection (x, y)/(1 + z): unstable equilibrium at the origin."""
-        xyz = self.states[:, :3]
-        denom = 1.0 + xyz[:, 2]
-        return np.column_stack([xyz[:, 0] / denom, xyz[:, 1] / denom])
+    def stereographic_trace(self) -> list:
+        """(u, v) = (x, y)/(1 + z) pairs: unstable equilibrium at the origin."""
+        return [(x / (1.0 + z), y / (1.0 + z)) for x, y, z, *_ in self.states]
 
 
 class IntegrationError(RuntimeError):
@@ -270,25 +272,26 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
     interpolant is built for those steps only.  The record keeps the
     turning times, whose spacing is the reduced period, and the rotation
     number: the mean azimuth advance between successive turning points
-    over 2 pi, or None with fewer than two.  Energy, angular-momentum and
-    constraint drift are reported; the tests hold them within
-    10 * tol * t_end.  A t_end that is not finite and positive, a
-    non-finite state, or an r of zero or non-finite length, which cannot
-    be projected, raises ValueError.
+    over 2 pi, or None with fewer than two.  Per step, `_conserved` gives
+    the energy and j2 drift from the projected start and the constraint
+    residuals, each held by the tests within 10 * tol * t_end.  A t_end
+    that is not finite and positive, a non-finite state, or an r of zero
+    or non-finite length, which cannot be projected, raises ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")
-    rx, ry, rz = map(float, state0.r)
+    rx, ry, rz = state0.r
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)      # as `_project` computes it
     if not 0.0 < norm < math.inf:
         raise ValueError(f"|r| = {norm} is not finite and nonzero, so r cannot be "
                          f"projected onto the constraint set (r, r) = 1")
-    y0 = _project(np.concatenate([state0.r, state0.p]).tolist())
+    y0 = _project(state0.r + state0.p)
     solver = DOP853(_rhs, 0.0, y0, t_end, rtol=tol, atol=tol)
-    h0 = state0.energy
-    j20 = state0.j2
+    h0, j20, res_r, res_rp = _conserved(y0)
+    energy_drift = j2_drift = 0.0
+    constraint_drift = max(res_r, res_rp)
 
     times = [0.0]
     states = [y0]
@@ -301,6 +304,10 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
             raise IntegrationError(f"step failed: {msg}")
         t = solver.t
         y = _project(solver.y)
+        energy, j2, res_r, res_rp = _conserved(y)
+        energy_drift = max(energy_drift, abs(energy - h0))
+        j2_drift = max(j2_drift, abs(j2 - j20))
+        constraint_drift = max(constraint_drift, res_r, res_rp)
         phi = unwrap(phis[-1], math.atan2(y[1], y[0]))
         cur_zdot = _zdot(y)
         if prev_zdot > 0.0 and cur_zdot <= 0.0 and len(times) > 1:
@@ -324,21 +331,11 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
         if len(times) > 200000:
             raise IntegrationError("sample budget exhausted")
 
-    arr = np.array(states)
-    energies = 0.5 * np.sum(np.cross(arr[:, :3], arr[:, 3:]) ** 2, axis=1) \
-        + arr[:, 2] / np.linalg.norm(arr[:, :3], axis=1) - 1.0
-    j2s = np.cross(arr[:, :3], arr[:, 3:])[:, 2]
-    res_r = np.abs(np.sum(arr[:, :3] ** 2, axis=1) - 1.0)
-    res_rp = np.abs(np.sum(arr[:, :3] * arr[:, 3:], axis=1))
-
-    rotation = None
-    if len(turning) >= 2:
-        rotation = float(np.mean(np.diff([f for _, f in turning]))) / (2 * math.pi)
-    return OrbitRecord(times=np.array(times), states=arr, rotation_number=rotation,
-                       turning_times=[t for t, _ in turning],
-                       energy_drift=float(np.max(np.abs(energies - h0))),
-                       j2_drift=float(np.max(np.abs(j2s - j20))),
-                       constraint_drift=float(max(res_r.max(), res_rp.max())))
+    rotation = ((turning[-1][1] - turning[0][1]) / (len(turning) - 1) / (2 * math.pi)
+                if len(turning) >= 2 else None)         # the mean advance, telescoped
+    return OrbitRecord(times=times, states=states, rotation_number=rotation,
+                       turning_times=[t for t, _ in turning], energy_drift=energy_drift,
+                       j2_drift=j2_drift, constraint_drift=constraint_drift)
 
 
 def initial_condition(em: EnergyMomentum) -> PhaseState:
@@ -352,9 +349,7 @@ def initial_condition(em: EnergyMomentum) -> PhaseState:
     sin_theta = math.sqrt(max(0.0, 1.0 - z * z))
     if sin_theta == 0.0:
         raise DomainError("turning point at the pole; no regular orbit there")
-    r = np.array([sin_theta, 0.0, z])
-    p = np.array([0.0, em.j2 / sin_theta, 0.0])
-    return PhaseState(r, p)
+    return PhaseState((sin_theta, 0.0, z), (0.0, em.j2 / sin_theta, 0.0))
 
 
 def rotation_number_measured(em: EnergyMomentum, n_periods: int = 3,
@@ -419,8 +414,8 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
         j2 = radius * math.cos(s)
         return rotation_W_numeric(EnergyMomentum(energy_of_j(j1, j2), j2)) - w_val
 
-    eps = 1e-3
-    grid = np.linspace(-math.pi / 2 + eps, math.pi / 2 - eps, 80)
+    lo, hi = -math.pi / 2 + 1e-3, math.pi / 2 - 1e-3
+    grid = [lo + i * ((hi - lo) / 79) for i in range(79)] + [hi]  # as np.linspace
     a, b = next(_brackets(f, grid), (None, None))
     if a is None:
         raise DomainError(
@@ -434,9 +429,7 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
     state0 = initial_condition(em)
     t_period = period_T_numeric(em)
     record = integrate(state0, q * t_period, tol=tol)
-    y_end = record.states[-1]
-    y_start = record.states[0]
-    closure = float(np.linalg.norm(y_end - y_start))
+    closure = math.dist(record.states[-1], record.states[0])
     if closure > 1e-6:
         raise IntegrationError(
             f"orbit failed to close: |final - initial| = {closure:.3e}")
@@ -446,13 +439,19 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
 
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """All j2 > 0 with the given rotation number at fixed energy: every
-    bracket of `_brackets` on 400 values of j2, refined by `brentq`.
+    bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), the
+    edge of the momentum-map image, refined by `brentq`.
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.
     """
     w_val = float(w_target)
-    j2_max = math.sqrt(max(0.0, 2 * (1 + h)))  # crude upper bound for scanning
+    # jmax^2 is the positive root of `_discriminant` as -108 s^2 + b s + g^2/432
+    # in s = j2^2, u = h + 1, each branch free of cancellation
+    u = h + 1
+    b, g = 32 * u * (9 - u * u), 8 * math.sqrt(432) * abs(h * (h + 2))
+    root = math.hypot(b, g)
+    j2_max = math.sqrt((b + root) / 216 if b > 0 else g * (g / (216 * (root - b))))
 
     def f(j2: float) -> float:
         return rotation_W_numeric(EnergyMomentum(h, j2)) - w_val

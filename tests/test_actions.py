@@ -231,6 +231,33 @@ def test_quadrature_accepts_differences_at_the_noise_plateau(monkeypatch):
     assert abs(value - two_pi_I1_closed(1e-9, 1e-9, prec=148)) <= 2.0 ** (10 - 128)
 
 
+def test_quadrature_refuses_differences_that_fall_too_slowly(monkeypatch):
+    # the kink of f = 1 + 2^-s |x - c| makes the level differences fall
+    # about geometrically.  At s = 20 levels 10-12 meet the tolerance 2^-43
+    # (2^-46.3, 2^-43.6, 2^-45.7), and d_L <= d_(L-1)^1.25 refuses each.  At
+    # s = 24 it refuses levels 8-9 (2^-43.6, 2^-44.5); level 10's 2^-50.3
+    # lies below the floor 2^-47 and is accepted
+    one = 1 << quadrature.fraction_bits(53, -1, 1)
+    c = mp.mpf(0.3141592653589793)
+    kink = int(c * one)                         # exact: c has 53 bits
+
+    def run(shift, max_level):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", max_level)
+        return quadrature.tanh_sinh(lambda x: one + (abs(x - kink) >> shift),
+                                    -1, 1, prec=53)
+
+    for shift, refused in ((20, (10, 11, 12)), (24, (8, 9))):
+        for level in refused:
+            value, err, converged = run(shift, level)
+            assert converged is False
+            assert err <= mp.mpf(2) ** -43 * (1 + abs(value))
+    value, _, converged = run(24, 12)
+    assert converged is True
+    with mp.workprec(120):
+        exact = 2 + mp.mpf(2) ** -24 * (1 + c * c)
+        assert abs(value - exact) <= mp.mpf(2) ** -48 * (1 + abs(value))
+
+
 @pytest.mark.parametrize("prec", [80, 128, 256])
 def test_landen_incomplete_integrals_match_mpmath(prec):
     # mpmath's ellipf and ellipe form 1/sin^2 phi - 1 and 1 - mc, which lose

@@ -9,7 +9,7 @@ import scipy.integrate
 
 from pendinv import dynamics
 from pendinv.actions import period_T_numeric, rotation_W_numeric
-from pendinv.dynamics import (PhaseState, _project, _rhs, _zdot,
+from pendinv.dynamics import (PhaseState, _conserved, _project, _rhs, _zdot,
                               geometry_report, initial_condition, integrate,
                               orbits_at_energy, periodic_orbit_search,
                               rotation_number_measured)
@@ -45,6 +45,13 @@ def zdot_vector(y):
     return float(np.cross(np.cross(r, p), r)[2])
 
 
+def conserved_vector(y):
+    r, p = y[:3], y[3:]
+    ll = np.cross(r, p)
+    return (0.5 * float(ll @ ll) + r[2] / np.linalg.norm(r) - 1.0, ll[2],
+            abs(float(r @ r) - 1.0), abs(float(r @ p)))
+
+
 def near_constraint_states(n=100, seed=3):
     """Seeded states with |p| from 1e-3 to 1e3, moved off the constraint
     set by a relative 1e-9, as an integration step leaves them."""
@@ -64,6 +71,17 @@ def test_scalar_kernels_match_the_vector_forms():
                          (_project(y), project_vector(y))):
             assert np.linalg.norm(new - old) <= 1e-15 * np.linalg.norm(old)
         assert abs(_zdot(y) - zdot_vector(y)) <= 1e-15 * abs(zdot_vector(y))
+
+
+def test_conserved_matches_the_vector_forms():
+    # a few ulps of each value's terms: |L|^2 / 2 + 1 for the energy, |r| |p|
+    # for j2 and (r, p), 1 for (r, r) - 1
+    ulp = np.finfo(float).eps
+    for y in near_constraint_states():
+        rp = np.linalg.norm(y[:3]) * np.linalg.norm(y[3:])
+        for new, old, scale in zip(_conserved(y), conserved_vector(y),
+                                   (rp * rp / 2 + 1, rp, 1.0, rp)):
+            assert abs(new - old) <= 4 * ulp * scale
 
 
 def test_projection_lands_on_the_constraint_set():
@@ -138,11 +156,22 @@ def test_time_reversal():
     t_end = 7.0
     tol = 1e-11
     fwd = integrate(state, t_end, tol=tol)
-    y_end = fwd.states[-1]
+    y_end = np.asarray(fwd.states[-1])
     back = integrate(PhaseState(y_end[:3], -y_end[3:]), t_end, tol=tol)
-    y_back = back.states[-1]
+    y_back = np.asarray(back.states[-1])
     recovered = np.concatenate([y_back[:3], -y_back[3:]])
     assert np.linalg.norm(recovered - fwd.states[0]) < 1e-7
+
+
+def test_drift_is_measured_from_the_projected_start():
+    # r scaled by 1.1: the first projection's jump in energy and j2 is no
+    # drift of the integration
+    state = initial_condition(EnergyMomentum(0.1, 0.1))
+    t_end, tol = 10.0, 1e-10
+    rec = integrate(PhaseState([1.1 * v for v in state.r], state.p), t_end, tol=tol)
+    assert rec.energy_drift <= 10 * tol * t_end
+    assert rec.j2_drift <= 10 * tol * t_end
+    assert rec.constraint_drift <= 10 * tol * t_end
 
 
 def test_tolerance_validation():
@@ -307,6 +336,20 @@ def test_brackets_never_span_a_refused_point():
     assert list(dynamics._brackets(f, [0.0, 1.0, 2.0, 3.0])) == [(2.0, 3.0)]
 
 
+def test_search_grid_is_numpys_linspace(monkeypatch):
+    grids, brackets = [], dynamics._brackets
+
+    def spy(f, grid):
+        grids.append(grid)
+        return brackets(f, grid)
+
+    monkeypatch.setattr(dynamics, "_brackets", spy)
+    monkeypatch.setattr(dynamics, "rotation_W_numeric", lambda em: 0.5)
+    with pytest.raises(DomainError):
+        periodic_orbit_search(F(3, 4), 0.5)
+    assert grids == [list(np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 80))]
+
+
 def test_search_without_a_bracket_raises(monkeypatch):
     monkeypatch.setattr(dynamics, "rotation_W_numeric", lambda em: 0.5)
     with pytest.raises(DomainError,
@@ -323,10 +366,21 @@ def test_two_orbits_same_rotation_number():
         assert w_meas == pytest.approx(5 / 6, abs=1e-6)
 
 
+@pytest.mark.parametrize("h, target, j2s", [(0.3, F(514, 575), [0.5597, 1.66]),
+                                            (-1.5, F(111, 196), [0.3])])
+def test_orbits_at_energy_scans_to_the_edge_of_the_image(h, target, j2s):
+    # the scan reaches jmax(h), 1.7066 at h = 0.3 and 0.4689 at h = -1.5;
+    # sqrt(2 (h + 1)) stops at 1.6125 and 0
+    found = orbits_at_energy(h, target)
+    assert [em.j2 for em in found] == pytest.approx(j2s, abs=1e-4)
+    for em in found:
+        assert abs(rotation_W_numeric(em) - float(target)) <= 1e-12
+
+
 def test_stereographic_trace_window():
     res = periodic_orbit_search(F(3, 4), 0.75, tol=1e-11)
     uv = res.record.stereographic_trace()
-    assert uv.shape[1] == 2
+    assert np.shape(uv)[1] == 2
     assert np.max(np.abs(uv)) < 8.0   # the standard display window
 
 
