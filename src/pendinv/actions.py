@@ -413,13 +413,22 @@ def _disk_radius(j1: float, j2: float, what: str) -> float:
     return rho
 
 
-def _arg(j1: float, j2: float) -> float:
+def _arg(j1, j2, lib=math):
     """Principal argument of j1 + i j2 in (-pi, pi]: +pi on the negative j1 axis.
 
     For tiny j2 < 0 the angle rounds to -pi, its limit from below the axis,
-    and stays there; only j2 == 0 (either sign of zero) gives +pi.
+    and stays there; only j2 == 0 (either sign of zero) gives +pi.  `lib`
+    (math or mpmath) gives atan2 of the working type.
     """
-    return math.atan2(j2 if j2 != 0 else 0.0, j1)
+    return lib.atan2(j2 if j2 != 0 else 0.0, j1)
+
+
+def _singular_terms(j1, j2, lib):
+    """8 - 2 pi |j2| + j2 arg(j1 + i j2) - j1 ln |j| + j1 at j != 0, the
+    universal terms of 2 pi I1 that the model adds and the fit subtracts;
+    `lib` (math or mpmath) gives pi, atan2, hypot and log of the working type."""
+    return (8 - 2 * lib.pi * abs(j2) + j2 * _arg(j1, j2, lib)
+            - j1 * lib.log(lib.hypot(j1, j2)) + j1)
 
 
 def _invariant_slopes(j1: float, j2: float) -> tuple[float, float]:
@@ -432,12 +441,10 @@ def _invariant_slopes(j1: float, j2: float) -> tuple[float, float]:
 def two_pi_I1_model(j1: float, j2: float) -> float:
     """2 pi I1 from the normal-form model: singular terms plus invariant."""
     _require_finite(j1, j2)
-    rho = math.hypot(j1, j2)
-    if rho == 0.0:
+    if j1 == j2 == 0.0:
         return 8.0
-    s_val = LN32 * j1 + invariant_polynomial(4).evaluate(j1, j2)
-    return (8.0 - TWO_PI * abs(j2) + j2 * _arg(j1, j2) - j1 * math.log(rho)
-            + j1 + s_val)
+    return (_singular_terms(j1, j2, math)
+            + (LN32 * j1 + invariant_polynomial(4).evaluate(j1, j2)))
 
 
 def two_pi_I1_energy_expansion(h: float, j2: float) -> float:
@@ -527,13 +534,6 @@ def _midpoint_circle(r, n: int) -> list:
     return [(j1, -j2) for j1, j2 in reversed(lower[n % 2:])] + lower
 
 
-def _singular_terms_mp(j1, j2):
-    """The universal terms of 2 pi I1, 8 - 2 pi |j2| + j2 arg(j1 + i j2)
-    - j1 ln |j| + j1, in mpf at the working precision."""
-    rho = mp.sqrt(j1 * j1 + j2 * j2)
-    return 8 - 2 * mp.pi * abs(j2) + j2 * mp.atan2(j2, j1) - j1 * mp.log(rho) + j1
-
-
 def _harmonic_monomials(d: int, m: int) -> dict[tuple[int, int], int]:
     """Re(z^m) |z|^(d - m), z = j1 + i j2, m = d mod 2: its integer
     coefficients of j1^a j2^b (b even, a + b = d)."""
@@ -568,8 +568,6 @@ def _harmonic_lsq(radii, values, order: int):
     radial = [[mp.mpf(0)] * (order + 1) for _ in radii]
     for m in range(order + 1):
         degrees = range(m or 2, order + 1, 2)
-        if not degrees:
-            continue
         weight = mp.mpf(2 if m else 1) / n
         proj = [weight * mp.fdot(cos_table[m], circle) for circle in values]
         powers = [[mp.mpf(r) ** d for d in degrees] for r in radii]
@@ -659,7 +657,7 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
                             f"closed-form action off quadrature by {float(diff):.3e} "
                             f"at (j1, j2) = ({float(j1m)!r}, {float(j2m)!r})")
                     oracle_diff = max(oracle_diff, diff)
-                lower_values.append(two_pi_i1 - _singular_terms_mp(j1m, j2m))
+                lower_values.append(two_pi_i1 - _singular_terms(j1m, j2m, mp))
             values.append(lower_values[per_circle % 2:][::-1] + lower_values)
         coeffs, resid = _harmonic_lsq(radii, values, order)
         residual_max = float(max(abs(x) for x in resid))
@@ -811,14 +809,22 @@ def monodromy_check(radius: float = 0.3, steps: int = 720,
 
 # -- rotation-number expansion in (h, j2) -------------------------------------
 
+@lru_cache(maxsize=None)
+def _w_log_coefficient() -> Series:
+    """(3/8) j2 (1 - (5/16) h + (35/256) rho^2), rho^2 = h^2 + j2^2: the
+    displayed coefficient of ln(32 / rho) in 2 pi W, exact in (h, j2)."""
+    h, j2 = (Series.variable(i, 3, ("h", "j2")) for i in (0, 1))
+    return j2.scale(Fraction(3, 8)) * (1 - h.scale(Fraction(5, 16))
+                                       + (h * h + j2 * j2).scale(Fraction(35, 256)))
+
+
 def two_pi_W_energy_expansion(h: float, j2: float) -> float:
     """Displayed small-(h, j2) expansion of 2 pi W, rational terms as written."""
     rho_sq = h * h + j2 * j2
     if rho_sq == 0.0 or j2 == 0.0:
         raise DomainError("expansion needs j2 != 0")
     sgn = 1.0 if j2 > 0 else -1.0
-    ln_term = (3 / 8 * j2 * (1 - 5 / 16 * h + 35 / 256 * rho_sq)
-               * math.log(32 / math.sqrt(rho_sq)))
+    ln_term = _w_log_coefficient().evaluate(h, j2) * math.log(32 / math.sqrt(rho_sq))
     return (TWO_PI * sgn - math.atan2(j2, h) + ln_term
             - j2 / 8 * (5 * h * h + 6 * j2 * j2) / rho_sq
             + j2 * h / 256 * (77 * h ** 4 + 174 * j2 * j2 * h * h + 93 * j2 ** 4) / rho_sq ** 2)
@@ -838,21 +844,13 @@ class RotationExpansionReport:
 def rotation_expansion_check() -> RotationExpansionReport:
     """Cross-check the rotation-number expansion against the elliptic route.
 
-    Verifies exactly that the logarithm coefficient equals -dJ1/dj2, that
-    the two routes of `A_series(9)` agree (its ConsistencyError reads as
-    False), and numerically that the displayed expansion tracks the
-    elliptic-integral rotation number at 8 angles on each of the radii
-    0.03, 0.05 and 0.07.
+    Verifies exactly that -dJ1/dj2 is the logarithm coefficient of
+    `two_pi_W_energy_expansion`, that the two routes of `A_series(9)` agree
+    (its ConsistencyError reads as False), and numerically that the
+    displayed expansion tracks the elliptic-integral rotation number at 8
+    angles on each of the radii 0.03, 0.05 and 0.07.
     """
-    # ln-coefficient: -(dJ1/dj2) == (3/8) j2 (1 - (5/16) h + (35/256) rho^2)
-    dj1 = J1_series(4).partial(1)
-    h_v = Series.variable(0, 3, ("h", "j2"))
-    j2_v = Series.variable(1, 3, ("h", "j2"))
-    rho2 = h_v * h_v + j2_v * j2_v
-    displayed = (j2_v.scale(Fraction(3, 8))
-                 * (Series.constant(1, 3, ("h", "j2"))
-                    - h_v.scale(Fraction(5, 16)) + rho2.scale(Fraction(35, 256))))
-    ln_ok = (-dj1).truncate(3) == displayed
+    ln_ok = (-J1_series(4).partial(1)).truncate(3) == _w_log_coefficient()
 
     try:
         A_series(9)

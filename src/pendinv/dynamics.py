@@ -5,7 +5,8 @@ projection back onto the constraint set (r, r) = 1, (r, p) = 0 avoid the
 polar coordinate singularity at the pole, which is exactly where the
 interesting orbits climb.  Scaled units m = g = l = 1 throughout, so the
 unstable equilibrium sits at r = e_z with energy zero.  A state is six
-floats throughout, and `_conserved` alone computes its energy and j2.
+floats (x, y, z, p_x, p_y, p_z) from `initial_condition` to the record's
+states, and `_conserved` alone computes its energy and j2.
 """
 
 from __future__ import annotations
@@ -19,25 +20,6 @@ from scipy.optimize import brentq
 
 from .actions import energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
 from .elliptic import DomainError, EnergyMomentum, cubic_roots
-
-
-@dataclass
-class PhaseState:
-    """Point (r, p), two 3-tuples of floats; energy and j2 by `_conserved`."""
-
-    r: tuple
-    p: tuple
-
-    def __post_init__(self):
-        self.r, self.p = tuple(map(float, self.r)), tuple(map(float, self.p))
-
-    @property
-    def energy(self) -> float:
-        return _conserved(self.r + self.p)[0]
-
-    @property
-    def j2(self) -> float:
-        return _conserved(self.r + self.p)[1]
 
 
 def _rhs(_t: float, y) -> tuple:
@@ -260,34 +242,35 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitRecord:
+def integrate(y0, t_end: float, tol: float = 1e-12) -> OrbitRecord:
     """Adaptive eighth-order integration with per-step constraint projection.
 
-    Steps the in-module `DOP853` from t = 0 to t_end > 0, projects every
-    accepted state back onto the constraint set and restarts the next step
-    from it.  Records every accepted step, tracks the continuous azimuth,
-    and refines each inclination turning point (maximum of z, the
-    pericenter of the reduced motion) as the root of z' on the dense
-    interpolant of its step, by `brentq` to 1e-13 max(1, t); the
-    interpolant is built for those steps only.  The record keeps the
-    turning times, whose spacing is the reduced period, and the rotation
-    number: the mean azimuth advance between successive turning points
-    over 2 pi, or None with fewer than two.  Per step, `_conserved` gives
-    the energy and j2 drift from the projected start and the constraint
-    residuals, each held by the tests within 10 * tol * t_end.  A t_end
-    that is not finite and positive, a non-finite state, or an r of zero
-    or non-finite length, which cannot be projected, raises ValueError.
+    Projects `y0`, any six numbers (r, p) such as a tuple, list or numpy
+    array, converted to Python floats once, onto the constraint set, steps
+    the in-module `DOP853` from t = 0 to t_end > 0, projects every accepted
+    state back and restarts the next step from it.  Records every accepted
+    step, tracks the continuous azimuth, and refines each inclination
+    turning point (maximum of z, the pericenter of the reduced motion) as
+    the root of z' on the dense interpolant of its step, by `brentq` to
+    1e-13 max(1, t); the interpolant is built for those steps only.  The
+    record keeps the turning times, whose spacing is the reduced period, and
+    the rotation number: the mean azimuth advance between successive turning
+    points over 2 pi, or None with fewer than two.  Per step, `_conserved`
+    gives the energy and j2 drift from the projected start and the
+    constraint residuals, each held by the tests within 10 * tol * t_end.  A
+    t_end that is not finite and positive, a non-finite state, or an r of
+    zero or non-finite length, which cannot be projected, raises ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
     if not 0.0 < t_end < math.inf:
         raise ValueError("t_end must be finite and positive")
-    rx, ry, rz = state0.r
+    rx, ry, rz, px, py, pz = map(float, y0)
     norm = math.sqrt(rx * rx + ry * ry + rz * rz)      # as `_project` computes it
     if not 0.0 < norm < math.inf:
         raise ValueError(f"|r| = {norm} is not finite and nonzero, so r cannot be "
                          f"projected onto the constraint set (r, r) = 1")
-    y0 = _project(state0.r + state0.p)
+    y0 = _project((rx, ry, rz, px, py, pz))
     solver = DOP853(_rhs, 0.0, y0, t_end, rtol=tol, atol=tol)
     h0, j20, res_r, res_rp = _conserved(y0)
     energy_drift = j2_drift = 0.0
@@ -295,7 +278,7 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
 
     times = [0.0]
     states = [y0]
-    phis = [math.atan2(y0[1], y0[0])]
+    phi = math.atan2(y0[1], y0[0])            # continuous azimuth of the last state
     turning: list[tuple[float, float]] = []   # (time, unwrapped phi)
     prev_zdot = _zdot(y0)
     while solver.status == "running":
@@ -308,7 +291,6 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
         energy_drift = max(energy_drift, abs(energy - h0))
         j2_drift = max(j2_drift, abs(j2 - j20))
         constraint_drift = max(constraint_drift, res_r, res_rp)
-        phi = unwrap(phis[-1], math.atan2(y[1], y[0]))
         cur_zdot = _zdot(y)
         if prev_zdot > 0.0 and cur_zdot <= 0.0 and len(times) > 1:
             # z-maximum inside (t_prev, t]: a root of z' on the step's
@@ -320,14 +302,13 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
             t_star = t if _zdot(dense(t)) > 0 else brentq(
                 lambda s: _zdot(dense(s)), times[-1], t, xtol=1e-13 * max(1.0, abs(t)))
             y_star = dense(t_star)
-            phi_star = unwrap(phis[-1], math.atan2(y_star[1], y_star[0]))
-            turning.append((t_star, phi_star))
+            turning.append((t_star, unwrap(phi, math.atan2(y_star[1], y_star[0]))))
+        phi = unwrap(phi, math.atan2(y[1], y[0]))
         solver.y = y
         solver.f = solver.fun(t, y)
         prev_zdot = cur_zdot
         times.append(t)
         states.append(y)
-        phis.append(phi)
         if len(times) > 200000:
             raise IntegrationError("sample budget exhausted")
 
@@ -338,8 +319,9 @@ def integrate(state0: PhaseState, t_end: float, tol: float = 1e-12) -> OrbitReco
                        j2_drift=j2_drift, constraint_drift=constraint_drift)
 
 
-def initial_condition(em: EnergyMomentum) -> PhaseState:
-    """State at the inclination turning point closest to the upper pole.
+def initial_condition(em: EnergyMomentum) -> tuple:
+    """State (r, p), six floats, at the inclination turning point closest
+    to the upper pole.
 
     Places the orbit at zeta1 (maximum of z) in the x-z plane with purely
     azimuthal momentum carrying the requested angular momentum.
@@ -349,7 +331,7 @@ def initial_condition(em: EnergyMomentum) -> PhaseState:
     sin_theta = math.sqrt(max(0.0, 1.0 - z * z))
     if sin_theta == 0.0:
         raise DomainError("turning point at the pole; no regular orbit there")
-    return PhaseState((sin_theta, 0.0, z), (0.0, em.j2 / sin_theta, 0.0))
+    return sin_theta, 0.0, z, 0.0, em.j2 / sin_theta, 0.0
 
 
 def rotation_number_measured(em: EnergyMomentum, n_periods: int = 3,

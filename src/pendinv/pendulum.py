@@ -48,6 +48,8 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
     below), which keeps its digits next to the critical energy, and the
     imaginary cycle's through k^2.
     """
+    if not math.isfinite(h):
+        raise DomainError(f"non-finite energy h = {h}")
     if h <= -2:
         raise DomainError(f"h = {h} at or below the potential minimum -2")
     if h == 0:

@@ -56,7 +56,7 @@ def test_criterion_01_normal_form_exact():
 
 def test_criterion_02_inversion_oracle():
     t0 = time.perf_counter()
-    inverted = actions.J1_series(10).invert_first().relabel(("j1", "j2"))
+    inverted = actions.J1_series(10).invert().relabel(("j1", "j2"))
     lie = normalform.lie_normalize(10)
     elapsed = time.perf_counter() - t0
     ok = inverted.truncate(5) == lie and elapsed < 10.0

@@ -239,6 +239,7 @@ def test_special_E_and_lambda0_against_mpmath(capsys):
                                   ("special", "Pi", "0.5", "--n=-inf"),
                                   ("special", "lambda0", "0.5", "--phi", "nan"),
                                   ("twist", "--r", "1e-320"),
+                                  ("pendulum", "--h", "inf"),
                                   ("orbit", "--W", "3/4", "--r", "nan"),
                                   ("orbit", "--W", "3/4", "--r", "-0.5"),
                                   ("orbit", "--W", "5/7", "--r", "1.1")])

@@ -9,7 +9,7 @@ import scipy.integrate
 
 from pendinv import dynamics
 from pendinv.actions import period_T_numeric, rotation_W_numeric
-from pendinv.dynamics import (PhaseState, _conserved, _project, _rhs, _zdot,
+from pendinv.dynamics import (_conserved, _project, _rhs, _zdot,
                               geometry_report, initial_condition, integrate,
                               orbits_at_energy, periodic_orbit_search,
                               rotation_number_measured)
@@ -110,8 +110,8 @@ def test_energy_conserved_along_field():
         p -= (r @ p) * r
         dr, dp = field(r, p)
         eps = 1e-6
-        plus = PhaseState(r + eps * dr, p + eps * dp).energy
-        minus = PhaseState(r - eps * dr, p - eps * dp).energy
+        plus = _conserved(np.concatenate([r + eps * dr, p + eps * dp]))[0]
+        minus = _conserved(np.concatenate([r - eps * dr, p - eps * dp]))[0]
         assert abs(plus - minus) / (2 * eps) < 1e-9
 
 
@@ -129,8 +129,7 @@ def test_constraints_conserved_along_field():
 
 def test_small_oscillation_period():
     amp = 0.02
-    state = PhaseState(np.array([math.sin(amp), 0.0, -math.cos(amp)]),
-                       np.zeros(3))
+    state = (math.sin(amp), 0.0, -math.cos(amp), 0.0, 0.0, 0.0)
     rec = integrate(state, 20.0, tol=1e-12)
     # z-maxima repeat every half oscillation; the full period carries the
     # classical amplitude correction 2 pi (1 + amp^2/16 + ...)
@@ -157,7 +156,7 @@ def test_time_reversal():
     tol = 1e-11
     fwd = integrate(state, t_end, tol=tol)
     y_end = np.asarray(fwd.states[-1])
-    back = integrate(PhaseState(y_end[:3], -y_end[3:]), t_end, tol=tol)
+    back = integrate(np.concatenate([y_end[:3], -y_end[3:]]), t_end, tol=tol)
     y_back = np.asarray(back.states[-1])
     recovered = np.concatenate([y_back[:3], -y_back[3:]])
     assert np.linalg.norm(recovered - fwd.states[0]) < 1e-7
@@ -168,10 +167,22 @@ def test_drift_is_measured_from_the_projected_start():
     # drift of the integration
     state = initial_condition(EnergyMomentum(0.1, 0.1))
     t_end, tol = 10.0, 1e-10
-    rec = integrate(PhaseState([1.1 * v for v in state.r], state.p), t_end, tol=tol)
+    rec = integrate([1.1 * v for v in state[:3]] + list(state[3:]), t_end, tol=tol)
     assert rec.energy_drift <= 10 * tol * t_end
     assert rec.j2_drift <= 10 * tol * t_end
     assert rec.constraint_drift <= 10 * tol * t_end
+
+
+def test_any_sequence_of_six_numbers_starts_the_same_orbit():
+    # `orbit --trace` writes each state value by repr: numpy scalars must not
+    # reach the record
+    state = initial_condition(EnergyMomentum(0.1, 0.1))
+    records = [integrate(y0, 5.0, tol=1e-10)
+               for y0 in (np.array(state), list(state), tuple(state))]
+    for rec in records:
+        assert all(type(v) is float for y in rec.states for v in y)
+        assert all(type(t) is float for t in rec.times)
+    assert records[0] == records[1] == records[2]
 
 
 def test_tolerance_validation():
@@ -189,7 +200,7 @@ def test_end_time_validation(t_end):
 
 def test_non_finite_state_is_refused():
     with pytest.raises(ValueError, match="finite"):
-        integrate(PhaseState([0.6, 0.0, math.nan], [0.0, 0.1, 0.0]), 1.0)
+        integrate((0.6, 0.0, math.nan, 0.0, 0.1, 0.0), 1.0)
 
 
 @pytest.mark.parametrize("r", [[0.0, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e200, 0.0, 0.0],
@@ -198,7 +209,7 @@ def test_state_that_cannot_be_projected_is_refused(r):
     # |r| = 0 divided by zero in the first projection; a square that
     # underflows or overflows gives the same 0 or inf there
     with pytest.raises(ValueError, match=r"\(r, r\) = 1"):
-        integrate(PhaseState(r, [0.0, 0.1, 0.0]), 1.0)
+        integrate(r + [0.0, 0.1, 0.0], 1.0)
 
 
 class ScipyDOP853(scipy.integrate.DOP853):
@@ -212,7 +223,7 @@ class ScipyDOP853(scipy.integrate.DOP853):
 
 def test_stepper_matches_scipy_dop853(monkeypatch):
     state = initial_condition(EnergyMomentum(0.1, 0.1))
-    y0 = _project(np.concatenate([state.r, state.p]).tolist())
+    y0 = _project(state)
     for tol in (1e-8, 1e-10, 1e-12):
         ours = dynamics.DOP853(_rhs, 0.0, y0, 40.0, rtol=tol, atol=tol)
         oracle = ScipyDOP853(_rhs, 0.0, y0, 40.0, rtol=tol, atol=tol)

@@ -89,6 +89,12 @@ def test_domain_errors():
         pendulum_quadruple(0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_non_finite_energy_is_a_domain_error(h):
+    with pytest.raises(DomainError, match="non-finite energy"):
+        pendulum_quadruple(h)
+
+
 def test_true_pendulum_flag():
     quad = pendulum_quadruple(-0.5)
     bare = pendulum_quadruple(-0.5, true_pendulum=True)
