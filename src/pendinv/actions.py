@@ -19,7 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (fone, from_man_exp, mpf_atan2, mpf_cos_sin, mpf_pi, mpf_sub,
+                          round_nearest as RND, to_fixed, to_float)
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
                        _discriminant, _gaps, _lambda0, carlson_rd, carlson_rf,
@@ -172,41 +173,88 @@ def _complete(mc: float) -> tuple[float, float]:
     return ellint_K(mc), ellint_E(mc)
 
 
+def _kernel_bits(x: tuple) -> int:
+    """Fraction bits F of the fixed-point kernels for an AGM started at
+    sqrt(x), x a raw mpf in (0, 1]: the working precision plus 20 (prec + 40
+    at the `prec` of `two_pi_I1_closed`), plus the bits by which sqrt(x)
+    falls below 1, so that the start keeps its relative digits."""
+    return mp.mp.prec + 20 + (1 - x[2] - x[3]) // 2            # exp + bc
+
+
+def _to_mpf(fixed: int, frac: int):
+    return mp.make_mpf(from_man_exp(fixed, -frac, mp.mp.prec, RND))
+
+
 def _complete_mp(mc):
-    """K by the AGM, and E by the imaginary-modulus transformation E(k) =
-    k' E(i k / k') (DLMF 19.7.5), whose parameter 1 - 1/mc keeps its
-    digits for small mc."""
-    return mp.pi / (2 * mp.agm(1, mp.sqrt(mc))), mp.sqrt(mc) * mp.ellipe(1 - 1 / mc)
+    """K and E at parameter 1 - mc, in fixed point with `_kernel_bits(mc)`
+    fraction bits.
+
+    One AGM of (1, sqrt mc) gives K = pi / (2 M), and Gauss's sum E =
+    K ((1 + mc)/2 - sum_{n>=1} 2^(n-1) c_n^2), c_n = (a_(n-1) - g_(n-1))/2,
+    never forms 1 - mc, so a small mc keeps its digits.  Returns mpf at the
+    working precision.
+    """
+    x = mp.mpmathify(mc)._mpf_
+    frac = _kernel_bits(x)
+    one = 1 << frac
+    a, g = one, math.isqrt(to_fixed(x, 2 * frac))
+    c_sq_sum, n = 0, 0                     # 4 sum 2^(n-1) c_n^2, scale 2^(2F)
+    while a - g > 1:
+        c_sq_sum += (a - g) ** 2 << n
+        a, g = (a + g) >> 1, math.isqrt(a * g)
+        n += 1
+    K = (to_fixed(mpf_pi(frac + 2, RND), frac) << (frac - 1)) // a      # pi / (2 M)
+    half_sum = (one + to_fixed(x, frac)) << (frac + 1)    # (1 + mc)/2, scale 2^(2F + 2)
+    E = K * (half_sum - c_sq_sum) >> (2 * frac + 2)
+    return _to_mpf(K, frac), _to_mpf(E, frac)
 
 
 def _incomplete_mp(phi, mc):
     """F(phi | mc) and E(phi | mc), parameter mc, by the descending Landen
-    transformation (A&S 17.6, DLMF 19.8).
+    transformation (A&S 17.6, DLMF 19.8), in fixed point with
+    `_kernel_bits(1 - mc)` fraction bits.
 
     The AGM a, g starts from (1, sqrt(1 - mc)) with c0^2 = mc and
-    c_{n+1} = (a_n - g_n) / 2; the amplitude doubles as phi_{n+1} = 2 phi_n
-    - atan2((a - g) sin cos, a cos^2 + g sin^2), whose denominator is
-    positive, so no multiple of pi is tracked.  Then F = phi_N / (2^N a_N)
-    and E = F (1 - sum 2^(n-1) c_n^2) + sum c_n sin phi_n.  At mc = 1 the
-    AGM of (1, 0) does not converge; there F = asinh(tan phi), E = sin phi,
-    with |cos phi| so that a phi rounded past pi/2 stays on the branch.
+    c_{n+1} = (a_n - g_n) / 2.  The amplitude is the integer pair (cos
+    phi_n, sin phi_n), turned by tan(phi_{n+1} - phi_n) = (g/a) tan phi_n:
+    e^(i phi_{n+1}) is (cos + i sin)(a cos + i g sin), normalised by one
+    `math.isqrt`.  A float copy of phi_n, doubled and moved to the
+    representative of the new pair within pi/2 of 2 phi_n, counts the
+    turns, and one atan2 of the last pair gives phi_N.  Then F = phi_N /
+    (2^N a_N) and E = F (1 - sum 2^(n-1) c_n^2) + sum c_n sin phi_n.  At
+    mc = 1 the AGM of (1, 0) does not converge; there F = asinh(tan phi),
+    E = sin phi, with |cos phi| so that a phi rounded past pi/2 stays on
+    the branch.
     """
-    cos, sin = mp.cos_sin(phi)
     if mc == 1:
-        return mp.asinh(sin / abs(cos)), sin
-    a, g = mp.mpf(1), mp.sqrt(1 - mc)
-    tol = mp.ldexp(1, 2 - mp.mp.prec)
-    weight, c_sq_sum, sin_sum = 1, mc / 2, 0
-    while a - g > tol * a:
-        c = (a - g) / 2
-        phi = 2 * phi - mp.atan2((a - g) * sin * cos, a * cos * cos + g * sin * sin)
-        a, g = (a + g) / 2, mp.sqrt(a * g)
         cos, sin = mp.cos_sin(phi)
-        c_sq_sum += weight * c * c
-        sin_sum += c * sin
-        weight *= 2
-    F = phi / (weight * a)
-    return F, F * (1 - c_sq_sum) + sin_sum
+        return mp.asinh(sin / abs(cos)), sin
+    m = mp.mpmathify(mc)._mpf_
+    x = mpf_sub(fone, m)                                  # 1 - mc, exact
+    frac = _kernel_bits(x)
+    one = 1 << frac
+    cos, sin = (to_fixed(v, frac) for v in mpf_cos_sin(mp.mpmathify(phi)._mpf_, frac, RND))
+    a, g = one, math.isqrt(to_fixed(x, 2 * frac))
+    turn = float(phi)                     # phi_n in floats, for the turns
+    c_sq_sum, sin_sum, n = 0, 0, 0        # 4 sum 2^(n-1) c_n^2 and 2 sum c_n sin phi_n,
+    while a - g > 1:                      # each at scale 2^(2F)
+        p, q = a * cos, g * sin
+        re, im = (cos * p - sin * q) >> frac, (cos * q + sin * p) >> frac
+        norm = math.isqrt(re * re + im * im)
+        cos, sin = (re << frac) // norm, (im << frac) // norm
+        base = math.atan2(sin / one, cos / one)
+        turn = base + TWO_PI * round((2 * turn - base) / TWO_PI)
+        c_sq_sum += (a - g) ** 2 << n
+        sin_sum += (a - g) * sin
+        a, g = (a + g) >> 1, math.isqrt(a * g)
+        n += 1
+    base = mpf_atan2(from_man_exp(sin, -frac), from_man_exp(cos, -frac), frac, RND)
+    turns = round((turn - to_float(base)) / TWO_PI)
+    phi_n = to_fixed(base, frac) + turns * to_fixed(mpf_pi(frac + 4, RND), frac + 1)
+    F = (phi_n << frac) // (a << n)
+    bracket = ((2 << frac) - to_fixed(m, frac)) << (frac + 1)    # 1 - mc/2, scale 2^(2F + 2)
+    E = (F * (bracket - c_sq_sum) >> (2 * frac + 2)) + (sin_sum >> (frac + 1))
+    return _to_mpf(F, frac), _to_mpf(E, frac)
 
 
 def _lambda0_mp(phi, mc, K, E):
@@ -218,7 +266,8 @@ def two_pi_I1_closed(h, j2, prec: int):
     """2*pi*I1 at `prec` bits from the Lambda0 form that `action_I1` uses.
 
     The formula of `_two_pi_I1` runs at `prec + 20` bits on the gaps of
-    `_cubic_roots_mp`, with mpmath's elliptic integrals; returns an mpf.
+    `_cubic_roots_mp`, with the fixed-point kernels `_complete_mp` and
+    `_incomplete_mp` (through `_lambda0_mp`); returns an mpf.
     """
     d = _cubic_roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):

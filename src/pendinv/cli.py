@@ -37,6 +37,19 @@ def _within(kind, low=-math.inf, high=math.inf):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads -1e-3, -inf and -nan as option flags, since only
+    plain negative numbers look like values to it; this parser, and every
+    subparser it makes, reads each float literal as a value."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None                           # a positional value
+
+
 def _emit_payload(payload: dict, args) -> None:
     """Print `payload` as indented JSON, a CSV header and row, or
     `key = value` lines, by --format."""
@@ -284,7 +297,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pendinv",
         description="Normal form, actions and symplectic invariants of the "
                     "spherical pendulum")

@@ -6,10 +6,11 @@ cached per (precision, level); abscissae are stored as distances from the
 nearest endpoint so that the double-exponential clustering near the ends
 does not lose digits.  A level holds only the nodes no coarser level
 has, so each node is computed once.  Tables are raw mpf tuples (`x._mpf_`)
-built through the correctly rounded `mpmath.libmp` operations at
-`prec + 20` bits.  The abscissae, the integrand and the level sums run in
-fixed point on plain integers: a value x is the integer x 2^F, with
-F = `fraction_bits(prec, a, b)` fraction bits, and products are exact.
+at `prec + 20` bits, each node built from one exponential of a large
+argument: e^t steps from node to node by one fixed-point product.  The
+abscissae, the integrand and the level sums run in fixed point on plain
+integers: a value x is the integer x 2^F, with F = `fraction_bits(prec,
+a, b)` fraction bits, and products are exact.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from itertools import count
 from typing import Callable
 
 import mpmath as mp
-from mpmath.libmp import (fone, from_int, from_man_exp, ftwo, mpf_add,
-                          mpf_cosh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_lt,
-                          mpf_mul, mpf_pi, mpf_shift, mpf_sqrt, mpf_sub,
+from mpmath.libmp import (fone, from_man_exp, ftwo, mpf_add, mpf_div, mpf_exp,
+                          mpf_lt, mpf_mul, mpf_pi, mpf_shift, mpf_sub,
                           round_nearest as RND, to_fixed)
 
 _node_cache: dict[tuple[int, int], list[tuple[tuple, tuple]]] = {}
@@ -34,29 +34,37 @@ def _nodes(prec: int, level: int):
     entry i at k = 2i + 1.  The node near the right endpoint of [-1, 1]
     sits at 1 - d, its mirror at -1 + d.  The weight includes the step
     factor h.  A level ends at the first k, odd or even, where even a 1/sqrt
-    endpoint singularity could no longer contribute at precision `prec`;
-    an even k = 2j tests node j of the level below, its weight halved.
-    Both entries are raw mpf tuples at `prec + 20` bits.
+    endpoint singularity could no longer contribute at precision `prec`,
+    w^2 < d 2^(-2 (prec + 15)); an even k = 2j tests node j of the level
+    below, its weight halved.
+
+    Each node costs one exponential of a large argument.  e^t steps from
+    node to node by one product in fixed point with ep = `prec + 40`
+    fraction bits, and cosh t and sinh t come from it and its reciprocal.
+    With u = (pi/2) sinh t and X = e^(-2u), computed at ep bits so that the
+    large argument 2u keeps `prec + 20`: d = 1 - tanh u = 2X/(1 + X), and
+    1/cosh^2 u = d (2 - d), so w = h (pi/2) cosh t d (2 - d).  Both
+    entries are raw mpf tuples at `prec + 20` bits.
     """
     if (prec, level) in _node_cache:
         return _node_cache[prec, level]
-    wp = prec + 20
-    pi_half = mpf_shift(mpf_pi(wp, RND), -1)
+    wp, ep = prec + 20, prec + 40
+    pi = to_fixed(mpf_pi(ep + 4, RND), ep)
+    exp_t = to_fixed(mpf_exp(mpf_shift(fone, -level), ep + 4, RND), ep)     # e^h
+    step = exp_t if level == 0 else exp_t * exp_t >> ep                     # e^(2h)
     out = []
     for k in count(1):
         if level and k % 2 == 0:
             d, w = _entry(prec, level, k)         # a coarser level's node
         else:
-            t = mpf_shift(from_int(k), -level)    # k h, exact
-            cosh_t, sinh_t = mpf_cosh_sinh(t, wp, RND)
-            u = mpf_mul(pi_half, sinh_t, wp, RND)
-            exp_2u = mpf_exp(mpf_shift(u, 1), wp, RND)
-            d = mpf_div(ftwo, mpf_add(fone, exp_2u, wp, RND), wp, RND)   # 1 - tanh(u)
-            cosh_u = mpf_cosh(u, wp, RND)
-            w = mpf_div(mpf_mul(mpf_shift(pi_half, -level), cosh_t, wp, RND),  # h pi/2 cosh t
-                        mpf_mul(cosh_u, cosh_u, wp, RND), wp, RND)
+            exp_neg = (1 << 2 * ep) // exp_t                                 # e^-t
+            x = mpf_exp(from_man_exp(pi * (exp_neg - exp_t), -2 * ep - 1), ep, RND)
+            d = mpf_div(mpf_shift(x, 1), mpf_add(fone, x, ep, RND), wp, RND)
+            w = mpf_mul(from_man_exp(pi * (exp_t + exp_neg), -2 * ep - 2 - level),
+                        mpf_mul(d, mpf_sub(ftwo, d, ep, RND), ep, RND), wp, RND)
             out.append((d, w))
-        if mpf_lt(w, mpf_shift(mpf_sqrt(d, wp, RND), -(prec + 15))):
+            exp_t = exp_t * step >> ep
+        if mpf_lt(mpf_mul(w, w), mpf_shift(d, -2 * (prec + 15))):
             break
     _node_cache[prec, level] = out
     return out

@@ -169,14 +169,38 @@ def test_quadrature_values_are_pinned_bitwise(monkeypatch, h, j2, prec, converge
 
 def test_quadrature_node_tables_are_pinned_bitwise(monkeypatch):
     # sign, mantissa, exponent and bit count of every (d, w) at 128 bits,
-    # as computed with mpf operators and separate sinh and cosh calls
+    # as built from one exponential per node
     monkeypatch.setattr(quadrature, "_node_cache", {})
     digest = hashlib.sha256()
     for level in range(8):
         for d, w in quadrature._nodes(128, level):
             digest.update(repr([int(v) for v in d + w]).encode())
     assert digest.hexdigest() \
-        == "dc17811b5176049e255c14f3b531932c7465bd57507faef9563aabd6651c2f3d"
+        == "fbd47a00e90bd98ef4493c38f5444640817cc7e5c7d380a0c081c3700ee9bc2e"
+
+
+@pytest.mark.parametrize("prec, lengths", [
+    (53, [5, 5, 9, 17, 34, 67, 132, 263, 523]),
+    (80, [5, 5, 9, 18, 36, 72, 143, 284, 567]),
+    (128, [5, 5, 10, 20, 39, 78, 156, 311, 620]),
+    (256, [6, 6, 12, 22, 44, 88, 176, 352, 702]),
+])
+def test_quadrature_node_tables_match_their_definition(monkeypatch, prec, lengths):
+    # every (d, w) of levels 0-8 against d = 1 - tanh u and w = h (pi/2)
+    # cosh t / cosh^2 u, u = (pi/2) sinh t, by mpmath at prec + 80 bits plus
+    # the bits by which d falls below 1, which 1 - tanh u cancels
+    monkeypatch.setattr(quadrature, "_node_cache", {})
+    assert [len(quadrature._nodes(prec, level)) for level in range(9)] == lengths
+    for level in range(9):
+        h = mp.ldexp(1, -level)
+        for i, (d, w) in enumerate(quadrature._nodes(prec, level)):
+            d, w = mp.make_mpf(d), mp.make_mpf(w)
+            with mp.workprec(prec + 80 - mp.mag(d)):
+                t = (i + 1 if level == 0 else 2 * i + 1) * h
+                u = mp.pi / 2 * mp.sinh(t)
+                refs = (1 - mp.tanh(u), h * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2)
+                for value, ref in zip((d, w), refs):
+                    assert abs(value - ref) <= mp.ldexp(ref, -(prec + 16))
 
 
 def test_quadrature_evaluates_each_node_once(monkeypatch):
@@ -278,6 +302,26 @@ def test_landen_incomplete_integrals_match_mpmath(prec):
                 refs = (mp.ellipf(phi, mc), mp.ellipe(phi, mc))
             for value, ref in zip((F, E), refs):
                 assert abs(value - ref) <= mp.mpf(2) ** -prec * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("prec", [80, 128, 256])
+def test_complete_integrals_match_mpmath(prec):
+    # K and E at parameter m = 1 - mc, formed exactly.  mpmath's ellipe takes
+    # dK/dm from a difference with step 2^-(wp + 20), which must lie below
+    # mc, so the reference runs at 3 prec + 100 bits plus the bits of 1/mc
+    rng = random.Random(prec)
+    with mp.workprec(4 * prec):
+        mcs = ([mp.mpf("1e-300"), mp.mpf("1e-30"), mp.mpf(2) ** -140,
+                1 - mp.mpf(2) ** -140, mp.mpf(1)]
+               + [mp.mpf(10) ** -rng.uniform(0, 300) for _ in range(6)])
+    for mc in mcs:
+        with mp.workprec(prec + 20):
+            K, E = actions._complete_mp(mc)
+        with mp.workprec(3 * prec + 100 + max(0, -mp.mag(mc))):
+            m = mp.fsub(1, mc, exact=True)
+            refs = (mp.ellipk(m), mp.ellipe(m))
+        for value, ref in zip((K, E), refs):
+            assert abs(value - ref) <= mp.mpf(2) ** -prec * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("prec", [128, 256])

@@ -249,6 +249,33 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     assert err.startswith("domain error:") and "Traceback" not in err
 
 
+# argparse's own test for a negative number, ^-\d+$|^-\d*\.\d+$, takes these
+# for option flags
+@pytest.mark.parametrize("argv, decimal", [
+    (("action", "--h", "-1e-3", "--j2", "0.1"), ("action", "--h", "-0.001", "--j2", "0.1")),
+    (("rotation", "--h", "0.1", "--j2", "-1e-2"), ("rotation", "--h", "0.1", "--j2", "-0.01")),
+    (("pendulum", "--h", "-1.5e0"), ("pendulum", "--h", "-1.5")),
+    (("special", "K", "-1e-3"), ("special", "K", "-0.001")),
+    (("special", "Pi", "-1E-1", "--n", "-2e0"), ("special", "Pi", "-0.1", "--n", "-2.0")),
+])
+def test_negative_numbers_in_exponent_form_are_values(capsys, argv, decimal):
+    assert run(capsys, *argv) == run(capsys, *decimal)
+
+
+@pytest.mark.parametrize("argv", [
+    ("special", "K", "-inf"), ("special", "E", "-nan"),
+    ("special", "lambda0", "0.5", "--phi", "-inf"),
+    ("action", "--h", "-inf"), ("action", "--h", "0.1", "--j2", "-nan"),
+    ("rotation", "--h", "-nan", "--j2", "0.1"), ("rotation", "--h", "0.1", "--j2", "-inf"),
+    ("twist", "--r", "-inf"), ("pendulum", "--h", "-nan"),
+    ("orbit", "--W", "3/4", "--r", "-inf"),
+])
+def test_negative_non_finite_values_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("invariants", "--order", "1"), ("invariants", "--order", "3"),
     ("invariants", "--order", "11"), ("invariants", "--precision", "0"),
@@ -291,9 +318,10 @@ def test_exact_outputs_match_the_benchmark_digests(capsys):
 
 # sha256 of the stdout of the benchmark's fit command (perfbench
 # FIT_COMMAND): a change to the fit that moves a printed value changes it
-FIT_COMMAND_SHA256 = "35368a4d1b7a3ab5b7c57252605b542a467c3768a2574015cb05c3f330e3ca85"
-# the same before the quadrature oracle ran in fixed point, which moved
-# only the largest closed-form/quadrature difference
+FIT_COMMAND_SHA256 = "9bc528d196ca7a2dd2ffee169dbd37930ea367ace3aeb1e428b1ca90a010f46c"
+# the same before the quadrature oracle and the closed form's elliptic
+# kernels ran in fixed point, which moved only the largest
+# closed-form/quadrature difference
 MPF_ORACLE_SHA256 = "7852fc9cbe44ce098f76cf9f2d72d2660be9ceaddd8ac0236af97a43e1e0df81"
 MPF_ORACLE_MAX_DIFF = "1.793662034335766e-43"
 
