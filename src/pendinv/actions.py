@@ -771,15 +771,70 @@ def twist(j1: float, j2: float) -> float:
     return (-a * two_pi_w1 + two_pi_w2) / TWO_PI
 
 
+def brentq(f, a: float, b: float, xtol: float = 2e-12,
+           rtol: float = 4 * 2.0 ** -52, maxiter: int = 100) -> float:
+    """A root of f between a and b, where f changes sign, to xtol + rtol |x|.
+
+    Brent's zeroin (Brent 1973, ch. 4), ported line for line from scipy's
+    C `brentq` with its defaults, so it returns the same float: a secant
+    or inverse quadratic step while that shrinks the bracket fast enough,
+    else bisection.  Raises ValueError when f(a) and f(b) share a sign or
+    f returns NaN, and RuntimeError after maxiter iterations.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:            # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                       # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def twistless_curve(r: float) -> float:
     """Polar angle s (from the positive j2 axis) where the twist vanishes.
 
-    Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by `brentq` to 1e-14;
-    raises DomainError for a subnormal r, where `twist` overflows, and if
-    the ends of that interval have the same sign.
+    Solves T(r sin s, r cos s) = 0 on (-pi/2, pi/2) by the in-package
+    `brentq` to 1e-14; raises DomainError for a subnormal r, where `twist`
+    overflows, and if the ends of that interval have the same sign.
     """
-    from scipy.optimize import brentq   # scipy loads only for this root
-
     if not 0 < r <= 1:
         raise DomainError("radius must lie in (0, 1]")
 

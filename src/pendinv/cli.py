@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import actions, elliptic, normalform, pendulum
+from . import actions, dynamics, elliptic, normalform, pendulum
 from .elliptic import DivergenceError, DomainError, EnergyMomentum
 
 
@@ -190,7 +190,6 @@ def cmd_pendulum(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    from . import dynamics        # scipy, and with it numpy, loads only for orbits
     try:
         res = dynamics.periodic_orbit_search(args.W, args.r, tol=args.tol)
     except dynamics.IntegrationError as exc:     # e.g. no closure of 31/32 at --tol 1e-9
@@ -358,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("special", help="evaluate a special function")
     p.add_argument("function", choices=("K", "E", "Pi", "lambda0"))
-    p.add_argument("msq", type=float, help="the parameter m = k^2")
+    p.add_argument("msq", type=_within(float, 0, 1), metavar="m",
+                   help="the parameter m = k^2, in [0, 1]")
     p.add_argument("--n", type=float, default=0.0)
     p.add_argument("--phi", type=float, default=math.pi / 2)
     p.set_defaults(func=cmd_special)

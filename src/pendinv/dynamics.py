@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import scipy.integrate
-from scipy.optimize import brentq
-
-from .actions import energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
+from .actions import brentq, energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
 from .elliptic import DomainError, EnergyMomentum, cubic_roots
 
 
@@ -68,20 +65,78 @@ def _conserved(y) -> tuple:
             abs(rr - 1.0), abs(rx * px + ry * py + rz * pz))
 
 
-def _nonzero(rows) -> tuple:
-    """Each tableau row as the tuple of its nonzero (index, coefficient)
-    pairs, coefficients as Python floats."""
-    return tuple(tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-                 for row in rows)
-
-
-# Dormand-Prince 8(5,3), taken from scipy's class attributes so that no
-# constant is typed twice: 12 stages, the 13th is f at the new point
-_TABLEAU = scipy.integrate.DOP853
-_STAGES = tuple(zip(_nonzero(_TABLEAU.A[1:]), map(float, _TABLEAU.C[1:])))
-_B, _E3, _E5 = _nonzero([_TABLEAU.B, _TABLEAU.E3, _TABLEAU.E5])
-_D = _nonzero(_TABLEAU.D)
-_EXTRA_STAGES = tuple(zip(_nonzero(_TABLEAU.A_EXTRA), map(float, _TABLEAU.C_EXTRA)))
+# Dormand-Prince 8(5,3) (Hairer, Norsett and Wanner, Sec. II.10): scipy's
+# DOP853 coefficients, each written by its repr so it round-trips, and each
+# row the tuple of its nonzero (index, coefficient) pairs.  _A and _C start
+# at stage 1, as stage 0 is f at the start; 12 stages, the 13th is f at the
+# new point
+_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+_C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+      0.8571428571428571, 1.0)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
+_A_EXTRA = (
+    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+     (7, -0.05492374857139099), (10, -0.00010834732869724932),
+     (11, 0.0003825710908356584), (12, -0.00034046500868740456),
+     (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+     (13, 2.9475147891527724), (14, -9.15095847217987)),
+)
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+_STAGES = tuple(zip(_A, _C))
+_EXTRA_STAGES = tuple(zip(_A_EXTRA, _C_EXTRA))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8           # error estimator of order 7
 
@@ -107,13 +162,14 @@ def _rms(values) -> float:
 class DOP853:
     """scipy's DOP853 on a 6-vector of Python floats, forward in time.
 
-    Same tableau, initial step selection, step controller (safety 0.9,
-    factors 0.2 to 10, exponent -1/8, a minimum step of 10 ulp of t),
-    hybrid E5/E3 error norm and dense output as
-    ``scipy.integrate.DOP853``; only the summation order differs, so
-    results agree with scipy's to rounding.  Every evaluation of the
-    right-hand side goes through ``fun``.  ``y`` and ``f`` are sequences
-    of six floats and may be reassigned between steps.
+    Same tableau, the literal `_A` to `_C_EXTRA` above, and the same
+    initial step selection, step controller (safety 0.9, factors 0.2 to
+    10, exponent -1/8, a minimum step of 10 ulp of t), hybrid E5/E3 error
+    norm and dense output as ``scipy.integrate.DOP853``; only the
+    summation order differs, so results agree with scipy's to rounding.
+    Every evaluation of the right-hand side goes through ``fun``.  ``y``
+    and ``f`` are sequences of six floats and may be reassigned between
+    steps.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -247,19 +303,20 @@ def integrate(y0, t_end: float, tol: float = 1e-12) -> OrbitRecord:
 
     Projects `y0`, any six numbers (r, p) such as a tuple, list or numpy
     array, converted to Python floats once, onto the constraint set, steps
-    the in-module `DOP853` from t = 0 to t_end > 0, projects every accepted
-    state back and restarts the next step from it.  Records every accepted
-    step, tracks the continuous azimuth, and refines each inclination
-    turning point (maximum of z, the pericenter of the reduced motion) as
-    the root of z' on the dense interpolant of its step, by `brentq` to
-    1e-13 max(1, t); the interpolant is built for those steps only.  The
-    record keeps the turning times, whose spacing is the reduced period, and
-    the rotation number: the mean azimuth advance between successive turning
-    points over 2 pi, or None with fewer than two.  Per step, `_conserved`
-    gives the energy and j2 drift from the projected start and the
-    constraint residuals, each held by the tests within 10 * tol * t_end.  A
-    t_end that is not finite and positive, a non-finite state, or an r of
-    zero or non-finite length, which cannot be projected, raises ValueError.
+    the in-module `DOP853` on its literal tableau from t = 0 to t_end > 0,
+    projects every accepted state back and restarts the next step from it.
+    Records every accepted step, tracks the continuous azimuth, and refines
+    each inclination turning point (maximum of z, the pericenter of the
+    reduced motion) as the root of z' on the dense interpolant of its step,
+    by the in-package `actions.brentq` to 1e-13 max(1, t); the interpolant
+    is built for those steps only.  The record keeps the turning times,
+    whose spacing is the reduced period, and the rotation number: the mean
+    azimuth advance between successive turning points over 2 pi, or None
+    with fewer than two.  Per step, `_conserved` gives the energy and j2
+    drift from the projected start and the constraint residuals, each held
+    by the tests within 10 * tol * t_end.  A t_end that is not finite and
+    positive, a non-finite state, or an r of zero or non-finite length,
+    which cannot be projected, raises ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -380,11 +437,11 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
 
     The polar angle is measured from the positive j2 axis (j1 = r sin s,
     j2 = r cos s).  The first bracket of `_brackets` on a grid of 80 angles
-    is refined by `brentq` on the elliptic-integral rotation number to full
-    accuracy, and the orbit is then integrated over q reduced periods and
-    checked to close to 1e-6 in phase space.  Raises DomainError for a
-    radius outside (0, 1], the disk of the models that take (j1, j2), and
-    when no angle of the grid brackets the target.
+    is refined by the in-package `actions.brentq` on the elliptic-integral
+    rotation number to full accuracy, and the orbit is then integrated over
+    q reduced periods and checked to close to 1e-6 in phase space.  Raises
+    DomainError for a radius outside (0, 1], the disk of the models that
+    take (j1, j2), and when no angle of the grid brackets the target.
     """
     if not 0 < radius <= 1:
         raise DomainError("radius must lie in (0, 1]")
@@ -422,11 +479,14 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """All j2 > 0 with the given rotation number at fixed energy: every
     bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), the
-    edge of the momentum-map image, refined by `brentq`.
+    edge of the momentum-map image, refined by `brentq`.  Raises
+    DomainError for an h that is not finite or lies below -2.
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.
     """
+    if not -2 <= h < math.inf:
+        raise DomainError(f"h = {h} is not a finite energy of at least -2")
     w_val = float(w_target)
     # jmax^2 is the positive root of `_discriminant` as -108 s^2 + b s + g^2/432
     # in s = j2^2, u = h + 1, each branch free of cancellation

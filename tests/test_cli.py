@@ -193,23 +193,25 @@ def heavy():
 
 seen = {"import": heavy()}
 for argv in (["nf", "--order", "4"], ["verify", "--suite", "nf"],
-             ["action", "--h", "0.2", "--j2", "0.1"], ["pendulum", "--series", "nome"],
-             ["twist", "--r", "0.1"]):
+             ["action", "--h", "0.2", "--j2", "0.1"],
+             ["rotation", "--h", "0.1", "--j2", "0.05"],
+             ["pendulum", "--series", "nome"], ["twist", "--r", "0.1"],
+             ["orbit", "--W", "3/4"], ["special", "K", "0.5"],
+             ["invariants", "--order", "8", "--precision", "80", "--samples", "40"]):
     assert cli.main(argv) == 0, argv
     seen[argv[0]] = heavy()
 print(json.dumps(seen))
 """
 
 
-def test_numpy_and_scipy_load_only_for_orbits_and_twist():
+def test_no_subcommand_loads_numpy_or_scipy():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", _HEAVY_MODULES_SCRIPT],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"import": [], "nf": [], "verify": [], "action": [],
-                    "pendulum": [], "twist": ["numpy", "scipy"]}
+    assert seen == dict.fromkeys(["import", *_offered_options()], [])
 
 
 def test_special_subcommand(capsys):
@@ -255,15 +257,15 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     (("action", "--h", "-1e-3", "--j2", "0.1"), ("action", "--h", "-0.001", "--j2", "0.1")),
     (("rotation", "--h", "0.1", "--j2", "-1e-2"), ("rotation", "--h", "0.1", "--j2", "-0.01")),
     (("pendulum", "--h", "-1.5e0"), ("pendulum", "--h", "-1.5")),
-    (("special", "K", "-1e-3"), ("special", "K", "-0.001")),
-    (("special", "Pi", "-1E-1", "--n", "-2e0"), ("special", "Pi", "-0.1", "--n", "-2.0")),
+    (("special", "Pi", "0.5", "--n", "-1e-3"), ("special", "Pi", "0.5", "--n", "-0.001")),
+    (("special", "Pi", "1E-1", "--n", "-2e0"), ("special", "Pi", "0.1", "--n", "-2.0")),
 ])
 def test_negative_numbers_in_exponent_form_are_values(capsys, argv, decimal):
     assert run(capsys, *argv) == run(capsys, *decimal)
 
 
 @pytest.mark.parametrize("argv", [
-    ("special", "K", "-inf"), ("special", "E", "-nan"),
+    ("special", "Pi", "0.5", "--n", "-inf"), ("special", "lambda0", "0.5", "--phi", "-nan"),
     ("special", "lambda0", "0.5", "--phi", "-inf"),
     ("action", "--h", "-inf"), ("action", "--h", "0.1", "--j2", "-nan"),
     ("rotation", "--h", "-nan", "--j2", "0.1"), ("rotation", "--h", "0.1", "--j2", "-inf"),
@@ -274,6 +276,17 @@ def test_negative_non_finite_values_are_domain_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("domain error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", ["-0.001", "-1e-3", "1.5", "nan", "-inf"])
+def test_special_parameter_outside_the_unit_interval_is_refused_by_name(capsys, m):
+    # the error names m as typed; -1e-3 is read as a value, not as a flag
+    with pytest.raises(SystemExit) as refused:
+        main(["special", "K", m])
+    out, err = capsys.readouterr()
+    assert refused.value.code == 2 and out == ""
+    assert (err.splitlines()[-1]
+            == f"pendinv special: error: argument m: {m} lies outside [0, 1]")
 
 
 @pytest.mark.parametrize("argv", [

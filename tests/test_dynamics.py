@@ -1,14 +1,16 @@
 """Orbit integration against the elliptic-integral predictions."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
-from pendinv import dynamics
-from pendinv.actions import period_T_numeric, rotation_W_numeric
+from pendinv import actions, dynamics
+from pendinv.actions import brentq, period_T_numeric, rotation_W_numeric
 from pendinv.dynamics import (_conserved, _project, _rhs, _zdot,
                               geometry_report, initial_condition, integrate,
                               orbits_at_energy, periodic_orbit_search,
@@ -221,6 +223,32 @@ class ScipyDOP853(scipy.integrate.DOP853):
         super().__setattr__(name, value)
 
 
+def _dense(rows, width):
+    """The rows of nonzero (index, coefficient) pairs as a full array."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        indices = [j for j, _ in row]
+        assert indices == sorted(set(indices)) and all(c != 0 for _, c in row)
+        for j, c in row:
+            out[i, j] = c
+    return out
+
+
+def test_tableau_literal_is_scipys():
+    tableau = scipy.integrate.DOP853
+    pairs = [
+        (np.vstack([np.zeros((1, 12)), _dense(dynamics._A, 12)]), tableau.A),
+        ([0.0, *dynamics._C], tableau.C),
+        (_dense([dynamics._B], 12)[0], tableau.B),
+        (_dense([dynamics._E3], 13)[0], tableau.E3),
+        (_dense([dynamics._E5], 13)[0], tableau.E5),
+        (_dense(dynamics._D, 16), tableau.D),
+        (_dense(dynamics._A_EXTRA, 16), tableau.A_EXTRA),
+        (dynamics._C_EXTRA, tableau.C_EXTRA)]
+    for ours, theirs in pairs:
+        assert np.array_equal(ours, theirs)
+
+
 def test_stepper_matches_scipy_dop853(monkeypatch):
     state = initial_condition(EnergyMomentum(0.1, 0.1))
     y0 = _project(state)
@@ -386,6 +414,81 @@ def test_orbits_at_energy_scans_to_the_edge_of_the_image(h, target, j2s):
     assert [em.j2 for em in found] == pytest.approx(j2s, abs=1e-4)
     for em in found:
         assert abs(rotation_W_numeric(em) - float(target)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -3.0])
+def test_orbits_at_energy_refuses_energies_off_the_image(h):
+    with pytest.raises(DomainError, match="not a finite energy of at least -2"):
+        orbits_at_energy(h, F(5, 6))
+
+
+# -- brentq against scipy's ----------------------------------------------------
+
+def _evaluations(solver, f, a, b, **kwargs):
+    """The root, or the error, and every x at which the solver evaluated f."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+    try:
+        return solver(g, a, b, **kwargs), xs
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc)), xs
+
+
+def test_brentq_matches_scipy_on_seeded_brackets():
+    # each shape changes sign at x0; the staircase has plateaus of equal |f|
+    shapes = [lambda x, x0: x ** 3 - x0 ** 3, lambda x, x0: math.exp(x) - math.exp(x0),
+              lambda x, x0: math.atan(x - x0), lambda x, x0: (x - x0) ** 5 + x - x0,
+              lambda x, x0: math.floor(8 * x) - math.floor(8 * x0) + 0.5]
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(400):
+        shape, x0, sign = rng.choice(shapes), rng.uniform(-2.0, 2.0), rng.choice([-1, 1])
+        a, b = x0 - rng.uniform(0.0, 3.0), x0 + rng.uniform(0.0, 3.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+        kwargs = rng.choice([{}, {"xtol": 1e-14}, {"xtol": 0.1}, {"rtol": 1e-10},
+                             {"xtol": 1e-13, "maxiter": 6}])
+
+        def f(x, shape=shape, x0=x0, sign=sign):
+            return sign * shape(x, x0)
+        ours = _evaluations(brentq, f, a, b, **kwargs)
+        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, **kwargs)
+        outcomes.add(type(ours[0]))
+    assert outcomes == {float, tuple}      # roots, and runs out of iterations
+
+
+def test_brentq_matches_scipy_at_every_call_site(monkeypatch):
+    calls = []
+
+    def spy(f, a, b, **kwargs):
+        calls.append((f, a, b, kwargs))
+        return brentq(f, a, b, **kwargs)
+
+    monkeypatch.setattr(actions, "brentq", spy)
+    monkeypatch.setattr(dynamics, "brentq", spy)
+    rng = random.Random(11)
+    for r in [rng.uniform(0.01, 1.0) for _ in range(4)]:
+        actions.twistless_curve(r)
+    n_twist = len(calls)
+    periodic_orbit_search(F(3, 4), 0.75, tol=1e-10)    # the angle, then turning points
+    n_search = len(calls)
+    orbits_at_energy(0.05, F(5, 6))
+    assert n_twist == 4 and n_search - n_twist >= 3 and len(calls) - n_search == 2
+    for f, a, b, kwargs in calls:
+        ours = _evaluations(brentq, f, a, b, **kwargs)
+        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, **kwargs)
+
+
+def test_brentq_errors_are_scipys():
+    with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
+        brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="^Failed to converge after 2 iterations.$"):
+        brentq(lambda x: math.exp(x) - 1.5, -3.0, 10.0, maxiter=2)
+    with pytest.raises(ValueError, match="is NaN"):
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
 
 
 def test_stereographic_trace_window():

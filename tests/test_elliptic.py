@@ -39,13 +39,16 @@ def test_complete_integrals_against_mpmath():
 @pytest.mark.slow
 def test_pi_below_minus_one_against_mpmath():
     # R_F + (n/3) R_J cancels for n < -1; the reflected form must not,
-    # down to the largest float
-    with mp.workdps(400):                  # 1 - mc resolves mc down to 5e-324
-        for n in (-1.0000001, -1.5, -10.0, -1e6, -1e12, -1e20, -1e80, -1e150,
-                  -1e200, -1e300, -1.7e308):
-            for mc in (1.0, 0.5, 1e-10, 1e-300, 5e-324):
-                ref = mp.ellippi(n, 1 - mp.mpf(mc))
-                assert abs(ellint_Pi(n, mc) / ref - 1) < 1e-15, (n, mc)
+    # down to the largest float.  The reference is that sum on the exact n
+    # and mc, with log10|n| digits more than the 40 it keeps
+    for n in (-1.0000001, -1.5, -10.0, -1e6, -1e12, -1e20, -1e80, -1e150,
+              -1e200, -1e300, -1.7e308):
+        for mc in (1.0, 0.5, 1e-10, 1e-300, 5e-324):
+            n_mp, mc_mp = mp.mpf(n), mp.mpf(mc)
+            with mp.workdps(40 + int(math.log10(-n))):
+                ref = (mp.elliprf(0, mc_mp, 1)
+                       + n_mp / 3 * mp.elliprj(0, mc_mp, 1, 1 - n_mp))
+            assert abs(ellint_Pi(n, mc) / ref - 1) < 1e-15, (n, mc)
 
 
 def test_divergences():
