@@ -771,16 +771,21 @@ def twist(j1: float, j2: float) -> float:
     return (-a * two_pi_w1 + two_pi_w2) / TWO_PI
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12,
-           rtol: float = 4 * 2.0 ** -52, maxiter: int = 100) -> float:
+BRENTQ_RTOL = 4 * 2.0 ** -52
+BRENTQ_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """A root of f between a and b, where f changes sign, to xtol + rtol |x|.
 
     Brent's zeroin (Brent 1973, ch. 4), ported line for line from scipy's
-    C `brentq` with its defaults, so it returns the same float: a secant
-    or inverse quadratic step while that shrinks the bracket fast enough,
-    else bisection.  Raises ValueError when f(a) and f(b) share a sign or
-    f returns NaN, and RuntimeError after maxiter iterations.
+    C `brentq` with its defaults rtol = BRENTQ_RTOL and maxiter =
+    BRENTQ_MAXITER, so it returns the same float: a secant or inverse
+    quadratic step while that shrinks the bracket fast enough, else
+    bisection.  Raises ValueError when f(a) and f(b) share a sign or f
+    returns NaN, and RuntimeError after maxiter iterations.
     """
+    rtol, maxiter = BRENTQ_RTOL, BRENTQ_MAXITER
     def value(x: float) -> float:
         fx = f(x)
         if math.isnan(fx):

@@ -278,9 +278,9 @@ def test_negative_non_finite_values_are_domain_errors(capsys, argv):
     assert err.startswith("domain error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("m", ["-0.001", "-1e-3", "1.5", "nan", "-inf"])
+@pytest.mark.parametrize("m", ["-0.001", "-1e-3", "1.5", "nan", "-nan", "-inf"])
 def test_special_parameter_outside_the_unit_interval_is_refused_by_name(capsys, m):
-    # the error names m as typed; -1e-3 is read as a value, not as a flag
+    # the error names m as typed; -1e-3 and -nan are read as values, not as flags
     with pytest.raises(SystemExit) as refused:
         main(["special", "K", m])
     out, err = capsys.readouterr()

@@ -437,7 +437,7 @@ def _evaluations(solver, f, a, b, **kwargs):
         return (type(exc), str(exc)), xs
 
 
-def test_brentq_matches_scipy_on_seeded_brackets():
+def test_brentq_matches_scipy_on_seeded_brackets(monkeypatch):
     # each shape changes sign at x0; the staircase has plateaus of equal |f|
     shapes = [lambda x, x0: x ** 3 - x0 ** 3, lambda x, x0: math.exp(x) - math.exp(x0),
               lambda x, x0: math.atan(x - x0), lambda x, x0: (x - x0) ** 5 + x - x0,
@@ -449,13 +449,18 @@ def test_brentq_matches_scipy_on_seeded_brackets():
         a, b = x0 - rng.uniform(0.0, 3.0), x0 + rng.uniform(0.0, 3.0)
         if rng.random() < 0.5:
             a, b = b, a
-        kwargs = rng.choice([{}, {"xtol": 1e-14}, {"xtol": 0.1}, {"rtol": 1e-10},
-                             {"xtol": 1e-13, "maxiter": 6}])
+        xtol, rtol, maxiter = rng.choice([
+            (2e-12, actions.BRENTQ_RTOL, 100), (1e-14, actions.BRENTQ_RTOL, 100),
+            (0.1, actions.BRENTQ_RTOL, 100), (2e-12, 1e-10, 100),
+            (1e-13, actions.BRENTQ_RTOL, 6)])
+        monkeypatch.setattr(actions, "BRENTQ_RTOL", rtol)
+        monkeypatch.setattr(actions, "BRENTQ_MAXITER", maxiter)
 
         def f(x, shape=shape, x0=x0, sign=sign):
             return sign * shape(x, x0)
-        ours = _evaluations(brentq, f, a, b, **kwargs)
-        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, **kwargs)
+        ours = _evaluations(brentq, f, a, b, xtol=xtol)
+        assert ours == _evaluations(scipy.optimize.brentq, f, a, b,
+                                    xtol=xtol, rtol=rtol, maxiter=maxiter)
         outcomes.add(type(ours[0]))
     assert outcomes == {float, tuple}      # roots, and runs out of iterations
 
@@ -479,16 +484,19 @@ def test_brentq_matches_scipy_at_every_call_site(monkeypatch):
     assert n_twist == 4 and n_search - n_twist >= 3 and len(calls) - n_search == 2
     for f, a, b, kwargs in calls:
         ours = _evaluations(brentq, f, a, b, **kwargs)
-        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, **kwargs)
+        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, **kwargs,
+                                    rtol=actions.BRENTQ_RTOL,
+                                    maxiter=actions.BRENTQ_MAXITER)
 
 
-def test_brentq_errors_are_scipys():
+def test_brentq_errors_are_scipys(monkeypatch):
     with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
-        brentq(lambda x: x * x + 1.0, 0.0, 1.0)
-    with pytest.raises(RuntimeError, match="^Failed to converge after 2 iterations.$"):
-        brentq(lambda x: math.exp(x) - 1.5, -3.0, 10.0, maxiter=2)
+        brentq(lambda x: x * x + 1.0, 0.0, 1.0, xtol=2e-12)
     with pytest.raises(ValueError, match="is NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, xtol=2e-12)
+    monkeypatch.setattr(actions, "BRENTQ_MAXITER", 2)
+    with pytest.raises(RuntimeError, match="^Failed to converge after 2 iterations.$"):
+        brentq(lambda x: math.exp(x) - 1.5, -3.0, 10.0, xtol=2e-12)
 
 
 def test_stereographic_trace_window():
