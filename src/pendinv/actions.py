@@ -23,7 +23,7 @@ from mpmath.libmp import (fone, from_man_exp, mpf_atan2, mpf_cos_sin, mpf_pi, mp
                           round_nearest as RND, to_fixed, to_float)
 
 from .elliptic import (DomainError, EllipticData, EnergyMomentum,
-                       _discriminant, _gaps, _lambda0, carlson_rd, carlson_rf,
+                       _discriminant, _lambda0, carlson_rd, carlson_rf,
                        carlson_rj, cubic_roots, ellint_E, ellint_K, ellint_Pi_from_p)
 from .quadrature import fraction_bits, tanh_sinh
 from .series import Series, binom_frac
@@ -114,21 +114,43 @@ def A_series(order: int = 9) -> Series:
 # -- numeric action over the real cycle --------------------------------------
 
 def _cubic_roots_mp(h, j2, prec: int) -> EllipticData:
-    """`cubic_roots` to `prec` bits, in mpf: the float gaps polished by the
-    same solver.
-
+    """`cubic_roots` to `prec` bits, as mpf at prec + 20: the float gaps
+    polished in fixed point with prec + 20 + (bits by which the smallest float
+    gap, or delta0 >= j2^2 / (4 (2 + eps2)) where j2^2 underflows, falls below
+    1) fraction bits.  Integer Newton steps take eps2 from the float root (or
+    max(h, 0) + |j2|/2) until one falls below 2^-((prec + 40) / 2) relative or
+    stops shrinking; the width is the `math.isqrt` of the exact `_discriminant`
+    over 4 P'(zeta2)^2, and the rest follows from the relations of `_gaps`.
     Raises DomainError outside the image of the momentum map.
     """
-    eps2 = cubic_roots(EnergyMomentum(float(h), float(j2))).eps2
+    d = cubic_roots(EnergyMomentum(float(h), float(j2)))
     with mp.workprec(prec + 20):
         hh, jj = mp.mpf(h), mp.mpf(j2)
-        # the float eps2 is 0 only where j2^2 underflows and h <= 0 or h is
-        # subnormal; max(h, 0) + |j2|/2 lies above the root there, where 0
-        # is a flat start for h = 0
-        start = mp.mpf(eps2) or max(hh, 0) + abs(jj) / 2
-        return EllipticData.from_gaps(*_gaps(
-            hh, jj, start, mp.sqrt(mp.eps), _discriminant(hh, jj),
-            lambda n, d: mp.sqrt(mp.mpf(n) / d)))
+        disc = _discriminant(hh, jj)
+        if jj == 0:
+            return EllipticData.from_gaps(0.0, max(0.0, -hh), max(0.0, hh), 2 - max(0.0, -hh))
+        low = min(math.frexp(g)[1] for g in (d.delta0, d.eps1, d.eps2, d.width) if g)
+        if not d.delta0:
+            low = min(low, 2 * mp.mag(jj) - math.frexp(2 + d.eps2)[1] - 3)
+        frac = prec + 20 + max(0, -low)
+        one = 1 << frac
+        hf, jf = to_fixed(hh._mpf_, frac), to_fixed(abs(jj)._mpf_, frac)
+        jsq = jf * jf >> frac
+        eps2 = to_fixed(mp.mpf(d.eps2)._mpf_, frac) or max(hf, 0) + jf // 2
+        step, last = one + eps2, math.inf            # a first step that goes on
+        while True:
+            t = eps2 * (2 * one + eps2) >> frac                         # e (2 + e)
+            slope = ((one + eps2) * (eps2 - hf) >> (frac - 2)) + 2 * t  # P'(zeta2)
+            if not eps2 >> (prec + 40) // 2 < abs(step) < last:
+                break
+            last, step = abs(step), ((t * (eps2 - hf) >> (frac - 1)) - jsq << frac) // slope
+            eps2 -= step
+        width = math.isqrt((disc[0] << 4 * frac - 2) // (disc[1] * slope * slope))
+        delta1 = (hf + 2 * one - eps2 + width) >> 1
+        delta0 = (jsq << 2 * frac - 1) // ((2 * one + eps2) * delta1)
+        eps1 = (eps2 - hf + delta0 if hh <= 0
+                else (jsq << 2 * frac - 1) // (eps2 * (2 * one - delta0)))
+        return EllipticData.from_gaps(*(_to_mpf(x, frac) for x in (delta0, eps1, eps2, width)))
 
 
 def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):

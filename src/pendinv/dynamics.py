@@ -476,6 +476,21 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
                              record=record)
 
 
+def _j2_max(h: float) -> float:
+    """jmax(h), the edge of the image: jmax^2 is the positive root of
+    `_discriminant` as -108 s^2 + b s + g^2/432 in s = j2^2, u = h + 1, free
+    of cancellation, with b = 32 u (9 - u^2) and g = 8 sqrt(432) |h (h + 2)|
+    taken over c^3, c a power of 2 near |u|: unscaled, the denominator
+    216 (root - b) overflows from h ~ 2.4e101."""
+    u = h + 1
+    c = math.ldexp(1.0, max(0, math.frexp(u)[1] - 1))
+    b = 32 * (u / c) * (9 / c / c - (u / c) ** 2)
+    q = abs(h / c * ((h + 2) / c)) / c
+    root = math.hypot(b, 8 * math.sqrt(432) * q)
+    return c * (math.sqrt(c * (b + root) / 216) if b > 0
+                else 8 * q * math.sqrt(c / (root - b) * 2))
+
+
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """All j2 > 0 with the given rotation number at fixed energy: every
     bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), the
@@ -487,13 +502,7 @@ def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """
     if not -2 <= h < math.inf:
         raise DomainError(f"h = {h} is not a finite energy of at least -2")
-    w_val = float(w_target)
-    # jmax^2 is the positive root of `_discriminant` as -108 s^2 + b s + g^2/432
-    # in s = j2^2, u = h + 1, each branch free of cancellation
-    u = h + 1
-    b, g = 32 * u * (9 - u * u), 8 * math.sqrt(432) * abs(h * (h + 2))
-    root = math.hypot(b, g)
-    j2_max = math.sqrt((b + root) / 216 if b > 0 else g * (g / (216 * (root - b))))
+    w_val, j2_max = float(w_target), _j2_max(h)
 
     def f(j2: float) -> float:
         return rotation_W_numeric(EnergyMomentum(h, j2)) - w_val

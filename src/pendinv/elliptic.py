@@ -379,29 +379,28 @@ def _discriminant(h, j2) -> tuple[int, int]:
     return num, a ** 4 * b2 * b2
 
 
-def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
-    """Gaps (delta0, eps1, eps2) and width zeta1 - zeta0 in the type of h.
+def _gaps(h, j2, eps2, tol, disc):
+    """Gaps (delta0, eps1, eps2) and width zeta1 - zeta0, in floats.
 
-    The same code runs on floats and on mpf.  eps2 solves its own equation
-    2e(2 + e)(e - h) = j2^2 by Newton from the start `eps2`.  Above the
-    root that cubic is convex and increasing, so from a start above it, or
-    after the first step from just below, the iterates fall monotonically
-    onto the root with ever shorter steps.  A step below `tol` relative
-    leaves an error of order tol^2; a step that does not shrink is
-    rounding noise (j2^2 subnormal); either ends the loop.
+    eps2 solves its own equation 2e(2 + e)(e - h) = j2^2 by Newton from
+    the start `eps2`.  Above the root that cubic is convex and increasing,
+    so from a start above it, or after the first step from just below, the
+    iterates fall monotonically onto the root with ever shorter steps.  A
+    step below `tol` relative leaves an error of order tol^2; a step that
+    does not shrink is rounding noise (j2^2 subnormal); either ends the
+    loop.  `actions._cubic_roots_mp` runs the same relations in fixed point.
 
     The width follows from the exact discriminant `disc` = 4 width^2
-    P'(zeta2)^2, with `sqrt_ratio(n, d)` = sqrt(n / d) in the working
-    type.  delta0 and delta1 = 1 + zeta1 are the two small roots of
+    P'(zeta2)^2.  delta0 and delta1 = 1 + zeta1 are the two small roots of
     2d(2 - d)(h + 2 - d) = j2^2, with sum h + 2 - eps2 and product
     j2^2 / (2 (2 + eps2)), so neither cancels; eps1 = 2 - delta1 is a sum
     of non-negative terms for h <= 0 and the product form of its own
     equation for h > 0.  Every gap is non-negative by construction.  On the
-    axis the roots are -1, 1 and 1 + h.  Where j2^2 underflows (floats
-    only) eps1 and eps2 are the roots of the quadratic approximation
-    4e(e - h) = j2^2, whose relative error O(e) is below the rounding once
-    they matter (|h| tiny); their product j2^2 / 4 is formed without
-    squaring j2, and delta0 ~ j2^2 / 8 is 0.
+    axis the roots are -1, 1 and 1 + h.  Where j2^2 underflows, eps1 and
+    eps2 are the roots of the quadratic approximation 4e(e - h) = j2^2,
+    whose relative error O(e) is below the rounding once they matter (|h|
+    tiny); their product j2^2 / 4 is formed without squaring j2, and
+    delta0 ~ j2^2 / 8 is 0.
     """
     if j2 == 0:
         return 0.0, max(0.0, -h), max(0.0, h), 2 - max(0.0, -h)
@@ -432,7 +431,7 @@ def _gaps(h, j2, eps2, tol, disc, sqrt_ratio):
     # P'(zeta2) times scale
     slope = 2 * (2 * ((1 + eps2) * scale) * (eps2 - h) + eps2 * scale * (2 + eps2))
     sn, sd = _dyadic(slope)
-    width = sqrt_ratio(disc[0] * sd * sd, 4 * disc[1] * sn * sn << 2 * k)
+    width = math.sqrt(disc[0] * sd * sd / (4 * disc[1] * sn * sn << 2 * k))
     # delta0 + delta1 = h + 2 - eps2; for h > 0 eps2 - h goes first, or
     # h + 2 drops the 2 once h passes 2^53
     delta1 = ((h + 2 - eps2 if h <= 0 else 2 - (eps2 - h)) + width) / 2
@@ -463,7 +462,6 @@ def cubic_roots(em: EnergyMomentum) -> EllipticData:
     jsq = j2 * j2
     s = math.hypot(h, j2)
     start = h / 2 + s / 2 if h >= 0 else jsq / (2 * (s - h))   # h + s may overflow
-    data = EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc,
-                                         lambda n, d: math.sqrt(n / d)))
+    data = EllipticData.from_gaps(*_gaps(h, j2, start, math.sqrt(_EPS), disc))
     object.__setattr__(em, "_roots", data)     # em is frozen; _roots is no field
     return data

@@ -18,11 +18,11 @@ Coefficients are exact rationals, held as integer numerators over one
 common denominator in lowest terms, with no zero numerators: the form is
 canonical, so equal values compare and hash equal.  Sums, products and
 derivatives run on the numerators and reduce once; a coefficient becomes a
-:class:`fractions.Fraction` only when it is read, and floating point only
-enters at the evaluation boundary.  Values are immutable after
-construction: derived data (partials, float and per-precision mpf
-coefficients, grade-sorted product rows) is computed once and cached on
-the instance, so values can be shared freely between threads.
+:class:`fractions.Fraction` only when it is read.  `evaluate` runs in floats
+or, at a given precision, in fixed-point integers.  Values are immutable
+after construction: derived data (partials, float and fixed-point Horner
+tables, grade-sorted product rows) is computed once and cached on the
+instance, so values can be shared freely between threads.
 
 Products run on packed exponent keys: `_pack` turns an exponent tuple into
 one integer, e0 + e1 R + e2 R^2 + ... with balanced digits, so that
@@ -40,6 +40,7 @@ from operator import itemgetter, mul
 from typing import Callable, Mapping
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_abs, round_nearest as RND, to_fixed
 
 # exponent keys of the JSON terms, one per variable
 _EXPONENT_NAMES = "abcdefgh"
@@ -63,12 +64,6 @@ def _coerce(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
-
-
-def _to_mpf(value):
-    if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / value.denominator
-    return mp.mpf(value)
 
 
 def _doubling(order: int):
@@ -134,14 +129,42 @@ def _horner_table(terms: Mapping[tuple, object]) -> list:
             for a in range(amax, -1, -1)]
 
 
-def _horner(table: list, xs: list, i: int = 0):
-    x = xs[i]
-    total = 0 * x
-    last = i == len(xs) - 1
+def _horner(table: list, xs: list, i: int = 0) -> float:
+    x, last, total = xs[i], i == len(xs) - 1, 0.0
     for row in table:
         total = total * x
         if row is not None:
             total = total + (row if last else _horner(row, xs, i + 1))
+    return total
+
+
+def _round_shift(n: int, bits: int) -> int:
+    """n / 2^bits rounded to nearest, ties away from zero: odd in n."""
+    q = (abs(n) >> (bits - 1)) + 1 >> 1
+    return q if n >= 0 else -q
+
+
+def _horner_fixed(table: list, xs: list, frac: int, i: int = 0) -> int:
+    """`_horner` in fixed point, `frac` fraction bits."""
+    x, last, total = xs[i], i == len(xs) - 1, 0
+    for row in table:
+        total = _round_shift(total * x, frac)
+        if row is not None:
+            total += row if last else _horner_fixed(row, xs, frac, i + 1)
+    return total
+
+
+def _horner_graded(table: list, gs: list, order: int, i: int = 0) -> "Series":
+    """`_horner` on series: with m products by g ahead, a row and the sum
+    count only through grade order - m low, low the lowest grade of g."""
+    g, last, total = gs[i], i == len(gs) - 1, 0 * gs[i]
+    low = min(map(g.grade, g._num), default=0)
+    for m, row in zip(range(len(table) - 1, -1, -1), table):
+        top = order - m * low
+        # exact through top - low, so its product with g is exact through top
+        total = total.truncate(top) * g
+        if row is not None:
+            total = total + (row if last else _horner_graded(row, gs, top, i + 1))
     return total
 
 
@@ -428,9 +451,9 @@ class Series:
         any variables.  The result is a series in the gs' variables.
         Exponents must be non-negative.
 
-        Nested Horner, as in `evaluate`: one product per exponent of each
-        substituted variable.  Every grade is >= 0, so truncating each
-        product at the order is exact.
+        Nested Horner (`_horner_graded`), one product per exponent of each
+        substituted variable, each partial sum cut at the grade that can
+        still reach the order; every grade is >= 0, so the cuts are exact.
         """
         head, k = gs[0], len(gs)
         for g in gs:
@@ -451,7 +474,7 @@ class Series:
                 leaves.setdefault(key[:k], {})[rest] = n
         table = _horner_table({key: head._like(rest, self.den, order)
                                for key, rest in leaves.items()})
-        return _horner(table, [g.truncate(order) for g in gs])
+        return _horner_graded(table, [g.truncate(order) for g in gs], order)
 
     def invert(self) -> "Series":
         """Solve f(g, x2, ...) = x1 for g, exactly up to the order.
@@ -499,26 +522,34 @@ class Series:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, *point, prec: int | None = None):
-        """Value at `point`, one coordinate per variable.
-
-        Horner in the first variable with nested Horner in the others.
-        Plain floats by default; with `prec` set, mpmath at that many bits,
-        returning an mpf.  The coefficients are converted once per series
-        and precision.
-        """
+        """Value at `point`, one coordinate per variable, by nested Horner:
+        in floats, or with `prec` set in fixed point on the coordinates
+        rounded to `prec` bits, with prec + 20 + (bits by which the largest
+        |coordinate| falls below 1) (lowest grade) fraction bits and each
+        product rounded by the odd `_round_shift`, so a sign flip where the
+        series is even changes no bit.  Returns an mpf at `prec` bits."""
         if len(point) != len(self.vars):
             raise ValueError(f"{len(point)} coordinates for variables {self.vars}")
-        table = self._cache.get(("horner", prec))
         if prec is None:
+            table = self._cache.get("horner")
             if table is None:
-                table = self._cache[("horner", prec)] = _horner_table(
+                table = self._cache["horner"] = _horner_table(
                     {k: c.numerator / c.denominator for k, c in self.terms().items()})
             return _horner(table, [float(x) for x in point])
         with mp.workprec(prec):
-            if table is None:
-                table = self._cache[("horner", prec)] = _horner_table(
-                    {k: _to_mpf(c) for k, c in self.terms().items()})
-            return _horner(table, [_to_mpf(x) for x in point])
+            xs = [(mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
+                   else mp.mpf(x))._mpf_ for x in point]
+        if any(bc < 0 for *_, bc in xs):
+            raise ValueError(f"non-finite coordinate in {point}")
+        below = max([0] + [-exp - bc for _, man, exp, bc in xs if man])
+        if ("fixed", prec, below) not in self._cache:
+            frac = prec + 20 + below * min(map(self.grade, self._num), default=0)
+            self._cache[("fixed", prec, below)] = frac, _horner_table(
+                {k: (n << frac) // self.den for k, n in self._num.items()})
+        frac, table = self._cache[("fixed", prec, below)]
+        # truncated toward zero, so that a coordinate and its negative mirror
+        fixed = [-to_fixed(mpf_abs(x), frac) if x[0] else to_fixed(x, frac) for x in xs]
+        return mp.make_mpf(from_man_exp(_horner_fixed(table, fixed, frac), -frac, prec, RND))
 
     # -- serialization ---------------------------------------------------
 

@@ -324,6 +324,43 @@ def test_complete_integrals_match_mpmath(prec):
             assert abs(value - ref) <= mp.mpf(2) ** -prec * (1 + abs(ref))
 
 
+def _gap_equations(h, j2):
+    """Each gap's own equation, as (f, f'), with f(gap) = 0."""
+    jsq = j2 * j2
+    return {"delta0": (lambda x: 2 * x * (2 - x) * (h + 2 - x) - jsq,
+                       lambda x: 2 * ((2 - 2 * x) * (h + 2 - x) - x * (2 - x))),
+            "eps1": (lambda x: 2 * x * (2 - x) * (h + x) - jsq,
+                     lambda x: 2 * ((2 - 2 * x) * (h + x) + x * (2 - x))),
+            "eps2": (lambda x: 2 * x * (2 + x) * (x - h) - jsq,
+                     lambda x: 2 * ((2 + 2 * x) * (x - h) + x * (2 + x)))}
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_high_precision_gaps_solve_their_equations(prec):
+    # fit circles, the critical value, the axis, next to h = -2, large h
+    # and subnormal j2 (where the float delta0 underflows to 0)
+    points = (_on_fit_circle(0.08, 1e-3) + _on_fit_circle(0.32, 1e-3)
+              + _on_fit_circle(0.2, 0.15)
+              + [(1e-12, 1e-12), (1e-9, 1e-9), (0.5, 0.0), (-1.999999, 1e-9),
+                 (1e6, 10.0), (0.3, 5e-324), (-0.3, 5e-324), (0.0, 5e-324),
+                 (5e-324, 5e-324)])
+    for h, j2 in points:
+        d = actions._cubic_roots_mp(h, j2, prec)
+        with mp.workprec(prec + 20):
+            h = +mp.mpf(h)                    # the energy the solver sees
+        with mp.workprec(3 * prec + 100):
+            ref = {}
+            for name, (f, slope) in _gap_equations(h, mp.mpf(j2)).items():
+                x = mp.mpf(getattr(d, name))
+                assert x > 0 or j2 == 0
+                # in y = gap / x - 1 findroot's absolute tolerance is relative
+                ref[name] = x * (1 + mp.findroot(lambda y: f(x * (1 + y)) / (x * slope(x)), 0)) \
+                    if x else x
+            ref["width"] = 2 - ref["eps1"] - ref["delta0"]
+            for name, r in ref.items():
+                assert abs(getattr(d, name) - r) <= abs(r) * mp.mpf(2) ** -(prec + 15)
+
+
 @pytest.mark.parametrize("prec", [128, 256])
 def test_closed_form_action_matches_quadrature(prec):
     # fit circles (|j2| = 1e-3 is the closest any fit sample comes to the

@@ -353,6 +353,24 @@ def test_fit_output_is_pinned(capsys):
     assert abs(diff - float(MPF_ORACLE_MAX_DIFF)) <= 2.0 ** -128 * 11
 
 
+# sha256 of the stdout of the default fit (order 10, 256 bits, 160 samples),
+# with its largest closed-form/quadrature difference
+DEFAULT_FIT_SHA256 = "74828b9c8ad0f44a17797c7df6694932ad1dce2afe8c22013fd870a688c89d19"
+DEFAULT_FIT_MAX_DIFF = "2.635549485807631e-82"
+
+
+def test_default_fit_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "invariants", "--format", "json")
+    assert code == 0
+    # every byte but the difference is pinned, and the difference agrees
+    # within 2^-256 (1 + |2 pi I1|), |2 pi I1| < 10 on the fit circles
+    diff = json.loads(out)["quadrature_max_abs_diff"]
+    pinned = out.replace(f'"quadrature_max_abs_diff": {diff!r}',
+                         f'"quadrature_max_abs_diff": {DEFAULT_FIT_MAX_DIFF}')
+    assert hashlib.sha256(pinned.encode()).hexdigest() == DEFAULT_FIT_SHA256
+    assert abs(diff - float(DEFAULT_FIT_MAX_DIFF)) <= 2.0 ** -256 * 11
+
+
 @pytest.mark.parametrize("order", range(4, 11))
 def test_every_accepted_fit_order_fits(capsys, order):
     code, out, err = run(capsys, "invariants", "--order", str(order),

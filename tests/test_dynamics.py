@@ -15,7 +15,7 @@ from pendinv.dynamics import (_conserved, _project, _rhs, _zdot,
                               geometry_report, initial_condition, integrate,
                               orbits_at_energy, periodic_orbit_search,
                               rotation_number_measured)
-from pendinv.elliptic import DomainError, EnergyMomentum
+from pendinv.elliptic import DomainError, EnergyMomentum, _discriminant
 
 
 def field(r, p):
@@ -414,6 +414,28 @@ def test_orbits_at_energy_scans_to_the_edge_of_the_image(h, target, j2s):
     assert [em.j2 for em in found] == pytest.approx(j2s, abs=1e-4)
     for em in found:
         assert abs(rotation_W_numeric(em) - float(target)) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [1e103, 1e150, 1e160, 1e300])
+def test_orbits_at_energy_scans_to_the_edge_at_large_energy(h):
+    # unscaled, 216 (root - b) overflowed from h ~ 2.4e101: jmax read 0 at
+    # 1e103 and 1e150 (400 copies of j2 = 0 came back) and NaN at 1e160
+    # and 1e300
+    def inside(j2):
+        try:
+            _discriminant(h, j2)
+        except DomainError:
+            return False
+        return True
+
+    lo, hi = math.sqrt(h), 2 * math.sqrt(h)          # jmax ~ sqrt(2 h)
+    assert inside(lo) and not inside(hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    j2_max = dynamics._j2_max(h)
+    assert math.isfinite(j2_max) and abs(j2_max - lo) <= 2 * math.ulp(lo)
+    assert all(em.j2 > 0 for em in orbits_at_energy(h, F(1)))
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -3.0])

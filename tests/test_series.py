@@ -1,14 +1,18 @@
 """Exact series algebra: ring axioms, composition, inversion, serialization."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from mpmath.libmp import mpf_neg
 
+from pendinv.actions import A_series, birkhoff_series
 from pendinv.pendulum import LOG_WEIGHTS
 from pendinv.series import (InversionError, LabelMismatchError, Series,
-                            SubstitutionError, binom_frac, exp_series, log1p_series)
+                            SubstitutionError, _horner_fixed, _horner_table,
+                            _round_shift, binom_frac, exp_series, log1p_series)
 
 
 def random_series(rng, order=5, vars=("x", "y"), zero_constant=False,
@@ -459,3 +463,43 @@ def test_partials_and_float_coefficients_are_built_once():
     assert f.evaluate(0.1, 0.2) == f.evaluate(0.1, 0.2)
     assert float(f.evaluate(0.1, 0.2, prec=80)) == pytest.approx(f.evaluate(0.1, 0.2),
                                                                  rel=1e-14, abs=1e-14)
+
+
+def _exact_value(f: Series, point) -> F:
+    """f at a point of Fractions, every term summed exactly."""
+    return sum(c * math.prod(x ** e for x, e in zip(point, key))
+               for key, c in f.terms().items())
+
+
+# dyadic points (floats, so exact): tiny, moderate, one coordinate above 1,
+# negative coordinates
+EVALUATE_POINTS = [(2.0 ** -100, 3 * 2.0 ** -101), (-(2.0 ** -100), 2.0 ** -103),
+                   (0.2, -0.15), (0.05, 0.3), (-0.3, -0.1), (1.25, 0.5), (-0.5, 1.125)]
+
+
+@pytest.mark.parametrize("prec", [80, 148, 276])
+def test_fixed_point_evaluate_against_exact_rationals(prec):
+    for f, mirrored in ((birkhoff_series(14), lambda v: v), (A_series(9), mpf_neg)):
+        for point in EVALUATE_POINTS:
+            value = f.evaluate(*point, prec=prec)
+            man, exp = value.man_exp
+            exact = _exact_value(f, [F(x) for x in point])
+            assert abs(F(-man if value < 0 else man) * F(2) ** exp - exact) \
+                <= abs(exact) / 2 ** (prec - 4)
+            # H is even in j2 and A odd, bit for bit
+            assert f.evaluate(point[0], -point[1], prec=prec)._mpf_ == mirrored(value._mpf_)
+
+
+def test_fixed_point_horner_mirrors_bit_for_bit():
+    # the final rounding to prec bits hides most of an asymmetric rounding
+    # inside Horner (20 guard bits); the integers themselves must mirror
+    rng = random.Random(32)
+    for _ in range(200):
+        n, bits = rng.getrandbits(300) - (1 << 299), rng.randint(1, 200)
+        assert _round_shift(-n, bits) == -_round_shift(n, bits)
+    f, frac = birkhoff_series(14), 168
+    table = _horner_table({k: (c.numerator << frac) // c.denominator
+                           for k, c in f.terms().items()})
+    for _ in range(50):
+        x, y = (rng.getrandbits(frac - 2) - (1 << (frac - 3)) for _ in range(2))
+        assert _horner_fixed(table, [x, y], frac) == _horner_fixed(table, [x, -y], frac)
