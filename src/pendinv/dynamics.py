@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .actions import brentq, energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
 from .elliptic import DomainError, EnergyMomentum, cubic_roots
@@ -22,10 +23,10 @@ from .elliptic import DomainError, EnergyMomentum, cubic_roots
 def _rhs(_t: float, y) -> tuple:
     """Right-hand side dr/dt = L x r, dp/dt = L x p - e_z/|r| + (e_z.r) r/|r|^3.
 
-    Scalar cross products on Python floats, on any sequence of six: an
-    accepted step calls this 13 times (12 stage evaluations, then the
-    restart from the projected state), and a 6-vector is too short for
-    numpy to pay off.
+    Scalar cross products on Python floats, on any sequence of six, too
+    short for numpy to pay off.  A step calls this 12 times (11 stages,
+    then the restart from the projected state), 11 more per rejected try
+    and 4 more at a turning point (f at the unprojected end, 3 stages).
     """
     rx, ry, rz, px, py, pz = y
     lx = ry * pz - rz * py
@@ -135,24 +136,47 @@ _A_EXTRA = (
      (13, 2.9475147891527724), (14, -9.15095847217987)),
 )
 _C_EXTRA = (0.1, 0.2, 0.7777777777777778)
-_STAGES = tuple(zip(_A, _C))
-_EXTRA_STAGES = tuple(zip(_A_EXTRA, _C_EXTRA))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8           # error estimator of order 7
 
 
-def _combine(stages, row) -> tuple:
-    """sum_j a_j k_j over the row's nonzero (j, a_j), on six floats."""
-    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for j, a in row:
-        k0, k1, k2, k3, k4, k5 = stages[j]
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-        s4 += a * k4
-        s5 += a * k5
-    return s0, s1, s2, s3, s4, s5
+def _row_sum(row, i: int) -> str:
+    """Source of sum_j a_j k_j, component i, over the row's nonzero (j, a_j):
+    from 0.0 and left to right, which fixes every bit and the sign of a zero;
+    only + and *, as sum() of floats is compensated from Python 3.12."""
+    return "(0.0" + "".join(f" + {a!r} * k{j}_{i}" for j, a in row) + ")"
+
+
+@lru_cache(maxsize=None)
+def _straight_line() -> tuple:
+    """The tableau's arithmetic as straight-line code, generated from the
+    literal rows on first use.  ``attempt`` evaluates a step's 11 stages
+    from f0 = f(t, y) and returns its 12 stages, y_new and the E5 and E3
+    sums of squares; ``dense`` evaluates the 3 extra stages from the 13
+    stages k and returns the `_D` rows times h."""
+    def vec(term) -> str:
+        return "(" + ", ".join(map(term, range(6))) + ")"
+
+    def unpack(name: str, value: str) -> str:
+        return f"{vec(lambda i: f'{name}_{i}')} = {name} = {value}"
+
+    def stages(rows, nodes, first: int) -> list:
+        return [unpack(f"k{j}", f"fun(t + {c!r} * h, "
+                       + vec(lambda i: f"y{i} + {_row_sum(row, i)} * h") + ")")
+                for j, (row, c) in enumerate(zip(rows, nodes), first)]
+
+    attempt = [unpack("k0", "f0"), *stages(_A, _C, 1),
+               unpack("y_new", vec(lambda i: f"y{i} + h * {_row_sum(_B, i)}")),
+               *(f"s{i} = atol + max(abs(y{i}), abs(y_new_{i})) * rtol" for i in range(6)),
+               *(f"e{n} = fsum({vec(lambda i: f'({_row_sum(row, i)} / s{i}) ** 2')})"
+                 for n, row in ((5, _E5), (3, _E3))),
+               f"return [{', '.join(f'k{j}' for j in range(12))}], y_new, e5, e3"]
+    dense = [*(unpack(f"k{j}", f"k[{j}]") for j in range(13)), *stages(_A_EXTRA, _C_EXTRA, 13),
+             f"return [{', '.join(vec(lambda i: f'h * {_row_sum(row, i)}') for row in _D)}]"]
+    head, namespace = "\n    y0, y1, y2, y3, y4, y5 = y\n    ", {"fsum": math.fsum}
+    exec("def attempt(fun, t, h, y, f0, atol, rtol):" + head + "\n    ".join(attempt) +
+         "\ndef dense(fun, t, h, y, k):" + head + "\n    ".join(dense), namespace)
+    return namespace["attempt"], namespace["dense"]
 
 
 def _rms(values) -> float:
@@ -167,9 +191,10 @@ class DOP853:
     10, exponent -1/8, a minimum step of 10 ulp of t), hybrid E5/E3 error
     norm and dense output as ``scipy.integrate.DOP853``; only the
     summation order differs, so results agree with scipy's to rounding.
-    Every evaluation of the right-hand side goes through ``fun``.  ``y``
-    and ``f`` are sequences of six floats and may be reassigned between
-    steps.
+    The stages run as `_straight_line` code.  Every evaluation of the
+    right-hand side goes through ``fun``.  ``y`` and ``f``, six floats
+    each, may be reassigned between steps; ``f`` unless assigned is
+    fun(t, y), evaluated on its first read after a step.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -185,7 +210,19 @@ class DOP853:
         self.rtol, self.atol = rtol, atol
         self.status = "running"
         self.f = fun(t0, y0)
+        self._attempt, self._dense = _straight_line()
         self.h_abs = self._initial_step()
+
+    @property
+    def f(self):
+        """fun(t, y), evaluated on the first read after a step."""
+        if self._f is None:
+            self._f = self.fun(self.t, self.y)
+        return self._f
+
+    @f.setter
+    def f(self, value):
+        self._f = value
 
     def _initial_step(self) -> float:
         """Hairer-Norsett-Wanner's starting step, as scipy selects it."""
@@ -206,8 +243,7 @@ class DOP853:
 
     def step(self):
         """One accepted step; returns None, or the message of a failure."""
-        t, y, fun = self.t, self.y, self.fun
-        y0, y1, y2, y3, y4, y5 = y
+        t, y, f, fun, attempt = self.t, self.y, self.f, self.fun, self._attempt
         rtol, atol = self.rtol, self.atol
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
@@ -218,19 +254,7 @@ class DOP853:
                 return self.TOO_SMALL_STEP
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t
-            stages = [self.f]
-            for row, c in _STAGES:
-                s0, s1, s2, s3, s4, s5 = _combine(stages, row)
-                stages.append(fun(t + c * h, (y0 + s0 * h, y1 + s1 * h, y2 + s2 * h,
-                                              y3 + s3 * h, y4 + s4 * h, y5 + s5 * h)))
-            s0, s1, s2, s3, s4, s5 = _combine(stages, _B)
-            y_new = (y0 + h * s0, y1 + h * s1, y2 + h * s2,
-                     y3 + h * s3, y4 + h * s4, y5 + h * s5)
-            f_new = fun(t_new, y_new)
-            stages.append(f_new)
-            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-            e5 = math.fsum((e / s) ** 2 for e, s in zip(_combine(stages, _E5), scale))
-            e3 = math.fsum((e / s) ** 2 for e, s in zip(_combine(stages, _E3), scale))
+            stages, y_new, e5, e3 = attempt(fun, t, h, y, f, atol, rtol)
             error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * 6) if e5 or e3 else 0.0
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else \
@@ -240,7 +264,7 @@ class DOP853:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
         self.t_old, self.y_old, self.stages = t, y, stages
-        self.t, self.y, self.f = t_new, y_new, f_new
+        self.t, self.y, self._f = t_new, y_new, None
         if t_new >= self.t_bound:
             self.status = "finished"
         return None
@@ -252,16 +276,11 @@ class DOP853:
         x and 1 - x, x the fraction of the step.
         """
         t_old, y_old, h = self.t_old, self.y_old, self.t - self.t_old
-        stages = list(self.stages)
-        for row, c in _EXTRA_STAGES:
-            s = _combine(stages, row)
-            stages.append(self.fun(t_old + c * h,
-                                   [v + d * h for v, d in zip(y_old, s)]))
-        f_old = stages[0]
+        f_old = self.stages[0]
         dy = [a - b for a, b in zip(self.y, y_old)]
         rows = [dy, [h * f - d for f, d in zip(f_old, dy)],
                 [2 * d - h * (f + g) for d, f, g in zip(dy, self.f, f_old)]]
-        rows += [[h * v for v in _combine(stages, row)] for row in _D]
+        rows += self._dense(self.fun, t_old, h, y_old, self.stages + [self.f])
         columns = list(zip(*reversed(rows)))
 
         def dense(s: float) -> list:
@@ -304,19 +323,21 @@ def integrate(y0, t_end: float, tol: float = 1e-12) -> OrbitRecord:
     Projects `y0`, any six numbers (r, p) such as a tuple, list or numpy
     array, converted to Python floats once, onto the constraint set, steps
     the in-module `DOP853` on its literal tableau from t = 0 to t_end > 0,
-    projects every accepted state back and restarts the next step from it.
-    Records every accepted step, tracks the continuous azimuth, and refines
-    each inclination turning point (maximum of z, the pericenter of the
-    reduced motion) as the root of z' on the dense interpolant of its step,
-    by the in-package `actions.brentq` to 1e-13 max(1, t); the interpolant
-    is built for those steps only.  The record keeps the turning times,
-    whose spacing is the reduced period, and the rotation number: the mean
-    azimuth advance between successive turning points over 2 pi, or None
-    with fewer than two.  Per step, `_conserved` gives the energy and j2
-    drift from the projected start and the constraint residuals, each held
-    by the tests within 10 * tol * t_end.  A t_end that is not finite and
-    positive, a non-finite state, or an r of zero or non-finite length,
-    which cannot be projected, raises ValueError.
+    projects every accepted state back and restarts the next step from it
+    and f there.  Records every accepted step, tracks the continuous
+    azimuth, and refines each inclination turning point (maximum of z, the
+    pericenter of the reduced motion) as the root of z' on the dense
+    interpolant of its step, by the in-package `actions.brentq` to
+    1e-13 max(1, t); the interpolant, and the f at the step's unprojected
+    end that it needs, are evaluated for those steps only.  The record
+    keeps the turning times, whose spacing is the reduced period, and the
+    rotation number: the mean azimuth advance between successive turning
+    points over 2 pi, or None with fewer than two.  Per step, `_conserved`
+    gives the energy and j2 drift from the projected start and the
+    constraint residuals, each held by the tests within 10 * tol * t_end.
+    A t_end that is not finite and positive, a non-finite state, or an r
+    of zero or non-finite length, which cannot be projected, raises
+    ValueError.
     """
     if not 1e-13 <= tol <= 1e-6:
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -407,6 +428,7 @@ def _brackets(f, grid):
     changes sign and (a, a) where f(a) is exactly 0.
 
     A point where f raises DomainError is skipped, and no bracket spans it.
+    f == 0 at two neighbouring points, a stretch and not a root, raises it.
     """
     prev = None
     for x in grid:
@@ -416,6 +438,9 @@ def _brackets(f, grid):
             prev = None
             continue
         if fx == 0.0:
+            if prev is not None and prev[1] == 0.0:
+                raise DomainError(f"the rotation number equals the target along a "
+                                  f"stretch of the line, from {prev[0]!r} to {x!r}")
             yield x, x
         elif prev is not None and prev[1] * fx < 0:
             yield prev[0], x
@@ -495,7 +520,9 @@ def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """All j2 > 0 with the given rotation number at fixed energy: every
     bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), the
     edge of the momentum-map image, refined by `brentq`.  Raises
-    DomainError for an h that is not finite or lies below -2.
+    DomainError for an h that is not finite or lies below -2, and where W
+    equals the target at two neighbouring j2 (the float W rounds to 1 on
+    stretches of the line from h ~ 1e7).
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.

@@ -123,6 +123,8 @@ def _horner_table(terms: Mapping[tuple, object]) -> list:
     rows: dict[int, dict] = {}
     for key, c in terms.items():
         rows.setdefault(key[0], {})[key[1:]] = c
+    if min(rows, default=0) < 0:
+        raise ValueError(f"exponent {min(rows)} is negative; Horner takes exponents from 0")
     amax = max(rows, default=-1)
     return [None if a not in rows
             else rows[a][()] if () in rows[a] else _horner_table(rows[a])

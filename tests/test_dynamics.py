@@ -1,5 +1,6 @@
 """Orbit integration against the elliptic-integral predictions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -276,6 +277,82 @@ def test_stepper_matches_scipy_dop853(monkeypatch):
     assert abs(ours.rotation_number - oracle.rotation_number) <= 1e-13
 
 
+def _combine(stages, row):
+    """sum_j a_j k_j by an accumulating loop from 0.0: the reference the
+    generated straight-line row sums match bit for bit."""
+    sums = [0.0] * 6
+    for j, a in row:
+        for i, k in enumerate(stages[j]):
+            sums[i] += a * k
+    return sums
+
+
+def test_generated_row_sums_match_the_accumulating_loop():
+    rng = random.Random(5)
+
+    def vector():
+        return tuple(rng.choice([-0.0, 0.0, rng.uniform(-9.0, 9.0) * 10.0 ** rng.randint(-6, 6)])
+                     for _ in range(6))
+
+    def same(a, b):
+        return repr(tuple(a)) == repr(tuple(b))
+
+    attempt, dense = dynamics._straight_line()
+    # first case: every first product is -0.0, which the leading 0.0 turns
+    # into +0.0, so y0 + (0.0 + a k) h differs in sign from y0 + a k h
+    cases = [((-0.0,) * 6, (-0.0,) * 6)] + [(vector(), vector()) for _ in range(30)]
+    for y, f0 in cases:
+        t, h, tol = rng.uniform(0.0, 10.0), rng.uniform(1e-3, 1.0), 10.0 ** rng.randint(-13, -6)
+        calls = []
+
+        def fun(s, x):
+            calls.append((s, x, vector()))
+            return calls[-1][2]
+
+        stages, y_new, e5, e3 = attempt(fun, t, h, y, f0, tol, tol)
+        ref = [f0]
+        for row, c, (s, x, k) in zip(dynamics._A, dynamics._C, calls, strict=True):
+            assert s == t + c * h
+            assert same(x, [v + d * h for v, d in zip(y, _combine(ref, row))])
+            ref.append(k)
+        assert stages == ref
+        assert same(y_new, [v + h * d for v, d in zip(y, _combine(ref, dynamics._B))])
+        scale = [tol + max(abs(a), abs(b)) * tol for a, b in zip(y, y_new)]
+        for ours, row in ((e5, dynamics._E5), (e3, dynamics._E3)):
+            assert same([ours], [math.fsum((e / s) ** 2
+                                           for e, s in zip(_combine(ref, row), scale))])
+        stages.append(vector())
+        calls.clear()
+        rows = dense(fun, t, h, y, stages)
+        for row, c, (s, x, k) in zip(dynamics._A_EXTRA, dynamics._C_EXTRA, calls, strict=True):
+            assert s == t + c * h
+            assert same(x, [v + d * h for v, d in zip(y, _combine(stages, row))])
+            stages.append(k)
+        for ours, row in zip(rows, dynamics._D, strict=True):
+            assert same(ours, [h * v for v in _combine(stages, row)])
+
+
+def test_orbit_search_is_pinned_bitwise(monkeypatch):
+    # the record of the 3/4 orbit at tol 1e-10, and its right-hand-side
+    # evaluations: 1477 while each step also evaluated f at its unprojected
+    # end, 1368 since only turning-point steps do (107 steps, 6 rejected
+    # tries, 4 turning points)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return _rhs(t, y)
+
+    monkeypatch.setattr(dynamics, "_rhs", counted)
+    rec = periodic_orbit_search(F(3, 4), 0.75, tol=1e-10).record
+    pinned = repr((rec.times, rec.states, rec.turning_times, rec.rotation_number,
+                   rec.energy_drift, rec.j2_drift, rec.constraint_drift))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "dcaaf48404f4fa6917ddb08f8ce043ea412cea1103f522270c21815f202d145b")
+    assert len(rec.times) == 108 and len(rec.turning_times) == 4
+    assert len(calls) == 1368
+
+
 def test_rotation_number_matches_elliptic():
     for (h, j2) in [(0.1, 0.1), (0.05, 0.3), (-0.2, 0.25)]:
         em = EnergyMomentum(h, j2)
@@ -435,7 +512,10 @@ def test_orbits_at_energy_scans_to_the_edge_at_large_energy(h):
         lo, hi = (mid, hi) if inside(mid) else (lo, mid)
     j2_max = dynamics._j2_max(h)
     assert math.isfinite(j2_max) and abs(j2_max - lo) <= 2 * math.ulp(lo)
-    assert all(em.j2 > 0 for em in orbits_at_energy(h, F(1)))
+    # the float W is exactly 1 along the energy line there, so each grid
+    # point came back as a solution
+    with pytest.raises(DomainError, match="equals the target along a stretch"):
+        orbits_at_energy(h, F(1))
 
 
 @pytest.mark.parametrize("h", [math.nan, math.inf, -3.0])

@@ -292,6 +292,14 @@ def test_evaluate_simple_and_truncation_scale():
         assert abs(lhs - rhs) <= bound
 
 
+@pytest.mark.parametrize("prec", [None, 53])
+def test_evaluate_refuses_a_negative_exponent(prec):
+    # e^-1 found no place in the Horner table and was dropped: 4.0, not 4.5
+    f = Series(3, ("J1", "J2", "e"), {(0, 0, -1): 1, (1, 0, 1): 2}, (2, 2, 1))
+    with pytest.raises(ValueError, match="exponent -1 is negative"):
+        f.evaluate(1.0, 1.0, 2.0, prec=prec)
+
+
 def test_evaluate_extended_precision():
     import mpmath as mp
 
