@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .actions import brentq, energy_of_j, period_T_numeric, rotation_W_numeric, unwrap
-from .elliptic import DomainError, EnergyMomentum, cubic_roots
+from .elliptic import DomainError, EnergyMomentum, _discriminant, cubic_roots
 
 
 def _rhs(_t: float, y) -> tuple:
@@ -502,27 +502,29 @@ def periodic_orbit_search(w_target: Fraction, radius: float,
 
 
 def _j2_max(h: float) -> float:
-    """jmax(h), the edge of the image: jmax^2 is the positive root of
-    `_discriminant` as -108 s^2 + b s + g^2/432 in s = j2^2, u = h + 1, free
-    of cancellation, with b = 32 u (9 - u^2) and g = 8 sqrt(432) |h (h + 2)|
-    taken over c^3, c a power of 2 near |u|: unscaled, the denominator
-    216 (root - b) overflows from h ~ 2.4e101."""
-    u = h + 1
-    c = math.ldexp(1.0, max(0, math.frexp(u)[1] - 1))
-    b = 32 * (u / c) * (9 / c / c - (u / c) ** 2)
-    q = abs(h / c * ((h + 2) / c)) / c
-    root = math.hypot(b, 8 * math.sqrt(432) * q)
-    return c * (math.sqrt(c * (b + root) / 216) if b > 0
-                else 8 * q * math.sqrt(c / (root - b) * 2))
+    """jmax(h), the edge of the image: the largest float j2 at which
+    `_discriminant` admits (h, j2), by bisection from [0, 2 sqrt(h + 2)].
+    j2 = 0 lies in the image for every h >= -2, and the upper end lies
+    outside it, for once j2^2 > 2 (h + 2), P < 0 on all of [-1, 1]."""
+    lo, hi = 0.0, 2 * math.sqrt(h + 2)
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        try:
+            _discriminant(h, mid)
+        except DomainError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def orbits_at_energy(h: float, w_target: Fraction) -> list[EnergyMomentum]:
     """All j2 > 0 with the given rotation number at fixed energy: every
-    bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), the
-    edge of the momentum-map image, refined by `brentq`.  Raises
-    DomainError for an h that is not finite or lies below -2, and where W
-    equals the target at two neighbouring j2 (the float W rounds to 1 on
-    stretches of the line from h ~ 1e7).
+    bracket of `_brackets` on 400 values of j2 across (0, jmax(h)), refined
+    by `brentq`; jmax(h) is the largest float j2 in the momentum-map image
+    (`_j2_max`).  Raises DomainError for an h that is not finite or lies
+    below -2, and where W equals the target at two neighbouring j2 (the
+    float W rounds to 1 on stretches of the line from h ~ 1e7).
 
     Two solutions straddling the twistless circle exist for targets just
     below the local maximum of W along the energy line.

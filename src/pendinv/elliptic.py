@@ -21,7 +21,9 @@ class DomainError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Integral diverges at the requested parameter (k'^2 = 0 or n >= 1)."""
+    """Integral diverges at the requested parameter (k'^2 = 0 or n >= 1),
+    or a series evaluated inside the image overflows to an infinity or NaN;
+    DomainError, not this, means a point outside the image."""
 
 
 # -- Carlson symmetric forms -------------------------------------------------
@@ -335,10 +337,6 @@ class EllipticData:
         return cls(zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
                    delta0=delta0, eps1=eps1, eps2=eps2, width=width,
                    span=span, kcsq=min((eps1 + eps2) / span, 1.0))
-
-
-def cubic_value(zeta: float, h: float, j2: float) -> float:
-    return 2 * (1 - zeta * zeta) * (h + 1 - zeta) - j2 * j2
 
 
 def _dyadic(x) -> tuple[int, int]:

@@ -160,12 +160,15 @@ def test_criterion_07_nome_theta_consistency():
 
 
 def test_criterion_08_frequency_ratio_consistency():
-    a = actions.A_series(9)   # raises internally if the two routes disagree
+    # the ratio of partials of H against -dJ1/dj2 with H substituted
+    a = actions.A_series(9)
+    subst = (-actions.J1_series(10).partial(1).compose(actions.birkhoff_series(10))).truncate(9)
     expected = {(0, 1): F(3, 8), (1, 1): F(-15, 128), (2, 1): F(45, 1024),
                 (0, 3): F(30, 1024), (3, 1): F(-1125, 65536),
                 (1, 3): F(-1935, 65536)}
-    ok = all(a.coeff(*mono) == val for mono, val in expected.items())
+    ok = a == subst and all(a.coeff(*mono) == val for mono, val in expected.items())
     _verdict(8, ok, "frequency-ratio routes agree; displayed terms exact")
+    assert a == subst
     for mono, val in expected.items():
         assert a.coeff(*mono) == val
 

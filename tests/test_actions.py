@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -22,7 +23,7 @@ from pendinv.actions import (A_series, ConsistencyError, J1_series,
                              twistless_curve, two_pi_I1_closed,
                              two_pi_I1_energy_expansion, two_pi_I1_model,
                              two_pi_I1_quadrature, W_star, W_star_approx)
-from pendinv.elliptic import DomainError, EnergyMomentum, cubic_roots
+from pendinv.elliptic import DivergenceError, DomainError, EnergyMomentum, cubic_roots
 from pendinv.normalform import lie_normalize
 from pendinv.pendulum import pendulum_quadruple
 from pendinv.series import Series
@@ -432,6 +433,16 @@ def test_point_physics_is_pinned_bitwise(h, j2, bits):
             period_T_numeric(em).hex(), j1_of_energy(h, j2).hex()] == bits
 
 
+@pytest.mark.parametrize("h, j2, value", [(1e30, 1.0, "-inf"), (1e308, 1e154, "nan")])
+def test_j1_of_energy_refuses_a_non_finite_series_value(h, j2, value):
+    # both points lie in the image, where the degree-12 series overflows
+    assert not _raises_domain_error(lambda: cubic_roots(EnergyMomentum(h, j2)))
+    assert value == repr(float(J1_series(12).evaluate(h, j2)))
+    with pytest.raises(DivergenceError,
+                       match=re.escape(f"diverges to {value} at (h, j2) = ({h}, {j2})")):
+        j1_of_energy(h, j2)
+
+
 def _raises_domain_error(call) -> bool:
     try:
         call()
@@ -589,6 +600,32 @@ def test_a_series_odd_in_j2_and_axis_zero():
     assert all(b % 2 == 1 for (_, b) in a.terms())
 
 
+@pytest.mark.parametrize("order", range(1, 20))
+def test_a_series_equals_its_substitution_route(order):
+    # -dJ1/dj2 with the normal form substituted, by implicit differentiation
+    # of J1(H(j1, j2), j2) = j1
+    subst = -J1_series(order + 1).partial(1).compose(birkhoff_series(order + 1))
+    assert A_series(order) == subst.truncate(order)
+
+
+def test_a_series_builds_without_composing(monkeypatch):
+    calls = []
+    compose = Series.compose
+
+    def spy(self, *gs):
+        calls.append(self.order)
+        return compose(self, *gs)
+
+    birkhoff_series(10)                   # inverting J1 composes; warm it first
+    monkeypatch.setattr(Series, "compose", spy)
+    A_series.cache_clear()
+    try:
+        a = A_series(9)
+    finally:
+        A_series.cache_clear()
+    assert calls == [] and a.coeff(0, 1) == F(3, 8)
+
+
 # -- rotation number and period ---------------------------------------------------
 
 def test_rotation_axis_limits():
@@ -644,6 +681,30 @@ def test_period_formula_vs_fd_and_model():
         assert t_num == pytest.approx(period_T_fd(em, prec=120), abs=1e-9)
         j1 = j1_of_energy(h, j2)
         assert period_T_model(j1, j2) == pytest.approx(t_num, abs=1e-4)
+
+
+def _horner_passes(monkeypatch, call) -> int:
+    """How many times `call` evaluates a series."""
+    count = [0]
+    evaluate = Series.evaluate
+
+    def spy(self, *point, **kwargs):
+        count[0] += 1
+        return evaluate(self, *point, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Series, "evaluate", spy)
+        call()
+    return count[0]
+
+
+def test_models_evaluate_only_the_slopes_they_use(monkeypatch):
+    # S2 = dS/dj2 enters the rotation number alone; twist and the period
+    # take S1 = ln 32 + dS/dj1 and no S2
+    for call, passes in ((lambda: twist(0.05, 0.1), 7),
+                         (lambda: period_T_model(0.05, 0.1), 2),
+                         (lambda: rotation_W_model(0.05, 0.1), 3)):
+        assert _horner_passes(monkeypatch, call) == passes
 
 
 def test_period_leading_log():

@@ -251,6 +251,16 @@ def test_divergence_is_a_domain_error_exit(capsys, argv):
     assert err.startswith("domain error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("h, j2", [("1e30", "1"), ("1e308", "1e154")])
+def test_action_where_the_j1_series_overflows_is_a_domain_error_exit(capsys, h, j2, fmt):
+    # the point lies in the image; J1 read -inf or nan, and JSON raised on it
+    code, out, err = run(capsys, "action", "--h", h, "--j2", j2, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("domain error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # argparse's own test for a negative number, ^-\d+$|^-\d*\.\d+$, takes these
 # for option flags
 @pytest.mark.parametrize("argv, decimal", [

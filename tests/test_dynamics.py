@@ -493,23 +493,33 @@ def test_orbits_at_energy_scans_to_the_edge_of_the_image(h, target, j2s):
         assert abs(rotation_W_numeric(em) - float(target)) <= 1e-12
 
 
+def _inside(h: float, j2: float) -> bool:
+    """Whether (h, j2) lies in the momentum-map image, decided exactly."""
+    try:
+        _discriminant(h, j2)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("h", [-2.0, math.nextafter(-2.0, 0.0), -1.5, 0.05, 0.3,
+                               1e6, 1e103, 1e300, 1.7e308])
+def test_j2_max_is_the_largest_float_in_the_image(h):
+    # the image at energy h is the interval |j2| <= jmax(h)
+    j2_max = dynamics._j2_max(h)
+    assert _inside(h, j2_max) and not _inside(h, math.nextafter(j2_max, math.inf))
+
+
 @pytest.mark.parametrize("h", [1e103, 1e150, 1e160, 1e300])
 def test_orbits_at_energy_scans_to_the_edge_at_large_energy(h):
     # unscaled, 216 (root - b) overflowed from h ~ 2.4e101: jmax read 0 at
     # 1e103 and 1e150 (400 copies of j2 = 0 came back) and NaN at 1e160
     # and 1e300
-    def inside(j2):
-        try:
-            _discriminant(h, j2)
-        except DomainError:
-            return False
-        return True
-
     lo, hi = math.sqrt(h), 2 * math.sqrt(h)          # jmax ~ sqrt(2 h)
-    assert inside(lo) and not inside(hi)
+    assert _inside(h, lo) and not _inside(h, hi)
     while math.nextafter(lo, hi) < hi:
         mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+        lo, hi = (mid, hi) if _inside(h, mid) else (lo, mid)
     j2_max = dynamics._j2_max(h)
     assert math.isfinite(j2_max) and abs(j2_max - lo) <= 2 * math.ulp(lo)
     # the float W is exactly 1 along the energy line there, so each grid
