@@ -22,9 +22,11 @@ import mpmath as mp
 from mpmath.libmp import (fone, from_man_exp, mpf_atan2, mpf_cos_sin, mpf_pi, mpf_sub,
                           round_nearest as RND, to_fixed, to_float)
 
+# ellint_K is not called here (a curve's K is `EllipticData.K`); it stays
+# importable as actions.ellint_K, which perfbench's tracer test reads
 from .elliptic import (DivergenceError, DomainError, EllipticData, EnergyMomentum,
                        _discriminant, _lambda0, carlson_rd, carlson_rf, carlson_rj,
-                       cubic_roots, ellint_E, ellint_K, ellint_Pi_from_p)
+                       cubic_roots, ellint_E, ellint_K)
 from .quadrature import fraction_bits, tanh_sinh
 from .series import Series, binom_frac
 
@@ -152,7 +154,7 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     2 pi I1 = 2 pi [c0 (c1~ K + span E) - |j2|/2 Lambda0(phi, k)] with
     c0 = 4 / (pi sqrt(2 span)).  The same code runs on floats and on mpf:
     `lib` (math or mpmath) gives sqrt, atan2 and pi of the working type,
-    `complete(mc)` returns (K, E) and `lambda0(phi, mc, K, E)` Heuman's
+    `complete(d)` returns (K, E) and `lambda0(phi, mc, K, E)` Heuman's
     Lambda0 for 0 <= phi <= pi/2, all at the complementary parameter mc =
     k'^2 = d.kcsq.  By Vieta sin^2 phi = zeta2 (1 + zeta0 zeta1) / (zeta2 -
     zeta1) and cos^2 phi = zeta1^2 (zeta0 + zeta2) / (zeta2 - zeta1); cos
@@ -165,7 +167,7 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     if d.kcsq == 0:
         return d.kcsq + 8                            # in the working type
     delta0, eps1, eps2, span = d.delta0, d.eps1, d.eps2, d.span
-    K, E = complete(d.kcsq)
+    K, E = complete(d)
     inner = (1 + eps2) * (delta0 + eps1 * (1 - delta0))  # zeta2 (1 + zeta0 zeta1)
     # eps2 / (2 (2 + eps2)) < 1/2 is formed first: eps2 * inner overflows
     # a float at large h, and so do 2 (2 + eps2), 2 span and span E past
@@ -184,8 +186,8 @@ def _two_pi_I1(h, j2, d: EllipticData, lib, complete, lambda0):
     return 2 * lib.pi * total
 
 
-def _complete(mc: float) -> tuple[float, float]:
-    return ellint_K(mc), ellint_E(mc)
+def _complete(d: EllipticData) -> tuple[float, float]:
+    return d.K, ellint_E(d.kcsq)
 
 
 def _kernel_bits(x: tuple) -> int:
@@ -286,7 +288,8 @@ def two_pi_I1_closed(h, j2, prec: int):
     """
     d = _cubic_roots_mp(h, j2, prec)
     with mp.workprec(prec + 20):
-        return _two_pi_I1(mp.mpf(h), mp.mpf(j2), d, mp, _complete_mp, _lambda0_mp)
+        return _two_pi_I1(mp.mpf(h), mp.mpf(j2), d, mp, lambda d: _complete_mp(d.kcsq),
+                          _lambda0_mp)
 
 
 def two_pi_I1_quadrature(h, j2, prec: int):
@@ -343,8 +346,10 @@ def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
     mc = width / span.  The pole's R_J is the principal value K - Pi(eps2 /
     span) of DLMF 19.7.9, and both R_J arguments are sums of gaps, so
     nothing cancels.  At mc = 0 (the relative equilibria, where width == 0
-    exactly) the integral is elementary.  Independent of `J1_series`, which
-    `j1_of_energy` evaluates.
+    exactly) the integral is elementary.  Past span = 2^1000 (h ~ 1e301)
+    the terms run scaled by a power of two, where they would overflow, so
+    J1 stays finite and accurate up to h = 1.7e308.  Independent of
+    `J1_series`, which `j1_of_energy` evaluates.
     """
     d = cubic_roots(em)
     h, j2 = em.h, em.j2
@@ -356,14 +361,26 @@ def action_J1_numeric(em: EnergyMomentum) -> ActionValue:
             c = math.sqrt(2 + eps2)
             g -= c * delta0 / 2 * math.atanh(math.sqrt(span) / c)
         return ActionValue(-4 * math.sqrt(2.0) / math.pi * g, "vanishing_cycle")
+    # past span = 2^1000 (h ~ 1e301) the terms of g, j2^2 and the R_J
+    # overflow a float.  There g is formed times s = 2^-k, k a multiple of
+    # 6: j2^2 as (j2 2^(-k/2))^2, each R_J times s as R_J(0, 4^(k/3) (mc,
+    # 1, p)), over its divisor times s; J1 is scaled back.  Powers of two
+    # scale exactly, and k = 0 below that leaves the plain formula's bits
+    k = 0 if span < 2.0 ** 1000 else math.frexp(span)[1] // 6 * 6
+    s, four = math.ldexp(1.0, -k), math.ldexp(1.0, 2 * k // 3)
     K = carlson_rf(0.0, mc, 1.0)
     D = d.kcsq / 3 * carlson_rd(0.0, mc, 1.0)             # K - E
     n = (eps1 + eps2) / (2 + eps2)
-    g = (2 * (eps2 * (K - D) - h * K - (2 - delta0) * D)
-         + j2 * j2 / 2 * ((K + n / 3 * carlson_rj(0.0, mc, 1.0, (width + delta0) / (2 + eps2)))
-                          / (2 + eps2)
-                          + carlson_rj(0.0, mc, 1.0, (2 - delta0) / span) / (3 * span)))
-    return ActionValue(-2 / math.pi * math.sqrt(2 / span) * g, "vanishing_cycle")
+    j2_s = j2 * math.ldexp(1.0, -k // 2)
+
+    def rj_s(p: float) -> float:
+        return carlson_rj(0.0, mc * four, four, p * four)
+
+    g = (2 * (eps2 * s * (K - D) - h * s * K - (2 - delta0) * s * D)
+         + j2_s * j2_s / 2 * ((K * s + n / 3 * rj_s((width + delta0) / (2 + eps2)))
+                              / ((2 + eps2) * s)
+                              + rj_s((2 - delta0) / span) / (3 * (span * s))))
+    return ActionValue(math.ldexp(-2 / math.pi * math.sqrt(2 / span) * g, k), "vanishing_cycle")
 
 
 # -- rotation number and period ----------------------------------------------
@@ -384,6 +401,8 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
     axis, where eps1 may underflow.  Within 1e-20 of the critical value the
     result is the limit sgn(j2) - arg(h + i j2) / (2 pi), whose error
     O(|j| ln|j|) is below rounding; the float R_J would underflow there.
+    Pi(n+) = K + (n+/3) R_J(0, k'^2, 1, 1 - n+) takes the curve's K,
+    `EllipticData.K`, which the action and the period read too.
     """
     data = cubic_roots(em)
     h, j2 = em.h, em.j2
@@ -401,14 +420,16 @@ def rotation_W_numeric(em: EnergyMomentum) -> float:
     p_plus = data.eps1 / one_minus_z0                # 1 - n+
     if data.eps2 / span > p_plus:
         return w + half - pref * carlson_rj(0.0, kcsq, 1.0, data.eps2 / span) / (3 * span)
-    return w + pref * ellint_Pi_from_p(p_plus, kcsq) / one_minus_z0
+    pi_plus = data.K + (1.0 - p_plus) / 3 * carlson_rj(0.0, kcsq, 1.0, p_plus)
+    return w + pref * pi_plus / one_minus_z0
 
 
 def period_T_numeric(em: EnergyMomentum) -> float:
     """Reduced period 2 pi dI1/dh = 2 sqrt(2) K(k) / sqrt(zeta2 - zeta0).
 
-    `ellint_K` takes the complementary parameter k'^2 =
-    (eps1 + eps2) / (zeta2 - zeta0) from the gaps, so it keeps its digits
+    K is the curve's `EllipticData.K`, formed once for the action, the
+    rotation number and the period, from the complementary parameter k'^2
+    = (eps1 + eps2) / (zeta2 - zeta0) of the gaps, so it keeps its digits
     next to the critical value, where k^2 itself rounds to 1.  Where k'^2
     underflows there, the result is the separatrix asymptote ln(32 / |h +
     i j2|).
@@ -418,7 +439,7 @@ def period_T_numeric(em: EnergyMomentum) -> float:
         if em.h == 0.0 and em.j2 == 0.0:
             raise DomainError("period diverges on the separatrix")
         return LN32 - math.log(math.hypot(em.h, em.j2))
-    return 2 * math.sqrt(2.0) * ellint_K(data.kcsq) / math.sqrt(data.span)
+    return 2 * math.sqrt(2.0) * data.K / math.sqrt(data.span)
 
 
 def _quadrature_slope(em: EnergyMomentum, step: float, prec: int, along_j2: bool):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 _EPS = 2.220446049250313e-16
 
@@ -125,15 +126,19 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     The arguments are first scaled by the power of 4 that brings the
     largest near 2^300, and the result back by the matching power of 8
     (R_J has degree -3/2); powers of two scale exactly.  The cubed
-    products of the duplication then stay below overflow.  Arguments of
-    widely different sizes still defeat it; against mpmath,
-    (0, 6.96e-299, 1, 7.28e-302) divides by zero, (0, 2.27e-322, 1,
-    1.97e-254) is 97 % off and (0, 3.76e-61, 4.89e-86, 7.33e75) 8 % off.
-    The callers stay clear of such points: `rotation_W_numeric` takes its
-    limit form below |(h, j2)| = 1e-20, `ellint_Pi` passes x = 0, z = 1
-    and p in [2^-53, 2], and `action_J1_numeric` x = 0, z = 1 and p in
-    (0, 1]; there y falls to 2e-24 next to h = -2, at the largest float
-    j2, with J1 still within 1e-14 of a 300-bit reference.
+    products of the duplication then stay below overflow.  Where y and p
+    are both below about 1e-297 (x = 0, z = 1), dn^2 still underflows to 0
+    in the first step; there, and only there, e_n is formed as the product
+    of the three (p - v) / (sqrt p + sqrt v)^2, which equal delta f^3 /
+    dn^2.  Arguments of widely different sizes still defeat it; against
+    mpmath, (0, 2.27e-322, 1, 1.97e-254) is 97 % off and (0, 3.76e-61,
+    4.89e-86, 7.33e75) 8 % off.  The callers stay clear of such points:
+    `rotation_W_numeric` takes its limit form below |(h, j2)| = 1e-20,
+    `ellint_Pi` passes x = 0, z = 1 and p in [2^-53, 2], and
+    `action_J1_numeric` x = 0, z = 1 (or both times one power of 4) and p
+    in (0, 1]; there y falls to 2e-24 next to h = -2, at the largest
+    float j2, and y and p to about 2 / h at large h, subnormal from h ~
+    1e308; at both ends J1 stays within 1e-14 of high-precision references.
     """
     if min(x, y, z) < 0 or x + y <= 0 or y + z <= 0 or z + x <= 0:
         raise DomainError("carlson_rj requires non-negative x, y, z, at most one zero")
@@ -150,7 +155,12 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
         sx, sy, sz, sp = math.sqrt(x), math.sqrt(y), math.sqrt(z), math.sqrt(p)
         lam = sx * sy + sx * sz + sy * sz
         dn = (sp + sx) * (sp + sy) * (sp + sz)
-        en = delta * f ** 3 / (dn * dn)
+        dn_sq = dn * dn
+        if dn_sq:
+            en = delta * f ** 3 / dn_sq
+        else:       # underflowed: delta f^3 is the product of the p - v
+            en = ((p - x) / ((sp + sx) * (sp + sx)) * ((p - y) / ((sp + sy) * (sp + sy)))
+                  * ((p - z) / ((sp + sz) * (sp + sz))))
         if -1.5 < en < -0.5:
             rc_arg = 2 * sp * (p + sx * (sy + sz) + sy * sz) / dn
             s += f / dn * carlson_rc(1.0, rc_arg)
@@ -319,6 +329,11 @@ class EllipticData:
     mpf values for the high-precision action.  kcsq is capped at 1: next
     to the relative equilibria at large h the float gaps can put it an ulp
     above, where every Legendre kernel refuses it.
+
+    `K`, the float K(k) = R_F(0, k'^2, 1), is formed once per curve, on
+    first read, and kept on the instance outside the fields (no part of
+    equality, hashing or the repr); the mpf data of the high-precision
+    action takes its K from its own kernel and never reads it.
     """
 
     zeta0: float
@@ -337,6 +352,10 @@ class EllipticData:
         return cls(zeta0=delta0 - 1, zeta1=1 - eps1, zeta2=1 + eps2,
                    delta0=delta0, eps1=eps1, eps2=eps2, width=width,
                    span=span, kcsq=min((eps1 + eps2) / span, 1.0))
+
+    @cached_property
+    def K(self) -> float:
+        return ellint_K(self.kcsq)
 
 
 def _dyadic(x) -> tuple[int, int]:
@@ -362,19 +381,21 @@ def _discriminant(h, j2) -> tuple[int, int]:
     if h < -2:
         raise DomainError(f"h = {h} below the potential minimum -2")
     # P = 2 z^3 - 2u z^2 - 2z + d with u = h + 1 = U/A, j2 = J/B and
-    # d = 2u - j2^2; the discriminant times A^4 B^4 is an integer
+    # d = 2u - j2^2; the discriminant 144 u d + 32 u^3 d + 16 u^2 + 64 -
+    # 108 d^2 times A^4 B^4 is an integer.  A = 2^p and B^2 = 2^q, so each
+    # product by them is a shift
     hn, a = _dyadic(h)
     jn, b = _dyadic(j2)
-    u, b2 = hn + a, b * b
-    d = 2 * u * b2 - jn * jn * a
-    num = (144 * u * d * a * a * b2 + 32 * u ** 3 * d * b2
-           + 16 * u * u * a * a * b2 * b2 + 64 * a ** 4 * b2 * b2
-           - 108 * d * d * a * a)
+    p, q = a.bit_length() - 1, 2 * b.bit_length() - 2
+    u = hn + a
+    d = (u << q + 1) - (jn * jn << p)                         # d A B^2
+    num = (d * ((((144 * u << q) - 108 * d) << 2 * p) + (u ** 3 << 5 + q))
+           + (u * u << 4 + 2 * p + 2 * q) + (1 << 6 + 4 * p + 2 * q))
     if num < 0:
         raise DomainError(
             f"no real motion at (h, j2) = ({h}, {j2}): P has complex roots "
             "(h below the relative equilibrium energy)")
-    return num, a ** 4 * b2 * b2
+    return num, 1 << 4 * p + 2 * q
 
 
 def _gaps(h, j2, eps2, tol, disc):

@@ -18,11 +18,12 @@ Coefficients are exact rationals, held as integer numerators over one
 common denominator in lowest terms, with no zero numerators: the form is
 canonical, so equal values compare and hash equal.  Sums, products and
 derivatives run on the numerators and reduce once; a coefficient becomes a
-:class:`fractions.Fraction` only when it is read.  `evaluate` runs in floats
-or, at a given precision, in fixed-point integers.  Values are immutable
-after construction: derived data (partials, float and fixed-point Horner
-tables, grade-sorted product rows) is computed once and cached on the
-instance, so values can be shared freely between threads.
+:class:`fractions.Fraction` only when it is read.  `evaluate` runs in floats,
+through straight-line code generated from the Horner table, or, at a given
+precision, in fixed-point integers.  Values are immutable after
+construction: derived data (partials, the float Horner function,
+fixed-point Horner tables, grade-sorted product rows) is computed once and
+cached on the instance, so values can be shared freely between threads.
 
 Products run on packed exponent keys: `_pack` turns an exponent tuple into
 one integer, e0 + e1 R + e2 R^2 + ... with balanced digits, so that
@@ -131,13 +132,32 @@ def _horner_table(terms: Mapping[tuple, object]) -> list:
             for a in range(amax, -1, -1)]
 
 
-def _horner(table: list, xs: list, i: int = 0) -> float:
-    x, last, total = xs[i], i == len(xs) - 1, 0.0
-    for row in table:
-        total = total * x
-        if row is not None:
-            total = total + (row if last else _horner(row, xs, i + 1))
-    return total
+def _horner_function(table: list, n: int) -> Callable:
+    """Float nested Horner over `table` as a function of n coordinates,
+    generated as straight-line code.
+
+    Each (sub)total starts at 0.0, and each row, empty ones included,
+    multiplies it by its coordinate, then adds the row's constant (written
+    by repr) or sub-total: one statement per row, as the parser limits how
+    deeply expressions nest.  The leading 0.0 * x makes an infinite or NaN
+    coordinate give NaN.
+    """
+    lines: list[str] = []
+
+    def emit(rows: list, i: int) -> str:
+        total = "0.0"
+        for row in rows:
+            term = ("" if row is None else f" + {row!r}" if i == n - 1
+                    else f" + {emit(row, i + 1)}")
+            lines.append(f"t{i} = {total} * x{i}{term}")
+            total = f"t{i}"
+        return total
+
+    result = emit(table, 0)
+    namespace: dict = {}
+    exec(f"def horner({', '.join(f'x{i}' for i in range(n))}):\n    "
+         + "".join(line + "\n    " for line in lines) + f"return {result}", namespace)
+    return namespace["horner"]
 
 
 def _round_shift(n: int, bits: int) -> int:
@@ -147,7 +167,7 @@ def _round_shift(n: int, bits: int) -> int:
 
 
 def _horner_fixed(table: list, xs: list, frac: int, i: int = 0) -> int:
-    """`_horner` in fixed point, `frac` fraction bits."""
+    """Nested Horner over `table` in fixed point, `frac` fraction bits."""
     x, last, total = xs[i], i == len(xs) - 1, 0
     for row in table:
         total = _round_shift(total * x, frac)
@@ -157,8 +177,9 @@ def _horner_fixed(table: list, xs: list, frac: int, i: int = 0) -> int:
 
 
 def _horner_graded(table: list, gs: list, order: int, i: int = 0) -> "Series":
-    """`_horner` on series: with m products by g ahead, a row and the sum
-    count only through grade order - m low, low the lowest grade of g."""
+    """Nested Horner over `table` on series: with m products by g ahead, a
+    row and the sum count only through grade order - m low, low the lowest
+    grade of g."""
     g, last, total = gs[i], i == len(gs) - 1, 0 * gs[i]
     low = min(map(g.grade, g._num), default=0)
     for m, row in zip(range(len(table) - 1, -1, -1), table):
@@ -525,7 +546,8 @@ class Series:
 
     def evaluate(self, *point, prec: int | None = None):
         """Value at `point`, one coordinate per variable, by nested Horner:
-        in floats, or with `prec` set in fixed point on the coordinates
+        in floats, by code that `_horner_function` generates on the first
+        float call, or with `prec` set in fixed point on the coordinates
         rounded to `prec` bits, with prec + 20 + (bits by which the largest
         |coordinate| falls below 1) (lowest grade) fraction bits and each
         product rounded by the odd `_round_shift`, so a sign flip where the
@@ -533,11 +555,12 @@ class Series:
         if len(point) != len(self.vars):
             raise ValueError(f"{len(point)} coordinates for variables {self.vars}")
         if prec is None:
-            table = self._cache.get("horner")
-            if table is None:
-                table = self._cache["horner"] = _horner_table(
-                    {k: c.numerator / c.denominator for k, c in self.terms().items()})
-            return _horner(table, [float(x) for x in point])
+            horner = self._cache.get("horner")
+            if horner is None:
+                horner = self._cache["horner"] = _horner_function(_horner_table(
+                    {k: c.numerator / c.denominator for k, c in self.terms().items()}),
+                    len(self.vars))
+            return horner(*map(float, point))
         with mp.workprec(prec):
             xs = [(mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
                    else mp.mpf(x))._mpf_ for x in point]

@@ -564,6 +564,34 @@ def test_j1_at_relative_equilibria_and_far_from_the_origin():
         assert abs(act.value - ref) <= 1e-14 * (1 + abs(ref)), (h, j2)
 
 
+def _j1_reference(h, j2):
+    """J1 by the formula of `action_J1_numeric` at 60 digits: mpmath's
+    Carlson forms on the 240-bit gaps of `_cubic_roots_mp`."""
+    d = actions._cubic_roots_mp(h, j2, 240)
+    with mp.workdps(60):
+        h, j2 = mp.mpf(h), mp.mpf(j2)
+        delta0, eps1, eps2, width, span = (d.delta0, d.eps1, d.eps2, d.width, d.span)
+        mc = width / span
+        K = mp.elliprf(0, mc, 1)
+        D = (eps1 + eps2) / span / 3 * mp.elliprd(0, mc, 1)
+        n = (eps1 + eps2) / (2 + eps2)
+        g = (2 * (eps2 * (K - D) - h * K - (2 - delta0) * D)
+             + j2 * j2 / 2 * ((K + n / 3 * mp.elliprj(0, mc, 1, (width + delta0) / (2 + eps2)))
+                              / (2 + eps2)
+                              + mp.elliprj(0, mc, 1, (2 - delta0) / span) / (3 * span)))
+        return -2 / mp.pi * mp.sqrt(2 / span) * g
+
+
+@pytest.mark.parametrize("h, j2", [(1e297, 0.0), (1e300, 1.0), (1e305, 0.0), (1e305, 1e150),
+                                   (1e306, 0.0), (1.7e308, 0.0), (1.7e308, 1e154)])
+def test_j1_at_the_largest_energies(h, j2):
+    # from h ~ 1e297 the first R_J duplication step squared an underflowing
+    # product (ZeroDivisionError), and from h ~ 3e305 the terms overflowed
+    # (J1 = inf, or OverflowError at 1.7e308)
+    ref = _j1_reference(h, j2)
+    assert abs(action_J1_numeric(EnergyMomentum(h, j2)).value - ref) <= 2e-15 * abs(ref)
+
+
 @pytest.mark.parametrize("h", [-1.999999, -1.5, -0.05, 0.05, 2.0, 1e6])
 def test_j1_on_the_axis_is_the_pendulum_imaginary_action(h):
     # |h| >= 0.05: the pendulum form itself cancels next to h = 0
@@ -627,6 +655,34 @@ def test_a_series_builds_without_composing(monkeypatch):
 
 
 # -- rotation number and period ---------------------------------------------------
+
+def test_one_complete_integral_of_the_first_kind_per_curve(monkeypatch):
+    # the action, the rotation number's Pi(n+) and the period share the
+    # curve's K = R_F(0, k'^2, 1); at (0.2, 0.1) the rotation number takes
+    # its other branch, with no K
+    calls = []
+    carlson_rf = elliptic.carlson_rf
+
+    def spy(*args):
+        calls.append(args)
+        return carlson_rf(*args)
+
+    monkeypatch.setattr(elliptic, "carlson_rf", spy)
+    for h, j2 in [(-0.5, 0.3), (0.2, 0.1)]:
+        em = EnergyMomentum(h, j2)
+        calls.clear()
+        action_I1(em), rotation_W_numeric(em), period_T_numeric(em)
+        d = cubic_roots(em)
+        assert calls.count((0.0, d.kcsq, 1.0)) == 1
+        # K is kept on the instance, outside the fields
+        fresh = cubic_roots(EnergyMomentum(h, j2))
+        assert d.__dict__["K"] == fresh.K == elliptic.ellint_K(d.kcsq)
+        assert "K" not in repr(d) and d == fresh and hash(d) == hash(fresh)
+    # the 80-bit closed form takes K from its own kernel, on mpf data
+    two_pi = action_I1(EnergyMomentum(-0.5, 0.3)).two_pi
+    monkeypatch.setattr(elliptic.EllipticData, "K", property(lambda d: pytest.fail("read K")))
+    assert two_pi_I1_closed(-0.5, 0.3, 80) == pytest.approx(two_pi, rel=1e-14)
+
 
 def test_rotation_axis_limits():
     assert rotation_W_numeric(EnergyMomentum(0.1, 0.0)) == 1.0

@@ -8,8 +8,8 @@ import mpmath as mp
 import pytest
 
 from pendinv.elliptic import (DivergenceError, DomainError, EnergyMomentum,
-                              carlson_rc, carlson_rf, carlson_rj, cubic_roots,
-                              ellint_E, ellint_K, ellint_Pi, heuman_lambda0)
+                              _discriminant, _dyadic, carlson_rc, carlson_rf, carlson_rj,
+                              cubic_roots, ellint_E, ellint_K, ellint_Pi, heuman_lambda0)
 
 # the kernels take the complementary parameter mc = k'^2 = 1 - m
 
@@ -122,8 +122,10 @@ def test_carlson_rc_with_small_second_argument():
 
 def test_carlson_rj_with_tiny_and_huge_arguments():
     # the cubed products of the duplication would underflow or overflow
-    # without scaling
+    # without scaling; at the last two dn^2 underflows even so, in the
+    # first step
     for args in [(0.0, 1e-200, 1.0, 1e-200), (0.0, 1e-200, 1.0, 2e-200),
+                 (0.0, 6.96e-299, 1.0, 7.28e-302), (0.0, 2e-305, 1.0, 2.000000000000001e-305),
                  (1e-200, 2e-200, 3e-200, 4e-200), (0.0, 5e-324, 1.0, 0.5),
                  (0.0, 1e-300, 1.0, 1e-120), (0.0, 1e-150, 1.0, 1.5),
                  (1e200, 2e200, 3e200, 1e200),
@@ -210,6 +212,59 @@ def test_vieta_identities():
         assert abs(e1 - (h + 1)) < 1e-13
         assert abs(e2 - (-1.0)) < 1e-13
         assert abs(e3 - (j2 * j2 / 2 - (h + 1))) < 1e-13
+
+
+def _discriminant_products(h, j2) -> tuple[int, int]:
+    """The discriminant test with every power of two multiplied out: the
+    reference for the shifts of `_discriminant`."""
+    if not (math.isfinite(h) and math.isfinite(j2)):
+        raise DomainError(f"non-finite input (h, j2) = ({h}, {j2})")
+    if h < -2:
+        raise DomainError(f"h = {h} below the potential minimum -2")
+    hn, a = _dyadic(h)
+    jn, b = _dyadic(j2)
+    u, b2 = hn + a, b * b
+    d = 2 * u * b2 - jn * jn * a
+    num = (144 * u * d * a * a * b2 + 32 * u ** 3 * d * b2
+           + 16 * u * u * a * a * b2 * b2 + 64 * a ** 4 * b2 * b2
+           - 108 * d * d * a * a)
+    if num < 0:
+        raise DomainError(
+            f"no real motion at (h, j2) = ({h}, {j2}): P has complex roots "
+            "(h below the relative equilibrium energy)")
+    return num, a ** 4 * b2 * b2
+
+
+def _outcome(test, h, j2):
+    try:
+        return test(h, j2)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_discriminant_shifts_match_the_products():
+    rng = random.Random(35)
+    points = [(-2.0, 0.0), (-2.0, 1e-300), (-2.0, -0.0), (math.nextafter(-2.0, -3.0), 0.0),
+              (1.7e308, 0.0), (1.7e308, 1e154), (1.7e308, 1e300), (0.0, 0.0),
+              (0.2, 5e-324), (-1.9, -5e-324), (0.3, 2.5e-310), (math.nan, 0.1), (0.1, -math.inf)]
+    for _ in range(40):
+        h = rng.choice([rng.uniform(-2.0, 3.0), 10 ** rng.uniform(-20, 300)])
+        lo, hi = 0.0, 4 * (abs(h) + 2)
+        while (mid := (lo + hi) / 2) not in (lo, hi):      # the image edge at h
+            if isinstance(_outcome(_discriminant_products, h, mid), str):
+                hi = mid
+            else:
+                lo = mid
+        points += [(h, lo), (h, -lo), (h, hi), (h, math.nextafter(lo, 0.0)), (h, 0.0), (h, -0.0)]
+    for prec in (148, 276):
+        with mp.workprec(prec):
+            points += [(mp.mpf(h) + mp.mpf(2) ** -(prec - 10), mp.mpf(j2) / 3)
+                       for h, j2 in points[:60] if math.isfinite(h) and math.isfinite(j2)]
+            points += [(mp.mpf(-2), mp.mpf(0)), (mp.mpf(1) / 3, mp.mpf(2) ** -1100)]
+    outcomes = [(_outcome(_discriminant, h, j2), _outcome(_discriminant_products, h, j2))
+                for h, j2 in points]
+    assert all(new == old for new, old in outcomes)
+    assert sum(isinstance(old, str) for _, old in outcomes) >= 40   # refusals compared too
 
 
 def test_no_real_motion_raises():

@@ -300,6 +300,41 @@ def test_evaluate_refuses_a_negative_exponent(prec):
         f.evaluate(1.0, 1.0, 2.0, prec=prec)
 
 
+def _horner(table: list, xs: list, i: int = 0) -> float:
+    """Float nested Horner, recursively: the reference for the straight-line
+    code that `Series.evaluate` generates."""
+    x, last, total = xs[i], i == len(xs) - 1, 0.0
+    for row in table:
+        total = total * x
+        if row is not None:
+            total = total + (row if last else _horner(row, xs, i + 1))
+    return total
+
+
+def test_generated_horner_matches_the_recursive_loop():
+    # equal by repr, the sign of a zero, infinities and NaN included; the
+    # series have empty rows, and the long one would nest past the parser's
+    # limit as one expression
+    rng = random.Random(35)
+    series = [random_weighted(rng, order, vars, weights, zero_constant=False)
+              for order, vars, weights in [(6, ("x", "y"), (1, 1)), (9, ("x", "y"), (1, 1)),
+                                           (8, ("J1", "J2", "e"), (2, 2, 1)),
+                                           (5, ("t", "L"), (1, 0))]]
+    series += [Series(7, ("x", "y"), {(7, 0): F(-3, 7), (2, 5): F(1, 3), (0, 0): 5}),
+               Series(300, ("x",), {(k,): F(rng.randint(-9, 9), 7) for k in range(0, 301, 3)}),
+               Series(3, ("x", "y")), Series.constant(F(-2, 3), 3)]
+    coords = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+              1e308, -1e308, 1e200, 0.3, -1.7]
+    for f in series:
+        table = _horner_table({k: c.numerator / c.denominator for k, c in f.terms().items()})
+        n = len(f.vars)
+        points = list(itertools.product(coords, repeat=n)) if n < 3 else \
+            [tuple(rng.choice(coords) for _ in range(n)) for _ in range(600)]
+        points += [tuple(rng.uniform(-2, 2) for _ in range(n)) for _ in range(200)]
+        for point in points:
+            assert repr(f.evaluate(*point)) == repr(_horner(table, list(point))), (f, point)
+
+
 def test_evaluate_extended_precision():
     import mpmath as mp
 
