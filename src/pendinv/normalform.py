@@ -1,24 +1,24 @@
 """Lie-series Birkhoff normal form at the unstable equilibrium.
 
-The working algebra consists of finite sums of monomials
-
-    c * J1^a * J2^b * e^(m*theta1),    m integer,
-
-closed under multiplication and Poisson bracket.  They are held as
-:class:`Series` in the variables (J1, J2, e) with e = exp(theta1) and
-weights (2, 2, 1), so a monomial carries the grade 2(a+b) + m; the seed
-Hamiltonian decomposes into pure even grades and the homological operator
-{H2, .} acts as -m on each exponential, so the normalization proceeds with
-no small denominators; the Deprit triangle grows by one diagonal per
-stage.  Everything is exact rational arithmetic end to end, in
-dimensionless units kappa = nu = 1.
-
-The triangle's entries and generators are Series.  Its bracket kernel,
-`_bracket`, reads them on packed exponent keys (`series._pack`): J1^a
-J2^b e^m is the integer a + b R + m R^2, so the exponents of a bracket's
-term pair add as two integers.  Each entry sums its brackets into one
-integer accumulator over one common denominator and is decoded and
-reduced once.  `poisson_bracket` is the same kernel on two Series.
+The working algebra is the polynomials in X = e^(2 theta1), Y = (J1^2 +
+J2^2) e^(-2 theta1) and Z = J1, the seed's q^2, p^2 and J1, held as
+:class:`Series` in (X, Y, Z) with weights (2, 2, 2).  Under {f, g} =
+f_theta1 g_J1 - f_J1 g_theta1 they close as the Lie-Poisson bracket of
+sl(2), {X, Y} = 4 Z, {X, Z} = 2 X, {Y, Z} = -2 Y, whose Casimir XY - Z^2
+= J2^2 commutes with everything: J2 never enters and no exponent goes
+negative.  The bracket of X^i1 Y^j1 Z^k1 and X^i2 Y^j2 Z^k2 has two terms,
+4 (i1 j2 - j1 i2) X^(i1+i2-1) Y^(j1+j2-1) Z^(k1+k2+1) and
+2 ((i1-j1) k2 - k1 (i2-j2)) X^(i1+i2) Y^(j1+j2) Z^(k1+k2-1), each weight
+zero wherever its exponent would go negative.  The seed Hamiltonian has
+pure even grades, and the homological operator {Z, .} multiplies X^i Y^j
+Z^k by 2(j - i), so there are no small denominators and the normal form
+is the i = j part, a polynomial in XY = J1^2 + J2^2 and Z = J1.  The
+Deprit triangle (A. Deprit, Celestial Mechanics 1, 1969) grows by one
+diagonal per stage, in exact rational arithmetic, in units kappa = nu = 1.
+Each of its entries and generators has a single grade 2d, so k = d - i -
+j: the kernel `_bracket` sums an entry's brackets into one dense integer
+list indexed by i * stride + j, and each entry is decoded and reduced
+once.  `poisson_bracket` is the same kernel, one output grade at a time.
 """
 
 from __future__ import annotations
@@ -26,95 +26,90 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .series import Series, _digits, _pack, _unpack
+from .series import Series
 
-VARS = ("J1", "J2", "e")   # e = exp(theta1)
-WEIGHTS = (2, 2, 1)
-
-
-def monomial(a: int, b: int, m: int, order: int, coeff=1) -> Series:
-    """coeff * J1^a J2^b e^(m theta1), in the algebra truncated at grade `order`."""
-    return Series(order, VARS, {(a, b, m): coeff}, WEIGHTS)
+VARS = ("X", "Y", "Z")   # e^(2 theta1), (J1^2 + J2^2) e^(-2 theta1), J1
+WEIGHTS = (2, 2, 2)
 
 
-def _bracket_rows(f: Series, bits: int) -> list:
-    """(packed key, a, m, numerator) of every term of f, for `_bracket`;
-    cached on the instance per `bits`."""
-    rows = f._cache.get(("bracket", bits))
-    if rows is None:
-        rows = f._cache[("bracket", bits)] = [
-            (key, a, m, n) for (a, _, m), key, n in
-            zip(f._num, _pack(list(f._num), 3, bits), f._num.values())]
-    return rows
+def monomial(i: int, j: int, k: int, order: int, coeff=1) -> Series:
+    """coeff * X^i Y^j Z^k, in the algebra truncated at grade `order`."""
+    return Series(order, VARS, {(i, j, k): coeff}, WEIGHTS)
 
 
-def _bracket(acc: dict, f: Series, g: Series, factor: int, bits: int) -> None:
-    """Add factor * den_f * den_g * {f, g} to `acc`, packed key -> integer,
-    with `bits` per digit (`series._pack`).
-
-    A term pair n1 J1^a1 J2^b1 e^m1, n2 J1^a2 J2^b2 e^m2 adds n1 n2 (m1 a2
-    - a1 m2) at J1^(a1+a2-1) J2^(b1+b2) e^(m1+m2), whose packed key is
-    key1 + key2 - 1.  Nothing is truncated.  Each operand is packed once
-    per width, however many brackets use it.
-    """
-    rows2 = _bracket_rows(g, bits)
-    for key1, a1, m1, n1 in _bracket_rows(f, bits):
-        key1 -= 1
-        n1 *= factor
-        for key2, a2, m2, n2 in rows2:
-            weight = m1 * a2 - a1 * m2
+def _bracket(acc: list, f: Series, g: Series, factor: int, stride: int) -> None:
+    """Add factor * den_f * den_g * {f, g} to `acc`, the dense numerators of
+    one grade, X^i Y^j Z^k at index i * stride + j.  f and g each have a
+    single grade, and no exponent of X or Y in the result reaches `stride`.
+    A term pair adds its two terms (module docstring) at key1 + key2 -
+    stride - 1 and key1 + key2.  Nothing is truncated."""
+    rows2 = [(i * stride + j, i, j, k, i - j, n) for (i, j, k), n in g._num.items()]
+    down = stride + 1
+    for (i1, j1, k1), n1 in f._num.items():
+        key1, m1, n1 = i1 * stride + j1, i1 - j1, 2 * factor * n1
+        i1, j1 = 2 * i1, 2 * j1
+        for key2, i2, j2, k2, m2, n2 in rows2:
+            n, key = n1 * n2, key1 + key2
+            weight = i1 * j2 - j1 * i2
             if weight:
-                key = key1 + key2
-                acc[key] = acc.get(key, 0) + weight * n1 * n2
+                acc[key - down] += weight * n
+            weight = m1 * k2 - k1 * m2
+            if weight:
+                acc[key] += weight * n
+
+
+def _decode(acc: list, d: int, stride: int) -> dict:
+    """{(i, j, d - i - j): numerator} of the nonzero slots of `acc`."""
+    return {(i, j, d - i - j): n for (i, j), n in
+            zip(product(range(d + 1), range(stride)), acc) if n}
 
 
 def poisson_bracket(f: Series, g: Series) -> Series:
     """{f, g} = (df/dtheta1)(dg/dJ1) - (df/dJ1)(dg/dtheta1), the terms of
-    grade 2(a+b)+m within the smaller order.
-
-    The triangle's kernel `_bracket` over den_f den_g, decoded once.  On
-    the algebra (grades >= 0) this is the difference of the two truncated
-    products.
-    """
+    grade within the smaller order: `_bracket` on each pair of grade parts
+    that lands there, over den_f den_g, decoded once per grade."""
     order = f._check_compatible(g)
-    bits = _digits(f._span() + g._span())
-    acc: dict[int, int] = {}
-    _bracket(acc, f, g, 1, bits)
-    return f._like({k: n for k, n in zip(_unpack(acc, 3, bits), acc.values())
-                    if 2 * (k[0] + k[1]) + k[2] <= order}, f.den * g.den, order)
+    stride = order // 2 + 1     # above the highest degree d (grade 2d) kept
+    parts = [[s.grade_part(2 * d) for d in range(stride)] for s in (f, g)]
+    num: dict[tuple, int] = {}
+    for d in range(1, stride):
+        acc = [0] * ((d + 1) * stride)
+        for d1 in range(1, d + 1):
+            fp, gp = parts[0][d1], parts[1][d + 1 - d1]
+            if fp._num and gp._num:
+                _bracket(acc, fp, gp, f.den * g.den // (fp.den * gp.den), stride)
+        num.update(_decode(acc, d, stride))
+    return f._like(num, f.den * g.den, order)
 
 
 def homological_solve(h: Series) -> tuple[Series, Series]:
-    """(kernel, generator W) of h: the m = 0 part K, and W with dW/dtheta1
-    = h - K (frequency nu = 1), each e^(m theta1) term divided by m over
-    the lcm of the |m|."""
-    rest = {k: n for k, n in h._num.items() if k[2]}
-    lcm_m = math.lcm(*(abs(k[2]) for k in rest))
-    return (h._like({k: n for k, n in h._num.items() if not k[2]}, h.den),
-            h._like({k: n * (lcm_m // k[2]) for k, n in rest.items()}, h.den * lcm_m))
+    """(kernel, generator W) of h: the i = j part K, and W with {Z, W} =
+    K - h, that is dW/dtheta1 = h - K (frequency nu = 1): each X^i Y^j Z^k
+    term, i != j, divided by 2(i - j) over the lcm of those divisors."""
+    m = {k: 2 * (k[0] - k[1]) for k in h._num if k[0] != k[1]}
+    lcm_m = math.lcm(*map(abs, m.values()))
+    return (h._like({k: n for k, n in h._num.items() if k not in m}, h.den),
+            h._like({k: h._num[k] * (lcm_m // mk) for k, mk in m.items()}, h.den * lcm_m))
 
 
 def seed_hamiltonian(order: int) -> Series:
-    """Hamiltonian expanded through grade `order` in the exponential algebra.
+    """Hamiltonian expanded through grade `order` in (X, Y, Z).
 
-    Uses q^2 = e^{2 theta1}, p^2 = (J1^2 + J2^2) e^{-2 theta1}; the grade-2
-    part is exactly J1, the grade-4 kinetic term is -(1/8)(q^2 - p^2)^2 and
-    the potential contributes -sum_{n>=2} (2n-3)!!/(2n)!! * rho^{2n} with
-    rho^2 = (q^2 + p^2)/2 - J1.
+    X = q^2 = e^{2 theta1}, Y = p^2 = (J1^2 + J2^2) e^{-2 theta1} and Z =
+    J1: the grade-2 part is exactly Z, the grade-4 kinetic term is
+    -(1/8)(X - Y)^2 and the potential contributes -sum_{n>=2}
+    (2n-3)!!/(2n)!! * rho^{2n} with rho^2 = (X + Y)/2 - Z.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    e_plus = monomial(0, 0, 2, order)                                  # q^2
-    j_sq = monomial(2, 0, 0, order) + monomial(0, 2, 0, order)         # J1^2 + J2^2
-    p_sq = j_sq * monomial(0, 0, -2, order)                            # p^2
-    j1 = monomial(1, 0, 0, order)
-
-    h = j1
+    x, y, z = (monomial(*e, order) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    h = z
     if order >= 4:
-        diff = e_plus - p_sq
+        diff = x - y
         h = h + (diff * diff).scale(Fraction(-1, 8))
-        rho2 = (e_plus + p_sq).scale(Fraction(1, 2)) - j1
+        rho2 = (x + y).scale(Fraction(1, 2)) - z
         rho_pow = rho2 * rho2
         n = 2
         while 2 * n <= order:
@@ -134,20 +129,16 @@ def _triangle(order: int) -> tuple[Series, list[Series]]:
     unknown, so each entry with j >= 1 lacks the same {H_0, W_n}: the
     kernel minus the top entry, added back once W_n is solved for.
 
-    Entries and generators are Series over (J1, J2, e) at the seed's
-    order.  Each entry sums its brackets into one integer accumulator on
-    packed keys over one common denominator, and is decoded and reduced
-    once; `_bracket` packs each operand once.
+    Entries and generators are Series over (X, Y, Z); stage n's entries
+    have the single grade 2n + 2, and each sums its brackets into one dense
+    list over one denominator (`_bracket`), decoded and reduced once.  A
+    kernel term (XY)^i Z^k reads as sum_l C(i, l) j1^(2l+k) j2^(2(i-l)).
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     nmax = (order - 2) // 2
     seed = seed_hamiltonian(2 * nmax + 2)
-    # Entries and generators are polynomials in e^2, (J1^2 + J2^2) e^-2, J1
-    # and J2, so each term has m >= -(a+b); a term pair's bracket has m >=
-    # -(a+b) - 1.  With grade 2(a+b) + m <= seed.order, every exponent the
-    # triangle packs lies within seed.order + 2.
-    bits = _digits(seed.order + 2)
+    stride = nmax + 2           # above every exponent of X or Y, degree <= nmax + 1
     # Deprit convention: H(eps) = sum eps^n H_n / n! with grade 2n+2 parts.
     # rows[(i, j)] is H_i^j, and rows[(0, n)] ends as the kernel K_n.
     rows = {(i, 0): seed.grade_part(2 * i + 2).scale(math.factorial(i))
@@ -160,12 +151,12 @@ def _triangle(order: int) -> tuple[Series, list[Series]]:
             pairs = [(math.comb(i, k), rows[(i - k, j - 1)], generators[k])
                      for k in range(min(i + 1, n - 1))]
             den = math.lcm(entry.den, *(f.den * w.den for _, f, w in pairs))
-            # packed uncached: for j >= 2 the base lacks {H_0, W_n} and is dropped
-            acc = dict(zip(_pack(list(entry._num), 3, bits),
-                           [v * (den // entry.den) for v in entry._num.values()]))
+            acc = [0] * ((n + 2) * stride)
+            for (a, b, _), v in entry._num.items():
+                acc[a * stride + b] = v * (den // entry.den)
             for c, f, w in pairs:
-                _bracket(acc, f, w, c * (den // (f.den * w.den)), bits)
-            rows[(i, j)] = seed._like(dict(zip(_unpack(acc, 3, bits), acc.values())), den)
+                _bracket(acc, f, w, c * (den // (f.den * w.den)), stride)
+            rows[(i, j)] = seed._like(_decode(acc, n + 1, stride), den)
         top = rows[(0, n)]
         kernel, generator = homological_solve(top)
         delta = kernel - top
@@ -173,8 +164,12 @@ def _triangle(order: int) -> tuple[Series, list[Series]]:
             rows[(n - j, j)] = rows[(n - j, j)] + delta
         kernels.append(kernel)
         generators.append(generator)
-    normal = {(a, b): c for n, kernel in enumerate(kernels) for (a, b, _), c in
-              kernel.scale(Fraction(1, math.factorial(n))).terms().items()}
+    normal: dict[tuple, Fraction] = {}
+    for n, kernel in enumerate(kernels):
+        for (i, _, k), c in kernel.scale(Fraction(1, math.factorial(n))).terms().items():
+            for l in range(i + 1):
+                key = (2 * l + k, 2 * (i - l))
+                normal[key] = normal.get(key, 0) + math.comb(i, l) * c
     return Series(order // 2, ("j1", "j2"), normal), generators
 
 
@@ -258,7 +253,7 @@ class AveragingCrossCheck:
 def canonical_pt_cross_check() -> AveragingCrossCheck:
     """Compare the grade-4 Lie step with the formal averaging construction.
 
-    Splits H4 into its m = 0 average and oscillating remainder and checks
+    Splits H4 into its i = j average and oscillating remainder and checks
     that the transformed Hamiltonian at first order agrees between the two
     schemes.  The Lie generator W4 is by construction the integral in
     theta1 of the oscillating part; the mixed-variable generating function
@@ -267,13 +262,14 @@ def canonical_pt_cross_check() -> AveragingCrossCheck:
     h4 = seed_hamiltonian(4).grade_part(4)
     average, w4 = homological_solve(h4)
 
-    expected_average = (monomial(2, 0, 0, 4, Fraction(1, 16))
-                        + monomial(0, 2, 0, 4, Fraction(3, 16)))
+    # (1/16) J1^2 + (3/16) J2^2 with J1^2 = Z^2 and J2^2 = XY - Z^2
+    expected_average = (monomial(1, 1, 0, 4, Fraction(3, 16))
+                        + monomial(0, 0, 2, 4, Fraction(-1, 8)))
     average_ok = average == expected_average
 
     # First order: the Lie route keeps K4 = H4 + {J1, W4}; the averaging
     # route removes the oscillating part.  Both leave exactly the average.
-    lie_k4 = h4 + poisson_bracket(monomial(1, 0, 0, 4), w4)
+    lie_k4 = h4 + poisson_bracket(monomial(0, 0, 1, 4), w4)
     first_order_ok = lie_k4 == average
     return AveragingCrossCheck(average=average, w4=w4, average_ok=average_ok,
                                first_order_ok=first_order_ok)

@@ -9,8 +9,8 @@ order-N series.  The grade is linear, so a product term's grade is the sum
 of its factors' grades.  The weights in use:
 
 * ``(1,)`` and ``(1, 1)``: total degree in one or two variables;
-* ``(2, 2, 1)``: the ``J1^a J2^b e^(m theta1)`` algebra of the normal
-  form, where the exponent m of e = exp(theta1) may be negative;
+* ``(2, 2, 2)``: the normal form's sl(2) algebra in X = e^(2 theta1),
+  Y = (J1^2 + J2^2) e^(-2 theta1) and Z = J1;
 * ``(1, 0)``: a series in t times powers of a logarithm symbol L of
   weight 0, for the expansions at the separatrix.
 
@@ -29,7 +29,7 @@ Products run on packed exponent keys: `_pack` turns an exponent tuple into
 one integer, e0 + e1 R + e2 R^2 + ... with balanced digits, so that
 multiplying two monomials is one integer addition; the product decodes
 each of its terms once.  The Lie triangle in `normalform` holds its
-entries as Series too and brackets them on the same keys.
+entries as Series too.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ class Series:
     The terms are ``_num`` (``{exponent tuple: integer numerator}``) over
     the positive denominator ``den``, with ``gcd(den, *numerators) = 1``
     and no zero numerator; ``den`` is then the lcm of the coefficients'
-    reduced denominators.  Packed rows for products (`_rows`) and for the
-    bracket kernel of `normalform` are cached in ``_cache`` per digit width.
+    reduced denominators.  Packed rows for products (`_rows`) are cached
+    in ``_cache`` per digit width.
     """
 
     __slots__ = ("order", "vars", "weights", "den", "_num", "_cache")
@@ -505,8 +505,9 @@ class Series:
         Requires f = x1 + (higher order): unit linear coefficient in the
         first variable, zero constant term and no linear term in another
         variable.  Newton iteration with order doubling: the step at working
-        order p truncates f, f' and g to p.  1/f'(g) is one reciprocal at
-        the first working order, then carried forward by one Newton step
+        order p after p' truncates f and g to p, and f'(g) and r = 1/f'(g)
+        to p - p' - 1, as the error f(g) - x1 starts at grade p' + 1.  r is
+        one reciprocal at the first working order, then one Newton step
         r <- r (2 - f'(g) r) per order.  The result is certified once, by
         the exact round-trip f(g, x2, ...) = x1 at the full order.
         """
@@ -520,20 +521,21 @@ class Series:
             raise InversionError("pure linear term in another variable")
         x = Series.variable(0, self.order, self.vars, self.weights)
         fprime = self.partial(0)
-        g, r = x, None
+        g, r, done = x, None, 0
         for p in _doubling(self.order):
+            q = p - done - 1
             g = g.truncate(p)
             err = self.truncate(p).compose(g) - x.truncate(p)
-            slope = fprime.truncate(p).compose(g)
+            slope = fprime.truncate(q).compose(g.truncate(q))
             if r is None:
                 try:
                     r = slope.reciprocal()
                 except ValueError as exc:       # non-constant grade-0 part
                     raise InversionError(f"no polynomial inverse: {exc}") from exc
             else:
-                r = r.truncate(p)
+                r = r.truncate(q)
                 r = r * (2 - slope * r)
-            g = g - err * r
+            g, done = g - err * r.truncate(p), p
         if self.compose(g) != x:
             raise InversionError("Newton iteration did not close the round-trip")
         return g

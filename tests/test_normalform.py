@@ -1,4 +1,12 @@
-"""Lie normalization: seed expansion, homological steps, normal form."""
+"""Lie normalization: seed expansion, homological steps, normal form.
+
+The production algebra is the polynomials in X = e^(2 theta1),
+Y = (J1^2 + J2^2) e^(-2 theta1) and Z = J1.  The oracle is the algebra of
+its definition, J1^a J2^b e^(m theta1) in (J1, J2, e) with weights
+(2, 2, 1), where the bracket is f_theta1 g_J1 - f_J1 g_theta1 as two
+truncated products; `to_j` substitutes the definitions of X, Y and Z
+through `Series.compose`.
+"""
 
 import math
 import random
@@ -6,14 +14,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from pendinv import normalform
+from pendinv import actions, normalform
 from pendinv.normalform import (VARS, WEIGHTS, canonical_pt_cross_check,
                                 homological_solve, lie_normalize, monomial,
                                 poisson_bracket, seed_hamiltonian, verify_linear_nf)
-from pendinv.series import Series, _digits, _pack, _unpack
+from pendinv.series import Series
 
-J2SQ = [(0, 2, 0), (2, 0, 0)]
 ORDER = 40      # above every grade these tests build
+J_VARS, J_WEIGHTS = ("J1", "J2", "e"), (2, 2, 1)   # e = exp(theta1)
 
 
 def pc(terms):
@@ -24,28 +32,65 @@ def grades(f):
     return {f.grade(k) for k in f.terms()}
 
 
+def j_monomial(a, b, m, order, coeff=1):
+    """coeff * J1^a J2^b e^(m theta1) in the oracle algebra."""
+    return Series(order, J_VARS, {(a, b, m): coeff}, J_WEIGHTS)
+
+
+def to_j(f):
+    """f(X, Y, Z) with X = e^2, Y = (J1^2 + J2^2) e^-2 and Z = J1, at f's
+    order; Y is formed two grades higher, as J1^2 + J2^2 has grade 4."""
+    o = f.order + 2
+    return f.compose(j_monomial(0, 0, 2, o),
+                     (j_monomial(2, 0, 0, o) + j_monomial(0, 2, 0, o)) * j_monomial(0, 0, -2, o),
+                     j_monomial(1, 0, 0, o))
+
+
 def dtheta(f):
     """Partial derivative with respect to theta1 (multiplies by m)."""
     return f.map(lambda k, c: c * k[2])
 
 
-def kernel_part(f):
-    """Terms with m = 0: the theta1-independent component."""
-    return f.map(lambda k, c: c if k[2] == 0 else 0)
+def j_seed(order):
+    """The seed Hamiltonian as defined, in (J1, J2, e): q^2 = e^2, p^2 =
+    (J1^2 + J2^2) e^-2, H = J1 - (q^2 - p^2)^2 / 8 - sum_{n>=2}
+    (2n-3)!!/(2n)!! rho^(2n), rho^2 = (q^2 + p^2)/2 - J1."""
+    q2 = j_monomial(0, 0, 2, order)
+    p2 = (j_monomial(2, 0, 0, order) + j_monomial(0, 2, 0, order)) * j_monomial(0, 0, -2, order)
+    j1 = j_monomial(1, 0, 0, order)
+    rho2 = (q2 + p2).scale(F(1, 2)) - j1
+    h = j1 - ((q2 - p2) ** 2).scale(F(1, 8)) if order >= 4 else j1
+    for n in range(2, order // 2 + 1):
+        h = h - (rho2 ** n).scale(F(math.prod(range(2 * n - 3, 0, -2)),
+                                    math.prod(range(2 * n, 0, -2))))
+    return h
+
+
+def j_homological_solve(h):
+    """(the m = 0 part K, W) with dW/dtheta1 = h - K in (J1, J2, e)."""
+    kernel = h.map(lambda k, c: c if k[2] == 0 else 0)
+    return kernel, (h - kernel).map(lambda k, c: c / k[2])
 
 
 def test_seed_grade2_is_j1():
     h = seed_hamiltonian(2)
-    assert h.terms() == {(1, 0, 0): F(1)}
+    assert h.terms() == {(0, 0, 1): F(1)}
+    assert to_j(h) == j_monomial(1, 0, 0, 2)
 
 
 def test_seed_has_no_grade3():
-    assert seed_hamiltonian(8).grade_part(3).is_zero()
-    assert seed_hamiltonian(8).grade_part(5).is_zero()
+    # the seed maps onto its definition, whose grades are all even
+    for order in range(2, 17):
+        assert to_j(seed_hamiltonian(order)) == j_seed(order)
+    assert j_seed(8).grade_part(3).is_zero()
+    assert j_seed(8).grade_part(5).is_zero()
 
 
 def test_seed_grade4_displayed():
     h4 = seed_hamiltonian(4).grade_part(4)
+    # -(X - Y)^2/8 - ((X + Y)/2 - Z)^2/8
+    assert h4.terms() == {(2, 0, 0): F(-5, 32), (1, 1, 0): F(3, 16), (0, 2, 0): F(-5, 32),
+                          (1, 0, 1): F(1, 8), (0, 1, 1): F(1, 8), (0, 0, 2): F(-1, 8)}
     # -(5/32) J^4 e^{-4t} + (1/8) J1 J^2 e^{-2t} + J1^2/16 + 3 J2^2/16
     #   + (1/8) J1 e^{2t} - (5/32) e^{4t},  J^2 = J1^2 + J2^2
     expected = {
@@ -54,25 +99,41 @@ def test_seed_grade4_displayed():
         (2, 0, 0): F(1, 16), (0, 2, 0): F(3, 16),
         (1, 0, 2): F(1, 8), (0, 0, 4): F(-5, 32),
     }
-    assert h4.terms() == expected
+    assert to_j(h4).terms() == expected
 
 
 def test_poisson_bracket_basics():
-    j1 = monomial(1, 0, 0, ORDER)
-    j2 = monomial(0, 1, 0, ORDER)
-    assert poisson_bracket(j1, j2).is_zero()
+    x, y, z = (monomial(*e, ORDER) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert poisson_bracket(x, y) == z.scale(4)
+    assert poisson_bracket(x, z) == x.scale(2)
+    assert poisson_bracket(y, z) == y.scale(-2)
+    # {Z, X^i Y^j Z^k} = 2(j - i) X^i Y^j Z^k: the homological operator
+    for i, j, k in ((0, 0, 3), (2, 0, 1), (1, 3, 0), (4, 4, 2)):
+        mono = monomial(i, j, k, ORDER)
+        assert poisson_bracket(z, mono) == mono.scale(2 * (j - i))
+    # J1 against e^m, from the definition
+    j1 = j_monomial(1, 0, 0, ORDER)
     for m in (-4, -1, 2, 5):
-        e = monomial(0, 0, m, ORDER)
-        assert poisson_bracket(j1, e) == monomial(0, 0, m, ORDER, -m)
+        e_m = j_monomial(0, 0, m, ORDER)
+        assert bracket_two_products(j1, e_m) == e_m.scale(-m)
+
+
+def test_casimir_commutes_with_everything():
+    # XY - Z^2 = J2^2
+    casimir = monomial(1, 1, 0, ORDER) - monomial(0, 0, 2, ORDER)
+    assert to_j(casimir) == j_monomial(0, 2, 0, ORDER)
+    rng = random.Random(27)
+    for _ in range(30):
+        f = random_algebra_element(rng, rng.randint(2, 16), rng.randint(1, 12))
+        assert poisson_bracket(casimir, f).is_zero()
+        assert poisson_bracket(f, casimir).is_zero()
 
 
 def test_bracket_grading():
     rng = random.Random(0)
     for _ in range(20):
-        f = pc({(rng.randint(0, 3), rng.randint(0, 2),
-                 rng.randint(-3, 3)): F(rng.randint(1, 5))})
-        g = pc({(rng.randint(0, 3), rng.randint(0, 2),
-                 rng.randint(-3, 3)): F(rng.randint(1, 5))})
+        f = pc({(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(1, 5))})
+        g = pc({(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(1, 5))})
         br = poisson_bracket(f, g)
         if br.is_zero():
             continue
@@ -82,25 +143,31 @@ def test_bracket_grading():
 
 
 def test_kernel_parts_commute():
+    # polynomials in XY = J1^2 + J2^2 and Z = J1
     rng = random.Random(1)
     for _ in range(10):
-        f = pc({(rng.randint(0, 4), rng.randint(0, 4), 0): F(1)})
-        g = pc({(rng.randint(0, 4), rng.randint(0, 4), 0): F(2, 3)})
+        a, c = rng.randint(0, 4), rng.randint(0, 4)
+        f = pc({(a, a, rng.randint(0, 4)): F(1)})
+        g = pc({(c, c, rng.randint(0, 4)): F(2, 3)})
         assert poisson_bracket(f, g).is_zero()
 
 
 def test_homological_solve_grade4():
     h4 = seed_hamiltonian(4).grade_part(4)
     kernel, w4 = homological_solve(h4)
-    assert kernel.terms() == {(2, 0, 0): F(1, 16), (0, 2, 0): F(3, 16)}
+    assert kernel.terms() == {(1, 1, 0): F(3, 16), (0, 0, 2): F(-1, 8)}
+    assert w4.terms() == {(2, 0, 0): F(-5, 128), (0, 2, 0): F(5, 128),
+                          (1, 0, 1): F(1, 16), (0, 1, 1): F(-1, 16)}
+    assert to_j(kernel).terms() == {(2, 0, 0): F(1, 16), (0, 2, 0): F(3, 16)}
     expected_w4 = {
         (4, 0, -4): F(5, 128), (2, 2, -4): F(5, 64), (0, 4, -4): F(5, 128),
         (3, 0, -2): F(-1, 16), (1, 2, -2): F(-1, 16),
         (1, 0, 2): F(1, 16), (0, 0, 4): F(-5, 128),
     }
-    assert w4.terms() == expected_w4
-    # Lie equation: dW4/dtheta1 = H4 - K4 exactly
-    assert dtheta(w4) == h4 - kernel
+    assert to_j(w4).terms() == expected_w4
+    # Lie equation: {Z, W4} = K4 - H4, that is dW4/dtheta1 = H4 - K4, exactly
+    assert poisson_bracket(monomial(0, 0, 1, 4), w4) == kernel - h4
+    assert dtheta(to_j(w4)) == to_j(h4 - kernel)
     # already-normalized input returns a zero generator
     k2, w2 = homological_solve(kernel)
     assert k2 == kernel and w2.is_zero()
@@ -132,6 +199,10 @@ def test_lie_normalize_even_in_j2():
     assert all(b % 2 == 0 for (_, b) in h.terms())
 
 
+def test_lie_route_equals_inversion_route_through_grade_30():
+    assert lie_normalize(30) == actions.birkhoff_series(15)
+
+
 def test_lie_normalize_deterministic_and_storage_order_independent():
     a = lie_normalize(10)
     b = lie_normalize(10)
@@ -149,11 +220,12 @@ def test_lie_normalize_deterministic_and_storage_order_independent():
 
 
 def test_generators_live_in_the_range():
-    # each stage generator is theta1-dependent only and of pure grade 2n+2
+    # each stage generator has no i = j (theta1-independent) term and the
+    # pure grade 2n+2
     _, generators = normalform._triangle(10)
     for n, w in enumerate(generators, start=1):
         assert isinstance(w, Series) and (w.vars, w.weights) == (VARS, WEIGHTS)
-        assert kernel_part(w).is_zero()
+        assert all(i != j for i, j, _ in w.terms())
         assert grades(w) == {2 * n + 2}
 
 
@@ -171,16 +243,16 @@ def test_linear_nf_exact():
 def test_averaging_cross_check():
     rep = canonical_pt_cross_check()
     assert rep.passed
-    assert rep.average.terms() == {(2, 0, 0): F(1, 16), (0, 2, 0): F(3, 16)}
+    assert to_j(rep.average).terms() == {(2, 0, 0): F(1, 16), (0, 2, 0): F(3, 16)}
     # the generator integrates the oscillating part, H4 minus its average
     h4 = seed_hamiltonian(4).grade_part(4)
-    assert dtheta(rep.w4) == h4 - rep.average
-    # leading term of the integrated oscillation: (5/128) J^4 e^{-4 theta1}
-    assert rep.w4.coeff(4, 0, -4) == F(5, 128)
+    assert dtheta(to_j(rep.w4)) == to_j(h4 - rep.average)
+    # leading term of the integrated oscillation: (5/128) J1^4 e^{-4 theta1}
+    assert to_j(rep.w4).coeff(4, 0, -4) == F(5, 128)
 
 
 # -- oracles: the bracket as two truncated products, and the triangle
-# rebuilt from its first row at every stage ----------------------------------
+# rebuilt from its first row at every stage, both in (J1, J2, e) ------------
 
 def bracket_two_products(f, g):
     """{f, g} as dtheta(f) g_J1 - f_J1 dtheta(g), each factor truncated."""
@@ -190,11 +262,11 @@ def bracket_two_products(f, g):
 
 
 def lie_normalize_rebuilt(order):
-    """(normal form, generators) with every entry H_i^j, i + j <= n,
-    recomputed at stage n, W_n taken as zero; its bracket {H_0, W_n}
-    enters only through the homological equation."""
+    """(normal form, generators) in (J1, J2, e) with every entry H_i^j,
+    i + j <= n, recomputed at stage n, W_n taken as zero; its bracket
+    {H_0, W_n} enters only through the homological equation."""
     nmax = (order - 2) // 2
-    seed = seed_hamiltonian(2 * nmax + 2)
+    seed = j_seed(2 * nmax + 2)
     h_seed = [seed.grade_part(2 * n + 2).scale(math.factorial(n))
               for n in range(nmax + 1)]
     generators, kernels = [], [h_seed[0]]
@@ -211,10 +283,10 @@ def lie_normalize_rebuilt(order):
         return rows[(0, n)]
 
     for n in range(1, nmax + 1):
-        kernel, generator = homological_solve(triangle_top(n))
+        kernel, generator = j_homological_solve(triangle_top(n))
         kernels.append(kernel)
         generators.append(generator)
-    normal = Series(seed.order, VARS, None, WEIGHTS)
+    normal = Series(seed.order, J_VARS, None, J_WEIGHTS)
     for n, k_n in enumerate(kernels):
         normal = normal + k_n.scale(F(1, math.factorial(n)))
     series = Series(order // 2, ("j1", "j2"),
@@ -223,6 +295,7 @@ def lie_normalize_rebuilt(order):
 
 
 def test_incremental_triangle_matches_the_rebuilt_one():
+    # the sl(2) triangle's generators, mapped, are the (J1, J2, e) ones;
     # odd orders share nmax with the even order below them
     rebuilt = {}
     for order in range(4, 21):
@@ -233,29 +306,31 @@ def test_incremental_triangle_matches_the_rebuilt_one():
         ref_series, ref_generators = rebuilt[nmax]
         assert series == ref_series.truncate(order // 2)
         assert series.order == order // 2
-        assert generators == ref_generators
+        assert [to_j(w) for w in generators] == ref_generators
 
 
 def random_algebra_element(rng, order, n_terms, grade=None):
-    """Up to `n_terms` random J1^a J2^b e^m terms of non-negative grade
-    <= order (`grade` if given); m = grade - 2(a + b) takes either sign."""
+    """Up to `n_terms` random X^i Y^j Z^k terms of grade <= order (`grade`
+    if given, then i + j + k = grade / 2)."""
     terms = {}
     for _ in range(n_terms):
-        a, b = rng.randint(0, 5), rng.randint(0, 4)
-        m = (rng.randint(0, order) if grade is None else grade) - 2 * (a + b)
-        terms[(a, b, m)] = F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 16, 35)))
+        d = rng.randint(0, order // 2) if grade is None else grade // 2
+        i = rng.randint(0, d)
+        j = rng.randint(0, d - i)
+        terms[(i, j, d - i - j)] = F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 16, 35)))
     return Series(order, VARS, terms, WEIGHTS)
 
 
 def test_one_pass_bracket_matches_the_two_products():
+    # mixed grades and unequal orders, against the definition through the map
     rng = random.Random(20)
     for _ in range(200):
         f_order, g_order = rng.randint(2, 16), rng.randint(2, 16)   # unequal: truncation
         f = random_algebra_element(rng, f_order, rng.randint(1, 12))
         g = random_algebra_element(rng, g_order, rng.randint(1, 12))
         br = poisson_bracket(f, g)
-        ref = bracket_two_products(f, g)
-        assert br == ref
+        ref = bracket_two_products(to_j(f), to_j(g))
+        assert to_j(br) == ref
         assert br.order == ref.order == min(f_order, g_order)
         assert all(c != 0 for c in br.terms().values())
     # a pure-grade pair keeps to grade g1 + g2 - 2, and past the order to nothing
@@ -263,58 +338,65 @@ def test_one_pass_bracket_matches_the_two_products():
     g = random_algebra_element(rng, 12, 6, grade=8)
     assert grades(poisson_bracket(f, g)) == {12}
     assert poisson_bracket(f.truncate(10), g).is_zero()
-    assert bracket_two_products(f.truncate(10), g).is_zero()
+    assert bracket_two_products(to_j(f.truncate(10)), to_j(g)).is_zero()
 
 
 def test_bracket_kernel_adds_scaled_brackets_as_defined():
-    # the triangle's use of `_bracket`: several brackets, each with an
-    # integer factor, summed into one accumulator that already holds an
-    # entry, over one common denominator; at an order no grade reaches, so
-    # nothing is truncated, against dtheta(f) f_J1-products of the definition
+    # the triangle's use of `_bracket`: several brackets of single-grade
+    # operands, each with an integer factor, summed into one dense list that
+    # already holds an entry, over one common denominator; against the
+    # definition through the map
     rng = random.Random(25)
-    bits = _digits(ORDER)
-
-    def element(n_terms):                   # grades <= 14, order 40
-        return random_algebra_element(rng, 14, n_terms).truncate(ORDER)
+    stride = 12
 
     for _ in range(40):
-        h = element(rng.randint(0, 8))
-        pairs = [(rng.randint(1, 20), element(rng.randint(1, 10)), element(rng.randint(1, 10)))
-                 for _ in range(rng.randint(1, 3))]
+        d = rng.randint(1, 10)                  # the entry's degree, grade 2d
+        h = random_algebra_element(rng, ORDER, rng.randint(0, 8), grade=2 * d)
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            d1 = rng.randint(1, d)
+            pairs.append((rng.randint(1, 20),
+                          random_algebra_element(rng, ORDER, rng.randint(1, 10), grade=2 * d1),
+                          random_algebra_element(rng, ORDER, rng.randint(1, 10),
+                                                 grade=2 * (d + 1 - d1))))
         den = math.lcm(h.den, *(f.den * g.den for _, f, g in pairs))
-        acc = {key: n * (den // h.den)
-               for key, n in zip(_pack(list(h._num), 3, bits), h._num.values())}
-        expected = h
+        acc = [0] * ((d + 1) * stride)
+        for (i, j, _), n in h._num.items():
+            acc[i * stride + j] = n * (den // h.den)
+        expected = to_j(h)
         for c, f, g in pairs:
-            normalform._bracket(acc, f, g, c * (den // (f.den * g.den)), bits)
-            expected = expected + bracket_two_products(f, g).scale(c)
+            normalform._bracket(acc, f, g, c * (den // (f.den * g.den)), stride)
+            expected = expected + bracket_two_products(to_j(f), to_j(g)).scale(c)
         got = Series(ORDER, VARS, {k: F(n, den) for k, n in
-                                   zip(_unpack(acc, 3, bits), acc.values())}, WEIGHTS)
-        assert got == expected
+                                   normalform._decode(acc, d, stride).items()}, WEIGHTS)
+        assert to_j(got) == expected
 
 
-def test_bracket_packs_an_operand_at_each_width_it_meets():
-    # one f against partners of small and large exponent spans is packed at
-    # two digit widths; its rows at one width must not serve the other
+def test_bracket_at_the_top_degree_of_each_order():
+    # poisson_bracket lays each grade out at stride order // 2 + 1: operands
+    # whose X or Y exponent reaches the top degree of the order, against
+    # partners at a small and a large order, bracket as defined
     rng = random.Random(26)
-    f = random_algebra_element(rng, 14, 8)
-    narrow = pc({(1, 0, 0): 1, (0, 1, 2): F(1, 3), (1, 1, -2): -2})
-    wide = pc({(0, 100, -200): F(5, 7), (1, 0, 30): 3, (2, 3, -8): 1})
-    partners = [narrow, wide, narrow, wide]
-    assert len({_digits(f._span() + p._span()) for p in partners}) == 2
-    for p in partners:
-        assert poisson_bracket(f, p) == bracket_two_products(f, p)
-        assert poisson_bracket(p, f) == bracket_two_products(p, f)
+    for order in (4, 10, 24, 41):
+        top = order // 2
+        f = Series(order, VARS, {(top - 1, 0, 0): 3, (0, top - 1, 0): F(-2, 5),
+                                 (0, 0, top - 1): 1, (1, 1, 0): F(1, 7)}, WEIGHTS)
+        for g_order in (4, order, ORDER):
+            g = random_algebra_element(rng, g_order, 10)
+            g = g + Series(g_order, VARS, {(1, 0, 0): 1, (0, 1, 0): -1}, WEIGHTS)
+            for a, b in ((f, g), (g, f)):
+                assert to_j(poisson_bracket(a, b)) == bracket_two_products(to_j(a), to_j(b))
+        # {3 X^(top-1), Y} = 12 (top-1) X^(top-2) Z
+        br = poisson_bracket(f, monomial(0, 1, 0, order))
+        assert br.coeff(top - 2, 0, 1) == 12 * (top - 1)
 
 
 def test_one_pass_bracket_cancels_to_zero():
     rng = random.Random(21)
     for _ in range(20):
         f = random_algebra_element(rng, 14, 8)
-        assert poisson_bracket(f, f).is_zero()    # pairs cancel key by key
+        assert poisson_bracket(f, f).is_zero()    # pairs cancel slot by slot
         assert poisson_bracket(f, f.scale(F(-7, 3))).is_zero()
-        kernel = kernel_part(random_algebra_element(rng, 14, 8))
-        assert poisson_bracket(kernel, kernel_part(f)).is_zero()
         # {f, g} + {g, f} = 0 term by term
         g = random_algebra_element(rng, 14, 8)
         assert (poisson_bracket(f, g) + poisson_bracket(g, f)).is_zero()
@@ -330,9 +412,9 @@ def spy_brackets(monkeypatch):
     seen = []
     kernel = normalform._bracket
 
-    def spy(acc, f, g, factor, bits):
+    def spy(acc, f, g, factor, stride):
         seen.append((f, g))
-        return kernel(acc, f, g, factor, bits)
+        return kernel(acc, f, g, factor, stride)
 
     monkeypatch.setattr(normalform, "_bracket", spy)
     return seen
@@ -345,6 +427,15 @@ def test_lie_normalize_adds_one_diagonal_per_stage(monkeypatch, order, calls):
     seen = spy_brackets(monkeypatch)
     lie_normalize(order)
     assert len(seen) == bracket_count(order) == calls
+
+
+def test_triangle_term_pairs_at_grade_20(monkeypatch):
+    # in (X, Y, Z) every term pair of a bracket is one of these; the
+    # (J1, J2, e) kernel made 80013
+    seen = spy_brackets(monkeypatch)
+    lie_normalize(20)
+    assert len(seen) == 156
+    assert sum(len(f._num) * len(w._num) for f, w in seen) == 27952
 
 
 def in_lowest_terms(s):
@@ -388,7 +479,7 @@ def test_every_result_is_in_the_one_canonical_form():
         p = rng.randint(0, 12)
         results = [f + g, f - g, f * g, f.scale(factor), f.truncate(p),
                    f.partial(0), f.partial(2), f.grade_part(p),
-                   poisson_bracket(f, g), *homological_solve(f),
+                   poisson_bracket(f, g), *homological_solve(f), to_j(f),
                    u + v, u - u, u * v, u.scale(factor), u.truncate(3),
                    u.partial(1), u.grade_part(3), (1 + w).reciprocal(),
                    u.compose(w - x, w), w.invert()]

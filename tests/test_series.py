@@ -168,6 +168,25 @@ def test_invert_round_trip_at_orders_off_the_doubling(order):
         assert f.compose(g) == x and g.compose(f) == x
 
 
+def test_invert_forms_the_slope_only_through_the_grade_it_needs(monkeypatch):
+    # after the step at p', the error starts at grade p' + 1, so f'(g) is
+    # composed only through p - p' - 1; the error and the round-trip at p
+    orders = []
+    compose = Series.compose
+
+    def spy(self, *gs):
+        orders.append((self.order, *(g.order for g in gs)))
+        return compose(self, *gs)
+
+    monkeypatch.setattr(Series, "compose", spy)
+    f = random_series(random.Random(4), order=13, unit_linear=True)
+    g = f.invert()
+    assert orders == [(1, 1), (0, 0), (3, 3), (1, 1), (7, 7), (3, 3), (13, 13), (5, 5),
+                      (13, 13)]
+    monkeypatch.undo()
+    assert f.compose(g) == Series.variable(0, 13, ("x", "y"))
+
+
 def test_compose_requires_zero_constant():
     f = Series.variable(0, 3, ("x", "y"))
     g = Series.constant(1, 3, ("x", "y"))
@@ -221,7 +240,8 @@ def test_invert_requires_unit_linear():
 
 
 def test_invert_takes_one_reciprocal(monkeypatch):
-    # 1/f'(g) is carried from order to order by Newton steps
+    # 1/f'(g) is carried from order to order by Newton steps; the first
+    # step needs it only through grade 0, as the error starts at grade 1
     calls = []
     reciprocal = Series.reciprocal
 
@@ -234,7 +254,7 @@ def test_invert_takes_one_reciprocal(monkeypatch):
     for order in (1, 5, 13):
         f = random_series(rng, order=order, unit_linear=True)
         g = f.invert()
-        assert calls == [1] and f.compose(g) == Series.variable(0, order, ("x", "y"))
+        assert calls == [0] and f.compose(g) == Series.variable(0, order, ("x", "y"))
         calls.clear()
 
 
