@@ -2,9 +2,9 @@
 
 Actions, periods and their complementary-cycle partners on both sides of
 the critical energy, the exact invariant series obtained by composing the
-classical logarithmic expansions of K and E with the normal form, the nome
-series whose coefficients are integers after the 32-scaling, the theta
--function inversion, and the complex nome of the full problem.
+classical logarithmic expansions of K and E with the normal form, the
+integer nome series, taken from the theta quotient with the route through
+the invariant as its oracle, and the complex nome of the full problem.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ class PendulumQuadruple:
         return self.action * self.imaginary_period - self.imaginary_action * self.period
 
 
+def _K_underflow(num: float, den: float) -> float:
+    """K where k'^2 = num / den underflows to 0 but num does not: ln 4 - ln k'
+    from logs.  The next term, O(k'^2 ln k'), lies far below an ulp."""
+    return math.log(4) - (math.log(num) - math.log(den)) / 2
+
+
 def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadruple:
     """Evaluate (I, J, T, U) at scaled energy h (critical value at 0).
 
@@ -46,7 +52,8 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
     The elliptic kernels take the complementary parameter, so the modulus
     k of the real cycle enters through k'^2 (h / (2 + h) above, -h / 2
     below), which keeps its digits next to the critical energy, and the
-    imaginary cycle's through k^2.
+    imaginary cycle's through k^2.  Where k'^2 underflows (h = +-5e-324),
+    K is `_K_underflow` and E is 1.
     """
     if not math.isfinite(h):
         raise DomainError(f"non-finite energy h = {h}")
@@ -62,12 +69,12 @@ def pendulum_quadruple(h: float, true_pendulum: bool = False) -> PendulumQuadrup
         E_c = ellint_E(ksq)
         action = 4 / (math.pi * k) * ellint_E(kcsq)
         imag_action = 8 / (math.pi * k) * (K_c - E_c)
-        period = 2 * k * ellint_K(kcsq)
+        period = 2 * k * (ellint_K(kcsq) if kcsq else _K_underflow(h, 2 + h))
         imag_period = 4 * k * K_c
         return PendulumQuadruple(action, imag_action, period, imag_period, "above")
     ksq = (2 + h) / 2
     kcsq = -h / 2
-    K = ellint_K(kcsq)
+    K = ellint_K(kcsq) if kcsq else _K_underflow(-h, 2)
     E = ellint_E(kcsq)
     K_c = ellint_K(ksq)
     E_c = ellint_E(ksq)
@@ -192,7 +199,8 @@ class NomeSeries:
     """Nome as a series in l = j/32, its inverse, and the reciprocal.
 
     The reciprocal 1/q is 1/l plus `reciprocal_series`; its pole
-    coefficient is 1 by construction, as exp(S') has constant term 1.
+    coefficient is 1 by construction, as q/l has constant term 1.  Built
+    by `nome_series`, and by its oracle `nome_from_invariant`.
     """
 
     q_of_l: Series
@@ -206,8 +214,26 @@ class NomeSeries:
 
 
 @lru_cache(maxsize=None)
+def nome_series(order: int = 7) -> NomeSeries:
+    """The nome series through `order`, from the theta quotient.
+
+    l(q) = J(q)/32 needs no inversion, q(l) is its one certified inversion,
+    and 1/q - 1/l is the reciprocal of q/l with the exponents shifted down
+    by one; q/l through `order` needs J and q through order + 1.
+    """
+    l_of_q = J_of_q_theta(order + 1).scale(Fraction(1, 32))
+    q_of_l = l_of_q.relabel(("l",)).invert()
+    q_over_l = Series(order, ("l",), {(a - 1,): c for (a,), c in q_of_l.terms().items()})
+    l_over_q = q_over_l.reciprocal().terms()
+    reciprocal = Series(max(order - 1, 0), ("l",),
+                        {(a - 1,): c for (a,), c in l_over_q.items() if a})
+    return NomeSeries(q_of_l=q_of_l.truncate(order), l_of_q=l_of_q.truncate(order),
+                      reciprocal_series=reciprocal)
+
+
+@lru_cache(maxsize=None)
 def nome_from_invariant(order: int = 7) -> NomeSeries:
-    """q = exp(-2 pi dI/dJ) as an exact series in l = j/32.
+    """q = exp(-2 pi dI/dJ) in l = j/32, the oracle of `nome_series`.
 
     The derivative of the action with respect to the imaginary action is
     ln(32/|j|) plus the derivative of the invariant, so the logarithm
@@ -240,14 +266,15 @@ def J_of_q_theta(order: int = 7) -> Series:
 
 
 def theta_inverse_matches_nome(order: int = 7) -> bool:
-    """Exact check: J(q)/32 equals the series l(q) of the nome.
+    """Exact check: the theta route `nome_series` equals the invariant route
+    `nome_from_invariant` in q(l), l(q) and 1/q - 1/l through `order`.
 
-    `l_of_q` is the certified inverse of `q_of_l`, and a truncated series
-    with unit linear term has exactly one compositional inverse, so this
-    also shows that the inverse of J(q)/32 is q(l).
+    l(q) is J(q)/32 on one side and the certified inverse of q(l) on the
+    other; a truncated series with unit linear term has exactly one
+    compositional inverse, so this also shows that the inverse of J(q)/32
+    is the invariant route's q(l).
     """
-    j32 = J_of_q_theta(order).scale(Fraction(1, 32))
-    return j32 == nome_from_invariant(order).l_of_q
+    return nome_series(order) == nome_from_invariant(order)
 
 
 # -- complex nome of the full system -------------------------------------------
@@ -283,7 +310,7 @@ def complex_nome_diagonal_matches(order: int = 4) -> bool:
     """Exact reduction check q_hat(l, l) == q(l) through `order`."""
     ell = Series.variable(0, order, ("l",))
     return (complex_nome_series(order).compose(ell, ell)
-            == nome_from_invariant(order).q_of_l.truncate(order))
+            == nome_series(order).q_of_l)
 
 
 # -- displayed-truncation checks ------------------------------------------------

@@ -148,7 +148,7 @@ def test_criterion_06_pendulum_legendre_relation():
 
 
 def test_criterion_07_nome_theta_consistency():
-    ns = pendulum.nome_from_invariant(7)
+    ns = pendulum.nome_series(7)
     theta_ok = pendulum.theta_inverse_matches_nome(7)
     coeffs = ns.q_of_l.coeffs()[1:]
     expected = [F(1), F(-6), F(48), F(-436), F(4254), F(-43452), F(458192)]

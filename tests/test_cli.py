@@ -134,9 +134,9 @@ def test_pendulum_series_csv(capsys):
 
 @pytest.mark.parametrize("kind, library, head", [
     ("invariant", pendulum.invariant_series_exact, ["2,3,32", "3,-5,512", "4,55,32768"]),
-    ("nome-inverse", lambda n: pendulum.nome_from_invariant(n).l_of_q,
+    ("nome-inverse", lambda n: pendulum.nome_series(n).l_of_q,
      ["1,1,1", "2,6,1", "3,24,1"]),
-    ("reciprocal", lambda n: pendulum.nome_from_invariant(n).reciprocal_series,
+    ("reciprocal", lambda n: pendulum.nome_series(n).reciprocal_series,
      ["0,6,1", "1,-12,1", "2,76,1"]),
     ("theta", pendulum.J_of_q_theta, ["1,32,1", "2,192,1", "3,768,1"])])
 def test_pendulum_series_csv_rows_are_the_library_series(capsys, kind, library, head):

@@ -6,13 +6,14 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from pendinv.actions import birkhoff_series
-from pendinv.elliptic import DomainError
+from pendinv.actions import birkhoff_series, period_T_numeric
+from pendinv.elliptic import DomainError, EnergyMomentum
 from pendinv.normalform import lie_normalize
 from pendinv.pendulum import (J_of_q_theta, action_log_series,
                               complex_nome_diagonal_matches,
                               complex_nome_series, invariant_series_exact,
-                              nome_from_invariant, pendulum_normal_form,
+                              nome_from_invariant, nome_series,
+                              pendulum_normal_form,
                               pendulum_quadruple, pendulum_series_check,
                               theta_inverse_matches_nome)
 from pendinv.series import Series
@@ -93,6 +94,16 @@ def test_domain_errors():
 def test_non_finite_energy_is_a_domain_error(h):
     with pytest.raises(DomainError, match="non-finite energy"):
         pendulum_quadruple(h)
+
+
+@pytest.mark.parametrize("h", [5e-324, -5e-324])
+def test_quadruple_where_k_prime_underflows(h):
+    # k'^2 rounds to 0 at the smallest subnormal h; K is its log asymptote
+    quad = pendulum_quadruple(h)
+    period = period_T_numeric(EnergyMomentum(h, 0.0))
+    assert period == 747.9058078241809
+    assert quad.period == pytest.approx(period, rel=1e-15)
+    assert abs(quad.legendre_combination() - 8) < 1e-12
 
 
 def test_true_pendulum_flag():
@@ -188,26 +199,53 @@ def test_axis_action_model():
 # -- nome and theta ------------------------------------------------------------
 
 def test_nome_series_displayed():
-    ns = nome_from_invariant(7)
+    ns = nome_series(7)
     assert ns.q_of_l.coeffs()[1:] == [F(1), F(-6), F(48), F(-436), F(4254),
                                       F(-43452), F(458192)]
 
 
 def test_reciprocal_series_displayed():
-    ns = nome_from_invariant(7)
+    ns = nome_series(7)
     for exponent, value in [(0, 6), (1, -12), (2, 76), (3, -606), (4, 5412)]:
         assert ns.reciprocal_series.coeff(exponent) == value
 
 
 def test_nome_integrality():
-    ns = nome_from_invariant(7)
+    ns = nome_series(7)
     assert ns.integer_coefficients()
 
 
 def test_nome_inverse_round_trip():
-    ns = nome_from_invariant(7)
+    ns = nome_series(7)
     ell = Series.variable(0, 7, ("l",))
     assert ns.l_of_q.relabel(("l",)).compose(ns.q_of_l) == ell
+
+
+def test_nome_series_equals_the_invariant_route():
+    # the theta route against its oracle, all three series
+    for n in [*range(1, 21), 30]:
+        theta, oracle = nome_series(n), nome_from_invariant(n)
+        for field in ("q_of_l", "l_of_q", "reciprocal_series"):
+            got, want = getattr(theta, field), getattr(oracle, field)
+            assert (got, got.order, got.vars) == (want, want.order, want.vars), (n, field)
+
+
+def test_nome_series_integrality_at_order_30():
+    assert nome_series(30).integer_coefficients()
+
+
+def test_nome_series_skips_the_invariant(monkeypatch):
+    # the theta route builds no log series and no invariant: the saving
+    from pendinv import pendulum
+
+    def refuse(order):
+        raise AssertionError("the theta route reached the invariant route")
+
+    monkeypatch.setattr(pendulum, "invariant_series_exact", refuse)
+    monkeypatch.setattr(pendulum, "action_log_series", refuse)
+    nome_from_invariant.cache_clear()
+    ns = nome_series.__wrapped__(12)
+    assert ns.q_of_l.coeffs()[1:4] == [F(1), F(-6), F(48)]
 
 
 def test_theta_series_displayed():
@@ -247,7 +285,7 @@ def test_nome_against_modulus_route():
         mcsq = h / (2 + h)
         with mp.workdps(30):
             q_ref = math.exp(-math.pi * float(mp.ellipk(msq) / mp.ellipk(mcsq)))
-        q_series = nome_from_invariant(10).q_of_l.evaluate(j / 32)
+        q_series = nome_series(10).q_of_l.evaluate(j / 32)
         assert q_series == pytest.approx(q_ref, rel=1e-8)
 
 
