@@ -598,16 +598,17 @@ def j1_of_energy(h: float, j2: float) -> float:
 
 @dataclass
 class InvariantSeries:
-    """Fitted invariant: coefficients and diagnostics."""
+    """The fit as `pendinv invariants` prints it: rows {a, b, fitted, reference,
+    reference_label} by degree, then b; reference None and label "" where none."""
 
-    coefficients: dict
+    order: int
+    precision: int
     samples: int
     residual_max: float
     residual_rms: float
-    ln32_error: float
-    reference_errors: dict
-    oracle_samples: int                # samples also taken by quadrature
-    oracle_max_diff: float             # largest |closed form - quadrature|
+    coefficients: list
+    quadrature_checked_samples: int    # samples also taken by quadrature
+    quadrature_max_abs_diff: float     # largest |closed form - quadrature|
 
 
 def _midpoint_circle(r, n: int) -> list:
@@ -705,7 +706,8 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
     tolerance 2^(10 - precision) (1 + |2 pi I1|), raises ConsistencyError,
     and the number of checked samples and the largest difference are
     reported.  Raises FitQualityError when the residual exceeds 1e-3 times
-    the smallest reference coefficient.
+    the smallest reference (ln 32, then `invariant_polynomial(4)`), or from
+    order 6 on when a coefficient misses its reference by more than 1e-6.
 
     Polynomials of the form j1 * prod_i (j1^2 + j2^2 - r_i^2) respect the
     parity of the column set and vanish on every sampled circle, so the
@@ -752,34 +754,31 @@ def fit_invariant_S(order: int = 10, precision: int = 256,
         coeffs, resid = _harmonic_lsq(radii, values, order)
         residual_max = float(max(abs(x) for x in resid))
         residual_rms = float(mp.sqrt(sum(x * x for x in resid) / len(resid)))
-        ln32_error = float(abs(coeffs[(1, 0)] - mp.log(32)))
+        # by monomial: the label and value printed, and the value checked
+        reference = {(1, 0): ("ln 32", LN32, mp.log(32))}
+        for mono, c in invariant_polynomial(4).terms().items():
+            reference[mono] = (str(c), float(c), mp.mpf(c.numerator) / c.denominator)
 
-    reference = invariant_polynomial(4).terms()
-    reference_errors = {
-        mono: float(abs(coeffs[mono] - mp.mpf(frac.numerator) / frac.denominator))
-        for mono, frac in reference.items()
-    }
-    threshold = 1e-3 * min(abs(float(f)) for f in reference.values())
+    threshold = 1e-3 * min(abs(value) for _, value, _ in reference.values())
     if residual_max > threshold:
         raise FitQualityError(
             f"fit residual {residual_max:.3e} above threshold {threshold:.3e}")
     if order >= 6:
-        # low-order fits on wide annuli carry visible truncation bias; the
-        # reference comparison is only binding once the model can resolve it
-        for mono, err in reference_errors.items():
+        # below order 6 the fit's truncation bias exceeds the tolerance
+        for mono, (label, _, exact) in reference.items():
+            err = float(abs(coeffs[mono] - exact))
             if err > 1e-6:
-                raise FitQualityError(
-                    f"fitted coefficient {mono} off the reference value by {err:.3e}")
-        if ln32_error > 1e-6:
-            raise FitQualityError(f"linear coefficient off ln 32 by {ln32_error:.3e}")
+                raise FitQualityError(f"fitted coefficient {mono} off {label} by {err:.3e}")
 
+    rows = []
+    for (a, b), value in coeffs.items():    # by degree, then by b
+        label, printed, _ = reference.get((a, b), ("", None, None))
+        rows.append({"a": a, "b": b, "fitted": float(value),
+                     "reference": printed, "reference_label": label})
     return InvariantSeries(
-        coefficients={k: float(v) for k, v in coeffs.items()},
-        samples=len(resid),
-        residual_max=residual_max, residual_rms=residual_rms,
-        ln32_error=ln32_error, reference_errors=reference_errors,
-        oracle_samples=len(radii),
-        oracle_max_diff=float(oracle_diff))
+        order=order, precision=precision, samples=len(resid), residual_max=residual_max,
+        residual_rms=residual_rms, coefficients=rows, quadrature_checked_samples=len(radii),
+        quadrature_max_abs_diff=float(oracle_diff))
 
 
 # -- twist ---------------------------------------------------------------------

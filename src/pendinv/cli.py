@@ -9,8 +9,10 @@ order, so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -77,36 +79,18 @@ def cmd_nf(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    """Print the fit's report (`actions.InvariantSeries`) as it stands."""
     res = actions.fit_invariant_S(order=args.order, precision=args.precision,
                                   samples=args.samples)
-    known = actions.invariant_polynomial(4).terms()
-    rows = []
-    for (a, b) in sorted(res.coefficients, key=lambda k: (k[0] + k[1], k[1])):
-        fitted = res.coefficients[(a, b)]
-        if (a, b) == (1, 0):
-            reference = math.log(32.0)
-            label = "ln 32"
-        elif (a, b) in known:
-            reference = float(known[(a, b)])
-            label = str(known[(a, b)])
-        else:
-            reference, label = None, ""
-        rows.append({"a": a, "b": b, "fitted": fitted,
-                     "reference": reference, "reference_label": label})
     if args.format == "json":
-        payload = {"order": args.order, "precision": args.precision,
-                   "samples": res.samples, "residual_max": res.residual_max,
-                   "residual_rms": res.residual_rms, "coefficients": rows,
-                   "quadrature_checked_samples": res.oracle_samples,
-                   "quadrature_max_abs_diff": res.oracle_max_diff}
-        print(_json(payload))
+        print(_json(dataclasses.asdict(res)))
     else:
-        lines = [f"invariant fit: order {args.order}, {args.precision} bits, "
+        lines = [f"invariant fit: order {res.order}, {res.precision} bits, "
                  f"{res.samples} samples, residual {res.residual_max:.3e}",
                  f"closed-form action checked by quadrature at "
-                 f"{res.oracle_samples} samples: max |difference| "
-                 f"{res.oracle_max_diff:.3e}"]
-        for row in rows:
+                 f"{res.quadrature_checked_samples} samples: max |difference| "
+                 f"{res.quadrature_max_abs_diff:.3e}"]
+        for row in res.coefficients:
             ref = (f"  reference {row['reference_label']}"
                    f" (|err| = {abs(row['fitted'] - row['reference']):.2e})"
                    if row["reference"] is not None else "")
@@ -205,8 +189,8 @@ def cmd_orbit(args) -> int:
         with open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         uv = res.record.stereographic_trace()
-        stem, dot, ext = args.trace.rpartition(".")
-        uv_path = (stem or args.trace) + "_uv." + (ext if dot else "csv")
+        stem, ext = os.path.splitext(args.trace)   # a dot in a directory is no extension
+        uv_path = stem + "_uv" + (ext or ".csv")
         with open(uv_path, "w") as fh:
             fh.write("u,v\n")
             fh.write("\n".join(f"{u!r},{v!r}" for u, v in uv) + "\n")

@@ -83,13 +83,16 @@ def test_criterion_04_invariant_fit():
     t0 = time.perf_counter()
     res = actions.fit_invariant_S(order=10, precision=256, samples=160)
     elapsed = time.perf_counter() - t0
-    worst_reference = max(res.reference_errors.values())
-    ok = (res.ln32_error < 1e-6 and worst_reference < 1e-6
+    # every reference row, ln 32 at (1, 0) included
+    errors = {(row["a"], row["b"]): abs(row["fitted"] - row["reference"])
+              for row in res.coefficients if row["reference"] is not None}
+    worst_reference = max(errors.values())
+    ok = (len(errors) == 8 and worst_reference < 1e-6
           and res.residual_max < 1e-9 and elapsed < 120.0)
     _verdict(4, ok, f"fit at 256 bits in {elapsed:.1f}s: residual "
                     f"{res.residual_max:.2e}, worst coefficient error "
-                    f"{worst_reference:.2e}, ln32 error {res.ln32_error:.2e}")
-    assert res.ln32_error < 1e-6
+                    f"{worst_reference:.2e}, ln32 error {errors[(1, 0)]:.2e}")
+    assert len(errors) == 8
     assert worst_reference < 1e-6
     assert res.residual_max < 1e-9
     assert elapsed < 120.0

@@ -12,7 +12,7 @@ import pytest
 import mpmath as mp
 
 from pendinv import actions, dynamics, elliptic, quadrature
-from pendinv.actions import (A_series, ConsistencyError, J1_series,
+from pendinv.actions import (A_series, ConsistencyError, FitQualityError, J1_series,
                              action_I1, action_J1_numeric,
                              birkhoff_series,
                              energy_of_j, fit_invariant_S, invariant_polynomial,
@@ -859,17 +859,31 @@ def test_fit_invariant_reduced(monkeypatch):
     monkeypatch.setattr(actions, "two_pi_I1_closed", counted_closed)
     res = fit_invariant_S(**CLI_FIT)
     assert res.residual_max < 1e-9
-    assert res.ln32_error < 1e-8
-    for err in res.reference_errors.values():
-        assert err < 1e-6
+    # the rows run by degree, then by b; ln 32 and the degree-4 terms
+    # carry a reference, the higher degrees none
+    monos = [(row["a"], row["b"]) for row in res.coefficients]
+    assert monos == sorted(monos, key=lambda m: (m[0] + m[1], m[1]))
+    assert len(monos) == 24 and all(b % 2 == 0 for _, b in monos)
+    refs = {(row["a"], row["b"]): row for row in res.coefficients
+            if row["reference"] is not None}
+    assert set(refs) == {(1, 0), *invariant_polynomial(4).terms()}
+    assert refs[(1, 0)]["reference_label"] == "ln 32"
+    assert abs(refs[(1, 0)]["fitted"] - refs[(1, 0)]["reference"]) < 1e-8
+    for mono, row in refs.items():
+        assert abs(row["fitted"] - row["reference"]) < 1e-6
+        if mono != (1, 0):
+            exact = invariant_polynomial(4).terms()[mono]
+            assert (row["reference"], row["reference_label"]) == (float(exact), str(exact))
+    assert all(row["reference_label"] == "" for row in res.coefficients
+               if row["reference"] is None)
     # the closed form is the production route, run once per mirror pair:
     # the axis sample and the 9 below it on each of the 5 circles of 19
     assert res.samples == 95 and len(closed) == 5 * (1 + 9)
     assert all(j2 <= 0 for _, j2 in closed)
     # quadrature checks exactly one sample per circle, and the largest
     # difference is reported
-    assert len(quadratures) == res.oracle_samples == 5
-    assert res.oracle_max_diff <= 2.0 ** (10 - 128) * 11
+    assert len(quadratures) == res.quadrature_checked_samples == 5
+    assert res.quadrature_max_abs_diff <= 2.0 ** (10 - 128) * 11
 
 
 @pytest.mark.parametrize("n", [19, 20, 23, 32])
@@ -965,11 +979,63 @@ def test_fit_raises_when_the_closed_form_disagrees_with_quadrature(monkeypatch):
         fit_invariant_S(**CLI_FIT)
 
 
+# The fit's quality gates.  Each perturbation, 1e-5, lies above the
+# residual threshold, 1e-3 times the smallest reference (55/32768), and
+# above the 1e-6 reference tolerance, which binds from order 6 on.
+
+def moved_reference_table(mono, step):
+    """`invariant_polynomial(4)` with the coefficient of `mono` moved."""
+    terms = dict(invariant_polynomial(4).terms())
+    terms[mono] += step
+    return Series(4, ("j1", "j2"), terms)
+
+
+def test_fit_raises_on_a_residual_above_threshold(monkeypatch):
+    harmonic_lsq = actions._harmonic_lsq
+
+    def shifted(radii, values, order):
+        coeffs, residuals = harmonic_lsq(radii, values, order)
+        return coeffs, [x + mp.mpf("1e-5") for x in residuals]
+
+    monkeypatch.setattr(actions, "_harmonic_lsq", shifted)
+    with pytest.raises(FitQualityError, match="fit residual .* above threshold"):
+        fit_invariant_S(**CLI_FIT)
+
+
+@pytest.mark.parametrize("order", [5, 8])
+def test_fit_checks_the_reference_table_from_order_6(monkeypatch, order):
+    moved = moved_reference_table((2, 2), F(1, 100000))
+    monkeypatch.setattr(actions, "invariant_polynomial", lambda order=4: moved)
+    if order < 6:
+        fit_invariant_S(**{**CLI_FIT, "order": order})     # no gate yet: it returns
+    else:
+        with pytest.raises(FitQualityError, match=r"fitted coefficient \(2, 2\) off"):
+            fit_invariant_S(**{**CLI_FIT, "order": order})
+
+
+def test_fit_checks_the_linear_coefficient_against_ln32(monkeypatch):
+    harmonic_lsq = actions._harmonic_lsq
+
+    def shifted(radii, values, order):
+        coeffs, residuals = harmonic_lsq(radii, values, order)
+        coeffs[(1, 0)] += mp.mpf("1e-5")
+        return coeffs, residuals
+
+    monkeypatch.setattr(actions, "_harmonic_lsq", shifted)
+    with pytest.raises(FitQualityError, match="ln 32"):
+        fit_invariant_S(**CLI_FIT)
+
+
 def test_fit_stability_under_sample_doubling():
     a = fit_invariant_S(**CLI_FIT)
     b = fit_invariant_S(**{**CLI_FIT, "samples": 160})
-    for mono in [(1, 0), (2, 0), (0, 2), (3, 0), (1, 2), (4, 0), (2, 2), (0, 4)]:
-        assert abs(a.coefficients[mono] - b.coefficients[mono]) < 1e-9
+    rows = [(ra, rb) for ra, rb in zip(a.coefficients, b.coefficients)
+            if ra["a"] + ra["b"] <= 4]
+    assert [(ra["a"], ra["b"]) for ra, _ in rows] == [
+        (1, 0), (2, 0), (0, 2), (3, 0), (1, 2), (4, 0), (2, 2), (0, 4)]
+    for ra, rb in rows:
+        assert (ra["a"], ra["b"]) == (rb["a"], rb["b"])
+        assert abs(ra["fitted"] - rb["fitted"]) < 1e-9
 
 
 def test_fit_rank_guard():

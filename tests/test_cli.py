@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from pendinv import cli, pendulum
+from pendinv import actions, cli, pendulum, quadrature
 from pendinv.cli import build_parser, main
+from pendinv.series import Series
 
 
 def run(capsys, *argv):
@@ -171,6 +173,20 @@ def test_orbit_search_and_trace(tmp_path, capsys):
     assert uv_lines[0] == "u,v"
     float(uv_lines[1].split(",")[0])   # plain numbers, no wrapper reprs
     assert "(" not in uv_lines[1]
+
+
+@pytest.mark.parametrize("trace, uv", [
+    ("orbit.csv", "orbit_uv.csv"), ("orbit", "orbit_uv.csv"),
+    ("./orbit", "./orbit_uv.csv"), ("run.v2/orbit", "run.v2/orbit_uv.csv")])
+def test_orbit_trace_names_the_uv_file_from_the_stem(tmp_path, monkeypatch, capsys, trace, uv):
+    # a dot in a directory name is no extension
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.v2").mkdir()
+    code, out, err = run(capsys, "orbit", "--W", "3/4", "--trace", trace)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["target"] == "3/4"
+    assert Path(trace).read_text().splitlines()[0] == "t,x,y,z,px,py,pz"
+    assert Path(uv).read_text().splitlines()[0] == "u,v"
 
 
 def test_orbit_that_does_not_close_is_a_verification_failure(capsys):
@@ -379,6 +395,24 @@ def test_default_fit_output_is_pinned(capsys):
                          f'"quadrature_max_abs_diff": {DEFAULT_FIT_MAX_DIFF}')
     assert hashlib.sha256(pinned.encode()).hexdigest() == DEFAULT_FIT_SHA256
     assert abs(diff - float(DEFAULT_FIT_MAX_DIFF)) <= 2.0 ** -256 * 11
+
+
+@pytest.mark.parametrize("gate", ["reference", "quadrature"])
+def test_a_failed_fit_is_a_verification_failure(monkeypatch, capsys, gate):
+    # the (2, 2) reference moved by 1e-5, or a quadrature oracle that stops
+    # unconverged: one line on stderr, nothing on stdout, exit 1
+    if gate == "reference":
+        terms = dict(actions.invariant_polynomial(4).terms())
+        terms[(2, 2)] += Fraction(1, 100000)
+        moved = Series(4, ("j1", "j2"), terms)
+        monkeypatch.setattr(actions, "invariant_polynomial", lambda order=4: moved)
+    else:
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 4)
+    code, out, err = run(capsys, "invariants", "--order", "8", "--precision", "128",
+                         "--samples", "80")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("order", range(4, 11))

@@ -575,6 +575,19 @@ def test_brentq_matches_scipy_on_seeded_brackets(monkeypatch):
                                     xtol=xtol, rtol=rtol, maxiter=maxiter)
         outcomes.add(type(ours[0]))
     assert outcomes == {float, tuple}      # roots, and runs out of iterations
+    # f exactly 0 at an end: that end is returned after the two evaluations
+    for _ in range(100):
+        shape, x0, sign = rng.choice(shapes[:4]), rng.uniform(-2.0, 2.0), rng.choice([-1, 1])
+        a, b = x0, x0 + rng.choice([-1, 1]) * rng.uniform(0.0, 3.0)
+        if rng.random() < 0.5:
+            a, b = b, a
+
+        def f(x, shape=shape, x0=x0, sign=sign):
+            return sign * shape(x, x0)
+        ours = _evaluations(brentq, f, a, b, xtol=2e-12)
+        assert ours == _evaluations(scipy.optimize.brentq, f, a, b, xtol=2e-12,
+                                    rtol=actions.BRENTQ_RTOL, maxiter=actions.BRENTQ_MAXITER)
+        assert ours == (x0, [a, b])
 
 
 def test_brentq_matches_scipy_at_every_call_site(monkeypatch):

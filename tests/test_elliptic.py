@@ -120,6 +120,37 @@ def test_carlson_rc_with_small_second_argument():
         assert carlson_rc(1.0, y) == pytest.approx(float(ref), rel=4e-15), y
 
 
+def test_carlson_rc_principal_value_and_zero_first_argument():
+    # y < 0 is the Cauchy principal value, through R_C(x - y, -y); x = 0 is
+    # pi / (2 sqrt(y)).  mpmath's elliprc takes the same principal value.
+    rng = random.Random(41)
+    with mp.workdps(40):
+        for _ in range(2000):
+            x, y = 10 ** rng.uniform(-8, 8), -10 ** rng.uniform(-8, 8)
+            ref = mp.elliprc(x, y)
+            assert abs(carlson_rc(x, y) - ref) <= 5e-16 * abs(ref), (x, y)
+        for _ in range(500):
+            y = 10 ** rng.uniform(-300, 300)
+            ref = mp.elliprc(0, y)
+            assert abs(carlson_rc(0.0, y) - ref) <= 2.5e-16 * abs(ref), y
+
+
+def test_lambda0_is_odd_in_phi():
+    # Lambda0 = 2/pi (E F(phi, k') + K E(phi, k') - K F(phi, k')), with the
+    # incomplete integrals at the complementary parameter mc
+    rng = random.Random(43)
+    with mp.workdps(40):
+        for _ in range(500):
+            phi = -rng.uniform(0.0, math.pi / 2)
+            mc = rng.choice([rng.uniform(0.0, 1.0), 10 ** rng.uniform(-12, 0)])
+            assert heuman_lambda0(phi, mc) == -heuman_lambda0(-phi, mc)
+            m = 1 - mp.mpf(mc)
+            K, E = mp.ellipk(m), mp.ellipe(m)
+            F_inc, E_inc = mp.ellipf(phi, mc), mp.ellipe(phi, mc)
+            ref = 2 / mp.pi * (E * F_inc + K * E_inc - K * F_inc)
+            assert abs(heuman_lambda0(phi, mc) - ref) < 1.5e-15, (phi, mc)
+
+
 def test_carlson_rj_with_tiny_and_huge_arguments():
     # the cubed products of the duplication would underflow or overflow
     # without scaling; at the last two dn^2 underflows even so, in the
